@@ -1,4 +1,4 @@
-//! Regenerates the EXPERIMENTS.md summary table: one row per experiment
+//! Regenerates the experiment summary table: one row per experiment
 //! with the qualitative quantity the paper's claim is about (speedups,
 //! pruning factors, false-positive rates, result counts), measured on
 //! this machine.
@@ -658,13 +658,6 @@ fn smoke(path: &str) {
         district_hist.snapshot().quantile_us(0.99) as f64,
     ));
     rows.push(("sharded_district_slow_queries", district_slow as f64));
-    // The router's own probe histogram (every corner query above went
-    // through it) proves the registry path, not just a local stopwatch.
-    let probe = sharded.obs().snapshot();
-    let probe_hist = probe
-        .histogram("shard.probe.latency")
-        .expect("probe latency histogram is always registered");
-    rows.push(("sharded_probe_p99_us", probe_hist.quantile_us(0.99) as f64));
     // Failure counters, ceiling-gated at 0: on an all-local happy-path
     // run nothing may retry and no shard may be unavailable — these
     // rows existing in the artifact is what lets the gate hold the
@@ -832,16 +825,14 @@ fn smoke(path: &str) {
     // 8 requests were simultaneously in flight on ONE multiplexed
     // connection (floor-gated — the depth must never decay).
     // `stream_chunks` counts the MUX_CHUNK frames of a multi-megabyte
-    // snapshot answer on a raw v4 session (floor-gated — the server
+    // snapshot answer on a raw mux session (floor-gated — the server
     // must keep streaming chunked answers, not regress to
-    // buffer-and-send). `mux_district_p99_us` is the district tail
-    // latency through a real 2-shard remote cluster — the same query
-    // as `sharded_district_p99_us`, but over the multiplexed wire.
+    // buffer-and-send).
     {
         use scq_shard::wire;
         use scq_shard::{
-            serve_shard, ClusterSpec, Direction, FaultAction, FaultGate, FaultProxy, FaultRule,
-            FrameMatch, ProbeTrace, RemoteShard, ShardBackend, ShardServerConfig,
+            serve_shard, Direction, FaultAction, FaultGate, FaultProxy, FaultRule, FrameMatch,
+            ProbeTrace, RemoteShard, ShardBackend, ShardServerConfig,
         };
         use std::io::Write;
         use std::time::Duration;
@@ -935,7 +926,7 @@ fn smoke(path: &str) {
             .expect("read hello")
             .expect("hello reply");
         match wire::decode_response(&hello).expect("decode hello") {
-            wire::Response::Hello { version } => assert!(version >= wire::MUX_MIN_VERSION),
+            wire::Response::Hello { version } => assert_eq!(version, wire::WIRE_VERSION),
             other => panic!("unexpected handshake reply: {other:?}"),
         }
         sock.write_all(
@@ -976,76 +967,6 @@ fn smoke(path: &str) {
         drop(remote);
         drop(proxy);
         server.shutdown();
-
-        // District tail latency over the wire: a 2-shard remote
-        // cluster on multiplexed connections, same workload and query
-        // shape as the in-process district rows.
-        let servers: Vec<_> = (0..2)
-            .map(|_| {
-                serve_shard(&ShardServerConfig {
-                    addr: "127.0.0.1:0".into(),
-                    threads: 2,
-                    universe_size: 1000.0,
-                    ..ShardServerConfig::default()
-                })
-                .expect("bind cluster shard")
-            })
-            .collect();
-        let addrs: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
-        let spec = ClusterSpec::balanced(universe, 6, &addrs);
-        let mut rdb = spec
-            .connect(Duration::from_secs(15))
-            .expect("connect cluster");
-        let mut plain = scq_engine::SpatialDatabase::new(universe);
-        let w = scq_engine::workload::map_workload(
-            &mut plain,
-            1120,
-            &scq_engine::workload::MapParams {
-                n_states: 8,
-                n_towns: 30,
-                n_roads: 120,
-                useful_road_fraction: 0.05,
-            },
-        );
-        for coll in plain.collections() {
-            let dst = rdb.collection(plain.collection_name(coll));
-            assert_eq!(dst, coll, "collection ids stay aligned");
-            for index in plain.object_indices(coll) {
-                let obj = scq_engine::ObjectRef {
-                    collection: coll,
-                    index,
-                };
-                rdb.insert(dst, plain.region(obj).clone());
-            }
-        }
-        let district_sys = scq_core::parse_system("T <= W; R & T != 0").expect("parses");
-        let rdq = scq_engine::Query::new(district_sys)
-            .known(
-                "W",
-                Region::from_box(AaBox::new([100.0, 100.0], [360.0, 360.0])),
-            )
-            .from_collection("T", w.towns)
-            .from_collection("R", w.roads);
-        let hist = scq_obs::Histogram::new();
-        for _ in 0..32 {
-            let t0 = std::time::Instant::now();
-            let res =
-                scq_shard::execute(&rdb, &rdq, IndexKind::RTree, scq_engine::ExecOptions::all())
-                    .expect("remote district query");
-            assert!(
-                !res.outcome.is_partial(),
-                "remote district query must be complete"
-            );
-            hist.observe(t0.elapsed());
-        }
-        rows.push((
-            "mux_district_p99_us",
-            hist.snapshot().quantile_us(0.99) as f64,
-        ));
-        drop(rdb);
-        for s in servers {
-            s.shutdown();
-        }
     }
 
     let mut json = String::from("{\n  \"schema\": 1,\n  \"preset\": \"ci\",\n  \"benches\": [\n");
@@ -1232,7 +1153,11 @@ fn soak(budget_secs: u64) {
                 h.stats.created, 1,
                 "the clean phase must multiplex on one connection per shard: {h:?}"
             );
-            assert!(h.stats.wire_version >= 4, "soak speaks v4: {h:?}");
+            assert_eq!(
+                h.stats.wire_version,
+                scq_shard::wire::WIRE_VERSION,
+                "soak speaks the one wire version: {h:?}"
+            );
         }
     }
 

@@ -1,10 +1,10 @@
 //! Shared helpers for the experiment benches (B1–B8).
 //!
-//! Each bench in `benches/` regenerates one experiment row/series from
-//! EXPERIMENTS.md. The helpers here build deterministic databases and
-//! query sets so that criterion timings and the printed auxiliary
-//! statistics (solution counts, candidate counts, false-positive rates)
-//! are reproducible.
+//! Each bench in `benches/` regenerates one experiment row/series of
+//! the table the `experiments` binary prints. The helpers here build
+//! deterministic databases and query sets so that criterion timings
+//! and the printed auxiliary statistics (solution counts, candidate
+//! counts, false-positive rates) are reproducible.
 
 use criterion::Criterion;
 use rand::rngs::StdRng;

@@ -8,17 +8,17 @@
 //! u32 collection count
 //! per collection:
 //!   u16 name length | name bytes (UTF-8)
-//!   u32 object count            (v2: slot count, tombstones included)
-//!   per object:
-//!     u8 flags                  (v2 only; bit 0 = live)
+//!   u32 slot count              (tombstones included)
+//!   per slot:
+//!     u8 flags                  (bit 0 = live)
 //!     u32 fragment count | fragments (2K f64 little-endian)
 //! ```
 //!
-//! **Version 2** (current) serializes each slot's liveness so a mutated
-//! database round-trips exactly: tombstoned slots keep their position
-//! (hence every [`crate::ObjectRef`] keeps its meaning) and stay out of
-//! the rebuilt indexes. **Version 1** snapshots (no flags byte) still
-//! load — every v1 object is live.
+//! Each slot's liveness is serialized so a mutated database round-trips
+//! exactly: tombstoned slots keep their position (hence every
+//! [`crate::ObjectRef`] keeps its meaning) and stay out of the rebuilt
+//! indexes. The format version is 2, the only one read or written; any
+//! other is [`SnapshotError::BadVersion`].
 //!
 //! Indexes are *not* serialized — they are derived data and are rebuilt
 //! on load (deterministically, since insertion order is preserved).
@@ -35,10 +35,8 @@ use scq_region::{AaBox, Region};
 use crate::database::SpatialDatabase;
 
 const MAGIC: &[u8; 4] = b"SCQS";
-/// Current (written) format version.
+/// The format version, written and the only one loaded.
 const VERSION: u16 = 2;
-/// Oldest still-loadable format version.
-const V1: u16 = 1;
 
 /// Errors produced by [`load`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -91,7 +89,7 @@ impl std::fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// Serializes the database (universe, collections, regions, per-slot
-/// liveness) in the v2 format.
+/// liveness).
 pub fn save<const K: usize>(db: &SpatialDatabase<K>) -> Bytes {
     let mut buf = BytesMut::new();
     buf.put_slice(MAGIC);
@@ -159,7 +157,7 @@ pub fn load<const K: usize>(data: &[u8]) -> Result<SpatialDatabase<K>, SnapshotE
         return Err(SnapshotError::BadMagic);
     }
     let version = buf.get_u16_le();
-    if version != VERSION && version != V1 {
+    if version != VERSION {
         return Err(SnapshotError::BadVersion(version));
     }
     let dim = buf.get_u16_le();
@@ -184,13 +182,8 @@ pub fn load<const K: usize>(data: &[u8]) -> Result<SpatialDatabase<K>, SnapshotE
         need(&buf, 4)?;
         let n_obj = buf.get_u32_le();
         for _ in 0..n_obj {
-            let live = if version >= 2 {
-                need(&buf, 1)?;
-                buf.get_u8() & 1 != 0
-            } else {
-                true
-            };
-            need(&buf, 4)?;
+            need(&buf, 5)?;
+            let live = buf.get_u8() & 1 != 0;
             let n_frag = buf.get_u32_le();
             // Validate the declared fragment bytes against the buffer
             // *before* reserving: a corrupt count must yield an error,
@@ -384,9 +377,10 @@ mod tests {
         }
     }
 
+    /// Version 1 (no per-slot liveness byte) is no longer read: the
+    /// refusal names the version instead of guessing at the layout.
     #[test]
-    fn v1_snapshots_still_load() {
-        // Hand-crafted v1 payload: no per-object liveness byte.
+    fn version_1_snapshots_are_refused() {
         let mut buf: Vec<u8> = Vec::new();
         buf.extend_from_slice(b"SCQS");
         buf.extend_from_slice(&1u16.to_le_bytes()); // version 1
@@ -394,28 +388,8 @@ mod tests {
         for c in [0.0f64, 0.0, 100.0, 100.0] {
             buf.extend_from_slice(&c.to_le_bytes()); // universe
         }
-        buf.extend_from_slice(&1u32.to_le_bytes()); // one collection
-        buf.extend_from_slice(&5u16.to_le_bytes());
-        buf.extend_from_slice(b"boxes");
-        buf.extend_from_slice(&2u32.to_le_bytes()); // two objects
-        buf.extend_from_slice(&1u32.to_le_bytes()); // one fragment
-        for c in [1.0f64, 1.0, 2.0, 2.0] {
-            buf.extend_from_slice(&c.to_le_bytes());
-        }
-        buf.extend_from_slice(&0u32.to_le_bytes()); // empty region
-        let db: SpatialDatabase<2> = load(&buf).unwrap();
-        let coll = db.collection_id("boxes").unwrap();
-        assert_eq!(db.collection_len(coll), 2);
-        assert_eq!(db.live_len(coll), 2, "every v1 object is live");
-        assert_eq!(db.empty_objects(coll), &[1]);
-        crate::integrity::check(&db).expect("v1 load is consistent");
-        // v1 payloads with trailing bytes are rejected, not ignored
-        let mut bad = buf.clone();
-        bad.extend_from_slice(&[0, 0, 0]);
-        assert_eq!(
-            load::<2>(&bad).err(),
-            Some(SnapshotError::TrailingData { bytes: 3 })
-        );
+        buf.extend_from_slice(&0u32.to_le_bytes()); // no collections
+        assert_eq!(load::<2>(&buf).err(), Some(SnapshotError::BadVersion(1)));
     }
 
     #[test]

@@ -6,21 +6,16 @@
 //! The server speaks a **line-oriented text protocol** over TCP
 //! (`std::net` only — no async runtime, no framing library): one
 //! command per line in, one response line out, every response starting
-//! with `OK` or `ERR`. Connection handling is a **readiness-driven
-//! event loop** (the same shape as the shard server's): one loop
-//! thread owns the nonblocking listener and every connection socket
-//! through an epoll instance, assembles lines, and hands complete
-//! commands to a worker pool ([`ServerConfig::threads`]) — commands
-//! must not run on the loop thread, because in cluster mode they do
-//! network I/O to the shard tier. Workers push finished response
-//! lines to a completion queue and wake the loop through a self-pipe;
-//! the loop writes them out, parking partial writes behind `EPOLLOUT`.
-//! Idle connections therefore cost a file descriptor each, not a
-//! thread each. Each connection runs one command at a time (pipelined
-//! lines queue), preserving the protocol's strict request/response
-//! order. The database sits behind an `RwLock`, so queries run
-//! concurrently across connections while mutations serialize — the
-//! classic read-mostly serving posture.
+//! with `OK` or `ERR`. Sockets, the event loop and the worker pool
+//! ([`ServerConfig::threads`]) belong to the shared
+//! [`scq_shard::reactor`]; this crate supplies the protocol — newline
+//! framing, a line-length cap, and commands that run on the pool, never
+//! on the loop thread, because in cluster mode they do network I/O to
+//! the shard tier. Each connection runs one command at a time
+//! (pipelined lines queue), preserving the protocol's strict
+//! request/response order. The database sits behind an `RwLock`, so
+//! queries run concurrently across connections while mutations
+//! serialize — the classic read-mostly serving posture.
 //!
 //! # Protocol
 //!
@@ -119,17 +114,14 @@
 //! protocol server (`scq-serve --shard`). The command table is
 //! identical either way.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::collections::VecDeque;
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
-use epoll::{Epoll, Event, WakePipe, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use scq_region::AaBox;
+use scq_shard::reactor::{self, Port, Protocol, ReactorHandle};
 use scq_shard::{ClusterSpec, LocalShard, ShardBackend, ShardedDatabase};
 
 mod proto;
@@ -144,7 +136,7 @@ pub struct ServerConfig {
     pub addr: String,
     /// Number of shards of the database.
     pub shards: usize,
-    /// Worker threads accepting connections.
+    /// Worker threads executing commands.
     pub threads: usize,
     /// Universe half-open square side (the database spans
     /// `[0, size]²`).
@@ -173,67 +165,27 @@ impl Default for ServerConfig {
     }
 }
 
-/// A running server: the bound address, the event-loop thread and its
-/// command worker pool.
+/// A running server: the reactor serving the line protocol.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    event_loop: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
+    reactor: ReactorHandle,
 }
 
 impl ServerHandle {
     /// The address the server actually bound (resolves `:0`).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.addr()
+    }
+
+    /// Event-loop wakeups so far ([`ReactorHandle::loop_wakeups`]).
+    pub fn loop_wakeups(&self) -> u64 {
+        self.reactor.loop_wakeups()
     }
 
     /// Stops the event loop (closing every connection) and the worker
-    /// pool, and joins them all. The loop notices the stop flag at its
-    /// next wakeup — forced immediately through the wake pipe.
+    /// pool, and joins them all.
     pub fn shutdown(self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.wake.wake();
-        self.shared.work.ready.notify_all();
-        let _ = self.event_loop.join();
-        for w in self.workers {
-            let _ = w.join();
-        }
+        self.reactor.shutdown();
     }
-}
-
-/// State shared between the event loop and the worker pool. The
-/// database itself is NOT here: workers capture it directly, so the
-/// queue plumbing stays non-generic.
-struct Shared {
-    work: WorkQueue,
-    /// Finished response lines awaiting delivery by the loop thread.
-    done: Mutex<Vec<Completion>>,
-    wake: Arc<WakePipe>,
-    stop: AtomicBool,
-}
-
-struct WorkQueue {
-    jobs: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-}
-
-/// One complete command line's worth of work for the pool.
-struct Job {
-    /// The connection the response line goes back to.
-    token: u64,
-    /// The command, already stripped of its newline.
-    line: String,
-}
-
-/// A finished response on its way back through the loop thread.
-struct Completion {
-    token: u64,
-    /// The response, newline included (possibly multi-line: `METRICS`
-    /// and `TRACE` carry a body).
-    bytes: Vec<u8>,
-    /// Close the connection once these bytes flush (`QUIT`).
-    close: bool,
 }
 
 /// Starts the server over the classic in-process sharded store: binds,
@@ -255,338 +207,103 @@ pub fn serve_db<B: ShardBackend + 'static>(
     db: ShardedDatabase<B>,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let db = Arc::new(RwLock::new(db));
-    let ctx = Arc::new(ServeContext::new(config.slow_ms).with_plan(config.plan));
-    let epoll = Epoll::new()?;
-    let wake = Arc::new(WakePipe::new()?);
-    epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-    epoll.add(wake.read_fd(), EPOLLIN, TOKEN_WAKE)?;
-    let shared = Arc::new(Shared {
-        work: WorkQueue {
-            jobs: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-        },
-        done: Mutex::new(Vec::new()),
-        wake,
-        stop: AtomicBool::new(false),
-    });
-    let mut workers = Vec::new();
-    for _ in 0..config.threads.max(1) {
-        let shared = Arc::clone(&shared);
-        let db = Arc::clone(&db);
-        let ctx = Arc::clone(&ctx);
-        workers.push(std::thread::spawn(move || worker_loop(&shared, &db, &ctx)));
-    }
-    let loop_shared = Arc::clone(&shared);
-    let event_loop = std::thread::spawn(move || event_loop(listener, epoll, &loop_shared));
-    Ok(ServerHandle {
-        addr,
-        shared,
-        event_loop,
-        workers,
-    })
+    let protocol = LineProtocol {
+        db: Arc::new(RwLock::new(db)),
+        ctx: ServeContext::new(config.slow_ms).with_plan(config.plan),
+    };
+    let reactor = reactor::start(listener, protocol, config.threads, usize::MAX)?;
+    Ok(ServerHandle { reactor })
 }
 
-// ── the event loop ──────────────────────────────────────────────────────
-
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKE: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
+// ── the line protocol ───────────────────────────────────────────────────
 
 /// A command line longer than this earns an error and a closed
 /// connection — the alternative is an unbounded input buffer.
 const MAX_LINE: usize = 1 << 20;
 
-/// Outbound bytes with a write cursor, so partially-flushed responses
-/// never shift their remaining bytes.
+/// Newline framing, strictly ordered: one command per line, one
+/// command of a connection executing at a time.
+struct LineProtocol<B: ShardBackend> {
+    db: Arc<RwLock<ShardedDatabase<B>>>,
+    ctx: ServeContext,
+}
+
+/// One connection's line assembly and ordering state.
 #[derive(Default)]
-struct OutBuf {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl OutBuf {
-    fn push(&mut self, bytes: &[u8]) {
-        if self.pos >= self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
-    fn unwritten(&self) -> &[u8] {
-        &self.buf[self.pos.min(self.buf.len())..]
-    }
-
-    fn consume(&mut self, n: usize) {
-        self.pos += n;
-        if self.pos >= self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        }
-    }
-}
-
-/// One connection's loop-side state.
-struct Conn {
-    stream: TcpStream,
+struct LineConn {
     /// Raw inbound bytes not yet terminated by a newline.
     inbuf: Vec<u8>,
-    out: OutBuf,
     /// A command is executing; later complete lines wait in `pending`
     /// so one-command-one-response ordering holds exactly.
     busy: bool,
     pending: VecDeque<String>,
-    /// Close once `out` drains; stop consuming inbound lines.
-    closing: bool,
-    /// `EPOLLOUT` currently registered.
-    wants_out: bool,
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            inbuf: Vec::new(),
-            out: OutBuf::default(),
-            busy: false,
-            pending: VecDeque::new(),
-            closing: false,
-            wants_out: false,
-        }
+impl<B: ShardBackend + 'static> Protocol for LineProtocol<B> {
+    type Conn = LineConn;
+    /// The command, already stripped of its newline.
+    type Job = String;
+    /// The response, newline included (possibly multi-line: `METRICS`
+    /// and `TRACE` carry a body), and whether to close once it has
+    /// flushed (`QUIT`).
+    type Done = (Vec<u8>, bool);
+
+    fn open(&self) -> LineConn {
+        LineConn::default()
     }
-}
 
-fn event_loop(listener: TcpListener, epoll: Epoll, shared: &Shared) {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token = FIRST_CONN_TOKEN;
-    let mut events = [Event::new(0, 0); 64];
-    loop {
-        // The timeout is the shutdown heartbeat; the wake pipe makes
-        // completions (and shutdown itself) immediate, not 100ms late.
-        let n = epoll.wait(100, &mut events).unwrap_or(0);
-        if shared.stop.load(Ordering::SeqCst) {
-            // Dropping the map closes every socket.
-            return;
-        }
-        for ev in &events[..n] {
-            match ev.token() {
-                TOKEN_LISTENER => accept_ready(&listener, &epoll, &mut conns, &mut next_token),
-                TOKEN_WAKE => shared.wake.drain(),
-                token => {
-                    let Some(conn) = conns.get_mut(&token) else {
-                        continue; // already closed earlier in this batch
-                    };
-                    if ev.events() & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0
-                        && !read_ready(conn, token, shared)
-                    {
-                        conns.remove(&token);
-                    }
-                    // EPOLLOUT needs no per-event work: the flush pass
-                    // below writes every connection with queued bytes.
+    /// Splits every complete line out of the input buffer and
+    /// dispatches it: straight to the pool when the connection is
+    /// idle, queued behind the executing command otherwise.
+    fn received(&self, conn: &mut LineConn, bytes: &[u8], port: &mut Port<'_, String>) {
+        conn.inbuf.extend_from_slice(bytes);
+        while !port.closing() {
+            let Some(nl) = conn.inbuf.iter().position(|&b| b == b'\n') else {
+                if conn.inbuf.len() > MAX_LINE {
+                    port.send(b"ERR line too long\n");
+                    port.close();
                 }
+                break;
+            };
+            let line = String::from_utf8_lossy(&conn.inbuf[..nl])
+                .trim()
+                .to_string();
+            conn.inbuf.drain(..=nl);
+            if line.is_empty() {
+                continue; // blank lines get no response
             }
-        }
-        for done in std::mem::take(&mut *shared.done.lock().expect("completion queue")) {
-            deliver(&mut conns, shared, done);
-        }
-        // Flush pass: write what the sockets will take, keep EPOLLOUT
-        // registered exactly while bytes are queued, reap dead conns.
-        conns.retain(|&token, conn| {
-            if !flush(conn) {
-                return false;
+            if conn.busy {
+                conn.pending.push_back(line);
+            } else {
+                conn.busy = true;
+                port.submit(line);
             }
-            let want = !conn.out.is_empty();
-            if want != conn.wants_out {
-                let interest = EPOLLIN | EPOLLRDHUP | (if want { EPOLLOUT } else { 0 });
-                if epoll
-                    .modify(conn.stream.as_raw_fd(), interest, token)
-                    .is_err()
-                {
-                    return false;
-                }
-                conn.wants_out = want;
-            }
-            true
-        });
-    }
-}
-
-fn accept_ready(
-    listener: &TcpListener,
-    epoll: &Epoll,
-    conns: &mut HashMap<u64, Conn>,
-    next_token: &mut u64,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let token = *next_token;
-                *next_token += 1;
-                if epoll
-                    .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)
-                    .is_err()
-                {
-                    continue;
-                }
-                conns.insert(token, Conn::new(stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
         }
     }
-}
 
-/// Reads everything the socket has, assembling and dispatching complete
-/// lines. Returns `false` when the connection is dead and must be
-/// dropped.
-fn read_ready(conn: &mut Conn, token: u64, shared: &Shared) -> bool {
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        if conn.closing {
-            // Answered QUIT or a fatal error; ignore further input.
-            return true;
-        }
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => {
-                // Peer hung up. A command already executing still
-                // finishes, but its answer has nowhere to go.
-                return false;
-            }
-            Ok(n) => {
-                conn.inbuf.extend_from_slice(&chunk[..n]);
-                dispatch_lines(conn, token, shared);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
-}
-
-/// Splits every complete line out of the input buffer and dispatches
-/// it: straight to the pool when the connection is idle, queued behind
-/// the executing command otherwise.
-fn dispatch_lines(conn: &mut Conn, token: u64, shared: &Shared) {
-    while !conn.closing {
-        let Some(nl) = conn.inbuf.iter().position(|&b| b == b'\n') else {
-            if conn.inbuf.len() > MAX_LINE {
-                conn.out.push(b"ERR line too long\n");
-                conn.closing = true;
-            }
-            break;
-        };
-        let line = String::from_utf8_lossy(&conn.inbuf[..nl])
-            .trim()
-            .to_string();
-        conn.inbuf.drain(..=nl);
-        if line.is_empty() {
-            continue; // blank lines get no response, as before
-        }
-        if conn.busy {
-            conn.pending.push_back(line);
-        } else {
-            conn.busy = true;
-            enqueue(shared, Job { token, line });
-        }
-    }
-}
-
-fn enqueue(shared: &Shared, job: Job) {
-    shared.work.jobs.lock().expect("work queue").push_back(job);
-    shared.work.ready.notify_one();
-}
-
-/// Hands one finished response to its connection and releases the next
-/// queued line to the pool.
-fn deliver(conns: &mut HashMap<u64, Conn>, shared: &Shared, done: Completion) {
-    let Some(conn) = conns.get_mut(&done.token) else {
-        return; // connection died while the command ran
-    };
-    conn.out.push(&done.bytes);
-    if done.close {
-        conn.closing = true;
-        conn.pending.clear();
-    } else {
-        conn.busy = false;
-        if let Some(next) = conn.pending.pop_front() {
-            conn.busy = true;
-            enqueue(
-                shared,
-                Job {
-                    token: done.token,
-                    line: next,
-                },
-            );
-        }
-    }
-}
-
-/// Writes what the socket will take. Returns `false` when the
-/// connection is finished (dead socket, or `closing` fully flushed).
-fn flush(conn: &mut Conn) -> bool {
-    while !conn.out.is_empty() {
-        match conn.stream.write(conn.out.unwritten()) {
-            Ok(0) => return false,
-            Ok(n) => conn.out.consume(n),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
-    !(conn.closing && conn.out.is_empty())
-}
-
-// ── the worker pool ─────────────────────────────────────────────────────
-
-fn worker_loop<B: ShardBackend>(
-    shared: &Shared,
-    db: &Arc<RwLock<ShardedDatabase<B>>>,
-    ctx: &ServeContext,
-) {
-    loop {
-        let job = {
-            let mut jobs = shared.work.jobs.lock().expect("work queue");
-            loop {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(job) = jobs.pop_front() {
-                    break job;
-                }
-                // The timeout is a belt-and-braces stop check; the
-                // shutdown notify_all makes exit immediate.
-                let (guard, _) = shared
-                    .work
-                    .ready
-                    .wait_timeout(jobs, Duration::from_millis(100))
-                    .expect("work queue");
-                jobs = guard;
-            }
-        };
-        let (response, quit) = handle_command(db, ctx, &job.line);
+    fn run(&self, line: String) -> (Vec<u8>, bool) {
+        let (response, quit) = handle_command(&self.db, &self.ctx, &line);
         let mut bytes = response.into_bytes();
         bytes.push(b'\n');
-        shared
-            .done
-            .lock()
-            .expect("completion queue")
-            .push(Completion {
-                token: job.token,
-                bytes,
-                close: quit,
-            });
-        shared.wake.wake();
+        (bytes, quit)
+    }
+
+    /// Queues the response and releases the next waiting line.
+    fn completed(
+        &self,
+        conn: &mut LineConn,
+        (bytes, quit): (Vec<u8>, bool),
+        port: &mut Port<'_, String>,
+    ) {
+        port.send(&bytes);
+        if quit {
+            port.close();
+            conn.pending.clear();
+        } else if let Some(next) = conn.pending.pop_front() {
+            port.submit(next);
+        } else {
+            conn.busy = false;
+        }
     }
 }
 
@@ -596,16 +313,18 @@ fn worker_loop<B: ShardBackend>(
 /// carry.
 pub type ScriptStep<'a> = (&'a str, &'a str);
 
+/// Owned script steps from literals.
+fn own(steps: Vec<ScriptStep<'_>>) -> Vec<(String, String)> {
+    steps
+        .into_iter()
+        .map(|(c, r)| (c.to_string(), r.to_string()))
+        .collect()
+}
+
 /// The scripted session the CI smoke test runs: exercises create /
 /// insert / remove / update / query / solve / stat / compact /
 /// snapshot round-trip end to end against a live server.
 pub fn smoke_script(snapshot_dir: &str) -> Vec<(String, String)> {
-    let own = |steps: Vec<(&str, &str)>| -> Vec<(String, String)> {
-        steps
-            .into_iter()
-            .map(|(c, r)| (c.to_string(), r.to_string()))
-            .collect()
-    };
     let mut steps = own(vec![
         ("PING", "OK pong"),
         ("CREATE towns", "OK coll=0"),
@@ -780,12 +499,6 @@ pub fn run_script(addr: SocketAddr, script: &[(String, String)]) -> Result<Vec<S
 /// interesting invariants: `SHARDS` live counts prove objects actually
 /// move between processes.
 pub fn cluster_script(snapshot_dir: &str) -> Vec<(String, String)> {
-    let own = |steps: Vec<(&str, &str)>| -> Vec<(String, String)> {
-        steps
-            .into_iter()
-            .map(|(c, r)| (c.to_string(), r.to_string()))
-            .collect()
-    };
     let mut steps = own(vec![
         ("PING", "OK pong"),
         ("SHARDS", "OK n=2 live=0,0 backend=remote:"),
@@ -958,12 +671,6 @@ mod tests {
         })
         .unwrap();
         let addr = handle.addr();
-        let own = |steps: Vec<(&str, &str)>| {
-            steps
-                .into_iter()
-                .map(|(c, r)| (c.to_string(), r.to_string()))
-                .collect::<Vec<_>>()
-        };
         // Writer sets up data, three readers query concurrently.
         run_script(
             addr,
@@ -1089,15 +796,68 @@ mod tests {
         drop(idle);
     }
 
+    /// A client that sends its commands and then shuts down its
+    /// writing half (`nc -N`, or any pipe-fed tool) is owed every
+    /// answer: the server must finish what was asked, flush, and only
+    /// then close — and must not spin on the half-closed socket while
+    /// the commands run.
+    #[test]
+    fn a_half_closed_client_still_gets_every_answer() {
+        use std::io::Read;
+        use std::net::Shutdown;
+        let handle = serve(&ServerConfig {
+            threads: 2,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        run_script(
+            handle.addr(),
+            &own(vec![("LOAD map 7 400", "OK towns="), ("QUIT", "OK bye")]),
+        )
+        .unwrap();
+        // The smuggler join: long enough that it is still running when
+        // the FIN behind it has been read.
+        let solve = "SOLVE rtree all C=box:0:0:1000:1000,A=box:0:0:120:1000,\
+                     T=coll:towns,R=coll:roads,B=coll:states \
+                     A<=C; B<=C; R<=A|B|T; R&A!=0; R&T!=0; T<C";
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+        let before = handle.loop_wakeups();
+        let t0 = std::time::Instant::now();
+        s.write_all(format!("PING\n{solve}\nPING\n").as_bytes())
+            .unwrap();
+        s.shutdown(Shutdown::Write).unwrap();
+        let mut answers = String::new();
+        s.read_to_string(&mut answers)
+            .expect("every answer, then EOF");
+        let lines: Vec<&str> = answers.lines().collect();
+        assert_eq!(lines.len(), 3, "{answers:?}");
+        assert_eq!(lines[0], "OK pong");
+        assert!(lines[1].starts_with("OK n="), "{}", lines[1]);
+        assert_eq!(lines[2], "OK pong");
+        // Level-triggered epoll reports a half-closed socket readable
+        // forever; the loop must have dropped its read interest rather
+        // than woken for it continuously. Idle, it wakes ten times a
+        // second (the shutdown heartbeat).
+        let wakeups = handle.loop_wakeups() - before;
+        let budget = 50 + t0.elapsed().as_millis() as u64 / 20;
+        assert!(
+            wakeups <= budget,
+            "loop woke {wakeups} times in {:?} (budget {budget}): spinning on the half-closed socket",
+            t0.elapsed()
+        );
+        // With nothing asked, a half-closed connection is simply closed.
+        let mut idle = TcpStream::connect(handle.addr()).unwrap();
+        idle.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        idle.shutdown(Shutdown::Write).unwrap();
+        assert_eq!(idle.read(&mut [0u8; 8]).expect("a clean close"), 0);
+        handle.shutdown();
+    }
+
     #[test]
     fn malformed_commands_error_without_dropping_the_connection() {
         let handle = serve(&ServerConfig::default()).unwrap();
-        let own = |steps: Vec<(&str, &str)>| {
-            steps
-                .into_iter()
-                .map(|(c, r)| (c.to_string(), r.to_string()))
-                .collect::<Vec<_>>()
-        };
         run_script(
             handle.addr(),
             &own(vec![

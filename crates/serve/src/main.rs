@@ -77,22 +77,6 @@ fn main() {
         if let Some(m) = flag("--max-conns").and_then(|v| v.parse().ok()) {
             config.max_connections = m;
         }
-        // Rolling-upgrade rehearsal: cap the negotiation ceiling
-        // (--wire-version 3 answers exactly like the previous release)
-        // or pin one exact version (--strict-wire emulates a release
-        // that predates negotiation windows).
-        if let Some(v) = flag("--wire-version") {
-            match v.parse::<u16>() {
-                Ok(v) => config.wire_version = v,
-                Err(_) => {
-                    eprintln!("bad --wire-version {v:?} (want a protocol number)");
-                    std::process::exit(2);
-                }
-            }
-        }
-        if args.iter().any(|a| a == "--strict-wire") {
-            config.strict = true;
-        }
         if let Some(dir) = flag("--wal") {
             let mut wal = WalConfig::new(dir);
             if let Some(ms) = flag("--wal-group-commit-ms") {
@@ -109,12 +93,11 @@ fn main() {
         match serve_shard(&config) {
             Ok(handle) => {
                 println!(
-                    "scq-shard listening on {} (universe {}, {} workers, wire v{}{})",
+                    "scq-shard listening on {} (universe {}, {} workers, wire v{})",
                     handle.addr(),
                     config.universe_size,
                     config.threads,
-                    config.wire_version,
-                    if config.strict { " strict" } else { "" }
+                    scq_shard::wire::WIRE_VERSION
                 );
                 if let Some(stats) = handle.wal_stats() {
                     println!(
@@ -245,7 +228,6 @@ fn usage() -> &'static str {
      \x20           [--plan selectivity|size|given]\n\
      \x20 scq-serve --shard [--addr A] [--threads T] [--universe S] [--max-conns N]\n\
      \x20           [--wal <dir>] [--wal-group-commit-ms W]\n\
-     \x20           [--wire-version V] [--strict-wire]\n\
      \x20 scq-serve --cluster <spec-file> [--addr A] [--threads T]\n\
      \x20           [--plan selectivity|size|given]\n\
      \x20 scq-serve --self-test\n\

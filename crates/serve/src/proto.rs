@@ -261,10 +261,9 @@ impl ServeContext {
 /// visible from the front end. For remote backends each replica is
 /// listed as
 /// `addr,role,breaker,trips=<t>,conns=<created>/<discarded>/<idle>,sync,wire=v<n>`
-/// — the trailing token is the replica's **negotiated** protocol
-/// version (`v0` = never connected), how the conformance matrix proves
-/// a v4 router really talked v2 to an old shard; local (in-process)
-/// shards have no transport and report `local`.
+/// — the trailing token is the wire version the replica's handshake
+/// settled on (`v0` = never connected); local (in-process) shards have
+/// no transport and report `local`.
 fn shard_health<B: ShardBackend>(d: &ShardedDatabase<B>) -> String {
     let health = (0..d.n_shards())
         .map(|s| {

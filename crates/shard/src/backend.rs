@@ -209,7 +209,7 @@ pub trait ShardBackend: Send + Sync {
     }
 
     /// Client-side instruments for talking **to** this shard
-    /// (connection-pool checkout wait, breaker trips), merged across
+    /// (wait to get onto the connection, breaker trips), merged across
     /// replicas. Local backends have no client and report `None` (the
     /// default).
     fn client_metrics(&self) -> Option<scq_obs::Snapshot> {

@@ -13,14 +13,14 @@
 //! distributed stores rot.
 //!
 //! The text format is deliberately trivial (comments, five directive
-//! kinds), written and parsed by this module so the CI cluster-smoke
-//! script and a human operator author the same file:
+//! kinds: `universe`, `bits`, `breaker`, `wal`, `shard`), written and
+//! parsed by this module so the CI cluster-smoke script and a human
+//! operator author the same file:
 //!
 //! ```text
 //! # scq cluster spec
 //! universe 0 0 1000 1000
 //! bits 6
-//! pool 4
 //! breaker 3 1000
 //! shard low  127.0.0.1:9101,127.0.0.1:9201 0 2048
 //! shard high 127.0.0.1:9102,127.0.0.1:9202 2048 4096
@@ -29,13 +29,12 @@
 //! Each `shard` directive names an **ordered replica set** for one
 //! z-range: the first address is the write primary, the rest are read
 //! replicas in failover order. The bare three-token form
-//! `shard <addr> <zlo> <zhi>` from before replication still parses (a
-//! single-replica shard with a generated name). `pool` sizes each
-//! replica's client-side connection pool (how many requests may be on
-//! the wire to one address at once); `breaker` tunes the per-address
-//! circuit breaker (consecutive transport failures to trip, cooldown
-//! in milliseconds before a half-open probe). Both are optional with
-//! defaults [`DEFAULT_POOL_SIZE`] and [`BreakerConfig::default`].
+//! `shard <addr> <zlo> <zhi>` is a single-replica shard with a
+//! generated name. Every address is reached over one multiplexed
+//! connection, so there is no connection count to configure; `breaker`
+//! tunes the per-address circuit breaker (consecutive transport
+//! failures to trip, cooldown in milliseconds before a half-open
+//! probe) and is optional, defaulting to [`BreakerConfig::default`].
 //! Duplicate addresses — across replica sets, not just across
 //! primaries — and duplicate shard names are named validation errors:
 //! connecting the same process twice would double-count its objects
@@ -48,7 +47,7 @@ use scq_region::AaBox;
 
 use crate::backend::ShardError;
 use crate::database::ShardedDatabase;
-use crate::remote::{BreakerConfig, RemoteShard, DEFAULT_POOL_SIZE};
+use crate::remote::{BreakerConfig, RemoteShard};
 use crate::router::{validate_ranges, ShardRouter};
 
 /// One shard — an ordered replica set of processes owning one z-range —
@@ -71,24 +70,20 @@ impl ShardSpec {
     }
 }
 
-/// A cluster of shard processes: universe, routing grid, connection
-/// pool size, breaker tuning, shard list.
+/// A cluster of shard processes: universe, routing grid, breaker
+/// tuning, shard list.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ClusterSpec {
     /// The universe every shard must span.
     pub universe: AaBox<2>,
     /// Routing grid resolution (bits per dimension, `1..=16`).
     pub bits: u32,
-    /// Wire connections pooled per replica address (concurrent
-    /// in-flight requests to one shard process). At least 1.
-    pub pool: usize,
     /// Per-address circuit breaker tuning (trip threshold + cooldown).
     pub breaker: BreakerConfig,
     /// Root directory for per-shard write-ahead logs, when the
     /// deployment is durable: each shard **process** logs under its
     /// own subdirectory ([`ClusterSpec::wal_dir_for`]), so two
-    /// replicas never share a log. `None` = in-memory shards (the
-    /// pre-WAL behavior).
+    /// replicas never share a log. `None` = in-memory shards.
     pub wal_dir: Option<String>,
     /// Group-commit window in milliseconds for WAL-enabled shard
     /// processes (`None` = the server default,
@@ -212,7 +207,6 @@ impl ClusterSpec {
         ClusterSpec {
             universe,
             bits,
-            pool: DEFAULT_POOL_SIZE,
             breaker: BreakerConfig::default(),
             wal_dir: None,
             wal_group_commit_ms: None,
@@ -229,18 +223,13 @@ impl ClusterSpec {
         }
     }
 
-    /// Checks the spec: bits in range, at least one shard, a positive
-    /// pool size, a sane breaker, ranges tiling the key space exactly,
+    /// Checks the spec: bits in range, at least one shard, a sane
+    /// breaker, ranges tiling the key space exactly,
     /// well-formed names, and no address named twice — across replica
     /// sets, not just across primaries.
     pub fn validate(&self) -> Result<(), ClusterSpecError> {
         if self.universe.is_empty() {
             return Err(ClusterSpecError::BadConfig("empty universe".into()));
-        }
-        if self.pool == 0 {
-            return Err(ClusterSpecError::BadConfig(
-                "pool size must be at least 1".into(),
-            ));
         }
         if self.breaker.threshold == 0 {
             return Err(ClusterSpecError::BadConfig(
@@ -290,7 +279,6 @@ impl ClusterSpec {
     pub fn parse(text: &str) -> Result<Self, ClusterSpecError> {
         let mut universe = None;
         let mut bits = None;
-        let mut pool = None;
         let mut breaker = None;
         let mut wal_dir = None;
         let mut wal_group_commit_ms = None;
@@ -333,17 +321,6 @@ impl ClusterSpec {
                             .map_err(|_| parse_err(format!("bad bits {b:?}")))?,
                     );
                 }
-                "pool" => {
-                    let [p] = rest[..] else {
-                        return Err(parse_err("usage: pool <connections per shard>".into()));
-                    };
-                    pool = Some(
-                        p.parse::<usize>()
-                            .ok()
-                            .filter(|&p| p > 0)
-                            .ok_or_else(|| parse_err(format!("bad pool size {p:?}")))?,
-                    );
-                }
                 "breaker" => {
                     let [k, ms] = rest[..] else {
                         return Err(parse_err(
@@ -380,17 +357,16 @@ impl ClusterSpec {
                     };
                 }
                 "shard" => {
-                    // Two arities: the replicated form names the shard
-                    // and lists its replica set, the legacy three-token
-                    // form is a single-replica shard with a generated
-                    // name (kept so pre-replication spec files load).
+                    // Two arities: the full form names the shard and
+                    // lists its replica set, the bare three-token form
+                    // is a single-replica shard with a generated name.
                     let (name, addr_list, lo, hi) = match rest[..] {
                         [name, addrs, lo, hi] => (name.to_owned(), addrs, lo, hi),
                         [addr, lo, hi] => (format!("shard{}", shards.len()), addr, lo, hi),
                         _ => {
                             return Err(parse_err(
                                 "usage: shard <name> <addr>[,<addr>…] <zlo> <zhi> \
-                                 (or legacy: shard <addr> <zlo> <zhi>)"
+                                 (or: shard <addr> <zlo> <zhi>)"
                                     .into(),
                             ))
                         }
@@ -414,7 +390,7 @@ impl ClusterSpec {
                 other => {
                     return Err(parse_err(format!(
                         "unknown directive {other:?} \
-                         (universe | bits | pool | breaker | wal | shard)"
+                         (universe | bits | breaker | wal | shard)"
                     )))
                 }
             }
@@ -424,7 +400,6 @@ impl ClusterSpec {
                 .ok_or_else(|| ClusterSpecError::BadConfig("missing universe directive".into()))?,
             bits: bits
                 .ok_or_else(|| ClusterSpecError::BadConfig("missing bits directive".into()))?,
-            pool: pool.unwrap_or(DEFAULT_POOL_SIZE),
             breaker: breaker.unwrap_or_default(),
             wal_dir,
             wal_group_commit_ms,
@@ -452,7 +427,6 @@ impl ClusterSpec {
             lo[0], lo[1], hi[0], hi[1]
         ));
         out.push_str(&format!("bits {}\n", self.bits));
-        out.push_str(&format!("pool {}\n", self.pool));
         out.push_str(&format!(
             "breaker {} {}\n",
             self.breaker.threshold,
@@ -514,18 +488,13 @@ impl ClusterSpec {
         self.validate().map_err(ClusterError::Spec)?;
         let mut backends = Vec::with_capacity(self.shards.len());
         for (shard, spec) in self.shards.iter().enumerate() {
-            let backend = RemoteShard::connect_replicated(
-                &spec.addrs,
-                self.universe,
-                wait,
-                self.pool,
-                self.breaker,
-            )
-            .map_err(|source| ClusterError::Shard {
-                shard,
-                addr: spec.addrs.join(","),
-                source,
-            })?;
+            let backend =
+                RemoteShard::connect_replicated(&spec.addrs, self.universe, wait, self.breaker)
+                    .map_err(|source| ClusterError::Shard {
+                        shard,
+                        addr: spec.addrs.join(","),
+                        source,
+                    })?;
             if !backend.is_pristine() {
                 return Err(ClusterError::Shard {
                     shard,
@@ -562,17 +531,15 @@ mod tests {
 
     #[test]
     fn balanced_spec_round_trips_through_text() {
-        let mut spec = ClusterSpec::balanced(
+        let spec = ClusterSpec::balanced(
             universe(),
             6,
             &["127.0.0.1:9101".to_string(), "127.0.0.1:9102".to_string()],
         );
-        spec.pool = 7; // a non-default pool must survive the round trip
         spec.validate().unwrap();
         let text = spec.to_text();
         let parsed = ClusterSpec::parse(&text).unwrap();
         assert_eq!(parsed, spec);
-        assert_eq!(parsed.pool, 7);
         assert_eq!(parsed.shards[0].range.0, 0);
         assert_eq!(
             parsed.shards[1].range.1,
@@ -588,10 +555,6 @@ mod tests {
         let spec = ClusterSpec::parse(text).unwrap();
         assert_eq!(spec.bits, 4);
         assert_eq!(spec.shards.len(), 1);
-        assert_eq!(
-            spec.pool, DEFAULT_POOL_SIZE,
-            "a spec without a pool directive gets the default"
-        );
     }
 
     #[test]
@@ -701,15 +664,21 @@ mod tests {
         }
     }
 
+    /// `pool` sized a per-address connection pool that no longer
+    /// exists; a spec still carrying it is refused by name rather than
+    /// silently ignored.
     #[test]
-    fn bad_pool_sizes_are_rejected() {
-        let zero = "universe 0 0 100 100\nbits 6\npool 0\nshard a:1 0 4096\n";
-        assert!(ClusterSpec::parse(zero).is_err());
-        let junk = "universe 0 0 100 100\nbits 6\npool many\nshard a:1 0 4096\n";
-        match ClusterSpec::parse(junk) {
-            Err(ClusterSpecError::Parse { line, message, .. }) => {
+    fn the_retired_pool_directive_is_an_unknown_directive() {
+        let text = "universe 0 0 100 100\nbits 6\npool 4\nshard a:1 0 4096\n";
+        match ClusterSpec::parse(text) {
+            Err(ClusterSpecError::Parse {
+                line,
+                text,
+                message,
+            }) => {
                 assert_eq!(line, 3);
-                assert!(message.contains("pool"), "{message}");
+                assert_eq!(text, "pool 4");
+                assert!(message.contains("unknown directive \"pool\""), "{message}");
             }
             other => panic!("{other:?}"),
         }

@@ -25,7 +25,7 @@
 //!
 //! Every failure path the ROADMAP could previously only provoke in the
 //! CI smoke script — reconnect-once on idempotent ops, mutations never
-//! auto-retried, pool eviction of broken connections, partial-answer
+//! auto-retried, eviction of broken connections, partial-answer
 //! merges, mirror/shard lockstep after reconnect — is reproducible in
 //! `cargo test` through this module.
 
@@ -49,13 +49,14 @@ pub enum Direction {
 
 /// What a [`FaultRule`] matches a frame on.
 ///
-/// Multiplexed (v4) frames move the interesting coordinates: many
-/// requests interleave on one connection, so "the nth frame" of a
-/// socket no longer identifies a request, and the opcode sits after
-/// the 9-byte mux header. The matcher follows: on a mux frame,
-/// [`FrameMatch::Nth`] keys on the **request id** (ids count up from
-/// 1 per connection) and [`FrameMatch::Opcode`] reads the byte after
-/// the header. Plain (v2/v3) frames keep the original meaning.
+/// After the handshake every frame is multiplexed: many requests
+/// interleave on one connection, so "the nth frame" of a socket does
+/// not identify a request, and the opcode sits after the 9-byte mux
+/// header. The matcher follows: on a mux frame, [`FrameMatch::Nth`]
+/// keys on the **request id** (ids count up from 1 per connection) and
+/// [`FrameMatch::Opcode`] reads the byte after the header. Plain
+/// frames (the handshake, connection-level errors) match on their
+/// position and first byte.
 #[derive(Clone, Copy, Debug)]
 pub enum FrameMatch {
     /// Every frame in the rule's direction.
@@ -660,8 +661,8 @@ mod tests {
         assert_eq!(trace.retries, 1, "exactly one reconnect-and-retry");
         assert_eq!(out, vec![0], "the retried answer is correct");
         let stats = remote.pool_stats();
-        // The broken socket was re-dialed in place: the pooled client
-        // survives, healthy, and nothing broken lingers in the pool.
+        // The broken connection was replaced: a healthy one stands
+        // ready, and nothing broken lingers.
         assert_eq!(stats.idle, 1, "{stats:?}");
         assert_eq!(proxy.severed(), 1);
         server.shutdown();
@@ -872,8 +873,7 @@ mod tests {
 
     /// Depth, not just overlap: EIGHT requests in flight on ONE
     /// connection, each provably parked at the proxy's gate at the
-    /// same instant. This is the acceptance proof for the mux pool
-    /// collapse — no sleeps, the gate count is the evidence.
+    /// same instant — no sleeps, the gate count is the evidence.
     #[test]
     fn eight_requests_in_flight_on_one_multiplexed_connection() {
         let (server, proxy, mut remote) = start();

@@ -44,9 +44,8 @@
 //! snapshot manifest, property-tested identical to the in-process
 //! store (`tests/cluster_props.rs`).
 //!
-//! Since PR 5 the remote transport is a **connection pool** (N
-//! lazily-dialed sockets per shard, sized by the spec's `pool`
-//! directive), so concurrent executors probe one shard in parallel,
+//! The remote transport is one **multiplexed connection** per shard
+//! process, so concurrent executors probe one shard in parallel,
 //! and reads are **first-class degraded**: a shard process dying
 //! mid-query costs its candidates, not the query — the result comes
 //! back [`scq_engine::QueryOutcome::Partial`] naming the missing
@@ -60,6 +59,7 @@ pub mod cluster;
 pub mod database;
 pub mod exec;
 pub mod fault;
+pub mod reactor;
 pub mod remote;
 pub mod router;
 pub mod server;
@@ -74,7 +74,7 @@ pub use exec::{execute, execute_fanout};
 pub use fault::{Direction, FaultAction, FaultGate, FaultProxy, FaultRule, FrameMatch};
 pub use remote::{
     BreakerClock, BreakerConfig, BreakerState, PoolStats, RemoteShard, ReplicaHealth,
-    ResyncOutcome, DEFAULT_BREAKER_COOLDOWN_MS, DEFAULT_BREAKER_THRESHOLD, DEFAULT_POOL_SIZE,
+    ResyncOutcome, DEFAULT_BREAKER_COOLDOWN_MS, DEFAULT_BREAKER_THRESHOLD,
 };
 pub use router::ShardRouter;
 pub use server::{serve_shard, ShardServerConfig, ShardServerHandle};

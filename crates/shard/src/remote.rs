@@ -15,21 +15,16 @@
 //!   wire. Executors bind `&Region` out of the mirror exactly as they
 //!   would out of a local database.
 //!
-//! Transport depends on what the peer negotiates. A shard speaking
-//! wire **v4 or later** gets a single **multiplexed connection**: every
-//! concurrent request rides one socket under its own request id, the
-//! responses come back in whatever order the shard finishes them
-//! (large ones as chunked streams), and a reader thread matches each
-//! to its waiter — concurrency without a socket per request. An older
-//! peer falls back to the **connection pool**: up to
-//! [`RemoteShard::pool_size`] lazily-dialed [`std::net::TcpStream`]s,
-//! each checked out for exactly one request/response exchange, so
-//! concurrent executor threads and `execute_fanout` workers still
-//! probe the same shard **in parallel** instead of convoying behind
-//! one socket. A connection that breaks mid-use is discarded and its
-//! successor re-dials. Idempotent reads (queries, stats, snapshot
-//! pulls, checks) transparently reconnect and retry **once** after a
-//! connection failure — the retry count surfaces through
+//! Each shard process is reached over a single **multiplexed
+//! connection**: every concurrent request rides one socket under its
+//! own request id, the responses come back in whatever order the shard
+//! finishes them (large ones as chunked streams), and a reader thread
+//! matches each to its waiter — concurrent executor threads and
+//! `execute_fanout` workers probe the same shard **in parallel**
+//! without a socket per request. A connection that breaks is discarded
+//! and its successor re-dials. Idempotent reads (queries, stats,
+//! snapshot pulls, checks) transparently reconnect and retry **once**
+//! after a connection failure — the retry count surfaces through
 //! [`crate::ShardBackend::try_corner_query`] into
 //! `ExecStats::retries`; mutations never auto-retry — a lost ack is
 //! indistinguishable from a lost request, and replaying an insert
@@ -72,8 +67,7 @@ use scq_region::{AaBox, Region};
 use crate::backend::{ShardBackend, ShardError};
 use crate::wire::{
     decode_mux, decode_response, encode_mux, encode_request, frame, is_mux, read_frame,
-    MuxReassembly, Request, Response, WireError, EPOCHS_MIN_VERSION, MIN_WIRE_VERSION, MUX_CANCEL,
-    MUX_MIN_VERSION, MUX_REQ, TRACED_MIN_VERSION, WIRE_VERSION,
+    MuxReassembly, Request, Response, WireError, MUX_CANCEL, MUX_REQ, WIRE_VERSION,
 };
 
 /// One collection's mirrored slots.
@@ -90,139 +84,28 @@ struct MirrorCollection {
     epoch: u64,
 }
 
-/// The wire connection: lazily (re)established, dropped on any I/O
-/// error so the next request starts from a clean handshake.
-struct WireClient {
-    addr: String,
-    stream: Option<TcpStream>,
-    /// The wire version the last successful handshake settled on.
-    /// Requests are only wrapped in trace frames when this reaches
-    /// [`TRACED_MIN_VERSION`] — an older peer never sees an opcode it
-    /// cannot decode.
-    version: u16,
-}
-
-/// Parses the version ceiling a server named in its handshake
-/// rejection ("shard speaks 2..=3, client speaks 4" → 3). A server
-/// from before windowed negotiation names one bare version — no
-/// "..=" — and gets `None`; the caller falls back to the floor.
-fn server_ceiling(message: &str) -> Option<u16> {
-    let rest = message.split("..=").nth(1)?;
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-impl WireClient {
-    fn connect_now(&mut self) -> Result<(), WireError> {
-        match self.handshake(WIRE_VERSION) {
-            // The server names what it speaks in the rejection; retry
-            // at its ceiling. A server from before windowed rejections
-            // names one bare version — the floor keeps those reachable.
-            Err(WireError::Remote(m)) if m.contains("version mismatch") => {
-                let theirs = server_ceiling(&m).unwrap_or(MIN_WIRE_VERSION);
-                self.handshake(theirs.clamp(MIN_WIRE_VERSION, WIRE_VERSION))
-            }
-            other => other,
-        }
-    }
-
-    fn handshake(&mut self, ours: u16) -> Result<(), WireError> {
-        let stream = TcpStream::connect(&self.addr).map_err(WireError::from)?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .map_err(WireError::from)?;
-        self.stream = Some(stream);
-        match self.exchange(&Request::Hello { version: ours }) {
-            // The server answers the highest version both sides speak.
-            Ok(Response::Hello { version }) if (MIN_WIRE_VERSION..=ours).contains(&version) => {
-                self.version = version;
-                Ok(())
-            }
-            Ok(Response::Hello { version }) => {
-                self.stream = None;
-                Err(WireError::VersionMismatch {
-                    ours,
-                    theirs: version,
-                })
-            }
-            Ok(Response::Err(m)) => {
-                self.stream = None;
-                // The server names its own version in the rejection.
-                Err(WireError::Remote(m))
-            }
-            Ok(other) => {
-                self.stream = None;
-                Err(WireError::Unexpected(format!(
-                    "handshake answered {other:?}"
-                )))
-            }
-            Err(e) => {
-                self.stream = None;
-                Err(e)
-            }
-        }
-    }
-
-    /// Sends one request and reads its response on the open stream.
-    fn exchange(&mut self, req: &Request) -> Result<Response, WireError> {
-        let stream = self.stream.as_mut().ok_or(WireError::Truncated)?;
-        let send = (|| -> Result<Response, WireError> {
-            stream.write_all(&frame(&encode_request(req))?)?;
-            stream.flush()?;
-            let payload = read_frame(stream)?.ok_or(WireError::Truncated)?;
-            decode_response(&payload)
-        })();
-        if send.is_err() {
-            self.stream = None;
-        }
-        send
-    }
-
-    /// One request with connection establishment; `idempotent` requests
-    /// are retried once on a transport failure after reconnecting.
-    /// Every retry attempted is counted into `retries` **before** its
-    /// outcome is known, so a probe that retried and still failed is
-    /// distinguishable from one that never got a second chance.
-    fn request(
-        &mut self,
-        req: &Request,
-        idempotent: bool,
-        retries: &mut usize,
-    ) -> Result<Response, WireError> {
-        if self.stream.is_none() {
-            self.connect_now()?;
-        }
-        // Stamp the caller's trace onto the frame — but only when the
-        // negotiated protocol can carry it; an old peer keeps getting
-        // the plain request it understands.
-        let traced;
-        let req = match scq_obs::current_id() {
-            Some(trace_id) if self.version >= TRACED_MIN_VERSION => {
-                traced = Request::Traced {
-                    trace_id,
-                    inner: Box::new(req.clone()),
-                };
-                &traced
-            }
-            _ => req,
-        };
-        match self.exchange(req) {
-            Ok(resp) => Ok(resp),
-            Err(WireError::VersionMismatch { ours, theirs }) => {
-                Err(WireError::VersionMismatch { ours, theirs })
-            }
-            Err(e) if idempotent => {
-                // transport died mid-exchange: reconnect, retry once
-                let _ = e;
-                *retries += 1;
-                scq_obs::event("retry", format!("addr={}", self.addr));
-                self.connect_now()?;
-                self.exchange(req)
-            }
-            Err(e) => Err(e),
-        }
+/// Dials `addr` and performs the plain-framed handshake. A server
+/// that refuses it, or answers any version but [`WIRE_VERSION`], is a
+/// named error — there is one wire dialect and nothing to fall back to.
+fn dial(addr: &str) -> Result<TcpStream, WireError> {
+    let mut stream = TcpStream::connect(addr)?;
+    // Bounds the handshake only; `MuxConn::spawn` lifts it.
+    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    stream.write_all(&frame(&encode_request(&Request::Hello {
+        version: WIRE_VERSION,
+    }))?)?;
+    let payload = read_frame(&mut stream)?.ok_or(WireError::Truncated)?;
+    match decode_response(&payload)? {
+        Response::Hello { version } if version == WIRE_VERSION => Ok(stream),
+        Response::Hello { version } => Err(WireError::VersionMismatch {
+            ours: WIRE_VERSION,
+            theirs: version,
+        }),
+        // The server names its own version in the rejection.
+        Response::Err(m) => Err(WireError::Remote(m)),
+        other => Err(WireError::Unexpected(format!(
+            "handshake answered {other:?}"
+        ))),
     }
 }
 
@@ -237,10 +120,9 @@ const MUX_REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 /// completes whichever pending request each response names —
 /// out-of-order by design. Death (socket error, EOF, protocol
 /// violation) fails every pending request with a transport error; the
-/// pool discards the corpse and dials a successor.
+/// link discards the corpse and dials a successor.
 struct MuxConn {
     addr: String,
-    version: u16,
     writer: Mutex<Option<TcpStream>>,
     /// Pending requests by id: `None` while in flight, `Some(result)`
     /// once the reader (or death) resolves them. A waiter that gave up
@@ -253,7 +135,7 @@ struct MuxConn {
 
 impl MuxConn {
     /// Wraps a freshly-handshaken stream and starts the reader thread.
-    fn spawn(stream: TcpStream, version: u16, addr: String) -> Result<Arc<MuxConn>, WireError> {
+    fn spawn(stream: TcpStream, addr: String) -> Result<Arc<MuxConn>, WireError> {
         // The reader blocks until the server has something to say;
         // liveness is enforced per request ([`MUX_REQUEST_TIMEOUT`]),
         // not by a socket-wide read timeout that would kill idle
@@ -262,7 +144,6 @@ impl MuxConn {
         let read_half = stream.try_clone().map_err(WireError::from)?;
         let conn = Arc::new(MuxConn {
             addr,
-            version,
             writer: Mutex::new(Some(stream)),
             slots: Mutex::new(HashMap::new()),
             completed: Condvar::new(),
@@ -299,8 +180,9 @@ impl MuxConn {
                 // stranded waiter learns what actually happened.
                 Err(e) => break e,
             };
-            // A negotiated-v4 server only sends mux frames; a peer
-            // that sends anything else has lost framing.
+            // After the handshake the server only sends mux frames; a
+            // plain one is its connection-level refusal (or a peer
+            // that has lost framing).
             if !is_mux(&payload) {
                 break WireError::Unexpected("non-mux frame on multiplexed connection".into());
             }
@@ -396,18 +278,18 @@ impl MuxConn {
             return Err(self.death());
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        // Stamp the caller's trace onto the request exactly like the
-        // legacy client does (every mux-capable peer decodes it).
+        // Stamp the caller's trace onto the request so shard-side
+        // spans join its tree.
         let traced;
         let req = match scq_obs::current_id() {
-            Some(trace_id) if self.version >= TRACED_MIN_VERSION => {
+            Some(trace_id) => {
                 traced = Request::Traced {
                     trace_id,
                     inner: Box::new(req.clone()),
                 };
                 &traced
             }
-            _ => req,
+            None => req,
         };
         let bytes = frame(&encode_mux(MUX_REQ, id, &encode_request(req)))?;
         let lock_err = |_| WireError::Io("mux slot lock poisoned".into());
@@ -449,11 +331,6 @@ impl MuxConn {
         }
     }
 }
-
-/// How many pooled wire connections a [`RemoteShard`] holds when no
-/// explicit pool size is configured (the `pool` directive of a
-/// [`crate::ClusterSpec`]).
-pub const DEFAULT_POOL_SIZE: usize = 4;
 
 /// Consecutive transport failures that trip an address's circuit
 /// breaker when no explicit threshold is configured (the `breaker`
@@ -525,17 +402,18 @@ enum Breaker {
     HalfOpen,
 }
 
-/// Observable connection-pool counters (diagnostics and tests).
+/// Observable per-address transport counters (diagnostics and tests).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Wire clients ever created (each dials lazily on its first use).
+    /// Connections ever dialed to the address.
     pub created: usize,
-    /// Broken clients discarded at check-in (their successors re-dial).
+    /// Dead connections discarded (their successors re-dial).
     pub discarded: usize,
-    /// Most connections checked out at the same time — proof of
-    /// concurrent probes on one shard.
+    /// Most requests in flight on the connection at the same time —
+    /// proof of concurrent probes on one shard.
     pub peak_in_flight: usize,
-    /// Connections idle in the pool right now.
+    /// 1 while a live connection stands ready for another request,
+    /// 0 otherwise.
     pub idle: usize,
     /// Circuit-breaker position for this address.
     pub breaker: BreakerState,
@@ -549,28 +427,10 @@ pub struct PoolStats {
     pub wire_version: u16,
 }
 
-/// How the pool reaches its address — decided by the first successful
-/// handshake and re-decided whenever the transport dies.
-enum PoolMode {
-    /// No handshake has succeeded yet.
-    Unknown,
-    /// The peer negotiated below v4: per-exchange pooled connections.
-    Legacy,
-    /// The peer speaks v4+: one multiplexed connection carries every
-    /// concurrent request.
-    Mux(Arc<MuxConn>),
-}
-
-/// The transport `route` resolved for one request.
-enum Route {
-    Mux(Arc<MuxConn>),
-    Legacy(WireClient),
-}
-
-struct PoolState {
-    mode: PoolMode,
-    wire_version: u16,
-    idle: Vec<WireClient>,
+struct LinkState {
+    /// The multiplexed connection, once a handshake has succeeded; a
+    /// dead one is replaced by the next request.
+    conn: Option<Arc<MuxConn>>,
     in_flight: usize,
     created: usize,
     discarded: usize,
@@ -580,24 +440,20 @@ struct PoolState {
     trips: usize,
 }
 
-/// A bounded pool of [`WireClient`]s to one shard process. Checkout
-/// hands out an idle connection when one exists, creates a fresh
-/// lazily-dialing client while under the cap, and otherwise blocks
-/// until a peer checks one back in — concurrency is bounded by the
-/// configured pool size, never by a single serialized socket.
-struct ConnectionPool {
+/// The transport to one shard process: a single multiplexed connection
+/// (dialed lazily, re-dialed when it dies) carrying every concurrent
+/// request, behind the address's circuit breaker.
+struct Link {
     addr: String,
-    cap: usize,
     breaker_cfg: BreakerConfig,
     clock: BreakerClock,
-    state: Mutex<PoolState>,
-    /// Serializes mode-establishing dials: a burst of first requests
-    /// opens ONE connection, not a stampede.
+    state: Mutex<LinkState>,
+    /// Serializes dials: a burst of first requests opens ONE
+    /// connection, not a stampede.
     dialing: Mutex<()>,
-    returned: Condvar,
     /// Client-side instruments for this address: `pool.checkout.wait`
-    /// (time callers block waiting for a pooled connection — observed
-    /// on every checkout, so its count doubles as a request count) and
+    /// (time callers wait to get onto the connection — observed on
+    /// every exchange, so its count doubles as a request count) and
     /// `breaker.trips`. Snapshotted per replica and merged by
     /// [`RemoteShard`]'s `client_metrics`.
     registry: scq_obs::Registry,
@@ -605,20 +461,17 @@ struct ConnectionPool {
     trips_counter: scq_obs::Counter,
 }
 
-impl ConnectionPool {
-    fn new(addr: String, cap: usize, breaker_cfg: BreakerConfig) -> ConnectionPool {
+impl Link {
+    fn new(addr: String, breaker_cfg: BreakerConfig) -> Link {
         let registry = scq_obs::Registry::new();
         let checkout_wait = registry.histogram("pool.checkout.wait");
         let trips_counter = registry.counter("breaker.trips");
-        ConnectionPool {
+        Link {
             addr,
-            cap: cap.max(1),
             breaker_cfg,
             clock: Arc::new(Instant::now),
-            state: Mutex::new(PoolState {
-                mode: PoolMode::Unknown,
-                wire_version: 0,
-                idle: Vec::new(),
+            state: Mutex::new(LinkState {
+                conn: None,
                 in_flight: 0,
                 created: 0,
                 discarded: 0,
@@ -628,7 +481,6 @@ impl ConnectionPool {
                 trips: 0,
             }),
             dialing: Mutex::new(()),
-            returned: Condvar::new(),
             registry,
             checkout_wait,
             trips_counter,
@@ -688,8 +540,8 @@ impl ConnectionPool {
         }
     }
 
-    /// One pooled request/response exchange behind the breaker: an
-    /// open breaker fast-fails with [`WireError::BreakerOpen`] without
+    /// One request/response exchange behind the breaker: an open
+    /// breaker fast-fails with [`WireError::BreakerOpen`] without
     /// dialing, and the exchange's outcome feeds the breaker (only
     /// transport failures count — a server that *answers*, even with
     /// an error, is reachable).
@@ -707,50 +559,34 @@ impl ConnectionPool {
         self.request_unguarded(req, idempotent, retries)
     }
 
-    /// [`ConnectionPool::request`] without the breaker gate: used by
-    /// diagnostics ([`ShardBackend::check`]) and operator-driven
-    /// resyncs (snapshot save/load), which must reach even a tripped
-    /// address. Outcomes still feed the breaker.
+    /// [`Link::request`] without the breaker gate: used by diagnostics
+    /// ([`ShardBackend::check`]) and operator-driven resyncs (snapshot
+    /// save/load), which must reach even a tripped address. Outcomes
+    /// still feed the breaker.
+    ///
+    /// `idempotent` requests are retried once, on a freshly dialed
+    /// connection, after a failure on a connection that had been
+    /// established (a first-ever dial that fails does not retry).
+    /// Every retry attempted is counted into `retries` **before** its
+    /// outcome is known, so a probe that retried and still failed is
+    /// distinguishable from one that never got a second chance.
     fn request_unguarded(
         &self,
         req: &Request,
         idempotent: bool,
         retries: &mut usize,
     ) -> Result<Response, ShardError> {
-        // Whether a multiplexed connection existed when this request
-        // started. If it did and has died, the re-dial below mirrors
-        // the legacy client's "connection died mid-use" path, which
-        // retries idempotent requests once (leaving a retry event); a
-        // first-ever dial that fails does not retry.
         let had_conn = self
             .state
             .lock()
-            .map(|st| matches!(st.mode, PoolMode::Mux(_)))
+            .map(|st| st.conn.is_some())
             .unwrap_or(false);
-        let result = match self.route() {
-            Ok(Route::Mux(conn)) => self.mux_request(&conn, req, idempotent, retries),
-            Ok(Route::Legacy(mut client)) => {
-                let r = client
-                    .request(req, idempotent, retries)
-                    .map_err(ShardError::from);
-                self.checkin(client);
-                r
-            }
-            Err(e) if idempotent && had_conn && is_transport(&e) => {
-                let _ = e;
-                *retries += 1;
-                scq_obs::event("retry", format!("addr={}", self.addr));
-                self.route().and_then(|route| match route {
-                    Route::Mux(conn) => self.mux_exchange(&conn, req).map_err(ShardError::from),
-                    Route::Legacy(mut client) => {
-                        let r = client
-                            .request(req, false, retries)
-                            .map_err(ShardError::from);
-                        self.checkin(client);
-                        r
-                    }
-                })
-            }
+        let result = match self.connection() {
+            Ok(conn) => match self.exchange(&conn, req) {
+                Err(_) if idempotent => self.retry(req, retries),
+                other => other.map_err(ShardError::from),
+            },
+            Err(e) if idempotent && had_conn && is_transport(&e) => self.retry(req, retries),
             Err(e) => Err(e),
         };
         match &result {
@@ -760,109 +596,53 @@ impl ConnectionPool {
         result
     }
 
-    /// Resolves the transport for one request: the live multiplexed
-    /// connection, a checked-out legacy client, or — when neither
-    /// exists yet — a fresh dial whose negotiated version decides the
-    /// pool's mode. A dead mux connection is discarded (exactly once)
-    /// and replaced the same way.
-    fn route(&self) -> Result<Route, ShardError> {
-        let lock_err = |_| ShardError::Rejected("connection pool lock poisoned".into());
+    /// The one second attempt an idempotent request gets, on a fresh
+    /// connection (`connection` discards the dead one and re-dials).
+    fn retry(&self, req: &Request, retries: &mut usize) -> Result<Response, ShardError> {
+        *retries += 1;
+        scq_obs::event("retry", format!("addr={}", self.addr));
+        let fresh = self.connection()?;
+        self.exchange(&fresh, req).map_err(ShardError::from)
+    }
+
+    /// The live multiplexed connection, dialing one when none exists.
+    /// A dead connection is discarded (exactly once) and replaced the
+    /// same way.
+    fn connection(&self) -> Result<Arc<MuxConn>, ShardError> {
+        let lock_err = |_| ShardError::Rejected("connection state lock poisoned".into());
         loop {
             {
                 let mut st = self.state.lock().map_err(lock_err)?;
-                match &st.mode {
-                    PoolMode::Legacy => {
-                        drop(st);
-                        return Ok(Route::Legacy(self.checkout()?));
-                    }
-                    PoolMode::Mux(conn) if !conn.is_dead() => {
-                        return Ok(Route::Mux(Arc::clone(conn)));
-                    }
-                    PoolMode::Mux(_) => {
+                match &st.conn {
+                    Some(conn) if !conn.is_dead() => return Ok(Arc::clone(conn)),
+                    Some(_) => {
                         st.discarded += 1;
-                        st.mode = PoolMode::Unknown;
+                        st.conn = None;
                     }
-                    PoolMode::Unknown => {}
+                    None => {}
                 }
             }
-            let dial_guard = self
+            let _dial_guard = self
                 .dialing
                 .lock()
-                .map_err(|_| ShardError::Rejected("connection pool lock poisoned".into()))?;
-            // Someone may have established the mode while this thread
-            // waited for the dial lock; re-check before dialing.
-            {
-                let st = self.state.lock().map_err(lock_err)?;
-                if !matches!(st.mode, PoolMode::Unknown) {
-                    continue;
-                }
+                .map_err(|_| ShardError::Rejected("connection state lock poisoned".into()))?;
+            // Someone may have connected while this thread waited for
+            // the dial lock; re-check before dialing.
+            if self.state.lock().map_err(lock_err)?.conn.is_some() {
+                continue;
             }
-            let started = Instant::now();
-            let mut client = WireClient {
-                addr: self.addr.clone(),
-                stream: None,
-                version: MIN_WIRE_VERSION,
-            };
-            client.connect_now().map_err(ShardError::from)?;
-            let version = client.version;
+            let stream = dial(&self.addr).map_err(ShardError::from)?;
+            let conn = MuxConn::spawn(stream, self.addr.clone()).map_err(ShardError::from)?;
             let mut st = self.state.lock().map_err(lock_err)?;
             st.created += 1;
-            st.wire_version = version;
-            if version >= MUX_MIN_VERSION {
-                let stream = client.stream.take().expect("handshake left a stream");
-                let conn =
-                    MuxConn::spawn(stream, version, self.addr.clone()).map_err(ShardError::from)?;
-                st.mode = PoolMode::Mux(Arc::clone(&conn));
-                drop(dial_guard);
-                return Ok(Route::Mux(conn));
-            }
-            // Below v4: the connected client becomes the first pooled
-            // legacy connection, checked out to the caller.
-            st.mode = PoolMode::Legacy;
-            st.in_flight += 1;
-            st.peak_in_flight = st.peak_in_flight.max(st.in_flight);
-            self.checkout_wait.observe(started.elapsed());
-            return Ok(Route::Legacy(client));
-        }
-    }
-
-    /// One exchange over the multiplexed connection, mirroring the
-    /// legacy retry policy: an idempotent request that failed gets one
-    /// more attempt on a freshly-routed transport (`route` discards
-    /// the dead connection and dials a successor).
-    fn mux_request(
-        &self,
-        conn: &Arc<MuxConn>,
-        req: &Request,
-        idempotent: bool,
-        retries: &mut usize,
-    ) -> Result<Response, ShardError> {
-        match self.mux_exchange(conn, req) {
-            Err(e) if idempotent => {
-                let _ = e;
-                *retries += 1;
-                scq_obs::event("retry", format!("addr={}", self.addr));
-                match self.route()? {
-                    Route::Mux(fresh) => self.mux_exchange(&fresh, req).map_err(ShardError::from),
-                    // A restarted server may have negotiated down.
-                    Route::Legacy(mut client) => {
-                        let r = client
-                            .request(req, false, retries)
-                            .map_err(ShardError::from);
-                        self.checkin(client);
-                        r
-                    }
-                }
-            }
-            other => other.map_err(ShardError::from),
+            st.conn = Some(Arc::clone(&conn));
+            return Ok(conn);
         }
     }
 
     /// The accounting wrapper around [`MuxConn::exchange`]: logical
-    /// in-flight depth and checkout wait feed the same pool counters
-    /// the legacy transport uses, so diagnostics read identically
-    /// across modes.
-    fn mux_exchange(&self, conn: &MuxConn, req: &Request) -> Result<Response, WireError> {
+    /// in-flight depth and the wait to get onto the connection.
+    fn exchange(&self, conn: &MuxConn, req: &Request) -> Result<Response, WireError> {
         let started = Instant::now();
         if let Ok(mut st) = self.state.lock() {
             st.in_flight += 1;
@@ -876,78 +656,15 @@ impl ConnectionPool {
         result
     }
 
-    /// Establishes (or re-establishes) the pool's transport without
-    /// sending a request: one dial, whose negotiated version decides
-    /// the mode. Connect-time readiness polling calls this until the
-    /// address answers.
-    fn ensure_connected(&self) -> Result<(), ShardError> {
-        match self.route()? {
-            Route::Mux(_) => Ok(()),
-            Route::Legacy(client) => {
-                self.checkin(client);
-                Ok(())
-            }
-        }
-    }
-
-    fn checkout(&self) -> Result<WireClient, ShardError> {
-        let started = Instant::now();
-        let lock_err = |_| ShardError::Rejected("connection pool lock poisoned".into());
-        let mut st = self.state.lock().map_err(lock_err)?;
-        loop {
-            if let Some(client) = st.idle.pop() {
-                st.in_flight += 1;
-                st.peak_in_flight = st.peak_in_flight.max(st.in_flight);
-                self.checkout_wait.observe(started.elapsed());
-                return Ok(client);
-            }
-            if st.in_flight < self.cap {
-                st.in_flight += 1;
-                st.created += 1;
-                st.peak_in_flight = st.peak_in_flight.max(st.in_flight);
-                self.checkout_wait.observe(started.elapsed());
-                return Ok(WireClient {
-                    addr: self.addr.clone(),
-                    stream: None,
-                    version: MIN_WIRE_VERSION,
-                });
-            }
-            st = self.returned.wait(st).map_err(lock_err)?;
-        }
-    }
-
-    /// Returns a client to the pool. A client whose connection died
-    /// mid-use (its stream was dropped on the I/O error) is discarded
-    /// here, so the pool never hands a known-broken connection to the
-    /// next caller — they get a fresh lazily-dialing client instead.
-    fn checkin(&self, client: WireClient) {
-        let Ok(mut st) = self.state.lock() else {
-            return;
-        };
-        st.in_flight -= 1;
-        if client.stream.is_some() {
-            st.idle.push(client);
-        } else {
-            st.discarded += 1;
-        }
-        drop(st);
-        self.returned.notify_one();
-    }
-
     fn stats(&self) -> PoolStats {
-        let st = self.state.lock().expect("pool lock poisoned");
+        let st = self.state.lock().expect("connection state lock poisoned");
         PoolStats {
             created: st.created,
             discarded: st.discarded,
             peak_in_flight: st.peak_in_flight,
-            // In mux mode the one connection is "idle" whenever it is
-            // alive: it is always ready for another request.
-            idle: match &st.mode {
-                PoolMode::Mux(conn) if !conn.is_dead() => 1,
-                PoolMode::Mux(_) => 0,
-                _ => st.idle.len(),
-            },
-            wire_version: st.wire_version,
+            idle: st.conn.as_ref().map_or(0, |conn| !conn.is_dead() as usize),
+            // Every handshake that succeeds settles on the one version.
+            wire_version: if st.created > 0 { WIRE_VERSION } else { 0 },
             breaker: match st.breaker {
                 Breaker::Closed => BreakerState::Closed,
                 Breaker::Open { .. } => BreakerState::Open,
@@ -958,27 +675,23 @@ impl ConnectionPool {
         }
     }
 
-    /// Severs every idle pooled connection in place — and the
-    /// multiplexed connection, when that is the transport — (tests:
-    /// the next users must transparently re-dial).
+    /// Severs the connection in place (tests: the next user must
+    /// transparently re-dial).
     #[cfg(test)]
     fn break_idle(&self) {
-        let mut st = self.state.lock().expect("pool lock poisoned");
-        if let PoolMode::Mux(conn) = &st.mode {
+        let st = self.state.lock().expect("connection state lock poisoned");
+        if let Some(conn) = &st.conn {
             conn.sever();
-        }
-        for client in &mut st.idle {
-            client.stream = None;
         }
     }
 }
 
-/// One member of a [`RemoteShard`]'s replica set: an address, its
-/// connection pool (with breaker), and whether it is known to have
-/// missed replicated writes.
+/// One member of a [`RemoteShard`]'s replica set: an address, the
+/// link to it (with breaker), and whether it is known to have missed
+/// replicated writes.
 struct Replica {
     addr: String,
-    pool: ConnectionPool,
+    link: Link,
     desynced: bool,
 }
 
@@ -993,7 +706,7 @@ pub struct ReplicaHealth {
     /// Whether the replica missed a replicated write and is excluded
     /// from reads until a snapshot load re-converges it.
     pub desynced: bool,
-    /// Connection-pool and circuit-breaker counters for the address.
+    /// Connection and circuit-breaker counters for the address.
     pub stats: PoolStats,
 }
 
@@ -1028,25 +741,13 @@ pub struct RemoteShard {
 }
 
 impl RemoteShard {
-    /// [`RemoteShard::connect_pooled`] with [`DEFAULT_POOL_SIZE`]
-    /// connections.
-    pub fn connect(addr: &str, universe: AaBox<2>, wait: Duration) -> Result<Self, ShardError> {
-        Self::connect_pooled(addr, universe, wait, DEFAULT_POOL_SIZE)
-    }
-
     /// [`RemoteShard::connect_replicated`] over a single address with
     /// the default breaker tuning.
-    pub fn connect_pooled(
-        addr: &str,
-        universe: AaBox<2>,
-        wait: Duration,
-        pool_size: usize,
-    ) -> Result<Self, ShardError> {
+    pub fn connect(addr: &str, universe: AaBox<2>, wait: Duration) -> Result<Self, ShardError> {
         Self::connect_replicated(
             std::slice::from_ref(&addr.to_owned()),
             universe,
             wait,
-            pool_size,
             BreakerConfig::default(),
         )
     }
@@ -1060,13 +761,11 @@ impl RemoteShard {
     /// come up quietly — and requires every secondary's collection
     /// census to agree with the primary's: a replica restarted behind
     /// an old address (split-brain) is rejected here, loudly, instead
-    /// of silently serving stale answers. Each address holds at most
-    /// `pool_size` concurrent wire connections, dialed lazily.
+    /// of silently serving stale answers.
     pub fn connect_replicated(
         addrs: &[String],
         universe: AaBox<2>,
         wait: Duration,
-        pool_size: usize,
         breaker: BreakerConfig,
     ) -> Result<Self, ShardError> {
         if addrs.is_empty() {
@@ -1077,10 +776,10 @@ impl RemoteShard {
         let deadline = Instant::now() + wait;
         let mut replicas = Vec::with_capacity(addrs.len());
         for addr in addrs {
-            let pool = ConnectionPool::new(addr.clone(), pool_size, breaker);
+            let link = Link::new(addr.clone(), breaker);
             loop {
-                match pool.ensure_connected() {
-                    Ok(()) => break,
+                match link.connection() {
+                    Ok(_) => break,
                     // Version mismatches and handshake rejections never
                     // heal by waiting; only connection refusals are
                     // readiness.
@@ -1101,7 +800,7 @@ impl RemoteShard {
             }
             replicas.push(Replica {
                 addr: addr.clone(),
-                pool,
+                link,
                 desynced: false,
             });
         }
@@ -1130,24 +829,19 @@ impl RemoteShard {
         self.replicas.iter().map(|r| r.addr.clone()).collect()
     }
 
-    /// The configured per-address connection-pool size.
-    pub fn pool_size(&self) -> usize {
-        self.replicas[0].pool.cap
-    }
-
-    /// The **primary's** connection-pool counters (dials, discards,
-    /// peak concurrency, breaker). Per-replica counters come from
+    /// The **primary's** connection counters (dials, discards, peak
+    /// concurrency, breaker). Per-replica counters come from
     /// [`ShardBackend::health`].
     pub fn pool_stats(&self) -> PoolStats {
-        self.replicas[0].pool.stats()
+        self.replicas[0].link.stats()
     }
 
-    /// Replaces the breaker clock on every replica's pool — tests
+    /// Replaces the breaker clock on every replica's link — tests
     /// advance an injected clock instead of sleeping through
     /// cooldowns.
     pub fn set_clock(&mut self, clock: BreakerClock) {
         for replica in &mut self.replicas {
-            replica.pool.clock = clock.clone();
+            replica.link.clock = clock.clone();
         }
     }
 
@@ -1166,7 +860,7 @@ impl RemoteShard {
     fn verify_replica_census(&self, i: usize) -> Result<(), ShardError> {
         let replica = &self.replicas[i];
         let rows = match replica
-            .pool
+            .link
             .request_unguarded(&Request::Stat, true, &mut 0)?
         {
             Response::Stat(rows) => rows,
@@ -1237,7 +931,7 @@ impl RemoteShard {
     /// tripped address.
     fn primary_request(&self, req: &Request, idempotent: bool) -> Result<Response, ShardError> {
         self.replicas[0]
-            .pool
+            .link
             .request_unguarded(req, idempotent, &mut 0)
     }
 
@@ -1261,7 +955,7 @@ impl RemoteShard {
                 skipped_or_failed += 1;
                 continue;
             }
-            match replica.pool.request(req, true, &mut trace.retries) {
+            match replica.link.request(req, true, &mut trace.retries) {
                 Ok(resp) => {
                     trace.failovers += skipped_or_failed;
                     trace.stale |= i != 0;
@@ -1302,7 +996,7 @@ impl RemoteShard {
     /// may have drifted ahead, which [`ShardBackend::check`] reports
     /// as mirror drift.
     fn mutate(&mut self, req: &Request) -> Result<Response, ShardError> {
-        let resp = self.replicas[0].pool.request(req, false, &mut 0)?;
+        let resp = self.replicas[0].link.request(req, false, &mut 0)?;
         if matches!(resp, Response::Err(_)) {
             return Ok(resp);
         }
@@ -1310,7 +1004,7 @@ impl RemoteShard {
             if replica.desynced {
                 continue;
             }
-            match replica.pool.request(req, false, &mut 0) {
+            match replica.link.request(req, false, &mut 0) {
                 Ok(ref rr) if *rr == resp => {}
                 Ok(Response::Err(m)) => {
                     return Err(ShardError::Rejected(format!(
@@ -1352,12 +1046,8 @@ impl RemoteShard {
     }
 
     /// The shard process's per-collection mutation epochs, in
-    /// collection-id order — `None` when the negotiated protocol
-    /// predates [`Request::Epochs`] or the shard is unreachable.
+    /// collection-id order — `None` when the shard is unreachable.
     fn shard_epochs(&self) -> Option<Vec<u64>> {
-        if self.replicas[0].pool.stats().wire_version < EPOCHS_MIN_VERSION {
-            return None;
-        }
         match self.primary_request(&Request::Epochs, true) {
             Ok(Response::Ids(epochs)) => Some(epochs),
             _ => None,
@@ -1369,10 +1059,11 @@ impl RemoteShard {
         // Epoch seeding: adopt the shard process's own epochs (the
         // stream was already applied there, so this reflects the
         // post-load state) and the lockstep check holds from the first
-        // mutation on. An older peer cannot be asked; its mirror
-        // epochs instead advance strictly past the previous mirror
-        // generation (old + 1, matched by name) so any epoch-keyed
-        // cache entry taken before the reload is invalidated.
+        // mutation on. If the shard cannot be asked right now, the
+        // mirror epochs instead advance strictly past the previous
+        // mirror generation (old + 1, matched by name) so any
+        // epoch-keyed cache entry taken before the reload is
+        // invalidated.
         let fetched = self.shard_epochs();
         let old_epochs: HashMap<String, u64> = self
             .collections
@@ -1630,7 +1321,7 @@ impl ShardBackend for RemoteShard {
                 addr: r.addr.clone(),
                 primary: i == 0,
                 desynced: r.desynced,
-                stats: r.pool.stats(),
+                stats: r.link.stats(),
             })
             .collect()
     }
@@ -1641,8 +1332,7 @@ impl ShardBackend for RemoteShard {
         // would blur which process the latencies belong to.
         match self.primary_request(&Request::Metrics, true) {
             Ok(Response::Metrics(snap)) => Some(snap),
-            // An old (v2) shard answers `Response::Err`; a dead one
-            // answers nothing. Either way there is nothing to report.
+            // A dead shard answers nothing: nothing to report.
             _ => None,
         }
     }
@@ -1650,7 +1340,7 @@ impl ShardBackend for RemoteShard {
     fn client_metrics(&self) -> Option<scq_obs::Snapshot> {
         let mut merged: Option<scq_obs::Snapshot> = None;
         for replica in &self.replicas {
-            let snap = replica.pool.registry.snapshot();
+            let snap = replica.link.registry.snapshot();
             merged = Some(match merged {
                 Some(mut acc) => {
                     acc.merge(&snap);
@@ -1746,28 +1436,24 @@ impl ShardBackend for RemoteShard {
             Ok(other) => problems.push(format!("STAT answered {other:?}")),
             Err(e) => problems.push(format!("remote stat unreachable: {e}")),
         }
-        // …plus epoch lockstep, when the peer can answer: the mirror's
-        // per-collection mutation epochs must equal the shard's, or
-        // epoch-keyed caches above this backend may serve stale
-        // answers. (Older peers are skipped — their mirrors seed
-        // epochs monotonically on their own.)
-        if self.replicas[0].pool.stats().wire_version >= EPOCHS_MIN_VERSION {
-            match self.primary_request(&Request::Epochs, true) {
-                Ok(Response::Ids(epochs)) => {
-                    for (i, m) in self.collections.iter().enumerate() {
-                        let shard = epochs.get(i).copied();
-                        if shard != Some(m.epoch) {
-                            problems.push(format!(
-                                "mirror epoch for {:?} is {}, shard reports {:?}: \
-                                 epoch lockstep broken",
-                                m.name, m.epoch, shard
-                            ));
-                        }
+        // …plus epoch lockstep: the mirror's per-collection mutation
+        // epochs must equal the shard's, or epoch-keyed caches above
+        // this backend may serve stale answers.
+        match self.primary_request(&Request::Epochs, true) {
+            Ok(Response::Ids(epochs)) => {
+                for (i, m) in self.collections.iter().enumerate() {
+                    let shard = epochs.get(i).copied();
+                    if shard != Some(m.epoch) {
+                        problems.push(format!(
+                            "mirror epoch for {:?} is {}, shard reports {:?}: \
+                             epoch lockstep broken",
+                            m.name, m.epoch, shard
+                        ));
                     }
                 }
-                Ok(other) => problems.push(format!("EPOCHS answered {other:?}")),
-                Err(e) => problems.push(format!("remote epochs unreachable: {e}")),
             }
+            Ok(other) => problems.push(format!("EPOCHS answered {other:?}")),
+            Err(e) => problems.push(format!("remote epochs unreachable: {e}")),
         }
         // …plus the same census per secondary: a replica that missed
         // writes (desynced) or answers a different census must not be
@@ -1781,7 +1467,7 @@ impl ShardBackend for RemoteShard {
                 ));
                 continue;
             }
-            match replica.pool.request_unguarded(&Request::Stat, true, &mut 0) {
+            match replica.link.request_unguarded(&Request::Stat, true, &mut 0) {
                 Ok(Response::Stat(rows)) => {
                     problems.extend(self.census_drift(&rows, Some(&replica.addr)));
                 }
@@ -1806,7 +1492,7 @@ impl ShardBackend for RemoteShard {
         for replica in &self.replicas {
             if let Ok(Response::WalStat(stats)) =
                 replica
-                    .pool
+                    .link
                     .request_unguarded(&Request::WalStat, true, &mut 0)
             {
                 agg = Some(agg.map_or(stats, |a| a.merge(&stats)));
@@ -1841,7 +1527,7 @@ impl ShardBackend for RemoteShard {
             let mut fixed_via_wal = false;
             if let Some(segments) = &export {
                 let replica = &self.replicas[i];
-                let reset = replica.pool.request_unguarded(
+                let reset = replica.link.request_unguarded(
                     &Request::SnapshotLoad {
                         stream: empty.clone(),
                     },
@@ -1849,7 +1535,7 @@ impl ShardBackend for RemoteShard {
                     &mut 0,
                 );
                 if matches!(reset, Ok(Response::Ok)) {
-                    if let Ok(Response::Applied(_)) = replica.pool.request_unguarded(
+                    if let Ok(Response::Applied(_)) = replica.link.request_unguarded(
                         &Request::WalApply {
                             segments: segments.clone(),
                         },
@@ -1873,7 +1559,7 @@ impl ShardBackend for RemoteShard {
                         s
                     }
                 };
-                match self.replicas[i].pool.request_unguarded(
+                match self.replicas[i].link.request_unguarded(
                     &Request::SnapshotLoad { stream },
                     false,
                     &mut 0,
@@ -1936,7 +1622,7 @@ impl ShardBackend for RemoteShard {
             stream: stream.to_vec(),
         };
         match self.replicas[0]
-            .pool
+            .link
             .request_unguarded(&req, false, &mut 0)?
         {
             Response::Ok => {}
@@ -1953,7 +1639,7 @@ impl ShardBackend for RemoteShard {
         // (clearing the flag on success) and bypasses the breaker
         // gate; an unreachable secondary stays/becomes desynced.
         for replica in self.replicas.iter_mut().skip(1) {
-            match replica.pool.request_unguarded(&req, false, &mut 0) {
+            match replica.link.request_unguarded(&req, false, &mut 0) {
                 Ok(Response::Ok) => replica.desynced = false,
                 Ok(Response::Err(m)) => {
                     return Err(ShardError::Rejected(format!(
@@ -2117,7 +1803,7 @@ mod tests {
         remote.insert(c, boxed(10.0, 10.0, 5.0, 5.0)).unwrap();
         // Sever every pooled connection in place… the next idempotent
         // request transparently re-dials.
-        remote.replicas[0].pool.break_idle();
+        remote.replicas[0].link.break_idle();
         let mut out = Vec::new();
         remote
             .try_corner_query(
@@ -2218,7 +1904,6 @@ mod tests {
             &[a.addr().to_string(), b.addr().to_string()],
             universe(),
             Duration::from_secs(5),
-            2,
             breaker,
         )
         .unwrap();
@@ -2334,7 +2019,6 @@ mod tests {
             &[a.addr().to_string(), b.addr().to_string()],
             universe(),
             Duration::from_secs(5),
-            2,
             BreakerConfig::default(),
         )
         .err()
@@ -2351,7 +2035,7 @@ mod tests {
         remote.insert(c, boxed(1.0, 1.0, 2.0, 2.0)).unwrap();
         let mut trace = ProbeTrace::default();
         query_all(&remote, c, &mut trace);
-        let snap = remote.metrics().expect("a v3 shard answers metrics");
+        let snap = remote.metrics().expect("a live shard answers metrics");
         let h = snap
             .histogram("shard.query.latency")
             .expect("the query latency histogram exists");
@@ -2368,7 +2052,7 @@ mod tests {
         let (server, mut remote) = start();
         let c = remote.create_collection("objs").unwrap();
         remote.insert(c, boxed(1.0, 1.0, 2.0, 2.0)).unwrap();
-        let snap = remote.client_metrics().expect("pools always have metrics");
+        let snap = remote.client_metrics().expect("links always have metrics");
         let wait = snap
             .histogram("pool.checkout.wait")
             .expect("checkout wait histogram exists");
@@ -2406,67 +2090,53 @@ mod tests {
         b.shutdown();
     }
 
-    /// A hand-rolled server that speaks only wire version 2 and rejects
-    /// anything else outright — the pre-negotiation behavior real old
-    /// shards have.
-    fn strict_v2_server() -> std::net::SocketAddr {
-        use crate::wire::{decode_request, encode_response};
+    /// A listener that answers every connection's first frame with
+    /// `answer` as a plain frame, then hangs up — the handshake side
+    /// of a peer from another wire generation.
+    fn handshake_answering(answer: Response) -> std::net::SocketAddr {
+        use crate::wire::encode_response;
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::spawn(move || {
-            let db = SpatialDatabase::<2>::new(AaBox::new([0.0, 0.0], [100.0, 100.0]));
             for stream in listener.incoming() {
                 let Ok(mut s) = stream else { break };
-                while let Ok(Some(payload)) = read_frame(&mut s) {
-                    let (resp, close) = match decode_request(&payload) {
-                        Ok(Request::Hello { version: 2 }) => {
-                            (Response::Hello { version: 2 }, false)
-                        }
-                        Ok(Request::Hello { version }) => (
-                            Response::Err(format!(
-                                "wire version mismatch: shard speaks 2, client speaks {version}"
-                            )),
-                            true,
-                        ),
-                        Ok(Request::SnapshotRead | Request::SnapshotSave) => {
-                            (Response::Bytes(snapshot::save(&db).to_vec()), false)
-                        }
-                        Ok(Request::Stat) => (Response::Stat(vec![]), false),
-                        Ok(Request::Check) => (Response::Problems(vec![]), false),
-                        // This build's decoder understands v3 frames; a
-                        // real v2 server would answer "bad request".
-                        // Either way, seeing one here fails the test.
-                        Ok(Request::Traced { .. } | Request::Metrics) => (
-                            Response::Err("bad request: a v2 server saw a v3 frame".into()),
-                            true,
-                        ),
-                        Ok(_) => (Response::Err("unsupported".into()), false),
-                        Err(e) => (Response::Err(format!("bad request: {e}")), true),
-                    };
-                    let _ = s.write_all(&frame(&encode_response(&resp)).unwrap());
-                    if close {
-                        break;
-                    }
+                if let Ok(Some(_)) = read_frame(&mut s) {
+                    let _ = s.write_all(&frame(&encode_response(&answer)).unwrap());
                 }
             }
         });
         addr
     }
 
+    /// There is one wire version and nothing to negotiate down to: a
+    /// peer that answers the handshake with another version, or
+    /// refuses ours, fails the connect at once with the named error —
+    /// not after the readiness deadline, and never by hanging.
     #[test]
-    fn strict_v2_servers_negotiate_down_and_never_see_traced_frames() {
-        let addr = strict_v2_server();
-        let remote =
-            RemoteShard::connect(&addr.to_string(), universe(), Duration::from_secs(5)).unwrap();
-        // Even with a trace installed, the negotiated-v2 peer must get
-        // plain frames — a Traced opcode would earn "bad request".
-        let t = scq_obs::TraceState::new(11);
-        let _g = t.install();
-        let problems = remote.check();
-        assert!(problems.is_empty(), "{problems:?}");
+    fn peers_at_another_wire_version_fail_the_connect_by_name() {
+        let wait = Duration::from_secs(30);
+        let t0 = Instant::now();
+        let older = handshake_answering(Response::Hello { version: 3 });
+        let err = RemoteShard::connect(&older.to_string(), universe(), wait)
+            .err()
+            .expect("a v3 answer must fail the connect");
+        assert_eq!(
+            err,
+            ShardError::Wire(WireError::VersionMismatch { ours: 4, theirs: 3 })
+        );
+        let refusing = handshake_answering(Response::Err(
+            "wire version mismatch: shard speaks 3, client speaks 4".into(),
+        ));
+        let err = RemoteShard::connect(&refusing.to_string(), universe(), wait)
+            .err()
+            .expect("a refused handshake must fail the connect");
         assert!(
-            remote.metrics().is_none(),
-            "a v2 peer cannot answer metrics"
+            err.to_string().contains("wire version mismatch"),
+            "the server's refusal is passed on: {err}"
+        );
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "a version mismatch never heals by waiting"
         );
     }
 
@@ -2481,7 +2151,6 @@ mod tests {
             &[a.addr().to_string()],
             universe(),
             Duration::from_secs(5),
-            2,
             breaker,
         )
         .unwrap();

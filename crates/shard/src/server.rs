@@ -8,57 +8,40 @@
 //! router connection and any number of diagnostic connections can work
 //! concurrently.
 //!
-//! Connection handling is a **readiness-driven event loop**: one loop
-//! thread owns the (nonblocking) listener and every connection socket
-//! through an epoll instance, assembles frames, and hands decoded-frame
-//! work to a small worker pool ([`ShardServerConfig::threads`]) that
-//! executes requests against the database. Workers push finished,
-//! already-framed responses to a completion queue and wake the loop
-//! through a self-pipe; the loop writes them out, parking partial
-//! writes behind `EPOLLOUT`. Thousands of idle connections therefore
-//! cost a file descriptor each, not a thread each.
+//! Sockets, the event loop and the worker pool
+//! ([`ShardServerConfig::threads`]) belong to the shared
+//! [`crate::reactor`]; this module supplies the protocol and the
+//! request handlers. A connection opens with a plain-framed
+//! [`Request::Hello`], answered inline on the loop thread: it is cheap,
+//! and the connection must be in mux framing before any later buffered
+//! frame is parsed. From then on every frame carries a request id
+//! ([`crate::wire::MUX_REQ`] and friends): any number of requests run
+//! concurrently across the worker pool, responses complete out of
+//! order, and a response bigger than [`STREAM_CHUNK`] streams back as
+//! `MUX_CHUNK…MUX_END` — the 64 MiB frame cap is not a cap on answers.
+//! `MUX_CANCEL` drops a pending answer before it is written.
 //!
-//! The handshake decides the connection's framing. Up to protocol v3 a
-//! connection is strictly one-in-flight: one request frame, one
-//! response frame, in order (the loop queues any pipelined frames and
-//! releases them one at a time, so the old contract holds exactly). A
-//! v4 handshake switches the connection to **mux framing**
-//! ([`crate::wire::MUX_REQ`] and friends): every frame carries a
-//! request id, any number of requests run concurrently across the
-//! worker pool, responses complete out of order, and a response bigger
-//! than [`STREAM_CHUNK`] streams back as `MUX_CHUNK…MUX_END` — the
-//! 64 MiB frame cap stops being a cap on answers. `MUX_CANCEL` drops a
-//! pending answer before it is written.
-//!
-//! Hello frames are handled inline on the loop thread: they are cheap,
-//! and mux mode must flip before any later buffered frame is parsed.
-//! Framing-level poison — an oversized length prefix, a frame that
-//! fails to decode — earns an error response and a closed connection
-//! (the stream cannot be resynchronized). On a mux connection a request
-//! *body* that fails to decode is answered with an error under its id
-//! and the connection lives on: the framing layer is intact and other
-//! in-flight requests are unaffected. Shard-level failures (unknown
-//! collection, bad snapshot payload) are ordinary [`Response::Err`]s
-//! either way.
+//! Connection-level poison — a handshake at another version, a request
+//! before the handshake, an oversized length prefix, a frame that is
+//! not mux-framed after it — earns one plain error frame and a closed
+//! connection (the stream cannot be resynchronized). A request *body*
+//! that fails to decode is answered with an error under its id and the
+//! connection lives on: the framing layer is intact and other in-flight
+//! requests are unaffected. Shard-level failures (unknown collection,
+//! bad snapshot payload) are ordinary [`Response::Err`]s.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::collections::HashSet;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::{Arc, RwLock};
 
-use epoll::{Epoll, Event, WakePipe, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use scq_engine::{snapshot, CollectionId, SpatialDatabase};
 use scq_region::AaBox;
 
+use crate::reactor::{self, Port, Protocol, ReactorHandle};
 use crate::wal::{self, Wal, WalConfig, WalStats};
 use crate::wire::{
     decode_mux, decode_request, encode_response, frame, split_response, FrameReader, Request,
-    Response, MIN_WIRE_VERSION, MUX_CANCEL, MUX_MIN_VERSION, MUX_REQ, OP_HELLO, OP_METRICS,
-    OP_TRACED, STREAM_CHUNK, WIRE_VERSION,
+    Response, MUX_CANCEL, MUX_REQ, OP_HELLO, STREAM_CHUNK, WIRE_VERSION,
 };
 
 /// Shard server configuration.
@@ -75,9 +58,8 @@ pub struct ShardServerConfig {
     /// Hard cap on concurrently open connections: a connection
     /// accepted while this many are live is closed immediately (its
     /// peer sees a transport failure, which router tiers degrade or
-    /// retry). With multiplexing a router needs only a couple of
-    /// connections per shard, so this bounds misbehaving or
-    /// prehistoric peers, not legitimate concurrency.
+    /// retry). A router needs one multiplexed connection per shard, so
+    /// this bounds misbehaving peers, not legitimate concurrency.
     pub max_connections: usize,
     /// The universe square side: the shard spans `[0, size]²`. Must
     /// match the router tier's universe or the cluster handshake's
@@ -87,20 +69,8 @@ pub struct ShardServerConfig {
     /// recovers the directory (newest snapshot + replay) instead of
     /// starting empty, and every mutation is acknowledged only once
     /// its log record is fsynced. `None` keeps the shard purely
-    /// in-memory (the pre-WAL behavior).
+    /// in-memory.
     pub wal: Option<WalConfig>,
-    /// Highest protocol version this server negotiates (clamped to
-    /// [`MIN_WIRE_VERSION`]..=[`WIRE_VERSION`]). Defaults to
-    /// [`WIRE_VERSION`]; set lower to rehearse a rolling upgrade — a
-    /// v4 build answering at v3/v2 exactly as the old release did.
-    pub wire_version: u16,
-    /// Strict single-version mode: accept a handshake only at exactly
-    /// [`ShardServerConfig::wire_version`] (no negotiation window, and
-    /// the mismatch error names one version, not a range) and reject
-    /// opcodes newer than it the way a real old release would —
-    /// `strict` + `wire_version: 2` is a faithful v2 server for the
-    /// protocol-conformance matrix.
-    pub strict: bool,
 }
 
 impl Default for ShardServerConfig {
@@ -111,8 +81,6 @@ impl Default for ShardServerConfig {
             max_connections: 64,
             universe_size: 1000.0,
             wal: None,
-            wire_version: WIRE_VERSION,
-            strict: false,
         }
     }
 }
@@ -133,20 +101,17 @@ struct ShardState {
     traces: scq_obs::TraceRing,
 }
 
-/// A running shard server: bound address, the event-loop thread and
-/// its request worker pool.
+/// A running shard server: the reactor serving the wire protocol and
+/// the shard state its handlers work on.
 pub struct ShardServerHandle {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    event_loop: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
+    reactor: ReactorHandle,
     state: Arc<ShardState>,
 }
 
 impl ShardServerHandle {
     /// The address the server actually bound (resolves `:0`).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.addr()
     }
 
     /// WAL counters, when the server keeps a log (`None` otherwise).
@@ -166,66 +131,22 @@ impl ShardServerHandle {
         self.state.traces.get(id)
     }
 
-    /// Stops the event loop (closing every connection) and the worker
-    /// pool, and joins them all. The loop notices the stop flag at its
-    /// next wakeup — forced immediately through the wake pipe.
-    pub fn shutdown(self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.wake.wake();
-        self.shared.work.ready.notify_all();
-        let _ = self.event_loop.join();
-        for w in self.workers {
-            let _ = w.join();
-        }
+    /// Event-loop wakeups so far ([`ReactorHandle::loop_wakeups`]).
+    pub fn loop_wakeups(&self) -> u64 {
+        self.reactor.loop_wakeups()
     }
-}
 
-/// State shared between the event loop and the worker pool.
-struct Shared {
-    state: Arc<ShardState>,
-    work: WorkQueue,
-    /// Finished responses, already framed, awaiting delivery by the
-    /// loop thread.
-    done: Mutex<Vec<Completion>>,
-    wake: Arc<WakePipe>,
-    stop: Arc<AtomicBool>,
-    /// Negotiation ceiling (see [`ShardServerConfig::wire_version`]).
-    wire_version: u16,
-    strict: bool,
-}
-
-struct WorkQueue {
-    jobs: Mutex<VecDeque<Job>>,
-    ready: Condvar,
-}
-
-/// One decoded frame's worth of work for the pool.
-struct Job {
-    /// The connection the answer goes back to.
-    token: u64,
-    /// Encoded request bytes (the mux body on a mux connection).
-    payload: Vec<u8>,
-    /// The request id on a mux connection; `None` on a legacy one.
-    mux_id: Option<u64>,
-}
-
-/// A finished response on its way back through the loop thread.
-struct Completion {
-    token: u64,
-    mux_id: Option<u64>,
-    /// Framed bytes ready for the socket (possibly several frames: a
-    /// chunked stream).
-    bytes: Vec<u8>,
-    /// Close the connection once these bytes flush.
-    close: bool,
+    /// Stops the event loop (closing every connection) and the worker
+    /// pool, and joins them all.
+    pub fn shutdown(self) {
+        self.reactor.shutdown();
+    }
 }
 
 /// Starts a shard server: binds, spawns the event loop and worker
 /// pool, returns immediately.
 pub fn serve_shard(config: &ShardServerConfig) -> std::io::Result<ShardServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
     let universe = AaBox::new([0.0, 0.0], [config.universe_size, config.universe_size]);
     // With a WAL, startup *is* recovery: the database the connections
     // see is the newest snapshot plus every durable record past it. A
@@ -251,38 +172,11 @@ pub fn serve_shard(config: &ShardServerConfig) -> std::io::Result<ShardServerHan
         registry,
         traces: scq_obs::TraceRing::new(64),
     });
-    let epoll = Epoll::new()?;
-    let wake = Arc::new(WakePipe::new()?);
-    epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-    epoll.add(wake.read_fd(), EPOLLIN, TOKEN_WAKE)?;
-    let shared = Arc::new(Shared {
+    let protocol = ShardProtocol {
         state: Arc::clone(&state),
-        work: WorkQueue {
-            jobs: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-        },
-        done: Mutex::new(Vec::new()),
-        wake,
-        stop: Arc::new(AtomicBool::new(false)),
-        wire_version: config.wire_version.clamp(MIN_WIRE_VERSION, WIRE_VERSION),
-        strict: config.strict,
-    });
-    let mut workers = Vec::new();
-    for _ in 0..config.threads.max(1) {
-        let shared = Arc::clone(&shared);
-        workers.push(std::thread::spawn(move || worker_loop(&shared)));
-    }
-    let max_connections = config.max_connections.max(1);
-    let loop_shared = Arc::clone(&shared);
-    let event_loop =
-        std::thread::spawn(move || event_loop(listener, epoll, loop_shared, max_connections));
-    Ok(ShardServerHandle {
-        addr,
-        shared,
-        event_loop,
-        workers,
-        state,
-    })
+    };
+    let reactor = reactor::start(listener, protocol, config.threads, config.max_connections)?;
+    Ok(ShardServerHandle { reactor, state })
 }
 
 /// What to do with the connection after answering a request.
@@ -291,487 +185,186 @@ enum After {
     Close,
 }
 
-// ── the event loop ──────────────────────────────────────────────────────
+// ── the shard protocol ──────────────────────────────────────────────────
 
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKE: u64 = 1;
-const FIRST_CONN_TOKEN: u64 = 2;
+/// Length-prefixed frames: a plain `Hello`, then mux framing with any
+/// number of requests in flight.
+struct ShardProtocol {
+    state: Arc<ShardState>,
+}
 
-/// Outbound bytes with a write cursor, so partially-flushed buffers
-/// never shift their remaining bytes (a chunked stream can be tens of
-/// megabytes deep while the socket drains at its own pace).
+/// One connection's framing and request-id state.
 #[derive(Default)]
-struct OutBuf {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl OutBuf {
-    fn push(&mut self, bytes: &[u8]) {
-        if self.pos >= self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
-    fn unwritten(&self) -> &[u8] {
-        &self.buf[self.pos.min(self.buf.len())..]
-    }
-
-    fn consume(&mut self, n: usize) {
-        self.pos += n;
-        if self.pos >= self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        }
-    }
-}
-
-/// One connection's loop-side state.
-struct Conn {
-    stream: TcpStream,
+struct WireConn {
     reader: FrameReader,
-    out: OutBuf,
-    /// Negotiated version; 0 until a Hello lands (legacy framing).
-    version: u16,
-    /// Mux framing active (negotiated ≥ [`MUX_MIN_VERSION`]).
-    mux: bool,
-    /// Legacy: a request is executing; later frames wait in `pending`
-    /// so one-request-one-response ordering holds exactly.
-    busy: bool,
-    pending: VecDeque<Vec<u8>>,
-    /// Mux: ids queued or executing.
+    /// The handshake succeeded: frames are mux-framed from here on.
+    greeted: bool,
+    /// Ids queued or executing.
     in_flight: HashSet<u64>,
-    /// Mux: in-flight ids whose answers must be discarded (cancelled).
+    /// In-flight ids whose answers must be discarded (cancelled).
     cancelled: HashSet<u64>,
-    /// Close once `out` drains; stop consuming inbound frames.
-    closing: bool,
-    /// `EPOLLOUT` currently registered.
-    wants_out: bool,
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
-            stream,
-            reader: FrameReader::new(),
-            out: OutBuf::default(),
-            version: 0,
-            mux: false,
-            busy: false,
-            pending: VecDeque::new(),
-            in_flight: HashSet::new(),
-            cancelled: HashSet::new(),
-            closing: false,
-            wants_out: false,
-        }
+/// One mux request's worth of work for the pool.
+struct Job {
+    id: u64,
+    /// The encoded request (the mux frame's body).
+    payload: Vec<u8>,
+}
+
+/// A finished response on its way back through the loop thread.
+struct Completion {
+    id: u64,
+    /// Framed bytes ready for the socket (possibly several frames: a
+    /// chunked stream).
+    bytes: Vec<u8>,
+    /// Close the connection once these bytes flush.
+    close: bool,
+}
+
+impl Protocol for ShardProtocol {
+    type Conn = WireConn;
+    type Job = Job;
+    type Done = Completion;
+
+    fn open(&self) -> WireConn {
+        WireConn::default()
     }
-}
 
-fn event_loop(listener: TcpListener, epoll: Epoll, shared: Arc<Shared>, max_connections: usize) {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token = FIRST_CONN_TOKEN;
-    let mut events = [Event::new(0, 0); 64];
-    loop {
-        // The timeout is the shutdown heartbeat; the wake pipe makes
-        // completions (and shutdown itself) immediate, not 100ms late.
-        let n = epoll.wait(100, &mut events).unwrap_or(0);
-        if shared.stop.load(Ordering::SeqCst) {
-            // Dropping the map closes every socket.
-            return;
-        }
-        for ev in &events[..n] {
-            match ev.token() {
-                TOKEN_LISTENER => accept_ready(
-                    &listener,
-                    &epoll,
-                    &mut conns,
-                    &mut next_token,
-                    max_connections,
-                ),
-                TOKEN_WAKE => shared.wake.drain(),
-                token => {
-                    let Some(conn) = conns.get_mut(&token) else {
-                        continue; // already closed earlier in this batch
-                    };
-                    if ev.events() & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0
-                        && !read_ready(conn, token, &shared)
-                    {
-                        conns.remove(&token);
-                    }
-                    // EPOLLOUT needs no per-event work: the flush pass
-                    // below writes every connection with queued bytes.
-                }
-            }
-        }
-        for done in std::mem::take(&mut *shared.done.lock().expect("completion queue")) {
-            deliver(&mut conns, &shared, done);
-        }
-        // Flush pass: write what the sockets will take, keep EPOLLOUT
-        // registered exactly while bytes are queued, reap dead conns.
-        conns.retain(|&token, conn| {
-            if !flush(conn) {
-                return false;
-            }
-            let want = !conn.out.is_empty();
-            if want != conn.wants_out {
-                let interest = EPOLLIN | EPOLLRDHUP | (if want { EPOLLOUT } else { 0 });
-                if epoll
-                    .modify(conn.stream.as_raw_fd(), interest, token)
-                    .is_err()
-                {
-                    return false;
-                }
-                conn.wants_out = want;
-            }
-            true
-        });
-    }
-}
-
-fn accept_ready(
-    listener: &TcpListener,
-    epoll: &Epoll,
-    conns: &mut HashMap<u64, Conn>,
-    next_token: &mut u64,
-    max_connections: usize,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if conns.len() >= max_connections {
-                    // Over the cap: close immediately. The peer sees a
-                    // transport failure and degrades or retries.
-                    drop(stream);
-                    continue;
-                }
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let token = *next_token;
-                *next_token += 1;
-                if epoll
-                    .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)
-                    .is_err()
-                {
-                    continue;
-                }
-                conns.insert(token, Conn::new(stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        }
-    }
-}
-
-/// Reads everything the socket has, assembling and dispatching frames.
-/// Returns `false` when the connection is dead and must be dropped.
-fn read_ready(conn: &mut Conn, token: u64, shared: &Shared) -> bool {
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        if conn.closing {
-            // Answered a fatal error; ignore further input, just flush.
-            return true;
-        }
-        match conn.stream.read(&mut chunk) {
-            Ok(0) => return false, // peer hung up; nothing to answer
-            Ok(n) => {
-                conn.reader.push(&chunk[..n]);
-                if !dispatch_frames(conn, token, shared) {
-                    return false;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
-}
-
-fn dispatch_frames(conn: &mut Conn, token: u64, shared: &Shared) -> bool {
-    while !conn.closing {
-        match conn.reader.next_frame() {
-            Ok(Some(payload)) => dispatch_payload(conn, token, shared, payload),
-            Ok(None) => break,
-            Err(e) => {
+    fn received(&self, conn: &mut WireConn, bytes: &[u8], port: &mut Port<'_, Job>) {
+        conn.reader.push(bytes);
+        while !port.closing() {
+            match conn.reader.next_frame() {
+                Ok(Some(payload)) if conn.greeted => dispatch_mux(conn, port, &payload),
+                Ok(Some(payload)) => self.handle_hello(conn, port, &payload),
+                Ok(None) => break,
                 // Framing poison (oversized prefix): report, close.
-                conn.out
-                    .push(&frame_legacy(&Response::Err(format!("bad frame: {e}"))));
-                conn.closing = true;
+                Err(e) => refuse(port, format!("bad frame: {e}")),
             }
         }
     }
-    true
-}
 
-fn dispatch_payload(conn: &mut Conn, token: u64, shared: &Shared, payload: Vec<u8>) {
-    if conn.mux {
-        match decode_mux(&payload) {
-            Ok(f) if f.kind == MUX_REQ => {
-                conn.in_flight.insert(f.id);
-                enqueue(
-                    shared,
-                    Job {
-                        token,
-                        payload: f.body,
-                        mux_id: Some(f.id),
-                    },
-                );
+    /// Decodes, executes and frames one request on a worker thread.
+    fn run(&self, job: Job) -> Completion {
+        let state = &*self.state;
+        let (response, after) = match decode_request(&job.payload) {
+            Ok(req) => {
+                let op = op_name(&req);
+                let started = std::time::Instant::now();
+                let out = handle_request(state, req);
+                state
+                    .registry
+                    .histogram(&format!("shard.{op}.latency"))
+                    .observe(started.elapsed());
+                out
             }
-            Ok(f) if f.kind == MUX_CANCEL => {
-                // Only ids actually pending can be cancelled; anything
-                // else already completed (or never existed) and the
-                // cancel is a no-op, not state to keep forever.
-                if conn.in_flight.contains(&f.id) {
-                    conn.cancelled.insert(f.id);
-                }
-            }
-            Ok(f) => {
-                // A response-direction kind from a client: desync.
-                conn.out.push(&frame_legacy(&Response::Err(format!(
-                    "bad request: unexpected mux kind {:#04x} from a client",
-                    f.kind
-                ))));
-                conn.closing = true;
-            }
-            Err(e) => {
-                // Un-muxed bytes on a muxed connection cannot be
-                // resynchronized; answer once and hang up.
-                conn.out
-                    .push(&frame_legacy(&Response::Err(format!("bad request: {e}"))));
-                conn.closing = true;
-            }
-        }
-    } else if conn.busy {
-        conn.pending.push_back(payload);
-    } else {
-        start_legacy(conn, token, shared, payload);
-    }
-}
-
-/// Starts one legacy (one-in-flight) payload: Hello and strict-mode
-/// refusals inline on the loop thread, everything else to the pool.
-fn start_legacy(conn: &mut Conn, token: u64, shared: &Shared, payload: Vec<u8>) {
-    if payload.first() == Some(&OP_HELLO) {
-        handle_hello(conn, shared, &payload);
-        return;
-    }
-    if shared.strict
-        && shared.wire_version < crate::wire::TRACED_MIN_VERSION
-        && matches!(payload.first(), Some(&(OP_TRACED | OP_METRICS)))
-    {
-        // A real v2 release has no decoder for these opcodes: it
-        // answers "bad request" and hangs up. Emulate it exactly.
-        let op = payload[0];
-        conn.out.push(&frame_legacy(&Response::Err(format!(
-            "bad request: unknown opcode {op:#04x}"
-        ))));
-        conn.closing = true;
-        return;
-    }
-    conn.busy = true;
-    enqueue(
-        shared,
-        Job {
-            token,
-            payload,
-            mux_id: None,
-        },
-    );
-}
-
-/// The handshake, inline on the loop thread: cheap, and the connection
-/// must flip to mux framing before any later buffered frame is parsed.
-fn handle_hello(conn: &mut Conn, shared: &Shared, payload: &[u8]) {
-    let started = std::time::Instant::now();
-    let cap = shared.wire_version;
-    let resp = match decode_request(payload) {
-        Ok(Request::Hello { version }) => {
-            let ok = if shared.strict {
-                version == cap
-            } else {
-                (MIN_WIRE_VERSION..=cap).contains(&version)
-            };
-            if ok {
-                // Answer the client's version: it is the highest both
-                // sides speak, so an old client keeps its old protocol.
-                conn.version = version;
-                conn.mux = version >= MUX_MIN_VERSION;
-                Response::Hello { version }
-            } else {
-                // A peer outside the window we can speak must not get
-                // garbage answers; reject the handshake and close. A
-                // strict server names its one version (no window — old
-                // releases had no negotiation range to advertise).
-                conn.closing = true;
-                if shared.strict {
-                    Response::Err(format!(
-                        "wire version mismatch: shard speaks {cap}, client speaks {version}"
-                    ))
-                } else {
-                    Response::Err(format!(
-                        "wire version mismatch: shard speaks {MIN_WIRE_VERSION}..={cap}, client speaks {version}"
-                    ))
-                }
-            }
-        }
-        Ok(_) | Err(_) => {
-            conn.closing = true;
-            Response::Err("bad request: malformed handshake".into())
-        }
-    };
-    shared
-        .state
-        .registry
-        .histogram("shard.hello.latency")
-        .observe(started.elapsed());
-    conn.out.push(&frame_legacy(&resp));
-}
-
-fn enqueue(shared: &Shared, job: Job) {
-    shared.work.jobs.lock().expect("work queue").push_back(job);
-    shared.work.ready.notify_one();
-}
-
-/// Hands one finished response to its connection and, on a legacy
-/// connection, releases the next queued frame to the pool.
-fn deliver(conns: &mut HashMap<u64, Conn>, shared: &Shared, done: Completion) {
-    let Some(conn) = conns.get_mut(&done.token) else {
-        return; // connection died while the request ran
-    };
-    match done.mux_id {
-        Some(id) => {
-            conn.in_flight.remove(&id);
-            if !conn.cancelled.remove(&id) {
-                conn.out.push(&done.bytes);
-            }
-            if done.close {
-                conn.closing = true;
-            }
-        }
-        None => {
-            conn.out.push(&done.bytes);
-            if done.close {
-                conn.closing = true;
-                conn.pending.clear();
-            } else {
-                conn.busy = false;
-                while !conn.busy && !conn.closing {
-                    let Some(next) = conn.pending.pop_front() else {
-                        break;
-                    };
-                    start_legacy(conn, done.token, shared, next);
-                }
-            }
-        }
-    }
-}
-
-/// Writes what the socket will take. Returns `false` when the
-/// connection is finished (dead socket, or `closing` fully flushed).
-fn flush(conn: &mut Conn) -> bool {
-    while !conn.out.is_empty() {
-        match conn.stream.write(conn.out.unwritten()) {
-            Ok(0) => return false,
-            Ok(n) => conn.out.consume(n),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
-    }
-    !(conn.closing && conn.out.is_empty())
-}
-
-// ── the worker pool ─────────────────────────────────────────────────────
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut jobs = shared.work.jobs.lock().expect("work queue");
-            loop {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(job) = jobs.pop_front() {
-                    break job;
-                }
-                // The timeout is a belt-and-braces stop check; the
-                // shutdown notify_all makes exit immediate.
-                let (guard, _) = shared
-                    .work
-                    .ready
-                    .wait_timeout(jobs, Duration::from_millis(100))
-                    .expect("work queue");
-                jobs = guard;
-            }
+            // The *framing* is intact — only this request's body is
+            // garbage — so the error answers under its id and every
+            // other in-flight request proceeds.
+            Err(e) => (Response::Err(format!("bad request: {e}")), After::KeepOpen),
         };
-        let done = execute(&shared.state, job);
-        shared.done.lock().expect("completion queue").push(done);
-        shared.wake.wake();
-    }
-}
-
-/// Decodes, executes and frames one request on a worker thread.
-fn execute(state: &ShardState, job: Job) -> Completion {
-    let (response, after) = match decode_request(&job.payload) {
-        Ok(req) => {
-            let op = op_name(&req);
-            let started = std::time::Instant::now();
-            let out = handle_request(state, req);
-            state
-                .registry
-                .histogram(&format!("shard.{op}.latency"))
-                .observe(started.elapsed());
-            out
+        Completion {
+            id: job.id,
+            bytes: frame_mux(job.id, &response),
+            close: matches!(after, After::Close),
         }
-        // An undecodable legacy frame means the peer and we disagree
-        // about the protocol; answer once and hang up rather than
-        // guess at resync. On a mux connection the *framing* is intact
-        // — only this request's body is garbage — so the error answers
-        // under its id and every other in-flight request proceeds.
-        Err(e) => (
-            Response::Err(format!("bad request: {e}")),
-            if job.mux_id.is_some() {
-                After::KeepOpen
-            } else {
-                After::Close
-            },
-        ),
-    };
-    let bytes = match job.mux_id {
-        None => frame_legacy(&response),
-        Some(id) => frame_mux(id, &response),
-    };
-    Completion {
-        token: job.token,
-        mux_id: job.mux_id,
-        bytes,
-        close: matches!(after, After::Close),
+    }
+
+    fn completed(&self, conn: &mut WireConn, done: Completion, port: &mut Port<'_, Job>) {
+        conn.in_flight.remove(&done.id);
+        if !conn.cancelled.remove(&done.id) {
+            port.send(&done.bytes);
+        }
+        if done.close {
+            port.close();
+        }
     }
 }
 
-/// Frames a legacy (un-muxed) response. The only oversize response is
-/// a snapshot stream; a legacy peer gets a (small) error frame instead
-/// of a poisoned connection — streaming needs a v4 handshake.
-fn frame_legacy(response: &Response) -> Vec<u8> {
-    match frame(&encode_response(response)) {
-        Ok(framed) => framed,
-        Err(e) => frame(&encode_response(&Response::Err(format!(
-            "response exceeds the frame cap: {e}"
-        ))))
-        .expect("the error frame is small"),
+impl ShardProtocol {
+    /// The handshake, inline on the loop thread: the first frame of a
+    /// connection must be a plain `Hello` at exactly [`WIRE_VERSION`].
+    fn handle_hello(&self, conn: &mut WireConn, port: &mut Port<'_, Job>, payload: &[u8]) {
+        if payload.first() != Some(&OP_HELLO) {
+            return refuse(
+                port,
+                format!(
+                    "bad request: expected a Hello handshake, got opcode {:#04x}",
+                    payload.first().copied().unwrap_or(0)
+                ),
+            );
+        }
+        let started = std::time::Instant::now();
+        match decode_request(payload) {
+            Ok(Request::Hello { version }) if version == WIRE_VERSION => {
+                conn.greeted = true;
+                port.send(&frame_plain(&Response::Hello { version }));
+            }
+            // A peer speaking another version must not get garbage
+            // answers; name the one version spoken and close.
+            Ok(Request::Hello { version }) => refuse(
+                port,
+                format!(
+                    "wire version mismatch: shard speaks {WIRE_VERSION}, client speaks {version}"
+                ),
+            ),
+            Ok(_) | Err(_) => refuse(port, "bad request: malformed handshake".into()),
+        }
+        self.state
+            .registry
+            .histogram("shard.hello.latency")
+            .observe(started.elapsed());
     }
+}
+
+/// Answers a connection-level failure with one plain error frame and
+/// closes: the stream cannot be resynchronized past it.
+fn refuse(port: &mut Port<'_, Job>, message: String) {
+    port.send(&frame_plain(&Response::Err(message)));
+    port.close();
+}
+
+fn dispatch_mux(conn: &mut WireConn, port: &mut Port<'_, Job>, payload: &[u8]) {
+    match decode_mux(payload) {
+        Ok(f) if f.kind == MUX_REQ => {
+            conn.in_flight.insert(f.id);
+            port.submit(Job {
+                id: f.id,
+                payload: f.body,
+            });
+        }
+        Ok(f) if f.kind == MUX_CANCEL => {
+            // Only ids actually pending can be cancelled; anything
+            // else already completed (or never existed) and the
+            // cancel is a no-op, not state to keep forever.
+            if conn.in_flight.contains(&f.id) {
+                conn.cancelled.insert(f.id);
+            }
+        }
+        // A response-direction kind from a client: desync.
+        Ok(f) => refuse(
+            port,
+            format!(
+                "bad request: unexpected mux kind {:#04x} from a client",
+                f.kind
+            ),
+        ),
+        Err(e) => refuse(
+            port,
+            format!("bad request: plain frame after the handshake ({e})"),
+        ),
+    }
+}
+
+/// Frames a plain (un-muxed) response: the handshake answer or a
+/// connection-level error.
+fn frame_plain(response: &Response) -> Vec<u8> {
+    frame(&encode_response(response)).expect("handshake and error frames are small")
 }
 
 /// Frames a mux response: one `MUX_RESP` frame, or a `MUX_CHUNK…END`
-/// stream when the response outgrows [`STREAM_CHUNK`] — this is where
-/// the old 64 MiB answer cap dies.
+/// stream when the response outgrows [`STREAM_CHUNK`] — which is why
+/// the frame cap is not a cap on answers.
 fn frame_mux(id: u64, response: &Response) -> Vec<u8> {
     let encoded = encode_response(response);
     let mut out = Vec::with_capacity(encoded.len() + 64);
@@ -868,21 +461,10 @@ fn handle_request(state: &ShardState, req: Request) -> (Response, After) {
     }
     let db = &state.db;
     let resp = match &req {
-        Request::Hello { version } => {
-            let version = *version;
-            if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-                // A peer outside the window we can speak must not get
-                // garbage answers; reject the handshake and close.
-                return (
-                    Response::Err(format!(
-                        "wire version mismatch: shard speaks {MIN_WIRE_VERSION}..={WIRE_VERSION}, client speaks {version}"
-                    )),
-                    After::Close,
-                );
-            }
-            // Answer the client's version: it is the highest both
-            // sides speak, so an old client keeps its old protocol.
-            Response::Hello { version }
+        // The handshake is the connection's first, plain frame; one
+        // arriving as a mux request is a confused peer.
+        Request::Hello { .. } => {
+            Response::Err("bad request: Hello inside a multiplexed request".into())
         }
         Request::Create { name } => {
             if name.len() > 255 {
@@ -1085,9 +667,12 @@ fn known_slot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{encode_request, read_frame, MAX_FRAME};
+    use crate::wire::{
+        encode_mux, encode_request, read_frame, MuxReassembly, MAX_FRAME, MUX_CHUNK,
+    };
     use scq_region::Region;
-    use std::io::Read;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn start() -> ShardServerHandle {
         serve_shard(&ShardServerConfig {
@@ -1099,7 +684,9 @@ mod tests {
         .expect("bind shard server")
     }
 
-    fn roundtrip(stream: &mut TcpStream, req: &Request) -> Response {
+    /// One plain-framed exchange: the handshake, and the refusals
+    /// that answer in place of it.
+    fn plain_roundtrip(stream: &mut TcpStream, req: &Request) -> Response {
         stream
             .write_all(&frame(&encode_request(req)).unwrap())
             .unwrap();
@@ -1107,25 +694,70 @@ mod tests {
         crate::wire::decode_response(&payload).unwrap()
     }
 
-    /// Handshakes at v3: the newest **legacy** (one-in-flight, plain
-    /// frames) protocol, which is what `roundtrip` speaks. A v4
-    /// handshake flips the connection to mux framing — covered by the
-    /// dedicated mux tests below.
+    /// One request/response exchange over mux framing, one request in
+    /// flight (the pipelined tests below drive `mux_send`/`mux_read`
+    /// themselves).
+    fn roundtrip(stream: &mut TcpStream, req: &Request) -> Response {
+        mux_send(stream, 1, req);
+        let (id, resp) = mux_read(stream, &mut MuxReassembly::new(), &mut 0);
+        assert_eq!(id, 1);
+        resp
+    }
+
+    /// Connects and handshakes, leaving the connection in mux framing.
     fn hello(addr: SocketAddr) -> TcpStream {
         let mut s = TcpStream::connect(addr).unwrap();
-        let resp = roundtrip(
+        let resp = plain_roundtrip(
             &mut s,
             &Request::Hello {
-                version: crate::wire::TRACED_MIN_VERSION,
+                version: WIRE_VERSION,
             },
         );
         assert_eq!(
             resp,
             Response::Hello {
-                version: crate::wire::TRACED_MIN_VERSION
+                version: WIRE_VERSION
             }
         );
         s
+    }
+
+    fn mux_send(s: &mut TcpStream, id: u64, req: &Request) {
+        s.write_all(&frame(&encode_mux(MUX_REQ, id, &encode_request(req))).unwrap())
+            .unwrap();
+    }
+
+    /// Reads server frames until one response completes; counts the
+    /// chunk frames it took.
+    fn mux_read(
+        s: &mut TcpStream,
+        reasm: &mut MuxReassembly,
+        chunks: &mut usize,
+    ) -> (u64, Response) {
+        loop {
+            let payload = read_frame(s).unwrap().expect("mux frame");
+            let f = decode_mux(&payload).unwrap();
+            if f.kind == MUX_CHUNK {
+                *chunks += 1;
+            }
+            if let Some((id, bytes)) = reasm.accept(f).unwrap() {
+                return (id, crate::wire::decode_response(&bytes).unwrap());
+            }
+        }
+    }
+
+    /// Reads the one plain error frame a refusal sends, then requires
+    /// the clean close that must follow it.
+    fn refusal(s: &mut TcpStream) -> String {
+        let payload = read_frame(s)
+            .unwrap()
+            .expect("an error response before the close");
+        let message = match crate::wire::decode_response(&payload).unwrap() {
+            Response::Err(m) => m,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(read_frame(s).unwrap(), None, "connection closed");
+        message
     }
 
     #[test]
@@ -1188,49 +820,49 @@ mod tests {
     fn version_mismatch_is_rejected_and_closes() {
         let server = start();
         let mut s = TcpStream::connect(server.addr()).unwrap();
-        let resp = roundtrip(&mut s, &Request::Hello { version: 99 });
-        match resp {
-            Response::Err(m) => assert!(m.contains("version mismatch"), "{m}"),
-            other => panic!("{other:?}"),
+        s.write_all(&frame(&encode_request(&Request::Hello { version: 99 })).unwrap())
+            .unwrap();
+        let m = refusal(&mut s);
+        assert!(m.contains("version mismatch"), "{m}");
+        server.shutdown();
+    }
+
+    /// The previous wire generation is refused by name, not negotiated
+    /// down to: one version is spoken, and the error says which.
+    #[test]
+    fn older_versions_are_refused_naming_the_one_version_spoken() {
+        let server = start();
+        for version in [1, 2, 3] {
+            let mut s = TcpStream::connect(server.addr()).unwrap();
+            s.write_all(&frame(&encode_request(&Request::Hello { version })).unwrap())
+                .unwrap();
+            assert_eq!(
+                refusal(&mut s),
+                format!("wire version mismatch: shard speaks 4, client speaks {version}")
+            );
         }
-        // the server hung up: the next read sees a clean close
-        assert_eq!(read_frame(&mut s).unwrap(), None);
         server.shutdown();
     }
 
     #[test]
-    fn older_supported_version_negotiates_down() {
+    fn a_request_before_the_handshake_is_refused() {
         let server = start();
         let mut s = TcpStream::connect(server.addr()).unwrap();
-        // A v2 peer (the previous release) must be answered at v2, not
-        // rejected and not upgraded past what it speaks.
-        let resp = roundtrip(
-            &mut s,
-            &Request::Hello {
-                version: MIN_WIRE_VERSION,
-            },
-        );
-        assert_eq!(
-            resp,
-            Response::Hello {
-                version: MIN_WIRE_VERSION
-            }
-        );
-        // The connection stays serviceable after the downgrade.
-        assert_eq!(roundtrip(&mut s, &Request::Stat), Response::Stat(vec![]));
+        s.write_all(&frame(&encode_request(&Request::Stat)).unwrap())
+            .unwrap();
+        let m = refusal(&mut s);
+        assert!(m.contains("expected a Hello handshake"), "{m}");
         server.shutdown();
     }
 
     #[test]
-    fn versions_below_the_window_are_rejected() {
+    fn a_plain_frame_after_the_handshake_is_refused() {
         let server = start();
-        let mut s = TcpStream::connect(server.addr()).unwrap();
-        let resp = roundtrip(&mut s, &Request::Hello { version: 1 });
-        match resp {
-            Response::Err(m) => assert!(m.contains("version mismatch"), "{m}"),
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(read_frame(&mut s).unwrap(), None);
+        let mut s = hello(server.addr());
+        s.write_all(&frame(&encode_request(&Request::Stat)).unwrap())
+            .unwrap();
+        let m = refusal(&mut s);
+        assert!(m.contains("plain frame after the handshake"), "{m}");
         server.shutdown();
     }
 
@@ -1328,14 +960,8 @@ mod tests {
         // In-frame garbage: an unknown opcode.
         let mut s = TcpStream::connect(server.addr()).unwrap();
         s.write_all(&frame(&[0xEE, 1, 2, 3]).unwrap()).unwrap();
-        match read_frame(&mut s).unwrap() {
-            Some(payload) => match crate::wire::decode_response(&payload).unwrap() {
-                Response::Err(m) => assert!(m.contains("bad request"), "{m}"),
-                other => panic!("{other:?}"),
-            },
-            None => panic!("expected an error response before the close"),
-        }
-        assert_eq!(read_frame(&mut s).unwrap(), None, "connection closed");
+        let m = refusal(&mut s);
+        assert!(m.contains("bad request"), "{m}");
         server.shutdown();
     }
 
@@ -1345,14 +971,8 @@ mod tests {
         let mut s = TcpStream::connect(server.addr()).unwrap();
         s.write_all(&((MAX_FRAME as u32) + 1).to_le_bytes())
             .unwrap();
-        match read_frame(&mut s).unwrap() {
-            Some(payload) => match crate::wire::decode_response(&payload).unwrap() {
-                Response::Err(m) => assert!(m.contains("bad frame"), "{m}"),
-                other => panic!("{other:?}"),
-            },
-            None => panic!("expected an error response before the close"),
-        }
-        assert_eq!(read_frame(&mut s).unwrap(), None, "connection closed");
+        let m = refusal(&mut s);
+        assert!(m.contains("bad frame"), "{m}");
         server.shutdown();
     }
 
@@ -1679,58 +1299,28 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir_b);
     }
 
-    // ── mux framing (v4) ────────────────────────────────────────────
+    // ── pipelining, cancellation, streaming ─────────────────────────
 
-    use crate::wire::{
-        decode_mux, encode_mux, MuxReassembly, MAX_FRAME as CAP, MUX_CANCEL, MUX_CHUNK, MUX_REQ,
-    };
-
-    /// Handshakes at v4, flipping the connection to mux framing.
-    fn hello_mux(addr: SocketAddr) -> TcpStream {
-        let mut s = TcpStream::connect(addr).unwrap();
-        let resp = roundtrip(
-            &mut s,
-            &Request::Hello {
-                version: WIRE_VERSION,
-            },
-        );
-        assert_eq!(
-            resp,
-            Response::Hello {
-                version: WIRE_VERSION
-            }
-        );
-        s
-    }
-
-    fn mux_send(s: &mut TcpStream, id: u64, req: &Request) {
-        s.write_all(&frame(&encode_mux(MUX_REQ, id, &encode_request(req))).unwrap())
-            .unwrap();
-    }
-
-    /// Reads server frames until one response completes; counts the
-    /// chunk frames it took.
-    fn mux_read(
-        s: &mut TcpStream,
-        reasm: &mut MuxReassembly,
-        chunks: &mut usize,
-    ) -> (u64, Response) {
-        loop {
-            let payload = read_frame(s).unwrap().expect("mux frame");
-            let f = decode_mux(&payload).unwrap();
-            if f.kind == MUX_CHUNK {
-                *chunks += 1;
-            }
-            if let Some((id, bytes)) = reasm.accept(f).unwrap() {
-                return (id, crate::wire::decode_response(&bytes).unwrap());
-            }
+    /// Fills the shard directly — in-process, not over the wire — with
+    /// enough objects that a `SnapshotRead` occupies a worker for a
+    /// while (a multi-megabyte answer).
+    fn populate_slow_snapshot(server: &ShardServerHandle) {
+        let mut d = server.state.db.write().unwrap();
+        let coll = d.collection("bulk");
+        for i in 0..50_000u64 {
+            let x = (i % 90) as f64;
+            let y = ((i / 90) % 90) as f64;
+            d.insert(
+                coll,
+                Region::from_box(AaBox::new([x, y], [x + 0.5, y + 0.5])),
+            );
         }
     }
 
     #[test]
     fn mux_session_pipelines_many_requests_on_one_connection() {
         let server = start();
-        let mut s = hello_mux(server.addr());
+        let mut s = hello(server.addr());
         mux_send(
             &mut s,
             1,
@@ -1802,19 +1392,8 @@ mod tests {
             ..ShardServerConfig::default()
         })
         .unwrap();
-        {
-            let mut d = server.state.db.write().unwrap();
-            let coll = d.collection("bulk");
-            for i in 0..50_000u64 {
-                let x = (i % 90) as f64;
-                let y = ((i / 90) % 90) as f64;
-                d.insert(
-                    coll,
-                    Region::from_box(AaBox::new([x, y], [x + 0.5, y + 0.5])),
-                );
-            }
-        }
-        let mut s = hello_mux(server.addr());
+        populate_slow_snapshot(&server);
+        let mut s = hello(server.addr());
         // A (slow: a multi-megabyte snapshot), B, cancel-B, C — written
         // back-to-back so the loop dispatches them in one batch.
         let mut burst = Vec::new();
@@ -1875,20 +1454,13 @@ mod tests {
                 insert(&mut d, i);
             }
             let per_object = (snapshot::save(&d).len() / probe as usize).max(1);
-            let target = CAP + CAP / 16; // comfortably past the cap
+            let target = MAX_FRAME + MAX_FRAME / 16; // comfortably past the cap
             let total = (target / per_object) as u64 + probe;
             for i in probe..total {
                 insert(&mut d, i);
             }
         }
-        // A legacy connection still gets the old refusal…
-        let mut legacy = hello(server.addr());
-        match roundtrip(&mut legacy, &Request::SnapshotRead) {
-            Response::Err(m) => assert!(m.contains("exceeds the frame cap"), "{m}"),
-            other => panic!("{other:?}"),
-        }
-        // …while a v4 connection streams the whole answer as chunks.
-        let mut s = hello_mux(server.addr());
+        let mut s = hello(server.addr());
         mux_send(&mut s, 7, &Request::SnapshotRead);
         let mut reasm = MuxReassembly::new();
         let mut chunks = 0;
@@ -1899,8 +1471,8 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert!(
-            stream.len() > CAP,
-            "the reassembled answer ({} bytes) must beat the {CAP}-byte cap",
+            stream.len() > MAX_FRAME,
+            "the reassembled answer ({} bytes) must beat the {MAX_FRAME}-byte cap",
             stream.len()
         );
         assert!(chunks >= 2, "a >cap answer takes multiple chunks");
@@ -1914,78 +1486,55 @@ mod tests {
         server.shutdown();
     }
 
+    /// A client that sends its requests and then shuts down its
+    /// writing half is owed every answer: finish, flush, then close —
+    /// without spinning on the half-closed socket meanwhile.
     #[test]
-    fn wire_version_cap_rehearses_a_rolling_upgrade() {
-        // A v4 build capped at v3 behaves exactly like the old release:
-        // v4 clients are told the window and negotiate down; v3 and v2
-        // clients proceed untouched.
+    fn a_half_closed_client_still_gets_every_answer() {
+        use std::net::Shutdown;
+        // One worker, and a first request slow enough (a multi-megabyte
+        // snapshot) that both are still outstanding when the FIN
+        // behind them has been read.
         let server = serve_shard(&ShardServerConfig {
             addr: "127.0.0.1:0".into(),
             threads: 1,
             universe_size: 100.0,
-            wire_version: 3,
             ..ShardServerConfig::default()
         })
         .unwrap();
-        let mut s = TcpStream::connect(server.addr()).unwrap();
-        match roundtrip(
-            &mut s,
-            &Request::Hello {
-                version: WIRE_VERSION,
-            },
-        ) {
-            Response::Err(m) => {
-                assert!(m.contains("shard speaks 2..=3"), "{m}");
-                assert!(m.contains("client speaks 4"), "{m}");
-            }
-            other => panic!("{other:?}"),
+        populate_slow_snapshot(&server);
+        let mut s = hello(server.addr());
+        s.set_read_timeout(Some(std::time::Duration::from_secs(120)))
+            .unwrap();
+        let before = server.loop_wakeups();
+        let t0 = std::time::Instant::now();
+        mux_send(&mut s, 1, &Request::SnapshotRead);
+        mux_send(&mut s, 2, &Request::Stat);
+        s.shutdown(Shutdown::Write).unwrap();
+        let mut reasm = MuxReassembly::new();
+        let mut answered = Vec::new();
+        for _ in 0..2 {
+            let (id, resp) = mux_read(&mut s, &mut reasm, &mut 0);
+            assert!(!matches!(resp, Response::Err(_)), "{resp:?}");
+            answered.push(id);
         }
-        assert_eq!(read_frame(&mut s).unwrap(), None, "mismatch closes");
-        let mut s = hello(server.addr()); // v3 handshake succeeds
-        assert_eq!(roundtrip(&mut s, &Request::Stat), Response::Stat(vec![]));
-        server.shutdown();
-    }
-
-    #[test]
-    fn strict_mode_is_a_faithful_v2_server() {
-        let server = serve_shard(&ShardServerConfig {
-            addr: "127.0.0.1:0".into(),
-            threads: 1,
-            universe_size: 100.0,
-            wire_version: 2,
-            strict: true,
-            ..ShardServerConfig::default()
-        })
-        .unwrap();
-        // The mismatch names ONE version — a pre-negotiation release
-        // had no window to advertise.
-        let mut s = TcpStream::connect(server.addr()).unwrap();
-        match roundtrip(
-            &mut s,
-            &Request::Hello {
-                version: WIRE_VERSION,
-            },
-        ) {
-            Response::Err(m) => {
-                assert!(m.contains("shard speaks 2,"), "{m}");
-                assert!(!m.contains("..="), "strict mode advertises no window: {m}");
-            }
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(read_frame(&mut s).unwrap(), None);
-        // At exactly v2 the full op surface works…
-        let mut s = TcpStream::connect(server.addr()).unwrap();
-        assert_eq!(
-            roundtrip(&mut s, &Request::Hello { version: 2 }),
-            Response::Hello { version: 2 }
+        answered.sort_unstable();
+        assert_eq!(answered, vec![1, 2]);
+        assert_eq!(read_frame(&mut s).unwrap(), None, "then a clean close");
+        // Idle, the loop wakes ten times a second (the shutdown
+        // heartbeat); a loop that kept its read interest on the
+        // half-closed socket would wake continuously.
+        let wakeups = server.loop_wakeups() - before;
+        let budget = 50 + t0.elapsed().as_millis() as u64 / 20;
+        assert!(
+            wakeups <= budget,
+            "loop woke {wakeups} times in {:?} (budget {budget}): spinning on the half-closed socket",
+            t0.elapsed()
         );
-        assert_eq!(roundtrip(&mut s, &Request::Stat), Response::Stat(vec![]));
-        // …but the v3 opcodes are as unknown as they were in 2022.
-        match roundtrip(&mut s, &Request::Metrics) {
-            Response::Err(m) => assert!(m.contains("bad request"), "{m}"),
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(read_frame(&mut s).unwrap(), None, "a real v2 hangs up");
+        // With nothing asked, a half-closed connection is simply closed.
+        let mut idle = hello(server.addr());
+        idle.shutdown(Shutdown::Write).unwrap();
+        assert_eq!(read_frame(&mut idle).unwrap(), None);
         server.shutdown();
     }
 

@@ -21,8 +21,8 @@
 //! manifest: magic "SCQM" | u16 version (=3) | u16 dimension (=2)
 //!           universe (4 f64 LE)
 //!           u32 router bits | u32 shard count
-//!           per shard: u64 z-range lo | u64 z-range hi   (v2+)
-//!           per shard: u32 replica count                  (v3+)
+//!           per shard: u64 z-range lo | u64 z-range hi
+//!           per shard: u32 replica count
 //!                      per replica: u16 addr length | addr bytes (UTF-8)
 //!           u32 collection count
 //!           per collection:
@@ -31,19 +31,15 @@
 //!             per slot: u32 shard | u32 local slot | u8 flags (bit 0 = live)
 //! ```
 //!
-//! **Version 3** (current) additionally records each shard's replica
-//! topology — the ordered address set the cluster was serving from
-//! when the snapshot was taken (empty for in-process shards). The
-//! addresses are informational: a restore may legitimately target a
-//! redeployed cluster at new addresses, so [`reload_from_dir`] checks
-//! ranges/bits/shard-count but not addresses. **Version 2** serializes
-//! each shard's z-range explicitly, so a cluster with a custom
-//! [`crate::ClusterSpec`] range assignment round-trips exactly; v2
-//! manifests (no replica table) still load with empty replica sets.
-//! **Version 1** manifests (no range table either) also still load:
-//! their ranges are the balanced pure function of `(bits, shard
-//! count)` ([`scq_zorder::shard_ranges`]), which is all v1 could
-//! express.
+//! Each shard's z-range is explicit, so a cluster with a custom
+//! [`crate::ClusterSpec`] range assignment round-trips exactly. The
+//! replica table records the ordered address set the cluster was
+//! serving from when the snapshot was taken (empty for in-process
+//! shards). The addresses are informational: a restore may
+//! legitimately target a redeployed cluster at new addresses, so
+//! [`reload_from_dir`] checks ranges/bits/shard-count but not
+//! addresses. Version 3 is the only one read or written; any other is
+//! [`ShardSnapshotError::BadVersion`].
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -59,12 +55,8 @@ use crate::database::{LogicalCollection, ShardSide, ShardedDatabase, SlotAddr};
 use crate::router::ShardRouter;
 
 const MAGIC: &[u8; 4] = b"SCQM";
-/// Current (written) manifest version.
+/// The manifest version, written and the only one loaded.
 const VERSION: u16 = 3;
-/// Still-loadable: explicit ranges, no replica-topology table.
-const V2: u16 = 2;
-/// Oldest still-loadable manifest version (balanced ranges implied).
-const V1: u16 = 1;
 
 /// Errors produced while loading a sharded snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -157,7 +149,7 @@ pub fn save_manifest<B: ShardBackend>(db: &ShardedDatabase<B>) -> Bytes {
         buf.put_u64_le(lo);
         buf.put_u64_le(hi);
     }
-    // v3: the replica set each shard was serving from (primary first;
+    // The replica set each shard was serving from (primary first;
     // empty for in-process shards).
     for s in 0..db.n_shards() {
         let replicas = db.backend(s).health();
@@ -231,12 +223,10 @@ pub struct Manifest {
     universe: AaBox<2>,
     bits: u32,
     n_shards: usize,
-    /// The z-range each shard owns (explicit in v2+; the balanced
-    /// default for v1 manifests).
+    /// The z-range each shard owns.
     ranges: Vec<(u64, u64)>,
     /// Per shard: the replica addresses it was serving from when the
-    /// snapshot was taken (v3+; empty for older manifests and for
-    /// in-process shards).
+    /// snapshot was taken (empty for in-process shards).
     replicas: Vec<Vec<String>>,
     /// Per collection: name and one [`ManifestSlot`] per global slot.
     collections: Vec<(String, Vec<ManifestSlot>)>,
@@ -256,7 +246,7 @@ impl Manifest {
     /// Per shard, the replica addresses recorded at snapshot time
     /// (primary first). Informational: a restore may target a
     /// redeployed cluster, so nothing enforces these at load time.
-    /// Empty per-shard lists for v1/v2 manifests and local shards.
+    /// Empty per-shard lists for local shards.
     pub fn replica_sets(&self) -> &[Vec<String>] {
         &self.replicas
     }
@@ -272,7 +262,7 @@ pub fn load_manifest(data: &[u8]) -> Result<Manifest, ShardSnapshotError> {
         return Err(ShardSnapshotError::BadMagic);
     }
     let version = buf.get_u16_le();
-    if version != VERSION && version != V2 && version != V1 {
+    if version != VERSION {
         return Err(ShardSnapshotError::BadVersion(version));
     }
     let dim = buf.get_u16_le();
@@ -305,46 +295,36 @@ pub fn load_manifest(data: &[u8]) -> Result<Manifest, ShardSnapshotError> {
             "{n_shards} shards on a {bits}-bit grid"
         )));
     }
-    let ranges = if version >= 2 {
-        need(&buf, n_shards.saturating_mul(16))?;
-        let mut ranges = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let lo = buf.get_u64_le();
-            let hi = buf.get_u64_le();
-            ranges.push((lo, hi));
+    need(&buf, n_shards.saturating_mul(16))?;
+    let mut ranges = Vec::with_capacity(n_shards);
+    for _ in 0..n_shards {
+        let lo = buf.get_u64_le();
+        let hi = buf.get_u64_le();
+        ranges.push((lo, hi));
+    }
+    crate::router::validate_ranges(bits, &ranges).map_err(ShardSnapshotError::BadConfig)?;
+    let mut replicas = Vec::with_capacity(n_shards);
+    for s in 0..n_shards {
+        need(&buf, 4)?;
+        let n = buf.get_u32_le() as usize;
+        // A corrupt count must not reserve gigabytes; no sane
+        // deployment runs this many replicas of one shard.
+        if n > 64 {
+            return Err(ShardSnapshotError::BadConfig(format!(
+                "shard {s} declares {n} replicas"
+            )));
         }
-        crate::router::validate_ranges(bits, &ranges).map_err(ShardSnapshotError::BadConfig)?;
-        ranges
-    } else {
-        scq_zorder::shard_ranges(bits, n_shards)
-    };
-    let replicas = if version >= 3 {
-        let mut replicas = Vec::with_capacity(n_shards);
-        for s in 0..n_shards {
-            need(&buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            // A corrupt count must not reserve gigabytes; no sane
-            // deployment runs this many replicas of one shard.
-            if n > 64 {
-                return Err(ShardSnapshotError::BadConfig(format!(
-                    "shard {s} declares {n} replicas"
-                )));
-            }
-            let mut addrs = Vec::with_capacity(n);
-            for _ in 0..n {
-                need(&buf, 2)?;
-                let len = buf.get_u16_le() as usize;
-                need(&buf, len)?;
-                let mut bytes = vec![0u8; len];
-                buf.copy_to_slice(&mut bytes);
-                addrs.push(String::from_utf8(bytes).map_err(|_| ShardSnapshotError::BadName)?);
-            }
-            replicas.push(addrs);
+        let mut addrs = Vec::with_capacity(n);
+        for _ in 0..n {
+            need(&buf, 2)?;
+            let len = buf.get_u16_le() as usize;
+            need(&buf, len)?;
+            let mut bytes = vec![0u8; len];
+            buf.copy_to_slice(&mut bytes);
+            addrs.push(String::from_utf8(bytes).map_err(|_| ShardSnapshotError::BadName)?);
         }
-        replicas
-    } else {
-        vec![Vec::new(); n_shards]
-    };
+        replicas.push(addrs);
+    }
     need(&buf, 4)?;
     let n_coll = buf.get_u32_le();
     let mut collections = Vec::new();
@@ -694,7 +674,6 @@ pub fn reload_from_dir<B: ShardBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::DEFAULT_ROUTER_BITS;
     use scq_bbox::{Bbox, CornerQuery};
     use scq_engine::{IndexKind, ObjectRef};
     use scq_region::Region;
@@ -783,34 +762,31 @@ mod tests {
     // bits(4)+count(4) = 48, sixteen bytes per shard
     const RANGES_AT: usize = 48;
 
-    /// Byte offset of the v3 replica-topology table in a manifest of
+    /// Byte offset of the replica-topology table in a manifest of
     /// `n` shards.
     fn replicas_at(n: usize) -> usize {
         RANGES_AT + n * 16
     }
 
+    /// Manifest versions 1 (no range table) and 2 (no replica table)
+    /// are no longer read: the refusal names the version instead of
+    /// guessing at the layout.
     #[test]
-    fn v1_manifests_still_load_with_balanced_ranges() {
-        // A v1 manifest is the current one minus the range table and
-        // the replica table: rewrite the version field and splice both
-        // out. The loader must fall back to the balanced assignment,
-        // which is all v1 could express.
-        let db = sample();
-        let n = db.n_shards();
-        let v3 = save_manifest(&db).to_vec();
-        let mut v1 = v3.clone();
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        // local shards record empty replica sets: 4 bytes per shard
-        v1.drain(RANGES_AT..RANGES_AT + n * 16 + n * 4);
-        let m = load_manifest(&v1).expect("v1 manifest loads");
-        assert_eq!(m.n_shards(), n);
-        assert_eq!(m.ranges(), scq_zorder::shard_ranges(DEFAULT_ROUTER_BITS, n));
-        assert!(m.replica_sets().iter().all(|s| s.is_empty()));
-        let payloads: Vec<Bytes> = (0..n).map(|s| save_shard(&db, s).unwrap()).collect();
-        let loaded = load(&v1, &payloads).expect("v1 snapshot assembles");
-        loaded.check().expect("consistent");
-        // and a current manifest declaring non-tiling ranges is rejected
-        let mut bad = v3.clone();
+    fn version_1_and_2_manifests_are_refused() {
+        let current = save_manifest(&sample()).to_vec();
+        for version in [1u16, 2] {
+            let mut old = current.clone();
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                load_manifest(&old).err(),
+                Some(ShardSnapshotError::BadVersion(version))
+            );
+        }
+    }
+
+    #[test]
+    fn non_tiling_ranges_are_rejected() {
+        let mut bad = save_manifest(&sample()).to_vec();
         bad[RANGES_AT..RANGES_AT + 8].copy_from_slice(&7u64.to_le_bytes());
         assert!(matches!(
             load_manifest(&bad).err(),
@@ -819,23 +795,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_manifests_still_load_with_empty_replica_sets() {
-        // A v2 manifest is the current one minus the replica table.
-        let db = sample();
-        let n = db.n_shards();
-        let mut v2 = save_manifest(&db).to_vec();
-        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-        v2.drain(replicas_at(n)..replicas_at(n) + n * 4);
-        let m = load_manifest(&v2).expect("v2 manifest loads");
-        assert_eq!(m.ranges(), db.router().ranges());
-        assert!(m.replica_sets().iter().all(|s| s.is_empty()));
-        let payloads: Vec<Bytes> = (0..n).map(|s| save_shard(&db, s).unwrap()).collect();
-        let loaded = load(&v2, &payloads).expect("v2 snapshot assembles");
-        loaded.check().expect("consistent");
-    }
-
-    #[test]
-    fn v3_replica_topology_round_trips() {
+    fn replica_topology_round_trips() {
         let db = sample();
         let n = db.n_shards();
         let manifest = save_manifest(&db).to_vec();

@@ -59,8 +59,8 @@ use crate::wire::{decode_request, encode_request, Request, MAX_FRAME};
 
 /// Magic prefix of every segment file.
 pub const SEGMENT_MAGIC: &[u8; 4] = b"SCQL";
-/// Current segment format version. Bump on any layout change; old
-/// versions must keep loading (the `SCQM` v1→v3 discipline).
+/// The segment format version, written and the only one read. Bump
+/// on any layout change; other versions are refused by name.
 pub const SEGMENT_VERSION: u16 = 1;
 /// Byte length of the segment header: magic + version + salt + seq.
 pub const SEGMENT_HEADER_LEN: usize = 4 + 2 + 8 + 8;
@@ -314,9 +314,9 @@ pub struct SegmentHeader {
     pub seq: u64,
 }
 
-/// Serializes the v1 segment header. The layout is frozen: magic at
-/// 0, version at 4, salt at 6, seq at 14 — a future v2 must bump
-/// [`SEGMENT_VERSION`] and keep parsing this.
+/// Serializes the segment header. The layout is frozen: magic at 0,
+/// version at 4, salt at 6, seq at 14 — any change must bump
+/// [`SEGMENT_VERSION`].
 pub fn segment_header(salt: u64, seq: u64) -> [u8; SEGMENT_HEADER_LEN] {
     let mut h = [0u8; SEGMENT_HEADER_LEN];
     h[0..4].copy_from_slice(SEGMENT_MAGIC);
@@ -1450,8 +1450,7 @@ mod tests {
     #[test]
     fn v1_header_layout_is_locked() {
         // The byte-exact v1 layout, so a future format change cannot
-        // land without bumping SEGMENT_VERSION (and keeping this
-        // parsing): magic at 0, version LE at 4, salt LE at 6, seq LE
+        // land without bumping SEGMENT_VERSION: magic at 0, version LE at 4, salt LE at 6, seq LE
         // at 14, 22 bytes total.
         let h = segment_header(0x1122_3344_5566_7788, 9);
         assert_eq!(h.len(), 22);

@@ -10,15 +10,14 @@
 //!
 //! A connection opens with a handshake — the client sends
 //! [`Request::Hello`] carrying the `SCQW` magic and its protocol
-//! version, the server answers with its own version or rejects a
-//! mismatch and closes. On a v3-or-older connection the client then
-//! sends one request frame at a time and reads exactly one response
-//! frame per request. When both ends negotiate version 4 or newer the
-//! connection switches to **multiplexed** framing: every payload after
-//! the handshake carries a mux header (`u8 kind | u64 LE request id`),
-//! many requests may be in flight at once, responses may arrive out of
-//! order, and oversized answers stream as a chunk sequence closed by an
-//! explicit end-of-stream frame (see the *mux framing* section).
+//! version as a plain frame, the server answers with the same version
+//! or rejects a mismatch, naming the one version it speaks, and closes.
+//! Both ends of this build speak exactly [`WIRE_VERSION`]. After the
+//! handshake the connection is **multiplexed**: every payload carries a
+//! mux header (`u8 kind | u64 LE request id`), many requests may be in
+//! flight at once, responses may arrive out of order, and oversized
+//! answers stream as a chunk sequence closed by an explicit
+//! end-of-stream frame (see the *mux framing* section).
 //!
 //! Decoding is defensive in the snapshot codecs' named-error style: a
 //! frame longer than [`MAX_FRAME`] is rejected **before** any
@@ -39,40 +38,18 @@ use scq_region::{AaBox, Region};
 
 /// Handshake magic carried by [`Request::Hello`].
 pub const WIRE_MAGIC: &[u8; 4] = b"SCQW";
-/// Current wire protocol version. Version 2 added the WAL operations
-/// ([`Request::WalStat`] / [`Request::WalExport`] /
-/// [`Request::WalApply`]); version 3 added request tracing
-/// ([`Request::Traced`]) and the metrics scrape ([`Request::Metrics`]);
-/// version 4 added request-id multiplexing and chunked response
-/// streaming ([`MUX_REQ`] and friends) — many requests in flight per
-/// connection, out-of-order completion, and answers bigger than one
-/// frame — plus the per-collection epoch probe ([`Request::Epochs`]).
+/// The wire protocol version, and the only one this build speaks: a
+/// peer announcing anything else is refused at the handshake with a
+/// named mismatch error. Bump it on any change to the frames below.
 pub const WIRE_VERSION: u16 = 4;
-/// Oldest protocol version this build still interoperates with. The
-/// handshake negotiates `min(client, server)` down to this floor: a v4
-/// client talks plain v2 (no trace headers, no metrics opcode, no mux
-/// framing) to a v2 server, and a v4 server accepts v2/v3 clients
-/// unchanged.
-pub const MIN_WIRE_VERSION: u16 = 2;
-/// First protocol version that understands [`Request::Traced`] and
-/// [`Request::Metrics`]. Clients must not send either to a peer that
-/// negotiated below this.
-pub const TRACED_MIN_VERSION: u16 = 3;
-/// First protocol version that speaks mux framing (request ids, chunked
-/// streams). Below this a connection is strictly one-in-flight.
-pub const MUX_MIN_VERSION: u16 = 4;
-/// First protocol version that understands [`Request::Epochs`]. Below
-/// this a mirror cannot ask the shard for its mutation epochs and must
-/// seed them monotonically on its own.
-pub const EPOCHS_MIN_VERSION: u16 = 4;
 /// Hard cap on **one frame's** payload (snapshot streams are the
 /// largest legitimate single frames). A length prefix above this is
-/// rejected before any buffer is reserved. Since v4 this is no longer a
-/// cap on an *answer*: a response larger than one frame streams as a
+/// rejected before any buffer is reserved. It is not a cap on an
+/// *answer*: a response larger than one frame streams as a
 /// [`MUX_CHUNK`] sequence, each chunk individually under the cap, with
 /// no bound on the reassembled total.
 pub const MAX_FRAME: usize = 64 << 20;
-/// Chunk size a v4 server slices oversized responses into. Deliberately
+/// Chunk size the server slices oversized responses into. Deliberately
 /// far below [`MAX_FRAME`] so a streaming answer never monopolizes the
 /// connection: other responses interleave between chunks.
 pub const STREAM_CHUNK: usize = 1 << 20;
@@ -292,7 +269,7 @@ pub enum Request {
     },
     /// Close the connection.
     Bye,
-    /// A version-3 envelope attributing its inner request to a client
+    /// An envelope attributing its inner request to a client
     /// trace: the server executes `inner` with the trace installed so
     /// shard-side spans and events join the request's tree. Nesting
     /// `Traced` inside `Traced` is a codec error.
@@ -302,11 +279,10 @@ pub enum Request {
         /// The request to execute under that trace.
         inner: Box<Request>,
     },
-    /// A coherent snapshot of the shard's metric instruments
-    /// (version 3).
+    /// A coherent snapshot of the shard's metric instruments.
     Metrics,
     /// Per-collection mutation epochs, in collection-id order,
-    /// answered as [`Response::Ids`] (version 4). The routing tier's
+    /// answered as [`Response::Ids`]. The routing tier's
     /// write-through mirror uses this to verify its epochs stay in
     /// lockstep with the shard process.
     Epochs,
@@ -384,8 +360,8 @@ impl Response {
 /// same [`MAX_FRAME`] cap the receiver does: an oversized payload (a
 /// giant snapshot stream) is a named error here, before any bytes hit
 /// the socket — not a poisoned connection on the other end. (Past the
-/// cap, a v4 connection streams the answer as [`MUX_CHUNK`] frames,
-/// each individually under the cap.)
+/// cap, the server streams the answer as [`MUX_CHUNK`] frames, each
+/// individually under the cap.)
 pub fn frame(payload: &[u8]) -> Result<Vec<u8>, WireError> {
     if payload.len() > MAX_FRAME {
         return Err(WireError::Oversized {
@@ -637,11 +613,11 @@ pub const OP_WAL_EXPORT: u8 = 0x0E;
 pub const OP_WAL_APPLY: u8 = 0x0F;
 /// Opcode of [`Request::SnapshotRead`].
 pub const OP_SNAP_READ: u8 = 0x10;
-/// Opcode of [`Request::Traced`] (version 3).
+/// Opcode of [`Request::Traced`].
 pub const OP_TRACED: u8 = 0x11;
-/// Opcode of [`Request::Metrics`] (version 3).
+/// Opcode of [`Request::Metrics`].
 pub const OP_METRICS: u8 = 0x12;
-/// Opcode of [`Request::Epochs`] (version 4).
+/// Opcode of [`Request::Epochs`].
 pub const OP_EPOCHS: u8 = 0x13;
 
 /// Encodes a list of raw segment files: count, then per segment a
@@ -1140,23 +1116,24 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
     Ok(resp)
 }
 
-// ── mux framing (v4) ────────────────────────────────────────────────────
+// ── mux framing ─────────────────────────────────────────────────────────
 //
-// After a handshake that lands on version 4 or newer, every payload on
-// the connection (both directions) carries a 9-byte mux header in front
-// of the v3 message bytes:
+// After the handshake, every payload on the connection (both
+// directions) carries a 9-byte mux header in front of the message
+// bytes:
 //
 // ```text
 // payload := u8 mux-kind | u64 LE request id | body
 // ```
 //
-// The outer `u32 LE length | payload` framing is unchanged, so
-// `FrameReader`, `read_frame` and every frame-level tool (the fault
-// proxy included) work on mux traffic untouched. The kind bytes live in
-// 0xF1..=0xF5 — disjoint from every request opcode (0x01..=0x12) and
-// response status byte (0x00/0x01), so a plain v3 payload can never be
-// mistaken for a mux one (`is_mux`). Hello frames are exchanged before
-// the version is known and therefore always travel un-muxed.
+// The outer `u32 LE length | payload` framing is the same one the
+// handshake uses, so `FrameReader`, `read_frame` and every frame-level
+// tool (the fault proxy included) work on mux traffic untouched. The
+// kind bytes live in 0xF1..=0xF5 — disjoint from every request opcode
+// (0x01..=0x13) and response status byte (0x00/0x01), so a plain
+// payload can never be mistaken for a mux one (`is_mux`). Hello frames
+// and connection-level error frames (a refused handshake, framing
+// poison) belong to no request and always travel plain.
 //
 // Responses complete in one of two shapes: a single [`MUX_RESP`] frame
 // carrying the whole encoded response, or — when the response exceeds
@@ -1718,7 +1695,7 @@ mod tests {
         }
     }
 
-    // ── mux framing (v4) ────────────────────────────────────────────
+    // ── mux framing ─────────────────────────────────────────────────
 
     #[test]
     fn mux_frames_round_trip() {
@@ -1739,7 +1716,7 @@ mod tests {
 
     #[test]
     fn mux_kinds_are_disjoint_from_plain_payloads() {
-        // No v3 request or response payload can be mistaken for a mux
+        // No plain request or response payload can be mistaken for a mux
         // frame: kind bytes live above every opcode and status byte.
         for req in sample_requests() {
             assert!(!is_mux(&encode_request(&req)), "{req:?}");
@@ -1826,11 +1803,11 @@ mod tests {
         assert_eq!(reasm.in_progress(), 0);
     }
 
-    /// The v4 mirror of [`every_framing_truncation_offset_is_a_named_error`]:
+    /// The mux mirror of [`every_framing_truncation_offset_is_a_named_error`]:
     /// cut a framed mux message (request, whole response, chunk,
     /// end-of-stream, cancel) at every byte offset. The frame layer
-    /// yields the same named errors as v3 (the outer framing is
-    /// unchanged), and a payload cut inside the 9-byte mux header is
+    /// yields the same named errors as for plain frames (the outer
+    /// framing is the same), and a payload cut inside the 9-byte mux header is
     /// [`WireError::Truncated`] from `decode_mux`.
     #[test]
     fn every_mux_truncation_offset_is_a_named_error() {
@@ -1848,7 +1825,7 @@ mod tests {
             encode_mux(MUX_CANCEL, 4, &[]),
         ];
         for payload in payloads {
-            // Frame layer: identical behavior to v3 framing.
+            // Frame layer: identical behavior to plain framing.
             let framed = frame(&payload).unwrap();
             for cut in 0..framed.len() {
                 let mut r: &[u8] = &framed[..cut];

@@ -262,7 +262,6 @@ cat >"$WORK/replicated.spec" <<EOF
 # generated by cluster_smoke.sh — replicated form: name, replica list, range
 universe 0 0 1000 1000
 bits 6
-pool 2
 breaker 3 60000
 shard west $REP_W0,$REP_W1 0 2048
 shard east $REP_E0,$REP_E1 2048 4096

@@ -1261,7 +1261,6 @@ proptest! {
     fn cluster_spec_round_trips_format_parse_format(
         bits in 3u32..10,
         raw_cuts in prop::collection::vec(1u64..u64::MAX, 0..7),
-        pool in 1usize..33,
         (ux, uy) in (1u16..2000, 1u16..2000),
         n_replicas in prop::collection::vec(1usize..4, 8),
         threshold in 1usize..9,
@@ -1292,7 +1291,6 @@ proptest! {
         let spec = ClusterSpec {
             universe: AaBox::new([0.0, 0.0], [ux as f64, uy as f64]),
             bits,
-            pool,
             breaker: BreakerConfig {
                 threshold,
                 cooldown: Duration::from_millis(cooldown_ms),

@@ -1,5 +1,6 @@
 //! EX-F1 / EX-E1 / EX-E2: executable reproductions of every worked
-//! example in the paper (see DESIGN.md §5 and EXPERIMENTS.md).
+//! example in the paper (the layers they cross are mapped in
+//! `docs/ARCHITECTURE.md`).
 
 use scq_integration::prelude::*;
 

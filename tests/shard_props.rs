@@ -258,15 +258,14 @@ proptest! {
         }
     }
 
-    /// SCQM manifest v1→current compatibility under arbitrary
-    /// mutations: a database saved with the current (v3) manifest,
-    /// hand-downgraded to a v1 header (version field rewritten,
-    /// explicit range table and v3 replica table spliced out — exactly
-    /// what a v1 writer would have produced for a balanced cluster),
-    /// must reload into a store that answers every corner query
-    /// identically and passes its integrity check.
+    /// The SCQM manifest round trip under arbitrary mutations: a saved
+    /// database reloads into a store that answers every corner query
+    /// like the unsharded oracle and passes its integrity check — and
+    /// the same manifest hand-downgraded to a v1 header (version field
+    /// rewritten, range and replica tables spliced out, exactly what a
+    /// v1 writer produced) is refused by name, never half-read.
     #[test]
-    fn manifest_v1_downgrade_reloads_identically(
+    fn manifest_reloads_identically_and_v1_is_refused(
         ops in prop::collection::vec(op_strategy(), 1..80),
         n_shards in 1usize..6,
     ) {
@@ -278,37 +277,34 @@ proptest! {
         for op in &ops {
             apply_both(&mut sharded, &mut plain, coll, op);
         }
-        let v2 = scq_shard::snapshot::save_manifest(&sharded).to_vec();
-        // Downgrade by hand: version 3 → 1 at offset 4, then splice
-        // out the per-shard range table (16 bytes per shard) that sits
-        // after magic(4) + version(2) + dim(2) + universe(32) +
-        // bits(4) + shard count(4) = 48 bytes, plus the v3 replica
-        // table right after it (a zero u32 count per shard — these are
-        // in-process shards with no replica addresses).
-        let mut v1 = v2.clone();
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        v1.drain(48..48 + n_shards * 16 + n_shards * 4);
+        let manifest = scq_shard::snapshot::save_manifest(&sharded).to_vec();
         let payloads: Vec<_> = (0..sharded.n_shards())
             .map(|s| scq_shard::snapshot::save_shard(&sharded, s).unwrap())
             .collect();
-        let from_v1 = scq_shard::snapshot::load(&v1, &payloads).unwrap();
-        from_v1.check().expect("v1 reload is consistent");
-        let from_v2 = scq_shard::snapshot::load(&v2, &payloads).unwrap();
-        prop_assert_eq!(from_v1.collection_len(coll), sharded.collection_len(coll));
-        prop_assert_eq!(from_v1.live_len(coll), sharded.live_len(coll));
+        // The range table (16 bytes per shard) sits after magic(4) +
+        // version(2) + dim(2) + universe(32) + bits(4) + shard
+        // count(4) = 48 bytes, the replica table right after it (a
+        // zero u32 count per in-process shard).
+        let mut v1 = manifest.clone();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        v1.drain(48..48 + n_shards * 16 + n_shards * 4);
+        prop_assert_eq!(
+            scq_shard::snapshot::load(&v1, &payloads).err(),
+            Some(scq_shard::ShardSnapshotError::BadVersion(1))
+        );
+        let reloaded = scq_shard::snapshot::load(&manifest, &payloads).unwrap();
+        reloaded.check().expect("reload is consistent");
+        prop_assert_eq!(reloaded.collection_len(coll), sharded.collection_len(coll));
+        prop_assert_eq!(reloaded.live_len(coll), sharded.live_len(coll));
         for q in corner_queries() {
             for kind in [IndexKind::RTree, IndexKind::GridFile, IndexKind::Scan] {
-                let mut v1_ids = Vec::new();
-                from_v1.query_collection(coll, kind, &q, &mut v1_ids);
-                v1_ids.sort_unstable();
-                let mut v2_ids = Vec::new();
-                from_v2.query_collection(coll, kind, &q, &mut v2_ids);
-                v2_ids.sort_unstable();
-                prop_assert_eq!(&v1_ids, &v2_ids, "v1 and v2 reloads diverged ({:?})", kind);
+                let mut ids = Vec::new();
+                reloaded.query_collection(coll, kind, &q, &mut ids);
+                ids.sort_unstable();
                 let mut oracle = Vec::new();
                 plain.query_collection(coll, kind, &q, &mut oracle);
                 oracle.sort_unstable();
-                prop_assert_eq!(&v1_ids, &oracle, "v1 reload diverged from the oracle ({:?})", kind);
+                prop_assert_eq!(&ids, &oracle, "reload diverged from the oracle ({:?})", kind);
             }
         }
     }
