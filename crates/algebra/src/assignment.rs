@@ -16,7 +16,7 @@ use scq_boolean::Var;
 /// Read access to a variable assignment, generic over storage.
 ///
 /// The evaluators ([`crate::eval::eval_formula_in`],
-/// `SolvedRow::check_in` in `scq-core`) are written against this trait
+/// `SolvedRow::bind_prefix` in `scq-core`) are written against this trait
 /// so that both owning and borrowing assignments evaluate without
 /// cloning elements at variable leaves.
 pub trait VarLookup<E> {

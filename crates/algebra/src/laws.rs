@@ -99,6 +99,11 @@ pub fn check_binary<A: BooleanAlgebra>(alg: &A, a: &A::Elem, b: &A::Elem) {
     if alg.le(a, b) && alg.le(b, a) {
         assert!(alg.eq_elem(a, b), "antisymmetry");
     }
+    assert_eq!(
+        alg.overlaps(a, b),
+        !alg.is_zero(&alg.meet(a, b)),
+        "overlaps(a, b) ⟺ a&b ≠ 0"
+    );
     // meet is the infimum
     assert!(alg.le(&alg.meet(a, b), a), "a&b ≤ a");
     assert!(alg.le(a, &alg.join(a, b)), "a ≤ a|b");

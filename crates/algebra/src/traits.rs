@@ -50,6 +50,12 @@ pub trait BooleanAlgebra {
         self.is_zero(&self.diff(a, b))
     }
 
+    /// Whether `a ∧ b ≠ 0`. Algebras that can answer without building
+    /// the meet override this.
+    fn overlaps(&self, a: &Self::Elem, b: &Self::Elem) -> bool {
+        !self.is_zero(&self.meet(a, b))
+    }
+
     /// Semantic equality `a = b ⟺ a ⊕ b = 0`.
     ///
     /// Concrete algebras whose `Elem: PartialEq` is already semantic may

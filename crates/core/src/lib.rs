@@ -46,4 +46,4 @@ pub use plan::{BboxPlan, CompiledRow};
 pub use proj::{proj, witness};
 pub use simplify::simplify;
 pub use solve::{solve, solve_system};
-pub use triangular::{triangularize, DiseqRow, SolvedRow, TriangularSystem};
+pub use triangular::{triangularize, DiseqRow, RowBounds, SolvedRow, TriangularSystem};

@@ -19,14 +19,17 @@
 //! ```
 //!
 //! obtained from Schröder's theorem (range part) and Boole's expansion
-//! (disequations). The engine checks `Cᵢ` as soon as `xᵢ` is bound,
-//! pruning useless partial solution tuples; `scq-core::plan` compiles
-//! each row further into a bounding-box range query.
+//! (disequations). Because `s`, `t`, `pⱼ`, `qⱼ` mention only `x₁…xᵢ₋₁`,
+//! the engine evaluates them once per retrieval level
+//! ([`SolvedRow::bind_prefix`]) and then tests each candidate for `xᵢ`
+//! against the bound row ([`RowBounds::admits`]), pruning useless
+//! partial solution tuples; `scq-core::plan` compiles each row further
+//! into a bounding-box range query.
 
 use std::fmt;
 
 use scq_algebra::eval::UnboundVar;
-use scq_algebra::{eval_formula_in, Assignment, BooleanAlgebra, VarLookup};
+use scq_algebra::{eval_formula_in, Assignment, BooleanAlgebra, Val, VarLookup};
 use scq_boolean::minimize::minimize;
 use scq_boolean::quant::{boole_expansion, schroder_range};
 use scq_boolean::{Formula, Var, VarTable};
@@ -77,38 +80,85 @@ impl SolvedRow {
         self.check_in(alg, assign)
     }
 
-    /// [`SolvedRow::check`] over any assignment storage — the hot path
-    /// used by the executors with borrowed `FlatAssignment`s, where the
-    /// bound element and the variable leaves of `s`, `t`, `pⱼ`, `qⱼ`
-    /// are read by reference instead of cloned.
+    /// [`SolvedRow::check`] over any assignment storage, where the bound
+    /// element and the variable leaves of `s`, `t`, `pⱼ`, `qⱼ` are read
+    /// by reference instead of cloned.
     pub fn check_in<A: BooleanAlgebra, L: VarLookup<A::Elem>>(
         &self,
         alg: &A,
         assign: &L,
     ) -> Result<bool, UnboundVar> {
         let x = assign.lookup(self.var).ok_or(UnboundVar(self.var))?;
-        let s = eval_formula_in(alg, &self.lower, assign)?;
-        if !alg.le(s.as_ref(), x) {
-            return Ok(false);
-        }
-        let t = eval_formula_in(alg, &self.upper, assign)?;
-        if !alg.le(x, t.as_ref()) {
-            return Ok(false);
-        }
-        for d in &self.diseqs {
-            let p = eval_formula_in(alg, &d.p, assign)?;
-            let q = eval_formula_in(alg, &d.q, assign)?;
-            let val = alg.join(&alg.meet(x, p.as_ref()), &alg.diff(q.as_ref(), x));
-            if alg.is_zero(&val) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        Ok(self.bind_prefix(alg, assign)?.admits(alg, x))
+    }
+
+    /// Evaluates `s`, `t`, `pⱼ`, `qⱼ` under `prefix`, once for every
+    /// candidate of `var` — the executors' hot path.
+    ///
+    /// Solved form guarantees the bounds mention only earlier variables,
+    /// so the result does not depend on whether or to what `var` is
+    /// bound. Variable leaves stay borrowed from `prefix`.
+    pub fn bind_prefix<'a, A: BooleanAlgebra, L: VarLookup<A::Elem>>(
+        &self,
+        alg: &A,
+        prefix: &'a L,
+    ) -> Result<RowBounds<'a, A::Elem>, UnboundVar> {
+        debug_assert!(
+            !self.bounds().any(|f| f.mentions(self.var)),
+            "solved row for {} mentions its own variable",
+            self.var
+        );
+        let diseqs = self
+            .diseqs
+            .iter()
+            .map(|d| {
+                Ok((
+                    eval_formula_in(alg, &d.p, prefix)?,
+                    eval_formula_in(alg, &d.q, prefix)?,
+                ))
+            })
+            .collect::<Result<_, UnboundVar>>()?;
+        Ok(RowBounds {
+            lower: eval_formula_in(alg, &self.lower, prefix)?,
+            upper: eval_formula_in(alg, &self.upper, prefix)?,
+            diseqs,
+        })
+    }
+
+    /// `s`, `t` and every `pⱼ`, `qⱼ`.
+    fn bounds(&self) -> impl Iterator<Item = &Formula> {
+        [&self.lower, &self.upper]
+            .into_iter()
+            .chain(self.diseqs.iter().flat_map(|d| [&d.p, &d.q]))
     }
 
     /// Pretty-prints with variable names.
     pub fn display<'a>(&'a self, table: &'a VarTable) -> RowDisplay<'a> {
         RowDisplay { row: self, table }
+    }
+}
+
+/// A solved row with its bounds evaluated for one prefix `x₁…xᵢ₋₁`
+/// ([`SolvedRow::bind_prefix`]), ready to test candidates for `xᵢ`.
+#[derive(Debug)]
+pub struct RowBounds<'a, E> {
+    lower: Val<'a, E>,
+    upper: Val<'a, E>,
+    /// `(pⱼ, qⱼ)` per disequation.
+    diseqs: Vec<(Val<'a, E>, Val<'a, E>)>,
+}
+
+impl<E> RowBounds<'_, E> {
+    /// Whether the row holds with `x` bound to its variable:
+    /// `s ≤ x ≤ t` and, per disequation, `x∧p ≠ 0 ∨ q ≰ x` — exactly
+    /// `x·p ∨ ¬x·q ≠ 0`, tested without building either side.
+    pub fn admits<A: BooleanAlgebra<Elem = E>>(&self, alg: &A, x: &E) -> bool {
+        alg.le(self.lower.as_ref(), x)
+            && alg.le(x, self.upper.as_ref())
+            && self
+                .diseqs
+                .iter()
+                .all(|(p, q)| alg.overlaps(x, p.as_ref()) || !alg.le(q.as_ref(), x))
     }
 }
 
@@ -534,6 +584,72 @@ mod tests {
             .with(Var(1), 0b0011u64)
             .with(Var(2), 0b0100u64);
         assert!(!row.check(&alg, &bad_diseq).unwrap());
+    }
+
+    /// The executors bind a row before any candidate for its variable is
+    /// bound, which is sound only because no bound of a solved row
+    /// mentions the row's own variable. Checked over all six orders of
+    /// the smuggler's unknowns (after the knowns C, A) and both orders
+    /// of the district system `T ≤ W ∧ R∧T ≠ 0` (after W): each row
+    /// binds over its prefix alone and then decides candidates exactly
+    /// like `check`.
+    #[test]
+    fn rows_bind_over_their_prefix_alone() {
+        use scq_region::{AaBox, Region, RegionAlgebra};
+        let alg = RegionAlgebra::new(AaBox::new([0.0, 0.0], [10.0, 10.0]));
+        let region = |boxes: &[[f64; 4]]| {
+            Region::from_boxes(boxes.iter().map(|b| AaBox::new([b[0], b[1]], [b[2], b[3]])))
+        };
+        let elems = [
+            region(&[[0.0, 0.0, 10.0, 10.0]]),
+            region(&[[1.0, 1.0, 6.0, 4.0]]),
+            region(&[[2.0, 2.0, 4.0, 8.0], [4.0, 2.0, 9.0, 3.0]]),
+            region(&[]),
+            region(&[[3.0, 1.0, 5.0, 3.0]]),
+        ];
+
+        let (c, a, t, r, b) = (Var(0), Var(1), Var(2), Var(3), Var(4));
+        let mut cases: Vec<(NormalSystem, Vec<Var>)> = [
+            [t, r, b],
+            [t, b, r],
+            [r, t, b],
+            [r, b, t],
+            [b, t, r],
+            [b, r, t],
+        ]
+        .into_iter()
+        .map(|unknowns| (smuggler(), [vec![c, a], unknowns.to_vec()].concat()))
+        .collect();
+        let district = crate::parse_system("T <= W; R & T != 0").unwrap();
+        let [w, t, r] = ["W", "T", "R"].map(|n| district.table.get(n).unwrap());
+        cases.push((district.normalize(), vec![w, t, r]));
+        cases.push((district.normalize(), vec![w, r, t]));
+
+        for (sys, order) in &cases {
+            let tri = triangularize(sys, order);
+            for (i, row) in tri.rows.iter().enumerate() {
+                assert!(
+                    !row.bounds().any(|f| f.mentions(row.var)),
+                    "order {order:?}: row {i} mentions {}",
+                    row.var
+                );
+                let mut prefix = Assignment::new();
+                for (j, v) in order[..i].iter().enumerate() {
+                    prefix.bind(*v, elems[j % elems.len()].clone());
+                }
+                let bounds = row
+                    .bind_prefix(&alg, &prefix)
+                    .expect("bounds read only earlier variables");
+                for x in &elems {
+                    let full = prefix.clone().with(row.var, x.clone());
+                    assert_eq!(
+                        Ok(bounds.admits(&alg, x)),
+                        row.check(&alg, &full),
+                        "order {order:?}: row {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,11 +20,14 @@
 //!
 //! The inner loop binds `&Region` straight out of the database into a
 //! slot-based [`FlatAssignment`] — no `Region` clone, no `BTreeMap`
-//! rebalancing — and evaluates rows through the borrow-aware
-//! [`SolvedRow::check_in`](scq_core::TriangularSystem) path. Candidate
-//! vectors are reused across the whole search via a per-level buffer
-//! pool ([`LevelBufs`]), so a steady-state query performs no
-//! allocations per candidate. Before each exact row check, a cheap
+//! rebalancing. A level's solved row is evaluated once per prefix
+//! ([`scq_core::SolvedRow::bind_prefix`], borrowing its variable leaves)
+//! and each candidate is tested against the bound row with
+//! allocation-free subset and overlap predicates
+//! ([`scq_core::RowBounds::admits`]). Candidate vectors are reused
+//! across the whole search via a per-level buffer pool ([`LevelBuf`]),
+//! so a steady-state query performs no allocations per candidate.
+//! Before each exact row check, a cheap
 //! **bbox prefilter** tests the candidate's precomputed bounding box
 //! against the level's corner query (a necessary condition for the
 //! exact row, see `scq_core::plan`); fragment-heavy regions that cannot
@@ -40,12 +43,12 @@ use scq_algebra::FlatAssignment;
 use scq_bbox::{Bbox, CornerQuery};
 use scq_boolean::Var;
 use scq_core::plan::{BboxPlan, CompiledRow};
-use scq_core::{check_system_in, triangularize, TriangularSystem};
+use scq_core::{check_system_in, triangularize, RowBounds, TriangularSystem};
 use scq_region::{Region, RegionAlgebra};
 
 use crate::database::{CollectionId, ObjectRef};
 use crate::query::{IndexKind, Query};
-use crate::stats::ExecStats;
+use crate::stats::{ExecStats, Timings};
 use crate::view::StoreView;
 
 /// One solution: an object per unknown variable.
@@ -281,7 +284,9 @@ pub(crate) fn note_probe(
 }
 
 /// Fills `buf.candidates` for one retrieval level and returns the
-/// level's corner query (reused as the bbox prefilter).
+/// level's corner query (reused as the bbox prefilter). This is the
+/// level's one range query; the caller then evaluates the level's solved
+/// row once ([`bind_level`]) if any candidate came back.
 ///
 /// With an index, candidates come from the corner-transform range query
 /// plus the collection's empty-region objects (which no corner query
@@ -312,6 +317,7 @@ pub(crate) fn gather_candidates<const K: usize, V: StoreView<K>>(
     boxes: &[Bbox<K>],
     buf: &mut LevelBuf<K>,
     stats: &mut ExecStats,
+    timings: &mut Timings,
     missing: &mut Vec<usize>,
 ) -> CornerQuery<K> {
     let lookup = |i: usize| boxes.get(i).copied().unwrap_or(Bbox::Empty);
@@ -331,9 +337,7 @@ pub(crate) fn gather_candidates<const K: usize, V: StoreView<K>>(
                 buf.cached = None;
                 let probe_start = std::time::Instant::now();
                 let report = db.query_collection(coll, k, &q, &mut buf.ids);
-                stats.probe_us = stats
-                    .probe_us
-                    .saturating_add(crate::stats::elapsed_us(probe_start));
+                timings.probe(probe_start);
                 if report.is_complete() {
                     buf.cached = Some((q, db.epoch(coll)));
                 }
@@ -353,23 +357,25 @@ pub(crate) fn gather_candidates<const K: usize, V: StoreView<K>>(
 }
 
 /// Considers one candidate: counts it, applies the bbox prefilter, and
-/// on survival binds the region **by reference** and runs the exact row
-/// check.
+/// on survival tests the region, read **by reference**, against the
+/// level's bound row — three allocation-free predicates per bound, the
+/// bounds themselves evaluated once per level ([`bind_level`]).
 ///
-/// Returns the candidate's bounding box when accepted — the binding is
-/// left in place and the caller recurses, then unbinds. On rejection
-/// the assignment is left unchanged.
+/// Returns the candidate's bounding box when accepted, with the region
+/// bound to `var` — the caller recurses, then unbinds. On rejection the
+/// assignment is left unchanged.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_candidate<'e, const K: usize, V: StoreView<K>>(
     db: &'e V,
     alg: &RegionAlgebra<K>,
-    row: &CompiledRow<K>,
+    bounds: &RowBounds<'_, Region<K>>,
     q: &CornerQuery<K>,
     var: Var,
     obj: ObjectRef,
     assign: &mut FlatAssignment<'e, Region<K>>,
     stats: &mut ExecStats,
-) -> Result<Option<Bbox<K>>, ExecError> {
+    timings: &mut Timings,
+) -> Option<Bbox<K>> {
     debug_assert!(db.is_live(obj), "candidate generation leaked a tombstone");
     stats.partial_tuples += 1;
     let bb = db.bbox(obj);
@@ -379,23 +385,36 @@ pub(crate) fn try_candidate<'e, const K: usize, V: StoreView<K>>(
     // rows.
     if !bb.is_empty() && !q.matches(&bb) {
         stats.bbox_prefilter_rejections += 1;
-        return Ok(None);
+        return None;
     }
-    assign.bind(var, db.region(obj));
+    let region = db.region(obj);
     stats.regions_bound += 1;
     stats.exact_row_checks += 1;
     let check_start = std::time::Instant::now();
-    let verdict = row.exact.check_in(alg, assign);
-    stats.check_us = stats
-        .check_us
-        .saturating_add(crate::stats::elapsed_us(check_start));
-    if verdict? {
-        Ok(Some(bb))
+    let admitted = bounds.admits(alg, region);
+    timings.check(check_start);
+    if admitted {
+        assign.bind(var, region);
+        Some(bb)
     } else {
         stats.row_rejections += 1;
-        assign.unbind(var);
-        Ok(None)
+        None
     }
+}
+
+/// Evaluates `row`'s bounds once for the prefix bound in `prefix`, the
+/// part of the exact check every candidate of the level shares; its time
+/// counts as check time.
+pub(crate) fn bind_level<'a, const K: usize>(
+    alg: &RegionAlgebra<K>,
+    row: &CompiledRow<K>,
+    prefix: &'a FlatAssignment<'_, Region<K>>,
+    timings: &mut Timings,
+) -> Result<RowBounds<'a, Region<K>>, ExecError> {
+    let start = std::time::Instant::now();
+    let bounds = row.exact.bind_prefix(alg, prefix)?;
+    timings.check(start);
+    Ok(bounds)
 }
 
 /// Binds the known variables by reference into a fresh flat assignment
@@ -452,6 +471,7 @@ struct Ctx<'e, const K: usize, V: StoreView<K>> {
     alg: RegionAlgebra<K>,
     unknowns: Vec<(Var, CollectionId)>, // in retrieval order
     stats: ExecStats,
+    timings: Timings,
     solutions: Vec<Solution>,
     options: ExecOptions,
     /// Union of shards that failed to answer a probe (degraded read).
@@ -492,6 +512,7 @@ pub fn naive_execute_opts<const K: usize, V: StoreView<K>>(
         alg: db.algebra(),
         unknowns: prep.unknowns,
         stats: ExecStats::default(),
+        timings: Timings::default(),
         solutions: Vec::new(),
         options,
         missing: Vec::new(),
@@ -632,6 +653,7 @@ fn run_optimized<const K: usize, V: StoreView<K>>(
         alg,
         unknowns: prep.unknowns,
         stats,
+        timings: Timings::default(),
         solutions: Vec::new(),
         options,
         missing: Vec::new(),
@@ -648,6 +670,7 @@ fn run_optimized<const K: usize, V: StoreView<K>>(
         &mut tuple,
         &mut bufs,
     )?;
+    ctx.timings.fold_into(&mut ctx.stats);
     ctx.stats.total_us = crate::stats::elapsed_us(started);
     Ok(QueryResult {
         solutions: ctx.solutions,
@@ -683,9 +706,17 @@ fn opt_rec<'e, const K: usize, V: StoreView<K>>(
         boxes,
         buf,
         &mut ctx.stats,
+        &mut ctx.timings,
         &mut ctx.missing,
     );
     ctx.stats.index_candidates += buf.candidates.len();
+    if buf.candidates.is_empty() {
+        return Ok(());
+    }
+    // The bounds borrow from a snapshot of the prefix, so the candidate
+    // loop stays free to bind and unbind `var` in `assign`.
+    let prefix = assign.clone();
+    let bounds = bind_level(&ctx.alg, row, &prefix, &mut ctx.timings)?;
 
     for &index in &buf.candidates {
         if ctx.done() {
@@ -695,9 +726,17 @@ fn opt_rec<'e, const K: usize, V: StoreView<K>>(
             collection: coll,
             index,
         };
-        if let Some(bb) =
-            try_candidate(ctx.db, &ctx.alg, row, &q, var, obj, assign, &mut ctx.stats)?
-        {
+        if let Some(bb) = try_candidate(
+            ctx.db,
+            &ctx.alg,
+            &bounds,
+            &q,
+            var,
+            obj,
+            assign,
+            &mut ctx.stats,
+            &mut ctx.timings,
+        ) {
             boxes[var.index()] = bb;
             tuple.insert(var, obj);
             opt_rec(ctx, plan, kind, level + 1, assign, boxes, tuple, rest)?;

@@ -35,11 +35,11 @@ use scq_region::{Region, RegionAlgebra};
 
 use crate::database::{CollectionId, ObjectRef};
 use crate::exec::{
-    bind_knowns, gather_candidates, level_bufs, prepare, try_candidate, ExecError, ExecOptions,
-    LevelBuf, QueryOutcome, QueryResult, Solution,
+    bind_knowns, bind_level, gather_candidates, level_bufs, prepare, try_candidate, ExecError,
+    ExecOptions, LevelBuf, QueryOutcome, QueryResult, Solution,
 };
 use crate::query::{IndexKind, Query};
-use crate::stats::ExecStats;
+use crate::stats::{ExecStats, Timings};
 use crate::view::StoreView;
 
 /// A unit of work: a **validated** prefix of the retrieval order plus
@@ -218,6 +218,7 @@ pub fn bbox_execute_parallel<const K: usize, V: StoreView<K> + Sync>(
         .row_for(prep.unknowns[0].0)
         .expect("plan has a row per variable");
     let mut seed_buf = level_bufs(1);
+    let mut timings = Timings::default();
     gather_candidates(
         db,
         prep.unknowns[0].1,
@@ -226,8 +227,10 @@ pub fn bbox_execute_parallel<const K: usize, V: StoreView<K> + Sync>(
         &base_boxes,
         &mut seed_buf[0],
         &mut stats,
+        &mut timings,
         &mut missing,
     );
+    timings.fold_into(&mut stats);
     stats.index_candidates += seed_buf[0].candidates.len();
 
     let shared = Shared::new(threads);
@@ -295,6 +298,7 @@ fn worker<'e, const K: usize, V: StoreView<K>>(
         outcome: QueryOutcome::Complete,
     };
     let mut missing: Vec<usize> = Vec::new();
+    let mut timings = Timings::default();
     let mut assign = base_assign.clone();
     let mut boxes = base_boxes.to_vec();
     let mut tuple: Solution = BTreeMap::new();
@@ -336,6 +340,7 @@ fn worker<'e, const K: usize, V: StoreView<K>>(
             &mut path,
             &mut bufs[level + 1..],
             &mut local,
+            &mut timings,
             &mut missing,
         );
 
@@ -354,6 +359,7 @@ fn worker<'e, const K: usize, V: StoreView<K>>(
             return Err(e);
         }
     }
+    timings.fold_into(&mut local.stats);
     local.outcome = QueryOutcome::from_missing(missing);
     Ok(local)
 }
@@ -379,9 +385,16 @@ fn process_level<'e, const K: usize, V: StoreView<K>>(
     path: &mut Vec<usize>,
     below: &mut [LevelBuf<K>],
     local: &mut QueryResult,
+    timings: &mut Timings,
     missing: &mut Vec<usize>,
 ) -> Result<(), ExecError> {
     let (var, _) = env.unknowns[level];
+    if pending.is_empty() {
+        return Ok(());
+    }
+    // As in the sequential executor: bounds borrow a prefix snapshot.
+    let prefix = assign.clone();
+    let bounds = bind_level(&env.alg, row, &prefix, timings)?;
     let mut end = pending.len();
     let mut pos = 0;
     while pos < end {
@@ -403,9 +416,17 @@ fn process_level<'e, const K: usize, V: StoreView<K>>(
             collection: env.unknowns[level].1,
             index,
         };
-        if let Some(bb) =
-            try_candidate(env.db, &env.alg, row, q, var, obj, assign, &mut local.stats)?
-        {
+        if let Some(bb) = try_candidate(
+            env.db,
+            &env.alg,
+            &bounds,
+            q,
+            var,
+            obj,
+            assign,
+            &mut local.stats,
+            timings,
+        ) {
             boxes[var.index()] = bb;
             tuple.insert(var, obj);
             path.push(index);
@@ -418,6 +439,7 @@ fn process_level<'e, const K: usize, V: StoreView<K>>(
                 path,
                 below,
                 local,
+                timings,
                 missing,
             )?;
             path.pop();
@@ -442,6 +464,7 @@ fn descend<'e, const K: usize, V: StoreView<K>>(
     path: &mut Vec<usize>,
     bufs: &mut [LevelBuf<K>],
     local: &mut QueryResult,
+    timings: &mut Timings,
     missing: &mut Vec<usize>,
 ) -> Result<(), ExecError> {
     if level == env.unknowns.len() {
@@ -461,6 +484,7 @@ fn descend<'e, const K: usize, V: StoreView<K>>(
         boxes,
         buf,
         &mut local.stats,
+        timings,
         missing,
     );
     local.stats.index_candidates += buf.candidates.len();
@@ -470,7 +494,7 @@ fn descend<'e, const K: usize, V: StoreView<K>>(
     // retained first half is not.
     let cands = std::mem::take(&mut buf.candidates);
     let result = process_level(
-        env, level, row, &q, &cands, assign, boxes, tuple, path, rest, local, missing,
+        env, level, row, &q, &cands, assign, boxes, tuple, path, rest, local, timings, missing,
     );
     buf.candidates = cands;
     result

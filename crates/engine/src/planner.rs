@@ -27,7 +27,7 @@ use scq_core::triangularize;
 
 use crate::exec::ExecError;
 use crate::query::{IndexKind, Query};
-use crate::stats::ExecStats;
+use crate::stats::{ExecStats, Timings};
 use crate::view::StoreView;
 
 /// Estimated candidate counts per unknown variable, as computed by
@@ -95,6 +95,7 @@ pub fn order_by_selectivity<const K: usize, V: StoreView<K>>(
     let mut order_buf: Vec<Var> = Vec::with_capacity(base_order.len() + unknowns.len());
     let mut ids: Vec<u64> = Vec::new();
     let mut stats = ExecStats::default();
+    let mut timings = Timings::default();
     let mut missing: Vec<usize> = Vec::new();
     let mut estimates = Vec::with_capacity(unknowns.len());
     for &(v, coll) in &unknowns {
@@ -113,9 +114,7 @@ pub fn order_by_selectivity<const K: usize, V: StoreView<K>>(
                 stats.corner_cache_misses += 1;
                 let probe_start = std::time::Instant::now();
                 let report = db.query_collection(coll, kind, &q, &mut ids);
-                stats.probe_us = stats
-                    .probe_us
-                    .saturating_add(crate::stats::elapsed_us(probe_start));
+                timings.probe(probe_start);
                 crate::exec::note_probe(report, &mut stats, &mut missing);
             }
             // Empty-region objects are enumerated by the executors
@@ -137,6 +136,7 @@ pub fn order_by_selectivity<const K: usize, V: StoreView<K>>(
     let mut by_cost: Vec<usize> = (0..estimates.len()).collect();
     by_cost.sort_by_key(|&i| (estimates[i].candidates, estimates[i].var));
     let order = by_cost.into_iter().map(|i| estimates[i].var).collect();
+    timings.fold_into(&mut stats);
     Ok(SelectivityPlan {
         order,
         estimates,

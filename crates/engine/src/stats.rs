@@ -6,6 +6,40 @@ pub fn elapsed_us(start: std::time::Instant) -> u64 {
     start.elapsed().as_micros().min(u64::MAX as u128) as u64
 }
 
+/// Nanoseconds an execution spent in its per-call timed sections.
+///
+/// A row check is often shorter than a microsecond, so summing each
+/// call's whole microseconds would add 0 for most of them. Executors
+/// add nanoseconds here and fold them into [`ExecStats::probe_us`] /
+/// [`ExecStats::check_us`] once, when the result is built.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Timings {
+    probe_ns: u64,
+    check_ns: u64,
+}
+
+impl Timings {
+    /// Adds the time since `start` to the candidate-production total.
+    pub(crate) fn probe(&mut self, start: std::time::Instant) {
+        self.probe_ns = self.probe_ns.saturating_add(elapsed_ns(start));
+    }
+
+    /// Adds the time since `start` to the exact-row-check total.
+    pub(crate) fn check(&mut self, start: std::time::Instant) {
+        self.check_ns = self.check_ns.saturating_add(elapsed_ns(start));
+    }
+
+    /// Converts the totals to microseconds and adds them to `stats`.
+    pub(crate) fn fold_into(self, stats: &mut ExecStats) {
+        stats.probe_us = stats.probe_us.saturating_add(self.probe_ns / 1_000);
+        stats.check_us = stats.check_us.saturating_add(self.check_ns / 1_000);
+    }
+}
+
+fn elapsed_ns(start: std::time::Instant) -> u64 {
+    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
+
 /// Counters describing how much work an execution did.
 ///
 /// The interesting comparison across executors (benchmark B1):
@@ -30,7 +64,9 @@ pub struct ExecStats {
     /// Candidates rejected by the cheap bbox-vs-corner-query prefilter
     /// before any region algebra ran.
     pub bbox_prefilter_rejections: usize,
-    /// Regions bound (by reference) into the search assignment.
+    /// Candidate regions read by reference into the search: by every
+    /// exact row check (the region stays bound if the row admits it) and
+    /// by every binding of the naive executor.
     pub regions_bound: usize,
     /// Tombstoned slots skipped during collection enumeration (index
     /// range queries never surface tombstones, so this counts only the
@@ -69,7 +105,8 @@ pub struct ExecStats {
     /// queries / shard probes / collection enumeration). Summed across
     /// parallel workers, so it can exceed `total_us`.
     pub probe_us: u64,
-    /// Wall-clock microseconds spent on exact solved-row checks.
+    /// Wall-clock microseconds spent on exact solved-row checks: each
+    /// level's bound evaluation plus every candidate's test against it.
     /// Summed across parallel workers.
     pub check_us: u64,
     /// Wall-clock microseconds the router spent planning shard routes
@@ -308,6 +345,24 @@ mod tests {
         let t = a.to_string();
         assert!(t.contains("failovers=3"));
         assert!(t.contains("stale_answers=3"));
+    }
+
+    #[test]
+    fn sub_microsecond_intervals_accumulate() {
+        // Thousands of back-to-back intervals, each far below 1 µs:
+        // truncating per call would report 0, the nanosecond sum does not.
+        let mut t = Timings::default();
+        for _ in 0..10_000 {
+            t.check(std::time::Instant::now());
+        }
+        assert!(t.check_ns > 0, "sub-µs checks are not lost");
+        let mut stats = ExecStats::default();
+        Timings {
+            probe_ns: 1_999,
+            check_ns: 2_500_400,
+        }
+        .fold_into(&mut stats);
+        assert_eq!((stats.probe_us, stats.check_us), (1, 2_500));
     }
 
     #[test]

@@ -97,39 +97,38 @@ impl<const K: usize> AaBox<K> {
         }
     }
 
-    /// The fragments of `self \ cut`, pairwise disjoint, at most `2K`.
+    /// Hands each fragment of `self \ cut` to `emit`: pairwise disjoint,
+    /// nonempty, at most `2K`, nothing collected.
     ///
     /// Standard axis sweep: for each dimension the parts of `self`
     /// strictly below/above `cut` are split off whole, and the remaining
     /// core is narrowed to `cut`'s extent in that dimension.
-    pub fn subtract(&self, cut: &AaBox<K>) -> Vec<AaBox<K>> {
+    pub fn subtract_each(&self, cut: &AaBox<K>, mut emit: impl FnMut(AaBox<K>)) {
         if self.is_empty() {
-            return Vec::new();
+            return;
         }
         let inter = match self.intersection(cut) {
-            None => return vec![*self],
+            None => return emit(*self),
             Some(i) => i,
         };
-        let mut out = Vec::new();
         let mut core = *self;
         for d in 0..K {
             // part below cut in dimension d
             if core.lo[d] < inter.lo[d] {
                 let mut frag = core;
                 frag.hi[d] = inter.lo[d];
-                out.push(frag);
+                emit(frag);
             }
             // part above cut in dimension d
             if inter.hi[d] < core.hi[d] {
                 let mut frag = core;
                 frag.lo[d] = inter.hi[d];
-                out.push(frag);
+                emit(frag);
             }
             // narrow the core to cut's slab
             core.lo[d] = inter.lo[d];
             core.hi[d] = inter.hi[d];
         }
-        out
     }
 
     /// The closed bounding box `⌈·⌉` of this half-open box.
@@ -186,6 +185,12 @@ mod tests {
         AaBox::new(lo, hi)
     }
 
+    fn subtract(a: &AaBox<2>, cut: &AaBox<2>) -> Vec<AaBox<2>> {
+        let mut out = Vec::new();
+        a.subtract_each(cut, |f| out.push(f));
+        out
+    }
+
     #[test]
     fn emptiness_and_points() {
         assert!(AaBox::<2>::empty().is_empty());
@@ -233,21 +238,21 @@ mod tests {
     fn subtract_disjoint_returns_self() {
         let a = b([0.0, 0.0], [1.0, 1.0]);
         let c = b([5.0, 5.0], [6.0, 6.0]);
-        assert_eq!(a.subtract(&c), vec![a]);
+        assert_eq!(subtract(&a, &c), vec![a]);
     }
 
     #[test]
     fn subtract_covering_returns_nothing() {
         let a = b([1.0, 1.0], [2.0, 2.0]);
         let c = b([0.0, 0.0], [4.0, 4.0]);
-        assert!(a.subtract(&c).is_empty());
+        assert!(subtract(&a, &c).is_empty());
     }
 
     #[test]
     fn subtract_fragments_partition() {
         let a = b([0.0, 0.0], [4.0, 4.0]);
         let c = b([1.0, 1.0], [2.0, 3.0]);
-        let frags = a.subtract(&c);
+        let frags = subtract(&a, &c);
         // volume is preserved
         let v: f64 = frags.iter().map(AaBox::volume).sum();
         assert!((v - (16.0 - 2.0)).abs() < 1e-12);
@@ -275,7 +280,7 @@ mod tests {
     fn subtract_partial_overlap() {
         let a = b([0.0, 0.0], [2.0, 2.0]);
         let c = b([1.0, 1.0], [3.0, 3.0]);
-        let frags = a.subtract(&c);
+        let frags = subtract(&a, &c);
         let v: f64 = frags.iter().map(AaBox::volume).sum();
         assert!((v - 3.0).abs() < 1e-12);
     }

@@ -78,6 +78,10 @@ impl<const K: usize> BooleanAlgebra for RegionAlgebra<K> {
         a.subset_of(b)
     }
 
+    fn overlaps(&self, a: &Region<K>, b: &Region<K>) -> bool {
+        a.intersects(b)
+    }
+
     fn eq_elem(&self, a: &Region<K>, b: &Region<K>) -> bool {
         a.same_set(b)
     }

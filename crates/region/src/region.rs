@@ -112,27 +112,18 @@ impl<const K: usize> Region<K> {
         self.boxes.iter().any(|b| b.contains_point(p))
     }
 
-    /// Adds `b \ self` fragments — the union-insert primitive.
+    /// Adds `b \ self` fragments — the union-insert primitive for boxes
+    /// that may overlap each other.
     fn insert_box(&mut self, b: &AaBox<K>) {
         if b.is_empty() {
             return;
         }
-        let mut pending = vec![*b];
-        for existing in &self.boxes {
-            let mut next = Vec::with_capacity(pending.len());
-            for frag in pending {
-                if frag.intersects(existing) {
-                    next.extend(frag.subtract(existing));
-                } else {
-                    next.push(frag);
-                }
-            }
-            pending = next;
-            if pending.is_empty() {
-                return;
-            }
-        }
-        self.boxes.extend(pending);
+        let mut fresh = Vec::new();
+        for_each_uncovered(*b, &self.boxes, &mut |f| {
+            fresh.push(f);
+            true
+        });
+        self.boxes.append(&mut fresh);
     }
 
     /// Set union.
@@ -140,14 +131,16 @@ impl<const K: usize> Region<K> {
         // Builds the result directly rather than via `Region::clone`:
         // the debug clone counter tracks accidental deep clones of
         // region *values* (executor hot loops), not the intrinsic data
-        // flow of set operations.
-        let mut out = Region {
-            boxes: self.boxes.clone(),
-        };
+        // flow of set operations. `other`'s fragments are pairwise
+        // disjoint, so `self ∪ (other \ self)` needs no re-insertion.
+        let mut boxes = self.boxes.clone();
         for b in &other.boxes {
-            out.insert_box(b);
+            for_each_uncovered(*b, &self.boxes, &mut |f| {
+                boxes.push(f);
+                true
+            });
         }
-        out
+        Region { boxes }
     }
 
     /// Set intersection.
@@ -169,22 +162,10 @@ impl<const K: usize> Region<K> {
     pub fn difference(&self, other: &Region<K>) -> Region<K> {
         let mut boxes = Vec::new();
         for a in &self.boxes {
-            let mut frags = vec![*a];
-            for b in &other.boxes {
-                let mut next = Vec::with_capacity(frags.len());
-                for f in frags {
-                    if f.intersects(b) {
-                        next.extend(f.subtract(b));
-                    } else {
-                        next.push(f);
-                    }
-                }
-                frags = next;
-                if frags.is_empty() {
-                    break;
-                }
-            }
-            boxes.extend(frags);
+            for_each_uncovered(*a, &other.boxes, &mut |f| {
+                boxes.push(f);
+                true
+            });
         }
         Region { boxes }
     }
@@ -199,17 +180,20 @@ impl<const K: usize> Region<K> {
         Region::from_box(*universe).difference(self)
     }
 
-    /// Semantic equality: both differences empty.
+    /// Semantic equality: each region covers the other.
     ///
     /// Fragmentation is not canonical, so `==` on `boxes` would be wrong;
     /// this is the real extensional test.
     pub fn same_set(&self, other: &Region<K>) -> bool {
-        self.difference(other).is_empty() && other.difference(self).is_empty()
+        self.subset_of(other) && other.subset_of(self)
     }
 
-    /// Whether `self ⊆ other`.
+    /// Whether `self ⊆ other`: a streaming coverage test that stops at
+    /// the first uncovered fragment and allocates nothing.
     pub fn subset_of(&self, other: &Region<K>) -> bool {
-        self.difference(other).is_empty()
+        self.boxes
+            .iter()
+            .all(|a| for_each_uncovered(*a, &other.boxes, &mut |_| false))
     }
 
     /// Whether the regions share any point.
@@ -238,6 +222,46 @@ impl<const K: usize> Region<K> {
                 return;
             }
         }
+    }
+}
+
+/// Hands `visit` each fragment of `b \ ⋃cover` — the pieces subtracting
+/// `cover` box by box would leave, in that order — without collecting
+/// them, and stops as soon as `visit` returns `false`. Returns whether it
+/// ran to the end.
+///
+/// Depth-first over [`AaBox::subtract_each`]: a fragment only meets the
+/// cover boxes after the one that cut it. The last fragment of each cut
+/// continues the loop instead of recursing, so a strip cut by a long run
+/// of boxes stays one stack frame deep.
+fn for_each_uncovered<const K: usize>(
+    mut b: AaBox<K>,
+    mut cover: &[AaBox<K>],
+    visit: &mut impl FnMut(AaBox<K>) -> bool,
+) -> bool {
+    'fragment: loop {
+        for (i, c) in cover.iter().enumerate() {
+            if !c.intersects(&b) {
+                continue;
+            }
+            let rest = &cover[i + 1..];
+            let mut last = None;
+            let mut go_on = true;
+            b.subtract_each(c, |f| {
+                if let Some(prev) = last.replace(f) {
+                    go_on = go_on && for_each_uncovered(prev, rest, visit);
+                }
+            });
+            match last {
+                Some(f) if go_on => {
+                    b = f;
+                    cover = rest;
+                    continue 'fragment;
+                }
+                _ => return go_on,
+            }
+        }
+        return visit(b);
     }
 }
 

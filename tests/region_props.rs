@@ -20,6 +20,27 @@ fn region_strategy() -> BoxedStrategy<Region<2>> {
     .boxed()
 }
 
+/// Strategy: 0–5 boxes with corners on the integer grid of [0,8]², so
+/// regions come out empty, fragmented, with half-open boxes that touch
+/// along an edge, and with overlapping or duplicate boxes.
+fn grid_region_strategy() -> BoxedStrategy<Region<2>> {
+    prop::collection::vec((0u32..9, 0u32..9, 0u32..9, 0u32..9), 0..6)
+        .prop_map(|boxes| {
+            Region::from_boxes(boxes.into_iter().map(|(x0, x1, y0, y1)| {
+                let (x0, x1, y0, y1) = (x0 as f64, x1 as f64, y0 as f64, y1 as f64);
+                AaBox::new([x0.min(x1), y0.min(y1)], [x0.max(x1), y0.max(y1)])
+            }))
+        })
+        .boxed()
+}
+
+/// One point inside each unit cell of the grid: every grid box covers a
+/// cell wholly or not at all, so these points decide set relations of
+/// grid regions exactly.
+fn cell_centers() -> impl Iterator<Item = [f64; 2]> {
+    (0..8).flat_map(|i| (0..8).map(move |j| [i as f64 + 0.5, j as f64 + 0.5]))
+}
+
 fn universe() -> AaBox<2> {
     AaBox::new([0.0, 0.0], [100.0, 100.0])
 }
@@ -75,6 +96,62 @@ proptest! {
                 d.contains_point(&p),
                 a.contains_point(&p) && !b.contains_point(&p)
             );
+        }
+    }
+
+    /// The streaming `subset_of` / `same_set` agree with testing a
+    /// materialised difference for emptiness and with the points.
+    #[test]
+    fn streaming_subset_matches_difference_and_points(
+        a in grid_region_strategy(),
+        b in grid_region_strategy(),
+    ) {
+        let by_points = cell_centers().all(|p| !a.contains_point(&p) || b.contains_point(&p));
+        prop_assert_eq!(a.subset_of(&b), a.difference(&b).is_empty());
+        prop_assert_eq!(a.subset_of(&b), by_points);
+        let equal_points = cell_centers().all(|p| a.contains_point(&p) == b.contains_point(&p));
+        prop_assert_eq!(
+            a.same_set(&b),
+            a.difference(&b).is_empty() && b.difference(&a).is_empty()
+        );
+        prop_assert_eq!(a.same_set(&b), equal_points);
+        let shared_points = cell_centers().any(|p| a.contains_point(&p) && b.contains_point(&p));
+        prop_assert_eq!(a.intersects(&b), shared_points);
+    }
+
+    /// Covers built from duplicate and overlapping boxes, and the same
+    /// set fragmented differently.
+    #[test]
+    fn streaming_subset_over_duplicate_covers(
+        a in grid_region_strategy(),
+        b in grid_region_strategy(),
+    ) {
+        let cover = Region::from_boxes(a.boxes().iter().chain(b.boxes()).chain(a.boxes()).copied());
+        prop_assert!(a.subset_of(&cover));
+        prop_assert!(cover.same_set(&a.union(&b)));
+        let refragmented = a.difference(&b).union(&a.intersection(&b));
+        prop_assert!(refragmented.same_set(&a));
+        prop_assert!(a.same_set(&refragmented));
+        prop_assert!(Region::empty().subset_of(&a));
+        prop_assert_eq!(a.subset_of(&Region::empty()), a.is_empty());
+    }
+
+    /// Union and difference, rebuilt on the streaming fragment walk,
+    /// keep disjoint fragments and the pointwise semantics.
+    #[test]
+    fn set_operations_match_points(a in grid_region_strategy(), b in grid_region_strategy()) {
+        for (r, op) in [(a.union(&b), "union"), (a.difference(&b), "difference")] {
+            for (i, f) in r.boxes().iter().enumerate() {
+                prop_assert!(!f.is_empty(), "{} keeps an empty fragment", op);
+                for g in &r.boxes()[i + 1..] {
+                    prop_assert!(!f.intersects(g), "{} fragments {:?} and {:?} overlap", op, f, g);
+                }
+            }
+        }
+        for p in cell_centers() {
+            let (in_a, in_b) = (a.contains_point(&p), b.contains_point(&p));
+            prop_assert_eq!(a.union(&b).contains_point(&p), in_a || in_b);
+            prop_assert_eq!(a.difference(&b).contains_point(&p), in_a && !in_b);
         }
     }
 
