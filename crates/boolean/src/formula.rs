@@ -193,8 +193,7 @@ impl Formula {
         }
     }
 
-    /// Number of AST nodes — a crude size metric used by benches and by
-    /// the triangularizer's statistics.
+    /// Number of AST nodes — a crude size metric.
     pub fn size(&self) -> usize {
         match self {
             Formula::Zero | Formula::One | Formula::Var(_) => 1,

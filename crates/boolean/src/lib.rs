@@ -19,7 +19,7 @@
 //! * [`quant`] — Boole's and Schröder's theorems as executable functions
 //!   (existential quantification of equations, range form, expansion),
 //! * [`parse`] — a small text syntax for formulas,
-//! * [`random`] — seeded random formula generators for tests and benches.
+//! * [`random`] — seeded random formula generators for tests.
 //!
 //! Formulas are interpreted over an *arbitrary* Boolean algebra (regions,
 //! bit sets, the two-valued algebra…); evaluation lives in `scq-algebra`.

@@ -103,23 +103,6 @@ impl QueryOutcome {
             QueryOutcome::Partial { missing_shards } => missing_shards,
         }
     }
-
-    /// Unions another outcome into this one (cross-shard / cross-worker
-    /// merges).
-    pub fn merge(&mut self, other: &QueryOutcome) {
-        if other.is_partial() {
-            let mut missing = std::mem::take(self).into_missing();
-            missing.extend_from_slice(other.missing_shards());
-            *self = QueryOutcome::from_missing(missing);
-        }
-    }
-
-    fn into_missing(self) -> Vec<usize> {
-        match self {
-            QueryOutcome::Complete => Vec::new(),
-            QueryOutcome::Partial { missing_shards } => missing_shards,
-        }
-    }
 }
 
 /// Result of executing a query.
@@ -185,19 +168,19 @@ impl ExecOptions {
     }
 }
 
-// ── shared search machinery (also used by `crate::parallel`) ────────────
+// ── search machinery ────────────────────────────────────────────────────
 
 /// A query validated and decomposed for execution: retrieval order,
 /// clamped known regions (the arena the search borrows from), unknowns
 /// in retrieval order, and the slot count for flat assignments.
-pub(crate) struct PreparedQuery<const K: usize> {
-    pub order: Vec<Var>,
-    pub knowns: Vec<(Var, Region<K>)>,
-    pub unknowns: Vec<(Var, CollectionId)>,
-    pub max_var: usize,
+struct PreparedQuery<const K: usize> {
+    order: Vec<Var>,
+    knowns: Vec<(Var, Region<K>)>,
+    unknowns: Vec<(Var, CollectionId)>,
+    max_var: usize,
 }
 
-pub(crate) fn prepare<const K: usize, V: StoreView<K>>(
+fn prepare<const K: usize, V: StoreView<K>>(
     db: &V,
     query: &Query<K>,
 ) -> Result<PreparedQuery<K>, ExecError> {
@@ -231,12 +214,12 @@ pub(crate) fn prepare<const K: usize, V: StoreView<K>>(
 /// Reusable per-level candidate buffers: the backtracking search at
 /// level `i` always and only uses `LevelBufs[i]`, so one pool amortizes
 /// every candidate allocation across the whole search.
-pub(crate) struct LevelBuf<const K: usize> {
+struct LevelBuf<const K: usize> {
     /// Raw ids from the index range query.
     ids: Vec<u64>,
     /// Candidate object indices for the level (ids + empty objects, or
     /// the whole collection).
-    pub candidates: Vec<usize>,
+    candidates: Vec<usize>,
     /// Sibling corner-query cache tag: the `(corner query, collection
     /// mutation epoch)` whose **complete** probe answer `ids` currently
     /// holds. When the next gather at this level computes an equal
@@ -247,7 +230,7 @@ pub(crate) struct LevelBuf<const K: usize> {
     cached: Option<(CornerQuery<K>, u64)>,
 }
 
-pub(crate) fn level_bufs<const K: usize>(n: usize) -> Vec<LevelBuf<K>> {
+fn level_bufs<const K: usize>(n: usize) -> Vec<LevelBuf<K>> {
     (0..n)
         .map(|_| LevelBuf {
             ids: Vec::new(),
@@ -259,8 +242,8 @@ pub(crate) fn level_bufs<const K: usize>(n: usize) -> Vec<LevelBuf<K>> {
 
 /// Folds one probe's [`ProbeReport`] into the running stats and the
 /// execution's union of missing shards. The single aggregation point
-/// for availability accounting — the sequential and parallel executors
-/// both go through it.
+/// for availability accounting — the executors and the planner both go
+/// through it.
 pub(crate) fn note_probe(
     report: crate::view::ProbeReport,
     stats: &mut ExecStats,
@@ -309,7 +292,7 @@ pub(crate) fn note_probe(
 /// Only *complete* probe answers are cached; a degraded probe is
 /// re-issued every time so a recovering shard is seen immediately.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gather_candidates<const K: usize, V: StoreView<K>>(
+fn gather_candidates<const K: usize, V: StoreView<K>>(
     db: &V,
     coll: CollectionId,
     kind: Option<IndexKind>,
@@ -365,7 +348,7 @@ pub(crate) fn gather_candidates<const K: usize, V: StoreView<K>>(
 /// bound to `var` — the caller recurses, then unbinds. On rejection the
 /// assignment is left unchanged.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn try_candidate<'e, const K: usize, V: StoreView<K>>(
+fn try_candidate<'e, const K: usize, V: StoreView<K>>(
     db: &'e V,
     alg: &RegionAlgebra<K>,
     bounds: &RowBounds<'_, Region<K>>,
@@ -405,7 +388,7 @@ pub(crate) fn try_candidate<'e, const K: usize, V: StoreView<K>>(
 /// Evaluates `row`'s bounds once for the prefix bound in `prefix`, the
 /// part of the exact check every candidate of the level shares; its time
 /// counts as check time.
-pub(crate) fn bind_level<'a, const K: usize>(
+fn bind_level<'a, const K: usize>(
     alg: &RegionAlgebra<K>,
     row: &CompiledRow<K>,
     prefix: &'a FlatAssignment<'_, Region<K>>,
@@ -422,7 +405,7 @@ pub(crate) fn bind_level<'a, const K: usize>(
 /// integrity check on query inputs). Returns `None` when a known row
 /// fails — the query has no solutions.
 #[allow(clippy::type_complexity)]
-pub(crate) fn bind_knowns<'e, const K: usize>(
+fn bind_knowns<'e, const K: usize>(
     alg: &RegionAlgebra<K>,
     plan: &BboxPlan<K>,
     knowns: &'e [(Var, Region<K>)],
@@ -486,8 +469,8 @@ impl<const K: usize, V: StoreView<K>> Ctx<'_, K, V> {
     }
 }
 
-/// Cross product + full constraint check at the leaves. The baseline of
-/// benchmark B1: what a system without the optimizer must do.
+/// Cross product + full constraint check at the leaves: what a system
+/// without the optimizer must do, and the tests' reference answer.
 pub fn naive_execute<const K: usize, V: StoreView<K>>(
     db: &V,
     query: &Query<K>,
@@ -534,6 +517,9 @@ fn naive_rec<'e, const K: usize, V: StoreView<K>>(
     assign: &mut FlatAssignment<'e, Region<K>>,
     tuple: &mut Solution,
 ) -> Result<(), ExecError> {
+    if ctx.done() {
+        return Ok(()); // a cap of 0 stops before the first tuple
+    }
     if level == ctx.unknowns.len() {
         ctx.stats.full_system_checks += 1;
         if check_system_in(&ctx.alg, &query.system.constraints, assign)? {
@@ -690,6 +676,9 @@ fn opt_rec<'e, const K: usize, V: StoreView<K>>(
     tuple: &mut Solution,
     bufs: &mut [LevelBuf<K>],
 ) -> Result<(), ExecError> {
+    if ctx.done() {
+        return Ok(()); // a cap of 0 stops before the first probe
+    }
     if level == ctx.unknowns.len() {
         ctx.stats.solutions += 1;
         ctx.solutions.push(tuple.clone());
@@ -983,6 +972,35 @@ mod tests {
         assert_eq!(capped.solutions.len(), k.min(full.solutions.len()));
         for s in &capped.solutions {
             assert!(full.solutions.contains(s));
+        }
+    }
+
+    #[test]
+    fn zero_cap_returns_immediately() {
+        // A query with no unknowns has one solution, the empty tuple;
+        // the overlay join has many. A cap of 0 returns none of them
+        // and does no search work: no tuple, no candidate, no probe.
+        let (db, join) = overlay_db();
+        let sys = parse_system("A <= B").unwrap();
+        let closed = Query::new(sys)
+            .known("A", Region::from_box(AaBox::new([1.0, 1.0], [2.0, 2.0])))
+            .known("B", Region::from_box(AaBox::new([0.0, 0.0], [5.0, 5.0])));
+        assert_eq!(naive_execute(&db, &closed).unwrap().solutions.len(), 1);
+        let zero = ExecOptions {
+            max_solutions: Some(0),
+        };
+        for q in [&closed, &join] {
+            for r in [
+                naive_execute_opts(&db, q, zero).unwrap(),
+                triangular_execute_opts(&db, q, zero).unwrap(),
+                bbox_execute_opts(&db, q, IndexKind::RTree, zero).unwrap(),
+            ] {
+                assert!(r.solutions.is_empty());
+                assert_eq!(r.stats.solutions, 0);
+                assert_eq!(r.stats.partial_tuples, 0, "no search work at cap 0");
+                assert_eq!(r.stats.index_candidates, 0);
+                assert_eq!(r.stats.corner_cache_misses, 0, "no probe at cap 0");
+            }
         }
     }
 

@@ -27,12 +27,13 @@
 //!
 //! All three provably enumerate the same solutions (the solved form is
 //! an equivalence, not just a necessary condition — see the crate and
-//! integration test suites).
+//! integration test suites). Only the bbox executor serves requests;
+//! the naive one is the test reference and the triangular one the
+//! no-index ablation.
 
 pub mod database;
 pub mod exec;
 pub mod integrity;
-pub mod parallel;
 pub mod planner;
 pub mod query;
 pub mod snapshot;
@@ -46,7 +47,6 @@ pub use exec::{
     triangular_execute, triangular_execute_opts, ExecError, ExecOptions, QueryOutcome, QueryResult,
 };
 pub use integrity::{check_integrity, is_consistent, IntegrityRule, Violation};
-pub use parallel::bbox_execute_parallel;
 pub use planner::{
     order_by_selectivity, with_selectivity_order, SelectivityEstimate, SelectivityPlan,
 };

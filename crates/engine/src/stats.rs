@@ -42,7 +42,7 @@ fn elapsed_ns(start: std::time::Instant) -> u64 {
 
 /// Counters describing how much work an execution did.
 ///
-/// The interesting comparison across executors (benchmark B1):
+/// The interesting comparison across executors (`scq smuggler`):
 /// `partial_tuples` and `exact_row_checks` shrink dramatically when the
 /// triangular form prunes early, and `index_candidates` shows how
 /// selective the range queries are compared to full collection scans.
@@ -102,29 +102,25 @@ pub struct ExecStats {
     /// complete but **stale-flagged** (see `ProbeReport::stale_shards`).
     pub stale_answers: usize,
     /// Wall-clock microseconds spent producing candidates (index range
-    /// queries / shard probes / collection enumeration). Summed across
-    /// parallel workers, so it can exceed `total_us`.
+    /// queries / shard probes / collection enumeration).
     pub probe_us: u64,
     /// Wall-clock microseconds spent on exact solved-row checks: each
     /// level's bound evaluation plus every candidate's test against it.
-    /// Summed across parallel workers.
     pub check_us: u64,
     /// Wall-clock microseconds the router spent planning shard routes
     /// (always 0 against an unsharded database).
     pub route_us: u64,
     /// End-to-end wall-clock microseconds of the execution that
-    /// produced this block. Merging keeps the **maximum** — merged
-    /// blocks come from concurrent workers or shards, where the
-    /// slowest leg is the elapsed time.
+    /// produced this block. Merging keeps the **maximum**: the slowest
+    /// of the merged executions.
     pub total_us: u64,
 }
 
 impl ExecStats {
     /// Aggregates another stat block into this one, field by field with
-    /// **saturating** adds — merged counters from many shards, workers
-    /// or benchmark runs degrade to `usize::MAX` instead of wrapping.
-    /// This is the single aggregation point: the parallel executor and
-    /// the cross-shard merge both go through it.
+    /// **saturating** adds — counters summed over many executions (the
+    /// benchmark's per-layer replay) degrade to `usize::MAX` instead of
+    /// wrapping.
     pub fn merge(&mut self, other: &ExecStats) {
         let ExecStats {
             solutions,
@@ -172,12 +168,6 @@ impl ExecStats {
         self.check_us = self.check_us.saturating_add(*check_us);
         self.route_us = self.route_us.saturating_add(*route_us);
         self.total_us = self.total_us.max(*total_us);
-    }
-
-    /// [`ExecStats::merge`] as a value-returning fold step.
-    pub fn merged(mut self, other: &ExecStats) -> ExecStats {
-        self.merge(other);
-        self
     }
 
     /// This block with the wall-clock timing fields zeroed — the
@@ -263,24 +253,6 @@ mod tests {
         };
         a.merge(&b);
         assert_eq!(a.exact_row_checks, usize::MAX);
-    }
-
-    #[test]
-    fn merged_folds() {
-        let parts = [
-            ExecStats {
-                solutions: 1,
-                ..Default::default()
-            },
-            ExecStats {
-                solutions: 2,
-                ..Default::default()
-            },
-        ];
-        let total = parts
-            .iter()
-            .fold(ExecStats::default(), |acc, s| acc.merged(s));
-        assert_eq!(total.solutions, 3);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The executor-facing store abstraction.
 //!
-//! Every executor ([`crate::exec`], [`crate::parallel`]) runs against a
+//! Every executor ([`crate::exec`]) runs against a
 //! [`StoreView`]: the minimal read surface of an object store —
 //! collections of regions with materialized bounding boxes, per-slot
 //! liveness and corner-query retrieval. [`crate::SpatialDatabase`] is
@@ -17,8 +17,8 @@
 //! path memory-speed.
 //!
 //! The trait is deliberately read-only: executors never mutate the
-//! store, which is what lets the parallel executor share one view
-//! across workers (`&V` where `V: Sync`).
+//! store, which is what lets concurrent requests share one view under a
+//! read lock (`&V` where `V: Sync`).
 
 use scq_bbox::{Bbox, CornerQuery};
 use scq_region::{AaBox, Region, RegionAlgebra};

@@ -6,7 +6,7 @@ use crate::traits::SpatialIndex;
 
 /// A trivially correct index: a vector of `(box, id)` pairs filtered on
 /// every query. Serves as the oracle for the tree indexes' tests and as
-/// the baseline of benchmark B4.
+/// the no-index baseline.
 #[derive(Clone, Debug, Default)]
 pub struct ScanIndex<const K: usize> {
     entries: Vec<(Bbox<K>, u64)>,

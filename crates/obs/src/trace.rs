@@ -3,16 +3,16 @@
 //!
 //! A trace is born at the serve front end (one per client command),
 //! installed into the current thread, and recorded into as the request
-//! descends through route → per-shard probe → bind/check → merge.
+//! descends through route → per-shard probe → bind/check.
 //! Layers that do the work stay oblivious to storage: they call
 //! [`span`] / [`event`], which write into whichever trace is installed
 //! — or do nothing at all when none is (the common case for library
 //! tests and embedded use, which therefore pay one thread-local read).
 //!
-//! Spans carry a depth so the flat record list replays as a tree, and
-//! fan-out workers re-install the parent's trace handle
+//! Spans carry a depth so the flat record list replays as a tree, and a
+//! worker thread installs the request's trace handle
 //! ([`TraceState::install`] is `Send`-friendly via `Arc`) so shard
-//! probes land in the right request even across `thread::scope`.
+//! probes land in the right request whichever thread runs it.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -22,7 +22,7 @@ use std::time::Instant;
 /// One recorded span or event.
 #[derive(Clone, Debug)]
 pub struct SpanRec {
-    /// Static span name (`probe`, `merge`, `failover`, …).
+    /// Static span name (`probe`, `retry`, `failover`, …).
     pub name: &'static str,
     /// Free-form detail (`shard=3 addr=127.0.0.1:4711`).
     pub detail: String,
@@ -71,8 +71,8 @@ impl TraceState {
     }
 
     /// Installs this trace as the current thread's trace; the returned
-    /// guard restores the previous one on drop. Fan-out workers call
-    /// this with a clone of the parent's handle.
+    /// guard restores the previous one on drop. Worker threads call
+    /// this with a clone of the request's handle.
     pub fn install(self: &Arc<TraceState>) -> InstallGuard {
         let prev = CURRENT.with(|c| c.borrow_mut().replace(Arc::clone(self)));
         InstallGuard { prev }
@@ -123,8 +123,8 @@ impl Drop for InstallGuard {
     }
 }
 
-/// The current thread's installed trace, if any — fan-out sites
-/// capture this before spawning workers.
+/// The current thread's installed trace, if any — a site handing work
+/// to another thread captures this first.
 pub fn current() -> Option<Arc<TraceState>> {
     CURRENT.with(|c| c.borrow().clone())
 }

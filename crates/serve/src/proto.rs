@@ -28,15 +28,15 @@ use scq_bbox::{Bbox, CornerQuery};
 use scq_core::{parse_system, BboxPlan};
 use scq_engine::workload::{map_workload, MapParams};
 use scq_engine::{
-    compile_triangular, order_by_selectivity, CollectionId, ExecOptions, IndexKind, ObjectRef,
-    ProbeReport, Query, QueryOutcome, SpatialDatabase, VarBinding,
+    bbox_execute_opts, compile_triangular, order_by_selectivity, CollectionId, ExecOptions,
+    IndexKind, ObjectRef, ProbeReport, Query, QueryOutcome, SpatialDatabase, VarBinding,
 };
 use scq_region::{AaBox, Region};
 use scq_shard::{ShardBackend, ShardedDatabase};
 
 /// Cumulative failure counters of one serving process, shared by every
 /// worker, reported by `STAT` and scraped through `METRICS`. The CI
-/// smoke and the bench gate hold `retries`, `shards_unavailable` and
+/// smoke and the tier-1 tests hold `retries`, `shards_unavailable` and
 /// `failovers` at 0 on the happy path — any drift there means
 /// connections are flapping or a replica is standing in for its
 /// primary.
@@ -764,7 +764,7 @@ fn solve<B: ShardBackend>(
     if ctx.plan == PlanMode::Selectivity {
         apply_selectivity_plan(&d, ctx, &mut query, kind, bindings_src, &system_src, &colls)?;
     }
-    let result = contain_backend_panic(|| scq_shard::execute(&d, &query, kind, options))?
+    let result = contain_backend_panic(|| bbox_execute_opts(&*d, &query, kind, options))?
         .map_err(|e| e.to_string())?;
     ctx.metrics.note(
         result.stats.retries,
@@ -1244,6 +1244,27 @@ mod tests {
         let snap = ctx.metrics.snapshot();
         assert_eq!(snap.counter("serve.plan_cache_misses"), Some(1));
         assert_eq!(snap.counter("serve.plan_cache_hits"), Some(1));
+    }
+
+    /// `SOLVE <kind> 0 …` asks for no solutions and gets none — also
+    /// for a system with no unknowns, whose one solution is the empty
+    /// tuple.
+    #[test]
+    fn a_zero_cap_solve_answers_nothing() {
+        let universe = AaBox::new([0.0, 0.0], [100.0, 100.0]);
+        let db = Arc::new(RwLock::new(ShardedDatabase::<scq_shard::LocalShard>::new(
+            universe, 2,
+        )));
+        let ctx = ServeContext::new(None);
+        let run = |line: &str| handle_command(&db, &ctx, line).0;
+        run("CREATE towns");
+        run("INSERT towns 10 10 20 20");
+        let closed = "A=box:1:1:2:2,B=box:0:0:5:5 A <= B";
+        assert!(run(&format!("SOLVE rtree all {closed}")).starts_with("OK n=1 "));
+        assert!(run(&format!("SOLVE rtree 0 {closed}")).starts_with("OK n=0 "));
+        let open = "T=coll:towns,C=box:0:0:40:40 T <= C";
+        assert!(run(&format!("SOLVE rtree all {open}")).starts_with("OK n=1 "));
+        assert!(run(&format!("SOLVE rtree 0 {open}")).starts_with("OK n=0 "));
     }
 
     /// Per-command latency histograms materialize lazily under

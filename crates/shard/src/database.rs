@@ -39,9 +39,9 @@ use crate::router::ShardRouter;
 
 thread_local! {
     /// Reusable candidate-shard buffer for the corner-query fan-out
-    /// (one per thread: the parallel executor shares `&ShardedDatabase`
-    /// across workers).
-    pub(crate) static SHARD_SCRATCH: std::cell::RefCell<Vec<usize>> =
+    /// (one per thread: concurrent requests share `&ShardedDatabase`
+    /// under the serve tier's read lock).
+    static SHARD_SCRATCH: std::cell::RefCell<Vec<usize>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -86,7 +86,7 @@ pub(crate) struct LogicalCollection {
 /// behind a socket ([`crate::RemoteShard`]).
 ///
 /// Implements [`StoreView`], so every engine executor (naive,
-/// triangular, bbox, work-stealing parallel) runs against it unchanged;
+/// triangular, bbox) runs against it unchanged;
 /// corner queries fan out only to the shards the router cannot prune
 /// (counted in [`scq_engine::ExecStats::shards_pruned`]).
 pub struct ShardedDatabase<B: ShardBackend = LocalShard> {
@@ -556,7 +556,7 @@ impl<B: ShardBackend> ShardedDatabase<B> {
     /// undecodable bytes — still panics: that is misconfiguration or
     /// corruption, not an outage, and must be loud rather than be
     /// reported forever as a partial answer.
-    pub(crate) fn probe_shard(
+    fn probe_shard(
         &self,
         s: usize,
         coll: CollectionId,
@@ -1053,6 +1053,95 @@ mod tests {
             5,
             "a mutation elsewhere leaves c alone"
         );
+    }
+
+    #[test]
+    fn router_prunes_on_selective_queries() {
+        // A "district" query: the known containment region covers only
+        // the low corner of the universe, so the X row's corner query
+        // proves the high-z shards disjoint. (Centered or overlap-only
+        // queries legitimately cannot prune — an overlap constraint
+        // bounds no box center.)
+        let mut d = db(6);
+        let xs = d.collection("xs");
+        let ys = d.collection("ys");
+        for i in 0..14 {
+            let t = (i * 19 % 87) as f64;
+            d.insert(xs, boxed(t, t * 0.7, 8.0, 9.0));
+            d.insert(ys, boxed(t + 3.0, t * 0.7 + 2.0, 6.0, 5.0));
+        }
+        let sys = scq_core::parse_system("X & Y != 0; X <= W").unwrap();
+        let q = scq_engine::Query::new(sys)
+            .known("W", boxed(0.0, 0.0, 35.0, 35.0))
+            .from_collection("X", xs)
+            .from_collection("Y", ys);
+        let r = scq_engine::bbox_execute(&d, &q, IndexKind::RTree).unwrap();
+        assert!(
+            r.stats.shards_pruned > 0,
+            "the known-region containment row must prune shards: {}",
+            r.stats
+        );
+    }
+
+    /// The district query of the map workload (seed 1120, 120 roads) on
+    /// 8 in-process shards, pinned exactly: the router prunes 6 shards,
+    /// the selectivity-planned order checks 13 rows, and the happy path
+    /// counts no retry, failover, unavailable shard or breaker trip.
+    #[test]
+    fn district_query_pins_pruning_and_planned_row_checks() {
+        use scq_engine::workload::{map_workload, MapParams};
+        let universe = AaBox::new([0.0, 0.0], [1000.0, 1000.0]);
+        let mut plain = SpatialDatabase::new(universe);
+        let w = map_workload(
+            &mut plain,
+            1120,
+            &MapParams {
+                n_states: 8,
+                n_towns: 30,
+                n_roads: 120,
+                useful_road_fraction: 0.05,
+            },
+        );
+        let mut d = ShardedDatabase::new(universe, 8);
+        for coll in plain.collections() {
+            assert_eq!(d.collection(plain.collection_name(coll)), coll);
+            for index in plain.object_indices(coll) {
+                let obj = ObjectRef {
+                    collection: coll,
+                    index,
+                };
+                d.insert(coll, plain.region(obj).clone());
+            }
+        }
+        let sys = scq_core::parse_system("T <= W; R & T != 0").unwrap();
+        let q = scq_engine::Query::new(sys)
+            .known("W", boxed(100.0, 100.0, 260.0, 260.0))
+            .from_collection("T", w.towns)
+            .from_collection("R", w.roads);
+
+        let r = scq_engine::bbox_execute(&d, &q, IndexKind::RTree).unwrap();
+        assert!(!r.outcome.is_partial());
+        assert_eq!(r.stats.shards_pruned, 6, "{}", r.stats);
+        assert_eq!(
+            (
+                r.stats.retries,
+                r.stats.failovers,
+                r.stats.shards_unavailable
+            ),
+            (0, 0, 0),
+            "{}",
+            r.stats
+        );
+        let trips: usize = (0..d.n_shards())
+            .flat_map(|s| d.backend(s).health())
+            .map(|h| h.stats.breaker_trips)
+            .sum();
+        assert_eq!(trips, 0);
+
+        let planned = scq_engine::with_selectivity_order(&d, &q, IndexKind::RTree).unwrap();
+        let p = scq_engine::bbox_execute(&d, &planned, IndexKind::RTree).unwrap();
+        assert_eq!(p.solutions.len(), r.solutions.len());
+        assert_eq!(p.stats.exact_row_checks, 13, "{}", p.stats);
     }
 
     #[test]

@@ -660,7 +660,7 @@ mod tests {
             .expect("the retry lands on a fresh connection");
         assert_eq!(trace.retries, 1, "exactly one reconnect-and-retry");
         assert_eq!(out, vec![0], "the retried answer is correct");
-        let stats = remote.pool_stats();
+        let stats = remote.link_stats();
         // The broken connection was replaced: a healthy one stands
         // ready, and nothing broken lingers.
         assert_eq!(stats.idle, 1, "{stats:?}");
@@ -859,7 +859,7 @@ mod tests {
             gate.open();
             assert_eq!(held.join().expect("no panic"), vec![0, 1]);
         });
-        let stats = remote.pool_stats();
+        let stats = remote.link_stats();
         assert!(
             stats.peak_in_flight >= 2,
             "both queries must have been in flight at once: {stats:?}"
@@ -912,7 +912,7 @@ mod tests {
                  (holding = {})",
                 gate.holding()
             );
-            let stats = remote.pool_stats();
+            let stats = remote.link_stats();
             assert_eq!(stats.created, 1, "one connection carries all 8: {stats:?}");
             assert!(stats.peak_in_flight >= 8, "{stats:?}");
             gate.open();

@@ -16,10 +16,11 @@
 //! Three properties make the layer transparent to the query engine:
 //!
 //! * **One executor code path.** [`ShardedDatabase`] implements
-//!   [`scq_engine::StoreView`], so the naive, triangular, bbox and
-//!   work-stealing parallel executors run against it unchanged; corner
-//!   queries fan out per level to only the shards the router cannot
-//!   prune (counted in [`scq_engine::ExecStats::shards_pruned`]).
+//!   [`scq_engine::StoreView`], so the engine's executors run against
+//!   it unchanged — `scq-serve` answers every `SOLVE` with
+//!   [`scq_engine::bbox_execute_opts`] over it; corner queries fan out
+//!   per level to only the shards the router cannot prune (counted in
+//!   [`scq_engine::ExecStats::shards_pruned`]).
 //! * **Stable global refs.** Objects are addressed by global
 //!   [`scq_engine::ObjectRef`]s with the same stability contract as the
 //!   unsharded store — even across [`ShardedDatabase::update`]
@@ -29,9 +30,8 @@
 //!   database built from the same mutation sequence (property-tested in
 //!   `tests/shard_props.rs` at the workspace root).
 //!
-//! [`exec::execute_fanout`] adds shard-level parallelism with a
-//! deterministic merge; [`snapshot`] streams each shard independently
-//! under a cross-validated manifest.
+//! [`snapshot`] streams each shard independently under a
+//! cross-validated manifest.
 //!
 //! Since PR 4 the *location* of a shard is abstract: the routing layer
 //! drives [`ShardBackend`]s, and the store is generic over them.
@@ -45,7 +45,7 @@
 //! store (`tests/cluster_props.rs`).
 //!
 //! The remote transport is one **multiplexed connection** per shard
-//! process, so concurrent executors probe one shard in parallel,
+//! process, so concurrent requests probe one shard in parallel,
 //! and reads are **first-class degraded**: a shard process dying
 //! mid-query costs its candidates, not the query — the result comes
 //! back [`scq_engine::QueryOutcome::Partial`] naming the missing
@@ -57,7 +57,6 @@
 pub mod backend;
 pub mod cluster;
 pub mod database;
-pub mod exec;
 pub mod fault;
 pub mod reactor;
 pub mod remote;
@@ -70,10 +69,9 @@ pub mod wire;
 pub use backend::{LocalShard, ProbeTrace, ShardBackend, ShardError};
 pub use cluster::{ClusterError, ClusterSpec, ClusterSpecError, ShardSpec};
 pub use database::{ShardedDatabase, DEFAULT_ROUTER_BITS};
-pub use exec::{execute, execute_fanout};
 pub use fault::{Direction, FaultAction, FaultGate, FaultProxy, FaultRule, FrameMatch};
 pub use remote::{
-    BreakerClock, BreakerConfig, BreakerState, PoolStats, RemoteShard, ReplicaHealth,
+    BreakerClock, BreakerConfig, BreakerState, LinkStats, RemoteShard, ReplicaHealth,
     ResyncOutcome, DEFAULT_BREAKER_COOLDOWN_MS, DEFAULT_BREAKER_THRESHOLD,
 };
 pub use router::ShardRouter;

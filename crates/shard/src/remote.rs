@@ -19,9 +19,8 @@
 //! connection**: every concurrent request rides one socket under its
 //! own request id, the responses come back in whatever order the shard
 //! finishes them (large ones as chunked streams), and a reader thread
-//! matches each to its waiter — concurrent executor threads and
-//! `execute_fanout` workers probe the same shard **in parallel**
-//! without a socket per request. A connection that breaks is discarded
+//! matches each to its waiter — concurrent requests probe the same
+//! shard **in parallel** without a socket per request. A connection that breaks is discarded
 //! and its successor re-dials. Idempotent reads (queries, stats,
 //! snapshot pulls, checks) transparently reconnect and retry **once**
 //! after a connection failure — the retry count surfaces through
@@ -404,7 +403,7 @@ enum Breaker {
 
 /// Observable per-address transport counters (diagnostics and tests).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
+pub struct LinkStats {
     /// Connections ever dialed to the address.
     pub created: usize,
     /// Dead connections discarded (their successors re-dial).
@@ -451,20 +450,20 @@ struct Link {
     /// Serializes dials: a burst of first requests opens ONE
     /// connection, not a stampede.
     dialing: Mutex<()>,
-    /// Client-side instruments for this address: `pool.checkout.wait`
-    /// (time callers wait to get onto the connection — observed on
+    /// Client-side instruments for this address: `link.wait` (time
+    /// callers wait to get onto the address's one connection — observed on
     /// every exchange, so its count doubles as a request count) and
     /// `breaker.trips`. Snapshotted per replica and merged by
     /// [`RemoteShard`]'s `client_metrics`.
     registry: scq_obs::Registry,
-    checkout_wait: scq_obs::Histogram,
+    link_wait: scq_obs::Histogram,
     trips_counter: scq_obs::Counter,
 }
 
 impl Link {
     fn new(addr: String, breaker_cfg: BreakerConfig) -> Link {
         let registry = scq_obs::Registry::new();
-        let checkout_wait = registry.histogram("pool.checkout.wait");
+        let link_wait = registry.histogram("link.wait");
         let trips_counter = registry.counter("breaker.trips");
         Link {
             addr,
@@ -482,7 +481,7 @@ impl Link {
             }),
             dialing: Mutex::new(()),
             registry,
-            checkout_wait,
+            link_wait,
             trips_counter,
         }
     }
@@ -648,7 +647,7 @@ impl Link {
             st.in_flight += 1;
             st.peak_in_flight = st.peak_in_flight.max(st.in_flight);
         }
-        self.checkout_wait.observe(started.elapsed());
+        self.link_wait.observe(started.elapsed());
         let result = conn.exchange(req);
         if let Ok(mut st) = self.state.lock() {
             st.in_flight -= 1;
@@ -656,9 +655,9 @@ impl Link {
         result
     }
 
-    fn stats(&self) -> PoolStats {
+    fn stats(&self) -> LinkStats {
         let st = self.state.lock().expect("connection state lock poisoned");
-        PoolStats {
+        LinkStats {
             created: st.created,
             discarded: st.discarded,
             peak_in_flight: st.peak_in_flight,
@@ -707,7 +706,7 @@ pub struct ReplicaHealth {
     /// from reads until a snapshot load re-converges it.
     pub desynced: bool,
     /// Connection and circuit-breaker counters for the address.
-    pub stats: PoolStats,
+    pub stats: LinkStats,
 }
 
 /// Outcome of a [`crate::ShardBackend::resync`] pass over one shard's
@@ -832,7 +831,7 @@ impl RemoteShard {
     /// The **primary's** connection counters (dials, discards, peak
     /// concurrency, breaker). Per-replica counters come from
     /// [`ShardBackend::health`].
-    pub fn pool_stats(&self) -> PoolStats {
+    pub fn link_stats(&self) -> LinkStats {
         self.replicas[0].link.stats()
     }
 
@@ -1801,7 +1800,7 @@ mod tests {
         let (server, mut remote) = start();
         let c = remote.create_collection("objs").unwrap();
         remote.insert(c, boxed(10.0, 10.0, 5.0, 5.0)).unwrap();
-        // Sever every pooled connection in place… the next idempotent
+        // Sever the connection in place… the next idempotent
         // request transparently re-dials.
         remote.replicas[0].link.break_idle();
         let mut out = Vec::new();
@@ -1838,7 +1837,7 @@ mod tests {
                 .unwrap();
             assert_eq!(out.len(), i + 1);
         }
-        let stats = remote.pool_stats();
+        let stats = remote.link_stats();
         assert_eq!(
             stats.created, 1,
             "sequential traffic convoys onto one connection: {stats:?}"
@@ -1853,9 +1852,9 @@ mod tests {
         let (server, mut remote) = start();
         let c = remote.create_collection("objs").unwrap();
         remote.insert(c, boxed(1.0, 1.0, 2.0, 2.0)).unwrap();
-        let before = remote.pool_stats();
+        let before = remote.link_stats();
         // Kill the server: the in-flight exchange fails, the broken
-        // connection must NOT be pooled again.
+        // connection must NOT be reused.
         server.shutdown();
         let mut out = Vec::new();
         assert!(remote
@@ -1867,8 +1866,8 @@ mod tests {
                 &mut ProbeTrace::default(),
             )
             .is_err());
-        let after = remote.pool_stats();
-        assert_eq!(after.idle, 0, "a dead connection went back to the pool");
+        let after = remote.link_stats();
+        assert_eq!(after.idle, 0, "a dead connection stayed in use");
         assert!(after.discarded > before.discarded, "{after:?}");
     }
 
@@ -2054,9 +2053,9 @@ mod tests {
         remote.insert(c, boxed(1.0, 1.0, 2.0, 2.0)).unwrap();
         let snap = remote.client_metrics().expect("links always have metrics");
         let wait = snap
-            .histogram("pool.checkout.wait")
-            .expect("checkout wait histogram exists");
-        assert!(wait.count() >= 2, "every request checks a connection out");
+            .histogram("link.wait")
+            .expect("link wait histogram exists");
+        assert!(wait.count() >= 2, "every request waits onto the link");
         assert_eq!(snap.counter("breaker.trips"), Some(0), "healthy address");
         server.shutdown();
     }
@@ -2174,21 +2173,21 @@ mod tests {
         // K-1 failures: breaker still closed, every probe really dials.
         for i in 0..2 {
             assert!(probe(&remote).is_err());
-            let stats = remote.pool_stats();
+            let stats = remote.link_stats();
             assert_eq!(stats.breaker, BreakerState::Closed, "probe {i}: {stats:?}");
             assert_eq!(stats.breaker_trips, 0, "probe {i}: {stats:?}");
             assert_eq!(stats.consecutive_failures, i + 1, "probe {i}: {stats:?}");
         }
         // The K-th failure trips it…
         assert!(probe(&remote).is_err());
-        let stats = remote.pool_stats();
+        let stats = remote.link_stats();
         assert_eq!(stats.breaker, BreakerState::Open, "{stats:?}");
         assert_eq!(stats.breaker_trips, 1, "{stats:?}");
         // …and while open, requests fast-fail with the named error
         // without dialing or counting further failures.
         let err = probe(&remote).err().unwrap();
         assert!(err.to_string().contains("circuit breaker open"), "{err}");
-        let stats = remote.pool_stats();
+        let stats = remote.link_stats();
         assert_eq!(stats.consecutive_failures, 3, "{stats:?}");
         assert_eq!(stats.breaker_trips, 1, "{stats:?}");
         // Advancing the injected clock past the cooldown lets one
@@ -2197,7 +2196,7 @@ mod tests {
         *now.lock().unwrap() += Duration::from_secs(3601);
         let err = probe(&remote).err().unwrap();
         assert!(!err.to_string().contains("circuit breaker open"), "{err}");
-        let stats = remote.pool_stats();
+        let stats = remote.link_stats();
         assert_eq!(stats.breaker, BreakerState::Open, "{stats:?}");
         assert_eq!(stats.breaker_trips, 2, "{stats:?}");
     }

@@ -19,8 +19,8 @@
 //!
 //! As the paper notes, the z-order join handles a *single binary overlay
 //! constraint*; the constraint optimizer handles arbitrary Boolean
-//! systems. Benchmark B7 compares the two on the query shape both
-//! support.
+//! systems. `tests/zorder_props.rs` checks the join against a
+//! brute-force nested loop.
 
 pub mod zindex;
 

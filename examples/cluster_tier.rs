@@ -107,13 +107,7 @@ fn main() {
             Region::from_box(AaBox::new([0.0, 600.0], [500.0, 1000.0])),
         )
         .from_collection("T", towns);
-    let result = scq_shard::execute(
-        &db,
-        &query,
-        IndexKind::RTree,
-        scq_engine::ExecOptions::all(),
-    )
-    .expect("solve");
+    let result = bbox_execute(&db, &query, IndexKind::RTree).expect("solve");
     println!(
         "solve over the cluster: {} solutions, {} shard probes pruned",
         result.solutions.len(),

@@ -1,7 +1,7 @@
 //! Sharded database + query server, end to end.
 //!
 //! Builds a z-order range-partitioned database, shows router pruning
-//! and cross-shard execution, round-trips a per-shard snapshot, then
+//! under the engine's executor, round-trips a per-shard snapshot, then
 //! boots the `scq-serve` front end in-process and runs a scripted
 //! client session against it over real TCP.
 //!
@@ -9,9 +9,7 @@
 //! cargo run --release --example sharded_service
 //! ```
 
-use scq_engine::ExecOptions;
 use scq_integration::prelude::*;
-use scq_shard::{execute, execute_fanout};
 
 fn main() {
     // ── build: one logical database, four shards ────────────────────
@@ -53,25 +51,19 @@ fn main() {
         )
         .from_collection("T", towns)
         .from_collection("R", roads);
-    let r = execute(&db, &district, IndexKind::RTree, ExecOptions::all()).unwrap();
+    let r = bbox_execute(&db, &district, IndexKind::RTree).unwrap();
     println!(
         "\ndistrict query: {} solutions, {} shard probes pruned by the router",
         r.stats.solutions, r.stats.shards_pruned
     );
     assert!(r.stats.shards_pruned > 0, "corner district must prune");
-    let fanned = execute_fanout(&db, &district, IndexKind::RTree, ExecOptions::all()).unwrap();
-    assert_eq!(fanned.stats.solutions, r.stats.solutions);
-    println!(
-        "fan-out across shards agrees: {} solutions",
-        fanned.stats.solutions
-    );
 
     // ── snapshot: manifest + one independent stream per shard ───────
     let dir = std::env::temp_dir().join(format!("scq_sharded_example_{}", std::process::id()));
     scq_shard::save_to_dir(&db, &dir).unwrap();
     let reloaded = scq_shard::load_from_dir(&dir).unwrap();
     reloaded.check().expect("reloaded database is consistent");
-    let again = execute(&reloaded, &district, IndexKind::RTree, ExecOptions::all()).unwrap();
+    let again = bbox_execute(&reloaded, &district, IndexKind::RTree).unwrap();
     assert_eq!(again.stats.solutions, r.stats.solutions);
     println!(
         "\nsnapshot round trip through {} streams preserved the answers",

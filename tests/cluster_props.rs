@@ -23,8 +23,7 @@ use proptest::prelude::*;
 use scq_engine::CollectionId;
 use scq_integration::prelude::*;
 use scq_shard::{
-    execute, execute_fanout, ClusterSpec, RemoteShard, ResyncOutcome, ShardServerConfig,
-    ShardServerHandle, WalConfig,
+    ClusterSpec, RemoteShard, ResyncOutcome, ShardServerConfig, ShardServerHandle, WalConfig,
 };
 
 const UNIVERSE_SIZE: f64 = 100.0;
@@ -261,12 +260,12 @@ impl Drop for ProxiedCluster {
 
 /// The kill-a-shard scenario of the acceptance criteria: with one of 4
 /// shards severed **mid-query** (its QUERY frames are cut on the wire,
-/// every reconnect's retry included), `execute_fanout` neither panics
-/// nor hangs — it returns `Partial` naming exactly the missing shard,
-/// and the surviving shards' solutions equal the oracle restricted to
-/// objects they own (their z-ranges). After the partition heals, the
-/// shard rejoins the SAME router — no reconnect ceremony, no restart —
-/// and answers go back to `Complete` and exact.
+/// every reconnect's retry included), the executor's per-level fan-out
+/// neither panics nor hangs — it returns `Partial` naming exactly the
+/// missing shard, and the surviving shards' solutions equal the oracle
+/// restricted to objects they own (their z-ranges). After the partition
+/// heals, the shard rejoins the SAME router — no reconnect ceremony, no
+/// restart — and answers go back to `Complete` and exact.
 #[test]
 fn severed_shard_mid_query_degrades_fanout_to_partial_then_rejoins() {
     let mut cluster = ProxiedCluster::boot(4);
@@ -296,14 +295,8 @@ fn severed_shard_mid_query_degrades_fanout_to_partial_then_rejoins() {
     let mut oracle = naive_execute(&plain, &q).unwrap().solutions;
     oracle.sort();
 
-    // Healthy cluster first: fan-out is Complete and exact.
-    let healthy = scq_shard::execute_fanout(
-        cluster.db(),
-        &q,
-        IndexKind::RTree,
-        scq_engine::ExecOptions::all(),
-    )
-    .unwrap();
+    // Healthy cluster first: the read is Complete and exact.
+    let healthy = bbox_execute(cluster.db(), &q, IndexKind::RTree).unwrap();
     assert_eq!(healthy.outcome, QueryOutcome::Complete);
     let mut healthy_solutions = healthy.solutions;
     healthy_solutions.sort();
@@ -320,13 +313,8 @@ fn severed_shard_mid_query_degrades_fanout_to_partial_then_rejoins() {
         remaining: usize::MAX,
         skip: 0,
     });
-    let degraded = scq_shard::execute_fanout(
-        cluster.db(),
-        &q,
-        IndexKind::RTree,
-        scq_engine::ExecOptions::all(),
-    )
-    .expect("a dead shard degrades the read, it does not fail the query");
+    let degraded = bbox_execute(cluster.db(), &q, IndexKind::RTree)
+        .expect("a dead shard degrades the read, it does not fail the query");
     assert_eq!(
         degraded.outcome,
         QueryOutcome::Partial {
@@ -356,16 +344,10 @@ fn severed_shard_mid_query_degrades_fanout_to_partial_then_rejoins() {
         "the victim owned solutions, so the partial answer is a strict subset"
     );
 
-    // The plain (non-fanout) executor degrades identically.
-    let plain_exec = scq_shard::execute(
-        cluster.db(),
-        &q,
-        IndexKind::GridFile,
-        scq_engine::ExecOptions::all(),
-    )
-    .unwrap();
-    assert!(plain_exec.outcome.is_partial());
-    assert_eq!(plain_exec.outcome.missing_shards(), &[victim]);
+    // Every index kind degrades identically.
+    let grid = bbox_execute(cluster.db(), &q, IndexKind::GridFile).unwrap();
+    assert!(grid.outcome.is_partial());
+    assert_eq!(grid.outcome.missing_shards(), &[victim]);
 
     // Mutations routed to the severed shard fail with a transport
     // error — never silently dropped, never retried.
@@ -385,13 +367,7 @@ fn severed_shard_mid_query_degrades_fanout_to_partial_then_rejoins() {
     // instead of sleeping; the next probe is the half-open re-admit.
     cluster.proxies[victim].heal();
     cluster.advance(Duration::from_secs(3600));
-    let recovered = scq_shard::execute_fanout(
-        cluster.db(),
-        &q,
-        IndexKind::RTree,
-        scq_engine::ExecOptions::all(),
-    )
-    .unwrap();
+    let recovered = bbox_execute(cluster.db(), &q, IndexKind::RTree).unwrap();
     assert_eq!(recovered.outcome, QueryOutcome::Complete);
     let mut recovered_solutions = recovered.solutions;
     recovered_solutions.sort();
@@ -521,7 +497,7 @@ impl Drop for ReplicatedCluster {
 /// of EVERY range dies mid-churn — the secondary of range 1 first
 /// (writes keep flowing and desync it quietly), then, churn done, the
 /// primary of range 0 (reads must fail over to its converged
-/// secondary) — and `execute_fanout` still answers `Complete` and
+/// secondary) — and the executor still answers `Complete` and
 /// oracle-equal, with the failovers and stale answers counted. Writes
 /// routed to the dead primary fail with a named transport error and
 /// are never silently retried against the secondary.
@@ -586,13 +562,8 @@ fn one_dead_replica_per_range_keeps_fanout_complete_and_oracle_equal() {
     let mut oracle = naive_execute(&plain, &q).unwrap().solutions;
     oracle.sort();
 
-    let result = execute_fanout(
-        cluster.db(),
-        &q,
-        IndexKind::RTree,
-        scq_engine::ExecOptions::all(),
-    )
-    .expect("reads survive one dead replica per range");
+    let result = bbox_execute(cluster.db(), &q, IndexKind::RTree)
+        .expect("reads survive one dead replica per range");
     assert_eq!(
         result.outcome,
         QueryOutcome::Complete,
@@ -628,15 +599,9 @@ fn one_dead_replica_per_range_keeps_fanout_complete_and_oracle_equal() {
         .try_remove(on0)
         .expect_err("a dead primary fails writes");
     assert!(matches!(err, scq_shard::ShardError::Wire(_)), "{err}");
-    // The failed remove reached no replica: the same fan-out read is
-    // still Complete and oracle-equal.
-    let again = execute_fanout(
-        cluster.db(),
-        &q,
-        IndexKind::RTree,
-        scq_engine::ExecOptions::all(),
-    )
-    .unwrap();
+    // The failed remove reached no replica: the same read is still
+    // Complete and oracle-equal.
+    let again = bbox_execute(cluster.db(), &q, IndexKind::RTree).unwrap();
     assert_eq!(again.outcome, QueryOutcome::Complete);
     let mut again_solutions = again.solutions;
     again_solutions.sort();
@@ -1122,8 +1087,8 @@ proptest! {
         }
     }
 
-    /// Constraint queries agree too — the engine executors over the
-    /// remote-backed view and the per-shard fan-out — and the snapshot
+    /// Constraint queries agree too — the engine executor over the
+    /// remote-backed view, for every index kind — and the snapshot
     /// paths hold: a snapshot pulled over the wire loads as an
     /// identical local store, and reloading it back **into the same
     /// cluster** (each shard process swallowing its stream) preserves
@@ -1162,23 +1127,11 @@ proptest! {
 
         let mut oracle = naive_execute(&plain, &q).unwrap().solutions;
         oracle.sort();
-        for kind in [IndexKind::RTree, IndexKind::Scan] {
-            let mut got = execute(cluster.db(), &q, kind, scq_engine::ExecOptions::all())
-                .unwrap()
-                .solutions;
+        for kind in [IndexKind::RTree, IndexKind::GridFile, IndexKind::Scan] {
+            let mut got = bbox_execute(cluster.db(), &q, kind).unwrap().solutions;
             got.sort();
             prop_assert_eq!(&got, &oracle, "cluster {:?} diverged from naive", kind);
         }
-        let mut fanned = execute_fanout(
-            cluster.db(),
-            &q,
-            IndexKind::RTree,
-            scq_engine::ExecOptions::all(),
-        )
-        .unwrap()
-        .solutions;
-        fanned.sort();
-        prop_assert_eq!(&fanned, &oracle, "fan-out over shard processes diverged");
 
         // Snapshot pulled over the wire → identical local store.
         let dir = std::env::temp_dir().join(format!(
@@ -1189,9 +1142,7 @@ proptest! {
         scq_shard::save_to_dir(cluster.db(), &dir).expect("save cluster snapshot");
         let local = scq_shard::load_from_dir(&dir).expect("load locally");
         local.check().expect("local reload is consistent");
-        let mut local_ans = execute(&local, &q, IndexKind::GridFile, scq_engine::ExecOptions::all())
-            .unwrap()
-            .solutions;
+        let mut local_ans = bbox_execute(&local, &q, IndexKind::GridFile).unwrap().solutions;
         local_ans.sort();
         prop_assert_eq!(&local_ans, &oracle, "answers changed across the wire snapshot");
 
@@ -1200,9 +1151,7 @@ proptest! {
         scq_shard::reload_from_dir(cluster.db(), &dir).expect("reload cluster in place");
         std::fs::remove_dir_all(&dir).ok();
         cluster.db().check().expect("cluster consistent after reload");
-        let mut after = execute(cluster.db(), &q, IndexKind::RTree, scq_engine::ExecOptions::all())
-            .unwrap()
-            .solutions;
+        let mut after = bbox_execute(cluster.db(), &q, IndexKind::RTree).unwrap().solutions;
         after.sort();
         prop_assert_eq!(&after, &oracle, "answers changed across the cluster restore");
     }

@@ -10,7 +10,6 @@
 use proptest::prelude::*;
 use scq_engine::CollectionId;
 use scq_integration::prelude::*;
-use scq_shard::{execute, execute_fanout};
 
 /// One scripted mutation (slot choices reduced modulo the slot count at
 /// application time, exactly like `tests/mutation_props.rs`).
@@ -157,9 +156,9 @@ proptest! {
         }
     }
 
-    /// Constraint queries agree too: the engine executors over the
-    /// sharded view, the shard fan-out, and a per-shard snapshot round
-    /// trip all return the unsharded answer set.
+    /// Constraint queries agree too: the engine executor over the
+    /// sharded view, for every index kind and after a per-shard
+    /// snapshot round trip, returns the unsharded answer set.
     #[test]
     fn sharded_executors_match_unsharded(
         ops in prop::collection::vec(op_strategy(), 1..50),
@@ -195,17 +194,10 @@ proptest! {
         let mut oracle = naive_execute(&plain, &q).unwrap().solutions;
         oracle.sort();
         for kind in [IndexKind::RTree, IndexKind::GridFile, IndexKind::Scan] {
-            let mut got = execute(&sharded, &q, kind, scq_engine::ExecOptions::all())
-                .unwrap()
-                .solutions;
+            let mut got = bbox_execute(&sharded, &q, kind).unwrap().solutions;
             got.sort();
             prop_assert_eq!(&got, &oracle, "sharded {:?} diverged from naive", kind);
         }
-        let mut fanned = execute_fanout(&sharded, &q, IndexKind::RTree, scq_engine::ExecOptions::all())
-            .unwrap()
-            .solutions;
-        fanned.sort();
-        prop_assert_eq!(&fanned, &oracle, "fan-out diverged");
 
         // per-shard snapshot round trip preserves the answers
         let manifest = scq_shard::snapshot::save_manifest(&sharded);
@@ -214,9 +206,7 @@ proptest! {
             .collect();
         let reloaded = scq_shard::snapshot::load(&manifest, &payloads).unwrap();
         reloaded.check().expect("reloaded sharded store is consistent");
-        let mut after = execute(&reloaded, &q, IndexKind::GridFile, scq_engine::ExecOptions::all())
-            .unwrap()
-            .solutions;
+        let mut after = bbox_execute(&reloaded, &q, IndexKind::GridFile).unwrap().solutions;
         after.sort();
         prop_assert_eq!(after, oracle, "answers changed across the snapshot");
     }
