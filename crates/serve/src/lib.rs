@@ -88,7 +88,7 @@
 //!   labelled by shard index). `--slow-ms <t>` adds a slow-query log:
 //!   queries at or above the threshold bump `serve.slow_queries` and
 //!   keep their traces.
-//! * `--plan selectivity|size|given` picks how `SOLVE` orders its
+//! * `--plan selectivity|size` picks how `SOLVE` orders its
 //!   retrieval levels ([`PlanMode`]); `EXPLAIN` shows the decision
 //!   without executing. In `selectivity` mode the computed orders are
 //!   cached and invalidated by the bound collections' mutation epochs
@@ -569,7 +569,7 @@ pub fn cluster_script(snapshot_dir: &str) -> Vec<(String, String)> {
 /// Boots a complete in-process cluster — two shard servers speaking
 /// the wire protocol plus a router tier connected over real sockets —
 /// and drives [`cluster_script`] through the line protocol. This is
-/// the same topology the CI `cluster-smoke` job builds out of OS
+/// the same topology `scripts/cluster_smoke.sh` builds out of OS
 /// processes; `scq-serve --cluster-self-test` runs this variant.
 pub fn cluster_self_test() -> Result<Vec<String>, String> {
     let universe_size = 1000.0;

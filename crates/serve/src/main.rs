@@ -225,11 +225,11 @@ fn usage() -> &'static str {
      \n\
      usage:\n\
      \x20 scq-serve [--addr A] [--shards N] [--threads T] [--universe S] [--slow-ms W]\n\
-     \x20           [--plan selectivity|size|given]\n\
+     \x20           [--plan selectivity|size]\n\
      \x20 scq-serve --shard [--addr A] [--threads T] [--universe S] [--max-conns N]\n\
      \x20           [--wal <dir>] [--wal-group-commit-ms W]\n\
      \x20 scq-serve --cluster <spec-file> [--addr A] [--threads T]\n\
-     \x20           [--plan selectivity|size|given]\n\
+     \x20           [--plan selectivity|size]\n\
      \x20 scq-serve --self-test\n\
      \x20 scq-serve --cluster-self-test\n\
      \x20 scq-serve --client <addr>\n\

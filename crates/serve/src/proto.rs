@@ -142,18 +142,12 @@ impl ServeMetrics {
 ///   invalidated by the bound collections' mutation epochs.
 /// * `Size` — the executor default: unknowns ascend by live collection
 ///   size, no planning probes.
-/// * `Given` — trust the order the query arrived with. Wire queries
-///   carry no explicit order today, so `given` currently behaves like
-///   `size`; the mode exists so a client-supplied order keeps its
-///   meaning when the protocol grows one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanMode {
     /// Probe-based selectivity ordering with the epoch-keyed plan cache.
     Selectivity,
     /// Ascending live collection size (the executor default).
     Size,
-    /// Whatever order the query carries (today: same as `Size`).
-    Given,
 }
 
 impl PlanMode {
@@ -162,10 +156,7 @@ impl PlanMode {
         match s {
             "selectivity" => Ok(PlanMode::Selectivity),
             "size" => Ok(PlanMode::Size),
-            "given" => Ok(PlanMode::Given),
-            other => Err(format!(
-                "unknown plan mode {other:?} (selectivity|size|given)"
-            )),
+            other => Err(format!("unknown plan mode {other:?} (selectivity|size)")),
         }
     }
 
@@ -174,7 +165,6 @@ impl PlanMode {
         match self {
             PlanMode::Selectivity => "selectivity",
             PlanMode::Size => "size",
-            PlanMode::Given => "given",
         }
     }
 }
@@ -685,17 +675,12 @@ fn dispatch<B: ShardBackend>(
             ))
         }
         "RESYNC" => {
-            // Catch lagging replicas up explicitly. A desynced
-            // secondary is repaired from the primary's WAL when the
-            // primary still holds the complete log, and by a full
-            // snapshot ship otherwise; in-process deployments have
-            // nothing to resync and report zeros.
+            // Catch lagging replicas up explicitly: each desynced
+            // secondary is shipped its primary's snapshot. In-process
+            // deployments have nothing to resync and report zero.
             let mut d = db.write().map_err(lock_poisoned)?;
-            let outcome = d.resync_all().map_err(|e| e.to_string())?;
-            Ok(format!(
-                "OK resynced={} via_wal={} via_snapshot={}",
-                outcome.resynced, outcome.via_wal, outcome.via_snapshot
-            ))
+            let resynced = d.resync_all().map_err(|e| e.to_string())?;
+            Ok(format!("OK resynced={resynced}"))
         }
         "COMPACT" => {
             let mut d = db.write().map_err(lock_poisoned)?;
@@ -1178,7 +1163,7 @@ mod tests {
     fn plan_mode_parses_exactly_the_flag_values() {
         assert_eq!(PlanMode::parse("selectivity"), Ok(PlanMode::Selectivity));
         assert_eq!(PlanMode::parse("size"), Ok(PlanMode::Size));
-        assert_eq!(PlanMode::parse("given"), Ok(PlanMode::Given));
+        assert!(PlanMode::parse("given").is_err());
         assert!(PlanMode::parse("cost").is_err());
         assert_eq!(PlanMode::Selectivity.as_str(), "selectivity");
     }

@@ -190,13 +190,12 @@ pub trait ShardBackend: Send + Sync {
         None
     }
 
-    /// Brings desynchronized replicas back in sync with the primary —
-    /// by shipping WAL segments when the primary's log still reaches
-    /// genesis, falling back to a full snapshot otherwise. Local
-    /// backends have no replicas and report an empty outcome (the
+    /// Brings desynchronized replicas back in sync with the primary by
+    /// shipping them the primary's snapshot, returning how many were
+    /// repaired. Local backends have no replicas and repair none (the
     /// default).
-    fn resync(&mut self) -> Result<crate::remote::ResyncOutcome, ShardError> {
-        Ok(crate::remote::ResyncOutcome::default())
+    fn resync(&mut self) -> Result<usize, ShardError> {
+        Ok(0)
     }
 
     /// The shard **process's** own instruments (per-op latency

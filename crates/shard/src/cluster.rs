@@ -14,7 +14,7 @@
 //!
 //! The text format is deliberately trivial (comments, five directive
 //! kinds: `universe`, `bits`, `breaker`, `wal`, `shard`), written and
-//! parsed by this module so the CI cluster-smoke script and a human
+//! parsed by this module so `scripts/cluster_smoke.sh` and a human
 //! operator author the same file:
 //!
 //! ```text
@@ -47,8 +47,8 @@ use scq_region::AaBox;
 
 use crate::backend::ShardError;
 use crate::database::ShardedDatabase;
-use crate::remote::{BreakerConfig, RemoteShard};
 use crate::router::{validate_ranges, ShardRouter};
+use crate::{link::BreakerConfig, remote::RemoteShard};
 
 /// One shard — an ordered replica set of processes owning one z-range —
 /// in a [`ClusterSpec`].

@@ -278,20 +278,13 @@ impl<B: ShardBackend> ShardedDatabase<B> {
         agg
     }
 
-    /// Runs [`crate::ShardBackend::resync`] on every shard, summing
-    /// the outcomes: lagging replicas catch up by WAL shipping when
-    /// the primary's log still reaches genesis, by full snapshot
-    /// otherwise. A shard with no desynced replicas contributes
-    /// nothing. Stops loudly on the first non-transport failure.
-    pub fn resync_all(&mut self) -> Result<crate::remote::ResyncOutcome, ShardError> {
-        let mut total = crate::remote::ResyncOutcome::default();
-        for shard in &mut self.shards {
-            let outcome = shard.resync()?;
-            total.resynced += outcome.resynced;
-            total.via_wal += outcome.via_wal;
-            total.via_snapshot += outcome.via_snapshot;
-        }
-        Ok(total)
+    /// Runs [`crate::ShardBackend::resync`] on every shard: each
+    /// lagging replica is shipped its primary's snapshot. Returns how
+    /// many replicas were repaired; a shard with no desynced replicas
+    /// contributes nothing. Stops loudly on the first non-transport
+    /// failure.
+    pub fn resync_all(&mut self) -> Result<usize, ShardError> {
+        self.shards.iter_mut().map(|shard| shard.resync()).sum()
     }
 
     pub(crate) fn backends(&self) -> &[B] {

@@ -44,9 +44,16 @@
 //! snapshot manifest, property-tested identical to the in-process
 //! store (`tests/cluster_props.rs`).
 //!
-//! The remote transport is one **multiplexed connection** per shard
-//! process, so concurrent requests probe one shard in parallel,
-//! and reads are **first-class degraded**: a shard process dying
+//! The client side of a remote shard is three modules, one authority
+//! each: `link.rs` owns one **multiplexed connection** per shard
+//! address (so concurrent requests probe one shard in parallel),
+//! retry-once and the circuit breaker; `mirror.rs` owns the router's
+//! write-through copy of the shard's slots and epochs; and [`remote`]
+//! owns the replica-set policy — primary-only writes, read failover,
+//! and one way to repair a lagging replica: ship it the primary's
+//! snapshot.
+//!
+//! Reads are **first-class degraded**: a shard process dying
 //! mid-query costs its candidates, not the query — the result comes
 //! back [`scq_engine::QueryOutcome::Partial`] naming the missing
 //! shards, with `ExecStats { shards_unavailable, retries }` counting
@@ -58,6 +65,8 @@ pub mod backend;
 pub mod cluster;
 pub mod database;
 pub mod fault;
+mod link;
+mod mirror;
 pub mod reactor;
 pub mod remote;
 pub mod router;
@@ -70,12 +79,13 @@ pub use backend::{LocalShard, ProbeTrace, ShardBackend, ShardError};
 pub use cluster::{ClusterError, ClusterSpec, ClusterSpecError, ShardSpec};
 pub use database::{ShardedDatabase, DEFAULT_ROUTER_BITS};
 pub use fault::{Direction, FaultAction, FaultGate, FaultProxy, FaultRule, FrameMatch};
-pub use remote::{
-    BreakerClock, BreakerConfig, BreakerState, LinkStats, RemoteShard, ReplicaHealth,
-    ResyncOutcome, DEFAULT_BREAKER_COOLDOWN_MS, DEFAULT_BREAKER_THRESHOLD,
+pub use link::{
+    BreakerClock, BreakerConfig, BreakerState, LinkStats, DEFAULT_BREAKER_COOLDOWN_MS,
+    DEFAULT_BREAKER_THRESHOLD,
 };
+pub use remote::{RemoteShard, ReplicaHealth};
 pub use router::ShardRouter;
 pub use server::{serve_shard, ShardServerConfig, ShardServerHandle};
 pub use snapshot::{load_from_dir, reload_from_dir, save_to_dir, ShardSnapshotError};
-pub use wal::{Wal, WalConfig, WalError, WalExport, WalStats};
+pub use wal::{Wal, WalConfig, WalError, WalStats};
 pub use wire::WireError;

@@ -38,7 +38,7 @@ use scq_engine::{snapshot, CollectionId, SpatialDatabase};
 use scq_region::AaBox;
 
 use crate::reactor::{self, Port, Protocol, ReactorHandle};
-use crate::wal::{self, Wal, WalConfig, WalStats};
+use crate::wal::{Wal, WalConfig, WalStats};
 use crate::wire::{
     decode_mux, decode_request, encode_response, frame, split_response, FrameReader, Request,
     Response, MUX_CANCEL, MUX_REQ, OP_HELLO, STREAM_CHUNK, WIRE_VERSION,
@@ -433,8 +433,6 @@ fn op_name(req: &Request) -> &'static str {
         Request::SnapshotLoad { .. } => "snapshot_load",
         Request::Check => "check",
         Request::WalStat => "wal_stat",
-        Request::WalExport => "wal_export",
-        Request::WalApply { .. } => "wal_apply",
         Request::Metrics => "metrics",
         Request::Epochs => "epochs",
         Request::Traced { inner, .. } => op_name(inner),
@@ -529,22 +527,11 @@ fn handle_request(state: &ShardState, req: Request) -> (Response, After) {
         // in the state it runs on, so replay reproduces the exact slot
         // layout the answers after it were built on.
         Request::Compact => mutate(state, &req, |d| Response::from_compact(&d.compact())),
+        // The read lock excludes writers, so the stream and the
+        // truncation snapshot describe the same state: SNAPSHOT SAVE
+        // *is* the log-truncation point.
         Request::SnapshotSave => match db.read() {
-            Ok(d) => {
-                let bytes = snapshot::save(&d).to_vec();
-                // The read lock excludes writers, so the stream and
-                // the truncation snapshot describe the same state:
-                // SNAPSHOT SAVE *is* the log-truncation point.
-                if let Some(wal) = &state.wal {
-                    if let Err(e) = wal.truncate(&d) {
-                        return (
-                            Response::Err(format!("wal truncation failed: {e}")),
-                            After::KeepOpen,
-                        );
-                    }
-                }
-                Response::Bytes(bytes)
-            }
+            Ok(d) => seal_log(state, &d, Response::Bytes(snapshot::save(&d).to_vec())),
             Err(e) => poisoned(e),
         },
         // The read-only stream: same bytes, no truncation — reading a
@@ -558,17 +545,8 @@ fn handle_request(state: &ShardState, req: Request) -> (Response, After) {
                 Ok(mut d) => {
                     *d = loaded;
                     // The load rewrote history wholesale; the old log
-                    // no longer describes this state. Truncating seals
-                    // it behind a snapshot of the loaded state.
-                    if let Some(wal) = &state.wal {
-                        if let Err(e) = wal.truncate(&d) {
-                            return (
-                                Response::Err(format!("wal truncation failed: {e}")),
-                                After::KeepOpen,
-                            );
-                        }
-                    }
-                    Response::Ok
+                    // no longer describes this state.
+                    seal_log(state, &d, Response::Ok)
                 }
                 Err(e) => poisoned(e),
             },
@@ -582,59 +560,22 @@ fn handle_request(state: &ShardState, req: Request) -> (Response, After) {
             Some(wal) => Response::WalStat(wal.stats()),
             None => Response::Err("wal not enabled on this shard".into()),
         },
-        Request::WalExport => match &state.wal {
-            // The read lock excludes mutations (and their appends), so
-            // the export is a consistent cut of the log.
-            Some(wal) => match db.read() {
-                Ok(_guard) => match wal.export() {
-                    Ok(export) => Response::WalSegments {
-                        complete: export.complete,
-                        segments: export.segments,
-                    },
-                    Err(e) => Response::Err(format!("wal export failed: {e}")),
-                },
-                Err(e) => poisoned(e),
-            },
-            None => Response::Err("wal not enabled on this shard".into()),
-        },
-        Request::WalApply { segments } => match db.write() {
-            Ok(mut d) => {
-                if d.collections().count() != 0 {
-                    Response::Err("wal apply requires a pristine shard".into())
-                } else {
-                    // Replay into a copy of the pristine state so a
-                    // bad export leaves the shard untouched.
-                    match snapshot::load::<2>(&snapshot::save(&d)) {
-                        Ok(mut scratch) => match wal::replay_export(&mut scratch, segments) {
-                            Ok(applied) => {
-                                *d = scratch;
-                                if let Some(wal) = &state.wal {
-                                    // The applied records were never
-                                    // appended to *our* log; a snapshot
-                                    // truncation makes them durable.
-                                    if let Err(e) = wal.truncate(&d) {
-                                        return (
-                                            Response::Err(format!("wal truncation failed: {e}")),
-                                            After::KeepOpen,
-                                        );
-                                    }
-                                }
-                                Response::Applied(applied)
-                            }
-                            Err(e) => Response::Err(format!("wal apply failed: {e}")),
-                        },
-                        Err(e) => Response::Err(format!("wal apply failed: {e}")),
-                    }
-                }
-            }
-            Err(e) => poisoned(e),
-        },
         Request::Metrics => Response::Metrics(state.registry.snapshot()),
         // Handled above, before the dispatch; decode rejects nesting.
         Request::Traced { .. } => Response::Err("nested Traced request".into()),
         Request::Bye => return (Response::Ok, After::Close),
     };
     (resp, After::KeepOpen)
+}
+
+/// Seals the shard's log, if it keeps one, behind a snapshot of `d`
+/// (its new recovery base) and answers `ok` — or the failure, in which
+/// case the caller must not treat the log as truncated.
+fn seal_log(state: &ShardState, d: &SpatialDatabase<2>, ok: Response) -> Response {
+    match state.wal.as_ref().map(|wal| wal.truncate(d)) {
+        Some(Err(e)) => Response::Err(format!("wal truncation failed: {e}")),
+        _ => ok,
+    }
 }
 
 fn known(d: &SpatialDatabase<2>, coll: CollectionId) -> Result<(), Response> {
@@ -1235,68 +1176,6 @@ mod tests {
         }
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wal_export_apply_clones_a_shard_over_sockets() {
-        let dir_a = wal_dir("export-a");
-        let dir_b = wal_dir("export-b");
-        let server_a = serve_shard(&wal_config(&dir_a)).unwrap();
-        let server_b = serve_shard(&wal_config(&dir_b)).unwrap();
-        let mut a = hello(server_a.addr());
-        let coll = match roundtrip(
-            &mut a,
-            &Request::Create {
-                name: "objs".into(),
-            },
-        ) {
-            Response::Coll(c) => c,
-            other => panic!("{other:?}"),
-        };
-        for i in 0..3u64 {
-            let lo = 10.0 * i as f64;
-            roundtrip(
-                &mut a,
-                &Request::Insert {
-                    coll,
-                    region: Region::from_box(AaBox::new([lo, lo], [lo + 1.0, lo + 1.0])),
-                },
-            );
-        }
-        let segments = match roundtrip(&mut a, &Request::WalExport) {
-            Response::WalSegments { complete, segments } => {
-                assert!(complete, "never-truncated log exports completely");
-                segments
-            }
-            other => panic!("{other:?}"),
-        };
-        let mut b = hello(server_b.addr());
-        assert_eq!(
-            roundtrip(
-                &mut b,
-                &Request::WalApply {
-                    segments: segments.clone()
-                }
-            ),
-            Response::Applied(4)
-        );
-        // A second apply must be refused: the shard is no longer pristine.
-        match roundtrip(&mut b, &Request::WalApply { segments }) {
-            Response::Err(m) => assert!(m.contains("pristine"), "{m}"),
-            other => panic!("{other:?}"),
-        }
-        let want = match roundtrip(&mut a, &overlap_all(coll)) {
-            Response::Ids(ids) => ids,
-            other => panic!("{other:?}"),
-        };
-        match roundtrip(&mut b, &overlap_all(coll)) {
-            Response::Ids(ids) => assert_eq!(ids, want),
-            other => panic!("{other:?}"),
-        }
-        server_a.shutdown();
-        server_b.shutdown();
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
     }
 
     // ── pipelining, cancellation, streaming ─────────────────────────

@@ -67,11 +67,6 @@ pub const SEGMENT_HEADER_LEN: usize = 4 + 2 + 8 + 8;
 /// Fixed per-record overhead: `u32` payload length + `u32` checksum.
 pub const RECORD_HEADER_LEN: usize = 8;
 
-/// A WAL-export response larger than this is refused (`complete =
-/// false`) so it always fits a wire frame with room to spare; the
-/// caller falls back to shipping a snapshot.
-pub const EXPORT_BUDGET: usize = MAX_FRAME / 2;
-
 // ── errors ──────────────────────────────────────────────────────────────
 
 /// Errors from the write-ahead log. Everything recovery refuses to
@@ -207,7 +202,7 @@ pub struct WalConfig {
     /// against fsyncs per second.
     pub group_commit: Duration,
     /// Rotate to a fresh segment once the current one passes this many
-    /// bytes. Small segments keep per-file replay and export granular.
+    /// bytes. Small segments keep per-file replay granular.
     pub segment_cap: u64,
 }
 
@@ -265,17 +260,6 @@ impl WalStats {
 /// before acknowledging the mutation it logged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Ticket(u64);
-
-/// An exported slice of the log, for replica resync.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WalExport {
-    /// Whether the segments reach back to genesis (segment 0, never
-    /// truncated) — only then can they rebuild a pristine replica.
-    pub complete: bool,
-    /// Raw segment files, oldest first. Empty when `complete` is
-    /// false.
-    pub segments: Vec<Vec<u8>>,
-}
 
 // ── checksums and the segment header ────────────────────────────────────
 
@@ -734,14 +718,14 @@ struct Shared {
     state: Mutex<WalState>,
     cv: Condvar,
     /// Latency of every data fsync (group-commit batches, rotation
-    /// seals, truncation and export flushes). Shared out via
+    /// seals and truncation flushes). Shared out via
     /// [`Wal::fsync_latency`] so the shard server can register it as
     /// `wal.fsync.latency` without a stats-plumbing detour.
     fsync_latency: Histogram,
 }
 
-/// A shard's open write-ahead log: appends, the group-commit flusher,
-/// truncation and export. Construct with [`Wal::open`], which runs
+/// A shard's open write-ahead log: appends, the group-commit flusher
+/// and truncation. Construct with [`Wal::open`], which runs
 /// recovery first and hands back the recovered database alongside the
 /// log.
 pub struct Wal {
@@ -992,42 +976,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Reads the whole log for replica resync. `complete` only when
-    /// the segments reach back to genesis (never truncated) and fit
-    /// the [`EXPORT_BUDGET`]; otherwise the caller must ship a
-    /// snapshot instead. Call with mutations excluded so no append
-    /// lands mid-read.
-    pub fn export(&self) -> Result<WalExport, WalError> {
-        let mut st = self.shared.state.lock().expect("wal state");
-        self.sync_pending(&mut st)?;
-        drop(st);
-        let (segs, _) = list_dir(&self.shared.dir)?;
-        let complete = segs.keys().next() == Some(&0);
-        if !complete {
-            return Ok(WalExport {
-                complete: false,
-                segments: Vec::new(),
-            });
-        }
-        let mut total = 0usize;
-        let mut segments = Vec::with_capacity(segs.len());
-        for path in segs.values() {
-            let bytes = fs::read(path)?;
-            total += bytes.len();
-            if total > EXPORT_BUDGET {
-                return Ok(WalExport {
-                    complete: false,
-                    segments: Vec::new(),
-                });
-            }
-            segments.push(bytes);
-        }
-        Ok(WalExport {
-            complete: true,
-            segments,
-        })
-    }
-
     /// The log's fsync-latency histogram. The handle shares cells with
     /// the live log, so registering it once
     /// (`registry.register_histogram("wal.fsync.latency", …)`) keeps
@@ -1097,34 +1045,6 @@ fn flusher_loop(shared: &Shared, window: Duration) {
         let (guard, _) = shared.cv.wait_timeout(st, window).expect("wal state");
         st = guard;
     }
-}
-
-/// Rebuilds a database from exported segments (the replica side of
-/// WAL-shipped resync). The segments must be self-consistent — shared
-/// salt, contiguous sequence from 0, intact checksums; no torn tail is
-/// tolerated (they came from a live log, not a crash). Returns the
-/// number of records applied.
-pub fn replay_export(db: &mut SpatialDatabase<2>, segments: &[Vec<u8>]) -> Result<u64, WalError> {
-    if segments.is_empty() {
-        return Ok(0);
-    }
-    let mut salt: Option<u64> = None;
-    let mut applied = 0u64;
-    for (i, bytes) in segments.iter().enumerate() {
-        let name = format!("exported segment {i}");
-        let outcome = scan_segment(&name, bytes, salt, Some(i as u64), false, |req, off| {
-            apply_record(db, &req).map_err(|reason| WalError::ReplayRejected {
-                file: name.clone(),
-                offset: off,
-                reason,
-            })
-        })?;
-        if let Some(h) = outcome.header {
-            salt = Some(h.salt);
-        }
-        applied += outcome.records;
-    }
-    Ok(applied)
 }
 
 #[cfg(test)]
@@ -1447,6 +1367,33 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Only the newest segment may end in a torn record: a sealed one
+    /// cut short lost acknowledged history, and recovery says so.
+    #[test]
+    fn truncated_sealed_segment_is_a_loud_corrupt_record() {
+        let dir = tmpdir("sealedcut");
+        let mut cfg = small_config(&dir);
+        cfg.segment_cap = 80;
+        {
+            let (wal, mut db) = Wal::open(&cfg, universe()).unwrap();
+            churn(&wal, &mut db);
+            assert!(wal.stats().segments >= 2);
+        }
+        let (segs, _) = list_dir(&dir).unwrap();
+        let sealed = OpenOptions::new().write(true).open(&segs[&0]).unwrap();
+        sealed
+            .set_len(sealed.metadata().unwrap().len() - 3)
+            .unwrap();
+        drop(sealed);
+        match Wal::open(&cfg, universe()).map(|_| ()) {
+            Err(WalError::CorruptRecord { reason, .. }) => {
+                assert!(reason.contains("sealed segment"), "{reason}")
+            }
+            other => panic!("expected CorruptRecord, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn v1_header_layout_is_locked() {
         // The byte-exact v1 layout, so a future format change cannot
@@ -1562,56 +1509,6 @@ mod tests {
             "group commit must batch: {n} records took {} fsyncs",
             stats.fsync_batches
         );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn export_covers_genesis_until_truncated_and_applies_cleanly() {
-        let dir = tmpdir("export");
-        let mut cfg = small_config(&dir);
-        cfg.segment_cap = 120; // several segments
-        let (wal, mut db) = Wal::open(&cfg, universe()).unwrap();
-        churn(&wal, &mut db);
-        let export = wal.export().unwrap();
-        assert!(export.complete, "never-truncated log covers genesis");
-        assert!(export.segments.len() > 1);
-        let mut rebuilt = SpatialDatabase::new(universe());
-        let applied = replay_export(&mut rebuilt, &export.segments).unwrap();
-        assert_eq!(applied, sample_history().len() as u64);
-        assert_eq!(state_bytes(&rebuilt), state_bytes(&db));
-        // After truncation the head is gone: export must refuse.
-        wal.truncate(&db).unwrap();
-        let export = wal.export().unwrap();
-        assert!(!export.complete);
-        assert!(export.segments.is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tampered_export_is_rejected() {
-        let dir = tmpdir("export-tamper");
-        let (wal, mut db) = Wal::open(&small_config(&dir), universe()).unwrap();
-        churn(&wal, &mut db);
-        let export = wal.export().unwrap();
-        // A garbled byte inside the export: loud, even though a live
-        // log would have tolerated nothing less.
-        let mut garbled = export.segments.clone();
-        let last = garbled[0].len() - 1;
-        garbled[0][last] ^= 0xFF;
-        let mut target = SpatialDatabase::new(universe());
-        assert!(matches!(
-            replay_export(&mut target, &garbled),
-            Err(WalError::CorruptRecord { .. })
-        ));
-        // A truncated final segment: exports carry no torn-tail grace.
-        let mut cut = export.segments.clone();
-        let keep = cut[0].len() - 3;
-        cut[0].truncate(keep);
-        let mut target = SpatialDatabase::new(universe());
-        assert!(matches!(
-            replay_export(&mut target, &cut),
-            Err(WalError::CorruptRecord { .. })
-        ));
         let _ = fs::remove_dir_all(&dir);
     }
 

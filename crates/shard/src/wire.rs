@@ -246,8 +246,8 @@ pub enum Request {
     /// `SNAPSHOT SAVE` path.
     SnapshotSave,
     /// Stream the shard's full `SCQS` snapshot read-only — no WAL
-    /// truncation. Mirror bootstrap and resync use this so merely
-    /// *reading* a shard never seals its log.
+    /// truncation. Mirror bootstrap and replica resync use this so
+    /// merely *reading* a shard never seals its log.
     SnapshotRead,
     /// Replace the shard's contents with an `SCQS` stream.
     SnapshotLoad {
@@ -258,15 +258,6 @@ pub enum Request {
     Check,
     /// The shard's write-ahead-log counters, if it keeps one.
     WalStat,
-    /// Ship the shard's WAL segments (replica resync transport).
-    WalExport,
-    /// Rebuild a **pristine** shard from exported WAL segments, in
-    /// place of a full [`Request::SnapshotLoad`].
-    WalApply {
-        /// Raw segment files, oldest first, as returned by
-        /// [`Response::WalSegments`].
-        segments: Vec<Vec<u8>>,
-    },
     /// Close the connection.
     Bye,
     /// An envelope attributing its inner request to a client
@@ -323,17 +314,6 @@ pub enum Response {
     Problems(Vec<String>),
     /// WAL counters ([`Request::WalStat`]).
     WalStat(crate::wal::WalStats),
-    /// WAL segments for resync ([`Request::WalExport`]). `complete`
-    /// false (with no segments) means the log no longer reaches
-    /// genesis, or is too large to ship — fall back to a snapshot.
-    WalSegments {
-        /// Whether the segments cover the shard's whole history.
-        complete: bool,
-        /// Raw segment files, oldest first.
-        segments: Vec<Vec<u8>>,
-    },
-    /// Records applied from a shipped WAL ([`Request::WalApply`]).
-    Applied(u64),
     /// The shard's metric snapshot ([`Request::Metrics`]).
     Metrics(scq_obs::Snapshot),
     /// The request failed on the shard.
@@ -607,10 +587,8 @@ pub const OP_CHECK: u8 = 0x0B;
 pub const OP_BYE: u8 = 0x0C;
 /// Opcode of [`Request::WalStat`].
 pub const OP_WAL_STAT: u8 = 0x0D;
-/// Opcode of [`Request::WalExport`].
-pub const OP_WAL_EXPORT: u8 = 0x0E;
-/// Opcode of [`Request::WalApply`].
-pub const OP_WAL_APPLY: u8 = 0x0F;
+// 0x0E and 0x0F are retired (they shipped WAL segments); a peer that
+// sends one gets `BadOpcode` like any unknown byte.
 /// Opcode of [`Request::SnapshotRead`].
 pub const OP_SNAP_READ: u8 = 0x10;
 /// Opcode of [`Request::Traced`].
@@ -619,31 +597,6 @@ pub const OP_TRACED: u8 = 0x11;
 pub const OP_METRICS: u8 = 0x12;
 /// Opcode of [`Request::Epochs`].
 pub const OP_EPOCHS: u8 = 0x13;
-
-/// Encodes a list of raw segment files: count, then per segment a
-/// 64-bit length and the bytes.
-fn put_segments(buf: &mut Vec<u8>, segments: &[Vec<u8>]) {
-    buf.put_u32_le(segments.len() as u32);
-    for seg in segments {
-        buf.put_u64_le(seg.len() as u64);
-        buf.put_slice(seg);
-    }
-}
-
-fn get_segments(buf: &mut &[u8]) -> Result<Vec<Vec<u8>>, WireError> {
-    need(buf, 4)?;
-    let n = buf.get_u32_le() as usize;
-    let mut segments = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        need(buf, 8)?;
-        let len = buf.get_u64_le() as usize;
-        need(buf, len)?;
-        let mut seg = vec![0u8; len];
-        buf.copy_to_slice(&mut seg);
-        segments.push(seg);
-    }
-    Ok(segments)
-}
 
 /// Serializes a request into a frame payload (no length prefix).
 pub fn encode_request(req: &Request) -> Vec<u8> {
@@ -694,11 +647,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::Check => buf.put_u8(OP_CHECK),
         Request::WalStat => buf.put_u8(OP_WAL_STAT),
-        Request::WalExport => buf.put_u8(OP_WAL_EXPORT),
-        Request::WalApply { segments } => {
-            buf.put_u8(OP_WAL_APPLY);
-            put_segments(&mut buf, segments);
-        }
         Request::Bye => buf.put_u8(OP_BYE),
         Request::Traced { trace_id, inner } => {
             buf.put_u8(OP_TRACED);
@@ -782,10 +730,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         }
         OP_CHECK => Request::Check,
         OP_WAL_STAT => Request::WalStat,
-        OP_WAL_EXPORT => Request::WalExport,
-        OP_WAL_APPLY => Request::WalApply {
-            segments: get_segments(&mut buf)?,
-        },
         OP_BYE => Request::Bye,
         OP_TRACED => {
             need(&buf, 12)?;
@@ -831,8 +775,7 @@ const RK_BYTES: u8 = 0x08;
 const RK_OK: u8 = 0x09;
 const RK_PROBLEMS: u8 = 0x0A;
 const RK_WAL_STAT: u8 = 0x0B;
-const RK_WAL_SEGMENTS: u8 = 0x0C;
-const RK_APPLIED: u8 = 0x0D;
+// 0x0C and 0x0D are retired with the WAL-segment requests.
 const RK_METRICS: u8 = 0x0E;
 
 // Instrument kind bytes inside a [`Response::Metrics`] snapshot row.
@@ -975,15 +918,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             buf.put_u64_le(stats.bytes);
             buf.put_u64_le(stats.torn_tails);
         }
-        Response::WalSegments { complete, segments } => {
-            buf.put_u8(RK_WAL_SEGMENTS);
-            buf.put_u8(*complete as u8);
-            put_segments(&mut buf, segments);
-        }
-        Response::Applied(n) => {
-            buf.put_u8(RK_APPLIED);
-            buf.put_u64_le(*n);
-        }
         Response::Metrics(snap) => {
             buf.put_u8(RK_METRICS);
             put_snapshot(&mut buf, snap);
@@ -1092,18 +1026,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
                 bytes: buf.get_u64_le(),
                 torn_tails: buf.get_u64_le(),
             })
-        }
-        RK_WAL_SEGMENTS => {
-            need(&buf, 1)?;
-            let complete = buf.get_u8() & 1 != 0;
-            Response::WalSegments {
-                complete,
-                segments: get_segments(&mut buf)?,
-            }
-        }
-        RK_APPLIED => {
-            need(&buf, 8)?;
-            Response::Applied(buf.get_u64_le())
         }
         RK_METRICS => Response::Metrics(get_snapshot(&mut buf)?),
         other => return Err(WireError::BadOpcode(other)),
@@ -1353,11 +1275,6 @@ mod tests {
             },
             Request::Check,
             Request::WalStat,
-            Request::WalExport,
-            Request::WalApply {
-                segments: vec![vec![1, 2, 3], vec![], vec![42; 9]],
-            },
-            Request::WalApply { segments: vec![] },
             Request::Bye,
             Request::Traced {
                 trace_id: 0xDEAD_BEEF_CAFE,
@@ -1405,15 +1322,6 @@ mod tests {
                 bytes: 4096,
                 torn_tails: 1,
             }),
-            Response::WalSegments {
-                complete: true,
-                segments: vec![vec![5, 4, 3], vec![2]],
-            },
-            Response::WalSegments {
-                complete: false,
-                segments: vec![],
-            },
-            Response::Applied(12),
             Response::Metrics(scq_obs::Snapshot { rows: vec![] }),
             Response::Metrics(scq_obs::Snapshot {
                 rows: vec![
@@ -1566,6 +1474,20 @@ mod tests {
             decode_request(&payload).err(),
             Some(WireError::BadIndexKind(9))
         );
+    }
+
+    /// The opcodes that once shipped WAL segments (0x0E, 0x0F) were
+    /// retired at the same wire version: a peer that still sends one
+    /// (here with a one-segment body) is refused by name.
+    #[test]
+    fn retired_wal_shipping_opcodes_are_bad_opcodes() {
+        for op in [0x0E, 0x0F] {
+            let payload = [op, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+            assert_eq!(
+                decode_request(&payload).err(),
+                Some(WireError::BadOpcode(op))
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! The shard servers here run as threads of the test process bound to
 //! ephemeral loopback ports — every byte still crosses a real TCP
 //! socket through the real wire codec, which is the property under
-//! test; the CI `cluster-smoke` job exercises the identical stack with
+//! test; `scripts/cluster_smoke.sh` exercises the identical stack with
 //! shards as separate OS processes.
 
 use std::time::Duration;
@@ -22,9 +22,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use scq_engine::CollectionId;
 use scq_integration::prelude::*;
-use scq_shard::{
-    ClusterSpec, RemoteShard, ResyncOutcome, ShardServerConfig, ShardServerHandle, WalConfig,
-};
+use scq_shard::{ClusterSpec, RemoteShard, ShardServerConfig, ShardServerHandle, WalConfig};
 
 const UNIVERSE_SIZE: f64 = 100.0;
 
@@ -846,8 +844,8 @@ fn boot_wal_server(root: &std::path::Path, tag: &str) -> ShardServerHandle {
 
 /// The durability acceptance scenario: every shard process of a
 /// WAL-enabled cluster dies mid-churn (listener closed, every live
-/// connection cut — the thread equivalent of SIGKILL; the CI
-/// `crash-recovery` job repeats this with real processes and a real
+/// connection cut — the thread equivalent of SIGKILL;
+/// `scripts/crash_smoke.sh` repeats this with real processes and a real
 /// `kill -9`) and a fresh process restarts behind the same spec'd
 /// address on the same log directory. Recovery must replay the log
 /// back to exactly the acknowledged state — zero acknowledged
@@ -945,14 +943,12 @@ fn wal_cluster_killed_mid_churn_replays_every_acknowledged_mutation() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// PR 6 made a lagging replica a loud desync with one repair path
-/// (restore everything from a snapshot). The WAL adds the cheap one:
-/// `resync` resets the replacement to pristine and ships the
-/// primary's log segments when the primary still holds them back to
-/// genesis — and falls back to the full snapshot ship after
-/// `SNAPSHOT SAVE` truncates that log.
+/// A lagging replica has one repair path: `resync` ships it the
+/// primary's snapshot, pulled read-only so the primary's log is left
+/// alone. It works the same whether or not `SNAPSHOT SAVE` has
+/// truncated that log in between.
 #[test]
-fn desynced_replica_resyncs_via_wal_then_via_snapshot_after_truncation() {
+fn desynced_replica_resyncs_before_and_after_log_truncation() {
     let root = std::env::temp_dir().join(format!("scq_wal_resync_{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     let primary = boot_wal_server(&root, "primary");
@@ -972,60 +968,31 @@ fn desynced_replica_resyncs_via_wal_then_via_snapshot_after_truncation() {
             .expect("insert");
     }
 
-    // The secondary dies; the next write succeeds on the primary and
-    // marks the replica desynced.
-    secondary.shutdown();
-    proxy.sever_all();
-    db.try_insert(
-        coll,
-        Region::from_box(AaBox::new([90.0, 90.0], [95.0, 95.0])),
-    )
-    .expect("writes keep flowing on the primary");
-    assert!(db.backend(0).health()[1].desynced);
-
-    // A pristine process comes back behind the replica's address. The
-    // primary has logged every mutation since genesis, so resync ships
-    // WAL segments, not a snapshot.
-    let replacement = boot_server(1);
-    proxy.retarget(&replacement.addr().to_string());
-    let outcome = db.resync_all().expect("resync");
-    assert_eq!(
-        outcome,
-        ResyncOutcome {
-            resynced: 1,
-            via_wal: 1,
-            via_snapshot: 0
-        },
-        "a complete primary log resyncs by replay"
-    );
-    db.check().expect("wal-resynced cluster is consistent");
-
-    // `SNAPSHOT SAVE` is the log-truncation point: after it, the
-    // primary's log no longer reaches genesis, so the next resync must
-    // take the snapshot path.
-    let snap = root.join("snap");
-    scq_shard::save_to_dir(&db, &snap).expect("snapshot (truncates the primary's log)");
-    replacement.shutdown();
-    proxy.sever_all();
-    db.try_insert(
-        coll,
-        Region::from_box(AaBox::new([80.0, 10.0], [86.0, 16.0])),
-    )
-    .expect("primary still writes");
-    assert!(db.backend(0).health()[1].desynced);
-    let replacement = boot_server(1);
-    proxy.retarget(&replacement.addr().to_string());
-    let outcome = db.resync_all().expect("resync after truncation");
-    assert_eq!(
-        outcome,
-        ResyncOutcome {
-            resynced: 1,
-            via_wal: 0,
-            via_snapshot: 1
-        },
-        "a truncated log falls back to the snapshot ship"
-    );
-    db.check().expect("snapshot-resynced cluster is consistent");
+    // Twice, the replica's process dies, the next write succeeds on
+    // the primary and marks the replica desynced, and a pristine process
+    // comes back behind the replica's address for `resync` to repair —
+    // the second time after `SNAPSHOT SAVE`, the log-truncation point,
+    // so the primary's log no longer reaches genesis. Repair does not
+    // care.
+    let mut replica = secondary;
+    for (round, [x, y]) in [[90.0, 90.0], [80.0, 10.0]].into_iter().enumerate() {
+        if round == 1 {
+            scq_shard::save_to_dir(&db, &root.join("snap"))
+                .expect("snapshot (truncates the primary's log)");
+        }
+        replica.shutdown();
+        proxy.sever_all();
+        db.try_insert(
+            coll,
+            Region::from_box(AaBox::new([x, y], [x + 5.0, y + 5.0])),
+        )
+        .expect("writes keep flowing on the primary");
+        assert!(db.backend(0).health()[1].desynced);
+        replica = boot_server(1);
+        proxy.retarget(&replica.addr().to_string());
+        assert_eq!(db.resync_all().expect("resync"), 1, "round {round}");
+        db.check().expect("resynced cluster is consistent");
+    }
 
     // The twice-resynced replica really serves: kill the primary and
     // read the full census through failover.
@@ -1043,7 +1010,7 @@ fn desynced_replica_resyncs_via_wal_then_via_snapshot_after_truncation() {
         .expect("failover to the resynced replica");
     assert_eq!(out.len(), 8, "6 seed inserts + 2 desync-window inserts");
     assert_eq!((trace.failovers, trace.stale), (1, true), "{trace:?}");
-    replacement.shutdown();
+    replica.shutdown();
     std::fs::remove_dir_all(&root).ok();
 }
 
