@@ -6,7 +6,6 @@
 //! executors' zero-clone path, where a formula that reduces to a single
 //! variable never copies the (potentially fragment-heavy) element.
 
-use scq_boolean::cube::Sop;
 use scq_boolean::{Formula, Var};
 
 use crate::assignment::{Assignment, VarLookup};
@@ -102,34 +101,11 @@ pub fn eval_formula<A: BooleanAlgebra>(
     eval_formula_in(alg, f, assign).map(Val::into_owned)
 }
 
-/// Evaluates a sum-of-products form in `alg` under `assign`.
-pub fn eval_sop<A: BooleanAlgebra>(
-    alg: &A,
-    s: &Sop,
-    assign: &Assignment<A::Elem>,
-) -> Result<A::Elem, UnboundVar> {
-    let mut acc = alg.zero();
-    for cube in s.cubes() {
-        let mut term = alg.one();
-        for lit in cube.literals() {
-            let e = assign.get(lit.var).cloned().ok_or(UnboundVar(lit.var))?;
-            let e = if lit.positive { e } else { alg.complement(&e) };
-            term = alg.meet(&term, &e);
-            if alg.is_zero(&term) {
-                break;
-            }
-        }
-        acc = alg.join(&acc, &term);
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bitset::BitsetAlgebra;
     use crate::bool2::Bool2;
-    use scq_boolean::formula_to_sop;
 
     fn v(i: u32) -> Formula {
         Formula::var(Var(i))
@@ -177,31 +153,6 @@ mod tests {
             .with(Var(2), 0b0000_0011u64);
         let got = eval_formula(&alg, &f, &assign).unwrap();
         assert_eq!(got, 0b0011_0011);
-    }
-
-    #[test]
-    fn sop_eval_agrees_with_formula_eval() {
-        let alg = BitsetAlgebra::new(6);
-        let f = Formula::or(
-            Formula::and(v(0), Formula::not(v(1))),
-            Formula::and(v(1), v(2)),
-        );
-        let s = formula_to_sop(&f);
-        let assign = Assignment::new()
-            .with(Var(0), 0b10_1010u64)
-            .with(Var(1), 0b11_0011u64)
-            .with(Var(2), 0b01_0110u64);
-        let via_f = eval_formula(&alg, &f, &assign).unwrap();
-        let via_s = eval_sop(&alg, &s, &assign).unwrap();
-        assert!(alg.eq_elem(&via_f, &via_s));
-    }
-
-    #[test]
-    fn sop_eval_reports_unbound() {
-        let alg = BitsetAlgebra::new(4);
-        let s = formula_to_sop(&Formula::and(v(0), v(3)));
-        let assign = Assignment::new().with(Var(0), 0b1u64);
-        assert_eq!(eval_sop(&alg, &s, &assign), Err(UnboundVar(Var(3))));
     }
 
     #[test]

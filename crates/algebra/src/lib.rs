@@ -31,5 +31,5 @@ pub mod traits;
 pub use assignment::{Assignment, FlatAssignment, VarLookup};
 pub use bitset::BitsetAlgebra;
 pub use bool2::Bool2;
-pub use eval::{eval_formula, eval_formula_in, eval_sop, Val};
+pub use eval::{eval_formula, eval_formula_in, Val};
 pub use traits::{Atomless, BooleanAlgebra};

@@ -59,11 +59,6 @@ pub fn bcf_of_sop(start: Sop) -> Sop {
     sop
 }
 
-/// The prime implicants of `f`, in canonical (sorted) order.
-pub fn prime_implicants(f: &Formula) -> Vec<Cube> {
-    blake_canonical_form(f).sorted_cubes()
-}
-
 /// Syllogistic order on SOP formulas (paper, before Theorem 19):
 /// `g ≼ f` iff every term of `g` has a *subterm* in `f` — i.e. for each
 /// cube of `g` some cube of `f` subsumes it.
@@ -175,7 +170,7 @@ mod tests {
             Formula::and(v(0), v(1)),
             Formula::and(Formula::not(v(0)), v(2)),
         );
-        let pis = prime_implicants(&f);
+        let pis = blake_canonical_form(&f).sorted_cubes();
         assert!(pis.contains(&cube(&[(1, true), (2, true)])));
         assert_eq!(pis.len(), 3);
         semantically_equal(&f, &blake_canonical_form(&f), 3);
@@ -188,7 +183,7 @@ mod tests {
             Formula::and(Formula::not(v(1)), v(2)),
             Formula::and(v(0), v(2)),
         ]);
-        let pis = prime_implicants(&f);
+        let pis = blake_canonical_form(&f).sorted_cubes();
         for p in &pis {
             // implicant: p ⟹ f on all assignments
             for bits in 0u32..8 {

@@ -250,12 +250,6 @@ impl Bdd {
         self.or(lo, hi)
     }
 
-    /// Universal quantification `∀v. n`.
-    pub fn forall(&mut self, n: NodeId, v: Var) -> NodeId {
-        let (lo, hi) = self.cofactors(n, v);
-        self.and(lo, hi)
-    }
-
     /// Both cofactors of `n` by `v`.
     pub fn cofactors(&mut self, n: NodeId, v: Var) -> (NodeId, NodeId) {
         (self.restrict(n, v, false), self.restrict(n, v, true))
@@ -311,27 +305,6 @@ impl Bdd {
             self.not(b)
         };
         self.and(a, ng) == ZERO
-    }
-
-    /// One satisfying assignment over the given variable support, if any.
-    pub fn any_sat(&self, n: NodeId) -> Option<Vec<(Var, bool)>> {
-        if n == ZERO {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut cur = n;
-        while cur != ONE {
-            let node = self.node(cur);
-            // Prefer the child that is not ZERO; reduction guarantees one is.
-            if node.hi != ZERO {
-                path.push((Var(node.level), true));
-                cur = node.hi;
-            } else {
-                path.push((Var(node.level), false));
-                cur = node.lo;
-            }
-        }
-        Some(path)
     }
 
     /// Counts satisfying assignments over exactly `nvars` variables
@@ -467,34 +440,6 @@ mod tests {
         let or01 = Formula::or(f.cofactor(Var(0), false), f.cofactor(Var(0), true));
         let want = b.from_formula(&or01);
         assert_eq!(e, want);
-    }
-
-    #[test]
-    fn forall_dual() {
-        let mut b = Bdd::new();
-        let f = Formula::or(v(0), v(1));
-        let n = b.from_formula(&f);
-        let a = b.forall(n, Var(0));
-        let want = b.from_formula(&v(1));
-        assert_eq!(a, want);
-    }
-
-    #[test]
-    fn any_sat_finds_model() {
-        let mut b = Bdd::new();
-        let f = Formula::and(Formula::not(v(0)), v(1));
-        let n = b.from_formula(&f);
-        let model = b.any_sat(n).unwrap();
-        let assign = |x: Var| {
-            model
-                .iter()
-                .find(|(v, _)| *v == x)
-                .map(|&(_, p)| p)
-                .unwrap_or(false)
-        };
-        assert!(f.eval2(assign));
-        let zero = b.from_formula(&Formula::Zero);
-        assert!(b.any_sat(zero).is_none());
     }
 
     #[test]

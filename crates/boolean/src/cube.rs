@@ -281,7 +281,7 @@ impl fmt::Display for CubeDisplay<'_> {
 /// A sum of products: a disjunction of [`Cube`]s.
 ///
 /// The empty SOP is the constant `0`. SOPs are kept *absorbed* (no cube
-/// subsumes another) by [`Sop::push`] and [`Sop::absorb`].
+/// subsumes another) by [`Sop::push`].
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Sop {
     cubes: Vec<Cube>,
@@ -366,21 +366,6 @@ impl Sop {
             }
         }
         out
-    }
-
-    /// Removes all cubes subsumed by another cube (already maintained by
-    /// `push`; exposed for callers that mutate `cubes` directly).
-    pub fn absorb(&mut self) {
-        let mut kept: Vec<Cube> = Vec::with_capacity(self.cubes.len());
-        'outer: for (i, c) in self.cubes.iter().enumerate() {
-            for (j, d) in self.cubes.iter().enumerate() {
-                if i != j && d.subsumes(c) && (!c.subsumes(d) || j < i) {
-                    continue 'outer; // c is absorbed (ties keep first copy)
-                }
-            }
-            kept.push(c.clone());
-        }
-        self.cubes = kept;
     }
 
     /// Two-valued evaluation.

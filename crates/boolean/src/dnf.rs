@@ -13,11 +13,6 @@ pub fn formula_to_sop(f: &Formula) -> Sop {
     to_sop(f, true)
 }
 
-/// Converts the *complement* of a formula to sum-of-products form.
-pub fn complement_to_sop(f: &Formula) -> Sop {
-    to_sop(f, false)
-}
-
 fn to_sop(f: &Formula, polarity: bool) -> Sop {
     match (f, polarity) {
         (Formula::Zero, true) | (Formula::One, false) => Sop::zero(),
@@ -34,11 +29,6 @@ fn to_sop(f: &Formula, polarity: bool) -> Sop {
             to_sop(a, polarity).or(&to_sop(b, polarity))
         }
     }
-}
-
-/// Converts an SOP back to a formula.
-pub fn sop_to_formula(s: &Sop) -> Formula {
-    s.to_formula()
 }
 
 #[cfg(test)]
@@ -79,14 +69,6 @@ mod tests {
     }
 
     #[test]
-    fn complement_to_sop_is_negation() {
-        let f = Formula::or(Formula::and(v(0), v(1)), v(2));
-        let s = complement_to_sop(&f);
-        let not_f = Formula::not(f);
-        equivalent(&not_f, &s, 3);
-    }
-
-    #[test]
     fn contradictions_vanish() {
         // x & ~x ⇒ empty SOP
         let f = Formula::And(
@@ -120,7 +102,7 @@ mod tests {
     fn round_trip_formula() {
         let f = Formula::or(Formula::and(v(0), Formula::not(v(1))), v(2));
         let s = formula_to_sop(&f);
-        let g = sop_to_formula(&s);
+        let g = s.to_formula();
         equivalent(&g, &s, 3);
     }
 }

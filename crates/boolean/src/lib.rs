@@ -19,7 +19,7 @@
 //! * [`quant`] — Boole's and Schröder's theorems as executable functions
 //!   (existential quantification of equations, range form, expansion),
 //! * [`parse`] — a small text syntax for formulas,
-//! * [`random`] — seeded random formula generators for tests.
+//! * [`random`] — a seeded random formula generator for property tests.
 //!
 //! Formulas are interpreted over an *arbitrary* Boolean algebra (regions,
 //! bit sets, the two-valued algebra…); evaluation lives in `scq-algebra`.
@@ -29,7 +29,6 @@
 
 pub mod bcf;
 pub mod bdd;
-pub mod cnf;
 pub mod cube;
 pub mod dnf;
 pub mod formula;
@@ -39,11 +38,10 @@ pub mod quant;
 pub mod random;
 pub mod var;
 
-pub use bcf::{blake_canonical_form, prime_implicants, syllogistic_le};
+pub use bcf::{blake_canonical_form, syllogistic_le};
 pub use bdd::Bdd;
-pub use cnf::{dual_blake_canonical_form, formula_to_pos, prime_implicates, Pos};
 pub use cube::{Cube, Literal, Sop};
-pub use dnf::{formula_to_sop, sop_to_formula};
+pub use dnf::formula_to_sop;
 pub use formula::Formula;
 pub use minimize::{irredundant_sop, minimize};
 pub use parse::{parse_formula, ParseError};

@@ -1,12 +1,10 @@
-//! Seeded random generators for formulas, cubes and SOPs.
+//! A seeded random formula generator for property tests.
 //!
-//! Used by property tests and by the benchmark workload generators; all
-//! functions take an external [`Rng`] so callers control seeding and
+//! It takes an external [`Rng`] so callers control seeding and
 //! reproducibility.
 
 use rand::{Rng, RngExt};
 
-use crate::cube::{Cube, Literal, Sop};
 use crate::formula::Formula;
 use crate::var::Var;
 
@@ -54,38 +52,6 @@ pub fn random_formula<R: Rng + ?Sized>(rng: &mut R, cfg: &FormulaConfig) -> Form
     }
 }
 
-/// Generates a random cube over `nvars` variables with roughly
-/// `literals` literals (duplicate picks are merged).
-pub fn random_cube<R: Rng + ?Sized>(rng: &mut R, nvars: u32, literals: u32) -> Cube {
-    let mut c = Cube::one();
-    for _ in 0..literals {
-        let var = Var(rng.random_range(0..nvars));
-        let lit = Literal {
-            var,
-            positive: rng.random_bool(0.5),
-        };
-        // A clashing literal would zero the cube; flip it instead.
-        c = match c.and_literal(lit) {
-            Some(next) => next,
-            None => c
-                .and_literal(lit.complement())
-                .expect("complement cannot clash"),
-        };
-    }
-    c
-}
-
-/// Generates a random SOP with `ncubes` cubes of about `lits_per_cube`
-/// literals each.
-pub fn random_sop<R: Rng + ?Sized>(
-    rng: &mut R,
-    nvars: u32,
-    ncubes: u32,
-    lits_per_cube: u32,
-) -> Sop {
-    Sop::from_cubes((0..ncubes).map(|_| random_cube(rng, nvars, lits_per_cube)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,22 +82,5 @@ mod tests {
             let f = random_formula(&mut rng, &cfg);
             assert!(f.vars().iter().all(|v| v.0 < 3));
         }
-    }
-
-    #[test]
-    fn random_cube_never_zero() {
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..100 {
-            let c = random_cube(&mut rng, 4, 6);
-            assert!(c.len() <= 4);
-        }
-    }
-
-    #[test]
-    fn random_sop_has_requested_shape() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let s = random_sop(&mut rng, 6, 8, 3);
-        assert!(s.len() <= 8);
-        assert!(s.vars().iter().all(|v| v.0 < 6));
     }
 }

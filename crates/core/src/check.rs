@@ -1,9 +1,9 @@
 //! Algebra-generic exact evaluation of constraints and systems.
 //!
-//! Each checker comes in two flavours: the `*_in` form is generic over
-//! [`VarLookup`] storage and evaluates without cloning elements at
-//! variable leaves (the executors' zero-clone path); the original form
-//! over [`Assignment`] delegates to it.
+//! Each `*_in` checker is generic over [`VarLookup`] storage and
+//! evaluates without cloning elements at variable leaves (the executors'
+//! zero-clone path); [`check_system`] and [`check_normal`] take an
+//! [`Assignment`] and delegate to it.
 
 use scq_algebra::eval::UnboundVar;
 use scq_algebra::{eval_formula_in, Assignment, BooleanAlgebra, VarLookup};
@@ -11,15 +11,6 @@ use scq_algebra::{eval_formula_in, Assignment, BooleanAlgebra, VarLookup};
 use crate::constraint::{Constraint, NormalSystem};
 
 /// Whether a single surface constraint holds under `assign`.
-pub fn check_constraint<A: BooleanAlgebra>(
-    alg: &A,
-    c: &Constraint,
-    assign: &Assignment<A::Elem>,
-) -> Result<bool, UnboundVar> {
-    check_constraint_in(alg, c, assign)
-}
-
-/// [`check_constraint`] over any assignment storage.
 pub fn check_constraint_in<A: BooleanAlgebra, L: VarLookup<A::Elem>>(
     alg: &A,
     c: &Constraint,
@@ -130,7 +121,10 @@ mod tests {
         let alg = BitsetAlgebra::new(2);
         let c = Constraint::Subset(v(0), v(5));
         let assign = Assignment::new().with(Var(0), 1u64);
-        assert_eq!(check_constraint(&alg, &c, &assign), Err(UnboundVar(Var(5))));
+        assert_eq!(
+            check_constraint_in(&alg, &c, &assign),
+            Err(UnboundVar(Var(5)))
+        );
     }
 
     #[test]
@@ -140,10 +134,10 @@ mod tests {
         let strict = Assignment::new()
             .with(Var(0), 0b01u64)
             .with(Var(1), 0b11u64);
-        assert!(check_constraint(&alg, &c, &strict).unwrap());
+        assert!(check_constraint_in(&alg, &c, &strict).unwrap());
         let equal = Assignment::new()
             .with(Var(0), 0b11u64)
             .with(Var(1), 0b11u64);
-        assert!(!check_constraint(&alg, &c, &equal).unwrap());
+        assert!(!check_constraint_in(&alg, &c, &equal).unwrap());
     }
 }

@@ -37,8 +37,7 @@ pub mod triangular;
 
 pub use approx::{lower_bbox_fn, upper_bbox_fn, UpperBound};
 pub use check::{
-    check_constraint, check_constraint_in, check_normal, check_normal_in, check_system,
-    check_system_in,
+    check_constraint_in, check_normal, check_normal_in, check_system, check_system_in,
 };
 pub use constraint::{Constraint, ConstraintSystem, NormalSystem};
 pub use parser::parse_system;

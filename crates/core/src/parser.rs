@@ -31,7 +31,7 @@
 //! assert_eq!(sys.constraints.len(), 6);
 //! ```
 
-use scq_boolean::{parse_formula, Formula, ParseError, VarTable};
+use scq_boolean::{parse_formula, Formula, ParseError};
 
 use crate::constraint::{Constraint, ConstraintSystem};
 
@@ -122,20 +122,6 @@ pub fn parse_system(input: &str) -> Result<ConstraintSystem, SystemParseError> {
     Ok(sys)
 }
 
-/// Parses a whitespace/comma separated list of variable names against an
-/// existing table — the retrieval-order companion of [`parse_system`].
-pub fn parse_order(input: &str, table: &VarTable) -> Result<Vec<scq_boolean::Var>, String> {
-    input
-        .split(|c: char| c.is_whitespace() || c == ',')
-        .filter(|s| !s.is_empty())
-        .map(|name| {
-            table
-                .get(name)
-                .ok_or_else(|| format!("unknown variable {name:?}"))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,13 +189,5 @@ mod tests {
         }
         assert!(matches!(sys.constraints[1], Constraint::ProperSubset(..)));
         assert!(matches!(sys.constraints[2], Constraint::NotSubset(..)));
-    }
-
-    #[test]
-    fn parse_order_resolves_names() {
-        let sys = parse_system("A <= C; T < C").unwrap();
-        let order = parse_order("C, A T", &sys.table).unwrap();
-        assert_eq!(order.len(), 3);
-        assert!(parse_order("C, X", &sys.table).is_err());
     }
 }

@@ -17,12 +17,11 @@ pub mod prelude {
     };
     pub use scq_bbox::{corner_point, Bbox, BboxExpr, CornerQuery};
     pub use scq_boolean::{
-        blake_canonical_form, parse_formula, prime_implicants, Bdd, Cube, Formula, Literal, Sop,
-        Var, VarTable,
+        blake_canonical_form, parse_formula, Bdd, Cube, Formula, Literal, Sop, Var, VarTable,
     };
     pub use scq_core::{
-        check_constraint, check_normal, check_system, lower_bbox_fn, parse_system, proj, simplify,
-        solve, solve_system, triangularize, upper_bbox_fn, witness, BboxPlan, Constraint,
+        check_normal, check_system, lower_bbox_fn, parse_system, proj, simplify, solve,
+        solve_system, triangularize, upper_bbox_fn, witness, BboxPlan, Constraint,
         ConstraintSystem, NormalSystem, TriangularSystem, UpperBound,
     };
     pub use scq_engine::{
@@ -36,7 +35,5 @@ pub mod prelude {
         FaultRule, FrameMatch, LocalShard, ProbeTrace, RemoteShard, ShardBackend, ShardRouter,
         ShardSpec, ShardedDatabase,
     };
-    pub use scq_zorder::{
-        decompose, morton_decode, morton_encode, zorder_join, ZCurve, ZOrderIndex,
-    };
+    pub use scq_zorder::{decompose_cells, morton_decode, morton_encode, ZCurve};
 }

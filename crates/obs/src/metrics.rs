@@ -1,11 +1,11 @@
-//! Metric instruments: counters, gauges and fixed log2-bucket latency
+//! Metric instruments: counters and fixed log2-bucket latency
 //! histograms behind a named registry, with Prometheus-style text
 //! exposition.
 //!
 //! The design rules, in order:
 //!
-//! * **Recording is lock-cheap.** [`Counter::add`] and [`Gauge::set`]
-//!   are single relaxed atomic operations; [`Histogram::observe_us`]
+//! * **Recording is lock-cheap.** [`Counter::add`] is a single relaxed
+//!   atomic operation; [`Histogram::observe_us`]
 //!   is three. No float sorting, no allocation, no mutex on the hot
 //!   path.
 //! * **Scrapes are coherent.** Counters created by one [`Registry`]
@@ -22,12 +22,11 @@
 //!
 //! Buckets are powers of two of **microseconds**: bucket 0 holds 0 µs,
 //! bucket `i ≥ 1` holds `[2^(i-1), 2^i)` µs, and the last bucket
-//! absorbs everything above. p50/p90/p99 come from the cumulative
-//! bucket counts — a percentile answers the upper bound of the bucket
-//! the rank falls in, an order-of-magnitude answer that never needs
-//! the raw samples.
+//! absorbs everything above. The exposition renders cumulative bucket
+//! counts, an order-of-magnitude answer that never needs the raw
+//! samples.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Number of log2 latency buckets: bucket 0 is `0 µs`, bucket 31
@@ -62,34 +61,6 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that can go up and down.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge {
-    v: Arc<AtomicI64>,
-}
-
-impl Gauge {
-    /// A fresh standalone gauge.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        self.v.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds a (possibly negative) delta.
-    pub fn add(&self, d: i64) {
-        self.v.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
         self.v.load(Ordering::Relaxed)
     }
 }
@@ -180,25 +151,6 @@ impl HistogramSnapshot {
         self.buckets.iter().fold(0u64, |a, b| a.saturating_add(*b))
     }
 
-    /// The `q`-quantile (`0.0 ..= 1.0`) as the upper bound in
-    /// microseconds of the bucket the rank falls in; 0 when empty. The
-    /// unbounded last bucket answers `u64::MAX`.
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen = seen.saturating_add(*b);
-            if seen >= rank {
-                return bucket_le(i).unwrap_or(u64::MAX);
-            }
-        }
-        u64::MAX
-    }
-
     /// Adds another snapshot's cells into this one (saturating).
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
@@ -218,8 +170,6 @@ impl HistogramSnapshot {
 pub enum Value {
     /// A counter's current value.
     Counter(u64),
-    /// A gauge's current value.
-    Gauge(i64),
     /// A histogram's cells.
     Histogram(HistogramSnapshot),
 }
@@ -241,14 +191,6 @@ impl Snapshot {
         })
     }
 
-    /// Looks up a gauge by name.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.rows.iter().find_map(|(n, v)| match v {
-            Value::Gauge(g) if n == name => Some(*g),
-            _ => None,
-        })
-    }
-
     /// Looks up a histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.rows.iter().find_map(|(n, v)| match v {
@@ -258,14 +200,12 @@ impl Snapshot {
     }
 
     /// Merges another snapshot in: same-named counters and histogram
-    /// cells add, gauges take the other's value, new names append. The
-    /// result stays sorted.
+    /// cells add, new names append. The result stays sorted.
     pub fn merge(&mut self, other: &Snapshot) {
         for (name, value) in &other.rows {
             match self.rows.iter_mut().find(|(n, _)| n == name) {
                 Some((_, mine)) => match (mine, value) {
                     (Value::Counter(a), Value::Counter(b)) => *a = a.saturating_add(*b),
-                    (Value::Gauge(a), Value::Gauge(b)) => *a = *b,
                     (Value::Histogram(a), Value::Histogram(b)) => a.merge(b),
                     // A name that changed kind across tiers: keep ours.
                     _ => {}
@@ -301,10 +241,6 @@ impl Snapshot {
             match value {
                 Value::Counter(v) => {
                     out.push_str(&format!("# TYPE {base} counter\n"));
-                    out.push_str(&format!("{base}{} {v}\n", label_str(None)));
-                }
-                Value::Gauge(v) => {
-                    out.push_str(&format!("# TYPE {base} gauge\n"));
                     out.push_str(&format!("{base}{} {v}\n", label_str(None)));
                 }
                 Value::Histogram(h) => {
@@ -395,16 +331,15 @@ pub fn parse_exposition(text: &str) -> Result<Vec<Sample>, String> {
 
 enum Instrument {
     Counter(Counter),
-    Gauge(Gauge),
     Histogram(Histogram),
 }
 
 /// A named set of instruments with one coherence gate.
 ///
-/// `counter`/`gauge`/`histogram` get-or-create by name and hand back
-/// cheap shared handles; pre-built instruments (a WAL's fsync
-/// histogram, a pool's wait histogram) attach under a name with the
-/// `register_*` methods so one scrape covers them all.
+/// `counter`/`histogram` get-or-create by name and hand back cheap
+/// shared handles; a pre-built histogram (a WAL's fsync histogram)
+/// attaches under a name with [`Registry::register_histogram`] so one
+/// scrape covers it too.
 #[derive(Default)]
 pub struct Registry {
     gate: Gate,
@@ -450,21 +385,6 @@ impl Registry {
         )
     }
 
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.get_or_insert(
-            name,
-            |i| match i {
-                Instrument::Gauge(g) => Some(g.clone()),
-                _ => None,
-            },
-            || {
-                let g = Gauge::new();
-                (g.clone(), Instrument::Gauge(g))
-            },
-        )
-    }
-
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
         self.get_or_insert(
@@ -489,14 +409,6 @@ impl Registry {
         }
     }
 
-    /// Attaches an existing counter under `name`.
-    pub fn register_counter(&self, name: &str, c: Counter) {
-        let mut list = self.instruments.lock().expect("registry lock");
-        if !list.iter().any(|(n, _)| n == name) {
-            list.push((name.to_string(), Instrument::Counter(c)));
-        }
-    }
-
     /// Runs `f` as one logically-atomic multi-instrument update: a
     /// concurrent [`Registry::snapshot`] sees either none or all of its
     /// writes. Many batches run concurrently (read side of the gate).
@@ -516,7 +428,6 @@ impl Registry {
             .map(|(n, i)| {
                 let v = match i {
                     Instrument::Counter(c) => Value::Counter(c.get()),
-                    Instrument::Gauge(g) => Value::Gauge(g.get()),
                     Instrument::Histogram(h) => Value::Histogram(h.snapshot()),
                 };
                 (n.clone(), v)
@@ -557,22 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_answer_bucket_upper_bounds() {
-        let h = Histogram::new();
-        for us in [10u64, 20, 30, 40, 2000] {
-            h.observe_us(us);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count(), 5);
-        assert_eq!(s.sum_us, 2100);
-        // 4 of 5 observations are ≤ 63 µs; the p50 rank (3rd) falls in
-        // a ≤ 63 µs bucket, the p99 rank (5th) in the 2000 µs bucket.
-        assert!(s.quantile_us(0.5) <= 63, "{}", s.quantile_us(0.5));
-        assert!(s.quantile_us(0.99) >= 2000, "{}", s.quantile_us(0.99));
-        assert_eq!(Histogram::new().snapshot().quantile_us(0.99), 0);
-    }
-
-    #[test]
     fn registry_hands_out_shared_handles() {
         let r = Registry::new();
         let a = r.counter("x");
@@ -583,16 +478,12 @@ mod tests {
         let h = r.histogram("lat");
         h.observe_us(5);
         assert_eq!(r.snapshot().histogram("lat").unwrap().count(), 1);
-        let g = r.gauge("depth");
-        g.set(-4);
-        assert_eq!(r.snapshot().gauge("depth"), Some(-4));
     }
 
     #[test]
     fn render_and_parse_round_trip() {
         let r = Registry::new();
         r.counter("serve.queries").add(7);
-        r.gauge("pool.idle").set(3);
         let h = r.histogram("serve.query.latency");
         h.observe_us(0);
         h.observe_us(5);

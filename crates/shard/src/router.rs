@@ -7,7 +7,7 @@
 //! ([`scq_zorder::shard_ranges`]). Routing is therefore a binary search;
 //! pruning exploits that a corner query bounds the `lo` and `hi`
 //! corners of every matching box, hence bounds its center: the center
-//! box decomposes into dyadic z-intervals ([`scq_zorder::decompose`]
+//! box decomposes into dyadic z-intervals ([`scq_zorder::decompose_cells`]
 //! on the quantized cell rectangle) and only shards whose range
 //! overlaps one of those intervals can hold a match. Everything else
 //! is **pruned** without being probed — the quantity

@@ -90,6 +90,8 @@ pub enum WireError {
     BadStatus(u8),
     /// Unknown index kind byte.
     BadIndexKind(u8),
+    /// Unknown instrument kind byte in a metrics snapshot row.
+    BadMetricKind(u8),
     /// A coordinate was NaN (region fragments additionally reject ±∞).
     BadCoordinate,
     /// A string field was not valid UTF-8.
@@ -140,6 +142,7 @@ impl std::fmt::Display for WireError {
             WireError::BadOpcode(op) => write!(f, "unknown opcode {op:#04x}"),
             WireError::BadStatus(s) => write!(f, "unknown response status {s:#04x}"),
             WireError::BadIndexKind(k) => write!(f, "unknown index kind byte {k}"),
+            WireError::BadMetricKind(k) => write!(f, "unknown metric kind byte {k}"),
             WireError::BadCoordinate => write!(f, "bad coordinate in wire message"),
             WireError::BadString => write!(f, "string field is not valid UTF-8"),
             WireError::TrailingData { bytes } => {
@@ -780,7 +783,7 @@ const RK_METRICS: u8 = 0x0E;
 
 // Instrument kind bytes inside a [`Response::Metrics`] snapshot row.
 const MK_COUNTER: u8 = 0;
-const MK_GAUGE: u8 = 1;
+// 1 is retired with the gauge instrument.
 const MK_HISTOGRAM: u8 = 2;
 
 fn put_snapshot(buf: &mut Vec<u8>, snap: &scq_obs::Snapshot) {
@@ -791,12 +794,6 @@ fn put_snapshot(buf: &mut Vec<u8>, snap: &scq_obs::Snapshot) {
             scq_obs::Value::Counter(v) => {
                 buf.put_u8(MK_COUNTER);
                 buf.put_u64_le(*v);
-            }
-            scq_obs::Value::Gauge(v) => {
-                buf.put_u8(MK_GAUGE);
-                // Two's-complement through u64: the vendored bytes stub
-                // has no signed putters.
-                buf.put_u64_le(*v as u64);
             }
             scq_obs::Value::Histogram(h) => {
                 buf.put_u8(MK_HISTOGRAM);
@@ -821,10 +818,6 @@ fn get_snapshot(buf: &mut &[u8]) -> Result<scq_obs::Snapshot, WireError> {
                 need(buf, 8)?;
                 scq_obs::Value::Counter(buf.get_u64_le())
             }
-            MK_GAUGE => {
-                need(buf, 8)?;
-                scq_obs::Value::Gauge(buf.get_u64_le() as i64)
-            }
             MK_HISTOGRAM => {
                 need(buf, (scq_obs::N_BUCKETS + 1) * 8)?;
                 let mut h = scq_obs::HistogramSnapshot::default();
@@ -834,7 +827,7 @@ fn get_snapshot(buf: &mut &[u8]) -> Result<scq_obs::Snapshot, WireError> {
                 h.sum_us = buf.get_u64_le();
                 scq_obs::Value::Histogram(h)
             }
-            other => return Err(WireError::BadOpcode(other)),
+            other => return Err(WireError::BadMetricKind(other)),
         };
         rows.push((name, value));
     }
@@ -1333,7 +1326,6 @@ mod tests {
                         }),
                     ),
                     ("shard.ops".into(), scq_obs::Value::Counter(42)),
-                    ("shard.queue.depth".into(), scq_obs::Value::Gauge(-3)),
                 ],
             }),
             Response::Err("no such collection".into()),
@@ -1474,6 +1466,27 @@ mod tests {
             decode_request(&payload).err(),
             Some(WireError::BadIndexKind(9))
         );
+    }
+
+    /// A metrics row's kind byte names the instrument. Byte 1 (the
+    /// gauge) is retired at the same wire version, so it and any other
+    /// unknown byte are refused as a bad metric kind, not an opcode.
+    #[test]
+    fn unknown_metric_kinds_are_bad_metric_kinds() {
+        let payload = encode_response(&Response::Metrics(scq_obs::Snapshot {
+            rows: vec![("shard.ops".into(), scq_obs::Value::Counter(42))],
+        }));
+        // The row ends with its kind byte and an eight-byte value.
+        let kind_at = payload.len() - 9;
+        assert_eq!(payload[kind_at], MK_COUNTER);
+        for kind in [1u8, 0xFF] {
+            let mut bad = payload.clone();
+            bad[kind_at] = kind;
+            assert_eq!(
+                decode_response(&bad).err(),
+                Some(WireError::BadMetricKind(kind))
+            );
+        }
     }
 
     /// The opcodes that once shipped WAL segments (0x0E, 0x0F) were

@@ -1,30 +1,17 @@
 #![warn(missing_docs)]
 
-//! Z-order (Morton) encoding and the z-order spatial join of Orenstein
-//! and Manola's PROBE system — the related-work comparison point of the
-//! paper's Section 1.
+//! Z-order routing keys for the shard router.
 //!
-//! The paper contrasts its constraint-based optimizer with PROBE's
-//! z-order *spatial join*: a binary overlay operator implemented by
-//! decomposing each object into dyadic z-intervals and merging the two
-//! sorted interval lists. This crate implements that baseline for
-//! two-dimensional data:
+//! A z-order range-partitioned store needs four things from the curve:
 //!
-//! * [`ZCurve`] — quantization of a universe box onto a `2ᵇ × 2ᵇ` grid
-//!   and bit-interleaved Morton codes;
-//! * [`decompose`] — quadtree decomposition of a box into maximal dyadic
-//!   z-intervals;
-//! * [`zorder_join`] — sort-merge join over z-intervals with exact
-//!   bounding-box verification of candidate pairs.
-//!
-//! As the paper notes, the z-order join handles a *single binary overlay
-//! constraint*; the constraint optimizer handles arbitrary Boolean
-//! systems. `tests/zorder_props.rs` checks the join against a
-//! brute-force nested loop.
-
-pub mod zindex;
-
-pub use zindex::ZOrderIndex;
+//! * [`ZCurve`] — quantization of a universe box onto a `2ᵇ × 2ᵇ` grid;
+//! * [`center_key`] — the Morton code of a box's center, the key that
+//!   places an object on a shard;
+//! * [`shard_ranges`] / [`key_space`] — contiguous z-code ranges, one
+//!   per shard;
+//! * [`decompose_cells`] — quadtree decomposition of a cell rectangle
+//!   into maximal dyadic z-intervals, which the router intersects with
+//!   the shard ranges to prune a corner query.
 
 use scq_bbox::Bbox;
 
@@ -70,9 +57,9 @@ impl ZCurve {
     /// Creates a curve over `universe` with `bits` bits per dimension.
     ///
     /// # Panics
-    /// If the universe is empty or `bits` is 0 or exceeds 16 (the join
-    /// works on 32-bit cell coordinates interleaved into u64; 16 bits
-    /// per dimension keeps interval arithmetic comfortably in range).
+    /// If the universe is empty or `bits` is 0 or exceeds 16 (cell
+    /// coordinates are interleaved into u64 z-codes; 16 bits per
+    /// dimension keeps interval arithmetic comfortably in range).
     pub fn new(universe: Bbox<2>, bits: u32) -> Self {
         assert!(!universe.is_empty(), "universe must be nonempty");
         assert!((1..=16).contains(&bits), "bits must be in 1..=16");
@@ -110,14 +97,6 @@ impl ZCurve {
             out[d] = t.clamp(0.0, n - 1.0) as u32;
         }
         (out[0], out[1])
-    }
-
-    /// The cell-coordinate rectangle covered by `b` (clamped, inclusive).
-    /// `None` when `b` is empty.
-    pub fn quantize_box(&self, b: &Bbox<2>) -> Option<((u32, u32), (u32, u32))> {
-        let lo = b.lo()?;
-        let hi = b.hi()?;
-        Some((self.quantize(lo), self.quantize(hi)))
     }
 }
 
@@ -213,104 +192,9 @@ pub fn center_key(curve: &ZCurve, b: &Bbox<2>) -> Option<u64> {
     Some(morton_encode(cx, cy))
 }
 
-/// Decomposes a box into z-intervals under `curve`. Empty boxes give no
-/// intervals.
-pub fn decompose(curve: &ZCurve, b: &Bbox<2>) -> Vec<(u64, u64)> {
-    match curve.quantize_box(b) {
-        None => Vec::new(),
-        Some((lo, hi)) => decompose_cells(lo, hi, curve.bits),
-    }
-}
-
-/// Like [`decompose`] but WITHOUT coalescing adjacent runs: every
-/// returned interval is a single dyadic quadtree block. Dyadic blocks
-/// either nest or are disjoint, which [`crate::ZOrderIndex`] exploits
-/// for ancestor lookups.
-pub fn decompose_blocks(curve: &ZCurve, b: &Bbox<2>) -> Vec<(u64, u64)> {
-    match curve.quantize_box(b) {
-        None => Vec::new(),
-        Some((lo, hi)) => {
-            let mut out = Vec::new();
-            rec(0, 0, curve.bits, lo, hi, &mut out);
-            out
-        }
-    }
-}
-
-/// The z-order spatial join: all pairs `(idₐ, id_b)` whose boxes overlap.
-///
-/// Each input box is decomposed into z-intervals; the two interval lists
-/// are sort-merged with active lists (dyadic intervals either nest or
-/// are disjoint, so candidates are exactly the interval overlaps), and
-/// candidate pairs are verified with the exact bbox test — quantization
-/// makes the interval stage a *filter*, never a final answer.
-pub fn zorder_join(
-    curve: &ZCurve,
-    left: &[(Bbox<2>, u64)],
-    right: &[(Bbox<2>, u64)],
-) -> Vec<(u64, u64)> {
-    #[derive(Clone, Copy)]
-    struct Elem {
-        lo: u64,
-        hi: u64,
-        idx: u32,
-        side: bool, // false = left, true = right
-    }
-    let mut elems: Vec<Elem> = Vec::new();
-    for (i, (b, _)) in left.iter().enumerate() {
-        for (lo, hi) in decompose(curve, b) {
-            elems.push(Elem {
-                lo,
-                hi,
-                idx: i as u32,
-                side: false,
-            });
-        }
-    }
-    for (i, (b, _)) in right.iter().enumerate() {
-        for (lo, hi) in decompose(curve, b) {
-            elems.push(Elem {
-                lo,
-                hi,
-                idx: i as u32,
-                side: true,
-            });
-        }
-    }
-    elems.sort_by_key(|e| (e.lo, e.hi));
-
-    let mut active_l: Vec<(u64, u32)> = Vec::new(); // (hi, idx)
-    let mut active_r: Vec<(u64, u32)> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for e in &elems {
-        active_l.retain(|&(hi, _)| hi > e.lo);
-        active_r.retain(|&(hi, _)| hi > e.lo);
-        let opposite: &[(u64, u32)] = if e.side { &active_l } else { &active_r };
-        for &(_, other) in opposite {
-            let (li, ri) = if e.side {
-                (other, e.idx)
-            } else {
-                (e.idx, other)
-            };
-            if seen.insert((li, ri)) && left[li as usize].0.overlaps(&right[ri as usize].0) {
-                out.push((left[li as usize].1, right[ri as usize].1));
-            }
-        }
-        if e.side {
-            active_r.push((e.hi, e.idx));
-        } else {
-            active_l.push((e.hi, e.idx));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn morton_round_trip() {
@@ -376,58 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn join_matches_bruteforce() {
-        let mut rng = StdRng::seed_from_u64(77);
-        let universe = Bbox::new([0.0, 0.0], [100.0, 100.0]);
-        let curve = ZCurve::new(universe, 8);
-        let gen = |rng: &mut StdRng, n: usize, base: u64| -> Vec<(Bbox<2>, u64)> {
-            (0..n)
-                .map(|i| {
-                    let lo = [rng.random_range(0.0..90.0), rng.random_range(0.0..90.0)];
-                    let w = [rng.random_range(0.5..8.0), rng.random_range(0.5..8.0)];
-                    (Bbox::new(lo, [lo[0] + w[0], lo[1] + w[1]]), base + i as u64)
-                })
-                .collect()
-        };
-        let left = gen(&mut rng, 120, 0);
-        let right = gen(&mut rng, 150, 1000);
-        let mut got = zorder_join(&curve, &left, &right);
-        got.sort_unstable();
-        let mut want: Vec<(u64, u64)> = Vec::new();
-        for (lb, li) in &left {
-            for (rb, ri) in &right {
-                if lb.overlaps(rb) {
-                    want.push((*li, *ri));
-                }
-            }
-        }
-        want.sort_unstable();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn join_with_empty_side() {
-        let curve = ZCurve::new(Bbox::new([0.0, 0.0], [1.0, 1.0]), 4);
-        let left = vec![(Bbox::new([0.0, 0.0], [1.0, 1.0]), 1u64)];
-        assert!(zorder_join(&curve, &left, &[]).is_empty());
-        assert!(zorder_join(&curve, &[], &left).is_empty());
-    }
-
-    #[test]
-    fn coarse_quantization_still_exact() {
-        // With 1 bit per dim everything lands in 4 cells; the exact
-        // verification must weed out the false candidates.
-        let curve = ZCurve::new(Bbox::new([0.0, 0.0], [100.0, 100.0]), 1);
-        let left = vec![(Bbox::new([0.0, 0.0], [10.0, 10.0]), 1u64)];
-        let right = vec![
-            (Bbox::new([5.0, 5.0], [15.0, 15.0]), 2u64),   // overlaps
-            (Bbox::new([40.0, 40.0], [45.0, 45.0]), 3u64), // same cell, no overlap
-        ];
-        let got = zorder_join(&curve, &left, &right);
-        assert_eq!(got, vec![(1, 2)]);
-    }
-
-    #[test]
     #[should_panic(expected = "bits must be")]
     fn rejects_excessive_bits() {
         ZCurve::new(Bbox::new([0.0, 0.0], [1.0, 1.0]), 17);
@@ -472,8 +304,8 @@ mod tests {
         assert!(k < key_space(8));
         // the key falls inside the decomposition of any box containing
         // the center (soundness of range-based pruning)
-        let cover = Bbox::new([0.0, 0.0], [50.0, 50.0]);
-        let intervals = decompose(&curve, &cover);
+        let intervals =
+            decompose_cells(curve.quantize([0.0, 0.0]), curve.quantize([50.0, 50.0]), 8);
         assert!(intervals.iter().any(|&(lo, hi)| lo <= k && k < hi));
     }
 

@@ -1,8 +1,6 @@
-//! Property tests for the z-order substrate and its index: the
-//! decomposition is an exact cover, the join matches brute force, and
-//! the z-order index agrees with the scan oracle on corner queries —
-//! validating the paper's closing remark that the approach can use
-//! z-ordering methods.
+//! Property tests for the z-order routing keys: Morton codes round-trip,
+//! dyadic blocks nest, and the decomposition the shard router prunes
+//! with is an exact cover of the quantized rectangle.
 
 use proptest::prelude::*;
 use scq_integration::prelude::*;
@@ -47,8 +45,9 @@ proptest! {
     #[test]
     fn decomposition_exact_cover(b in box_strategy()) {
         let curve = ZCurve::new(universe(), 6);
-        let ranges = decompose(&curve, &b);
-        let ((x0, y0), (x1, y1)) = curve.quantize_box(&b).unwrap();
+        let (x0, y0) = curve.quantize(b.lo().unwrap());
+        let (x1, y1) = curve.quantize(b.hi().unwrap());
+        let ranges = decompose_cells((x0, y0), (x1, y1), curve.bits());
         for x in 0u32..64 {
             for y in 0u32..64 {
                 let z = morton_encode(x, y);
@@ -60,59 +59,6 @@ proptest! {
         // disjoint and sorted
         for w in ranges.windows(2) {
             prop_assert!(w[0].1 <= w[1].0);
-        }
-    }
-
-    /// The join equals brute force regardless of curve resolution.
-    #[test]
-    fn join_matches_bruteforce(
-        left in prop::collection::vec(box_strategy(), 1..30),
-        right in prop::collection::vec(box_strategy(), 1..30),
-        bits in 2u32..9,
-    ) {
-        let curve = ZCurve::new(universe(), bits);
-        let l: Vec<(Bbox<2>, u64)> =
-            left.iter().enumerate().map(|(i, &b)| (b, i as u64)).collect();
-        let r: Vec<(Bbox<2>, u64)> =
-            right.iter().enumerate().map(|(i, &b)| (b, 1000 + i as u64)).collect();
-        let mut got = zorder_join(&curve, &l, &r);
-        got.sort_unstable();
-        let mut want: Vec<(u64, u64)> = Vec::new();
-        for (lb, li) in &l {
-            for (rb, ri) in &r {
-                if lb.overlaps(rb) {
-                    want.push((*li, *ri));
-                }
-            }
-        }
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    /// The z-order index agrees with the scan oracle.
-    #[test]
-    fn zindex_matches_scan(
-        items in prop::collection::vec(box_strategy(), 1..60),
-        probe in box_strategy(),
-        bits in 3u32..9,
-    ) {
-        let items: Vec<(u64, Bbox<2>)> =
-            items.into_iter().enumerate().map(|(i, b)| (i as u64, b)).collect();
-        let z = ZOrderIndex::from_items(universe(), bits, items.iter().copied());
-        let scan = ScanIndex::from_items(items.iter().copied());
-        for q in [
-            CornerQuery::unconstrained().and_overlaps(&probe),
-            CornerQuery::unconstrained().and_contained_in(&probe),
-            CornerQuery::unconstrained().and_contains(&probe),
-            CornerQuery::unconstrained().and_contained_in(&probe).and_overlaps(&probe),
-        ] {
-            let mut a = Vec::new();
-            z.query_corner(&q, &mut a);
-            let mut b = Vec::new();
-            scan.query_corner(&q, &mut b);
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b);
         }
     }
 }
