@@ -86,6 +86,24 @@ impl<const K: usize> CompiledRow<K> {
         }
         q
     }
+
+    /// The variable indices [`CompiledRow::corner_query`] reads: those
+    /// of `L_s`, of `U_t`, and of every filter's `U_p` and `U_q`. The
+    /// query, and so the index probe, can change only when one of
+    /// these boxes does.
+    pub fn reads(&self) -> Vec<usize> {
+        let uppers = std::iter::once(&self.upper)
+            .chain(self.overlaps.iter().flat_map(|f| [&f.p_upper, &f.q_upper]));
+        let mut out = self.lower.vars();
+        for u in uppers {
+            if let UpperBound::Expr(e) = u {
+                out.extend(e.vars());
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
 }
 
 /// The full compiled plan: one row per retrieval step, in order.

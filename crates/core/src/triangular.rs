@@ -30,6 +30,7 @@ use std::fmt;
 
 use scq_algebra::eval::UnboundVar;
 use scq_algebra::{eval_formula_in, Assignment, BooleanAlgebra, Val, VarLookup};
+use scq_bbox::{Bbox, CornerQuery};
 use scq_boolean::minimize::minimize;
 use scq_boolean::quant::{boole_expansion, schroder_range};
 use scq_boolean::{Formula, Var, VarTable};
@@ -159,6 +160,21 @@ impl<E> RowBounds<'_, E> {
                 .diseqs
                 .iter()
                 .all(|(p, q)| alg.overlaps(x, p.as_ref()) || !alg.le(q.as_ref(), x))
+    }
+
+    /// Narrows `within` by the boxes of the bound `s` and `t`, given
+    /// the element-to-box map `bbox`: `s ≤ x ⇒ ⌈s⌉ ⊑ ⌈x⌉` and
+    /// `x ≤ t ⇒ ⌈x⌉ ⊑ ⌈t⌉`. So every nonempty `x` the row admits has a
+    /// box the result matches; an empty `x` has no box to match, and
+    /// callers must let it through to [`RowBounds::admits`].
+    pub fn box_query<const K: usize>(
+        &self,
+        within: CornerQuery<K>,
+        bbox: impl Fn(&E) -> Bbox<K>,
+    ) -> CornerQuery<K> {
+        within
+            .and_contains(&bbox(self.lower.as_ref()))
+            .and_contained_in(&bbox(self.upper.as_ref()))
     }
 }
 

@@ -7,8 +7,8 @@
 //! | executor | candidates | pruning |
 //! |---|---|---|
 //! | [`naive_execute`] | whole collection | none (full check at leaves) |
-//! | [`triangular_execute`] | whole collection | bbox prefilter, then exact solved row `Cᵢ` |
-//! | [`bbox_execute`] | **index range query** | bbox prefilter, then exact solved row `Cᵢ` |
+//! | [`triangular_execute`] | whole collection | corner query ⊓ exact-bound box prefilter, then exact solved row `Cᵢ` |
+//! | [`bbox_execute`] | **index range query** | exact-bound box prefilter, then exact solved row `Cᵢ` |
 //!
 //! Because the triangular solved form is an *equivalence* for complete
 //! assignments (Schröder and Boole rewrites are equivalences, and
@@ -28,13 +28,22 @@
 //! across the whole search via a per-level buffer pool ([`LevelBuf`]),
 //! so a steady-state query performs no allocations per candidate.
 //! Before each exact row check, a cheap
-//! **bbox prefilter** tests the candidate's precomputed bounding box
-//! against the level's corner query (a necessary condition for the
-//! exact row, see `scq_core::plan`); fragment-heavy regions that cannot
-//! satisfy the row are rejected without touching `RegionAlgebra`.
-//! Empty-bbox candidates always proceed to the exact check, since an
-//! empty region can satisfy a row while its (empty) box matches no
-//! corner query.
+//! **exact-bound box prefilter** tests the candidate's precomputed
+//! bounding box against the boxes of the level's bound `s` and `t`
+//! (`⌈s⌉ ⊑ ⌈x⌉ ⊑ ⌈t⌉`, necessary for `s ≤ x ≤ t`). Those boxes come
+//! from the regions the prefix is bound to, so they are never looser
+//! than Algorithm 2's `L_s` and `U_t` and are tighter whenever a bound
+//! complements a prefix variable — a lower bound like `R·¬A·¬B` has no
+//! box function, but it has a box once `R`, `A` and `B` are bound.
+//! Candidates that cannot satisfy the row are rejected without touching
+//! `RegionAlgebra`. The index already answered the corner query, so it
+//! is not tested again; a scan meets it with the prefilter. Empty-bbox
+//! candidates always proceed to the exact check, since an empty region
+//! can satisfy a row while its (empty) box matches no query.
+//!
+//! [`bbox_execute_opts`] compiles the plan and runs it;
+//! [`bbox_execute_compiled`] runs a plan compiled beforehand (the
+//! planner's, or one the serve tier cached). Both run the same search.
 
 use std::collections::BTreeMap;
 
@@ -267,7 +276,7 @@ pub(crate) fn note_probe(
 }
 
 /// Fills `buf.candidates` for one retrieval level and returns the
-/// level's corner query (reused as the bbox prefilter). This is the
+/// level's corner query (a scan's candidates are filtered by it). This is the
 /// level's one range query; the caller then evaluates the level's solved
 /// row once ([`bind_level`]) if any candidate came back.
 ///
@@ -339,10 +348,11 @@ fn gather_candidates<const K: usize, V: StoreView<K>>(
     q
 }
 
-/// Considers one candidate: counts it, applies the bbox prefilter, and
-/// on survival tests the region, read **by reference**, against the
-/// level's bound row — three allocation-free predicates per bound, the
-/// bounds themselves evaluated once per level ([`bind_level`]).
+/// Considers one candidate: counts it, applies the level's exact-bound
+/// box prefilter ([`RowBounds::box_query`]), and on survival tests the
+/// region, read **by reference**, against the level's bound row — three
+/// allocation-free predicates per bound, the bounds themselves
+/// evaluated once per level ([`bind_level`]).
 ///
 /// Returns the candidate's bounding box when accepted, with the region
 /// bound to `var` — the caller recurses, then unbinds. On rejection the
@@ -352,7 +362,7 @@ fn try_candidate<'e, const K: usize, V: StoreView<K>>(
     db: &'e V,
     alg: &RegionAlgebra<K>,
     bounds: &RowBounds<'_, Region<K>>,
-    q: &CornerQuery<K>,
+    filter: &CornerQuery<K>,
     var: Var,
     obj: ObjectRef,
     assign: &mut FlatAssignment<'e, Region<K>>,
@@ -362,11 +372,11 @@ fn try_candidate<'e, const K: usize, V: StoreView<K>>(
     debug_assert!(db.is_live(obj), "candidate generation leaked a tombstone");
     stats.partial_tuples += 1;
     let bb = db.bbox(obj);
-    // The corner query is a necessary condition for the exact row, so a
+    // The filter is a necessary condition for the exact row, so a
     // non-matching bbox rejects without region algebra. Empty boxes are
     // exempt: empty regions never match corner queries yet can satisfy
     // rows.
-    if !bb.is_empty() && !q.matches(&bb) {
+    if !bb.is_empty() && !filter.matches(&bb) {
         stats.bbox_prefilter_rejections += 1;
         return None;
     }
@@ -605,6 +615,28 @@ pub fn bbox_execute_opts<const K: usize, V: StoreView<K>>(
     run_optimized(db, query, Some(kind), options)
 }
 
+/// [`bbox_execute_opts`] over a plan compiled beforehand: the
+/// selectivity planner's ([`crate::SelectivityPlan::plan`]) or a cached
+/// one. `plan` must be compiled for the query's retrieval order — the
+/// order [`compile_triangular`] would triangularize — or the query is
+/// refused as invalid.
+pub fn bbox_execute_compiled<const K: usize, V: StoreView<K>>(
+    db: &V,
+    query: &Query<K>,
+    plan: &BboxPlan<K>,
+    kind: IndexKind,
+    options: ExecOptions,
+) -> Result<QueryResult, ExecError> {
+    let started = std::time::Instant::now();
+    let prep = prepare(db, query)?;
+    if plan.order != prep.order {
+        return Err(ExecError::InvalidQuery(
+            "the compiled plan is for another retrieval order".into(),
+        ));
+    }
+    run_plan(db, prep, plan, Some(kind), options, started)
+}
+
 fn run_optimized<const K: usize, V: StoreView<K>>(
     db: &V,
     query: &Query<K>,
@@ -613,9 +645,20 @@ fn run_optimized<const K: usize, V: StoreView<K>>(
 ) -> Result<QueryResult, ExecError> {
     let started = std::time::Instant::now();
     let prep = prepare(db, query)?;
-    let normal = query.system.normalize();
-    let tri = triangularize(&normal, &prep.order);
-    let plan: BboxPlan<K> = BboxPlan::compile(&tri);
+    let plan = BboxPlan::compile(&triangularize(&query.system.normalize(), &prep.order));
+    run_plan(db, prep, &plan, kind, options, started)
+}
+
+/// The search itself, over a compiled plan; `started` is when the
+/// caller began (its total time includes compiling, when it compiled).
+fn run_plan<const K: usize, V: StoreView<K>>(
+    db: &V,
+    prep: PreparedQuery<K>,
+    plan: &BboxPlan<K>,
+    kind: Option<IndexKind>,
+    options: ExecOptions,
+    started: std::time::Instant,
+) -> Result<QueryResult, ExecError> {
     let alg = db.algebra();
     let mut stats = ExecStats::default();
     let empty = |mut stats: ExecStats| {
@@ -630,7 +673,7 @@ fn run_optimized<const K: usize, V: StoreView<K>>(
         return Ok(empty(stats));
     }
     let Some((mut assign, mut boxes)) =
-        bind_knowns(&alg, &plan, &prep.knowns, prep.max_var, &mut stats)?
+        bind_knowns(&alg, plan, &prep.knowns, prep.max_var, &mut stats)?
     else {
         return Ok(empty(stats));
     };
@@ -648,7 +691,7 @@ fn run_optimized<const K: usize, V: StoreView<K>>(
     let mut bufs = level_bufs(ctx.unknowns.len());
     opt_rec(
         &mut ctx,
-        &plan,
+        plan,
         kind,
         0,
         &mut assign,
@@ -706,6 +749,14 @@ fn opt_rec<'e, const K: usize, V: StoreView<K>>(
     // loop stays free to bind and unbind `var` in `assign`.
     let prefix = assign.clone();
     let bounds = bind_level(&ctx.alg, row, &prefix, &mut ctx.timings)?;
+    // The prefilter: the boxes of the exact bounds. An index already
+    // answered the corner query `q`; a scan has not, so they narrow it.
+    let within = if kind.is_some() {
+        CornerQuery::unconstrained()
+    } else {
+        q
+    };
+    let filter = bounds.box_query(within, Region::bbox);
 
     for &index in &buf.candidates {
         if ctx.done() {
@@ -719,7 +770,7 @@ fn opt_rec<'e, const K: usize, V: StoreView<K>>(
             ctx.db,
             &ctx.alg,
             &bounds,
-            &q,
+            &filter,
             var,
             obj,
             assign,
@@ -1011,6 +1062,28 @@ mod tests {
         let q = Query::new(sys);
         match naive_execute(&db, &q) {
             Err(ExecError::InvalidQuery(m)) => assert!(m.contains("not bound")),
+            other => panic!("expected InvalidQuery, got {other:?}"),
+        }
+    }
+
+    /// A plan compiled beforehand runs exactly like the executor's own
+    /// compilation, and only for the retrieval order it was compiled for.
+    #[test]
+    fn compiled_plans_run_only_in_their_own_order() {
+        let (db, q) = smuggler_db();
+        let tri = compile_triangular(&db, &q).unwrap();
+        let plan: BboxPlan<2> = BboxPlan::compile(&tri);
+        let own = bbox_execute_compiled(&db, &q, &plan, IndexKind::RTree, ExecOptions::all());
+        let compiled_here = bbox_execute(&db, &q, IndexKind::RTree).unwrap();
+        let own = own.unwrap();
+        assert_eq!(own.solutions, compiled_here.solutions);
+        assert_eq!(
+            own.stats.without_timings(),
+            compiled_here.stats.without_timings()
+        );
+        let other = q.clone().with_order(&["R", "T", "B"]);
+        match bbox_execute_compiled(&db, &other, &plan, IndexKind::RTree, ExecOptions::all()) {
+            Err(ExecError::InvalidQuery(m)) => assert!(m.contains("another retrieval order")),
             other => panic!("expected InvalidQuery, got {other:?}"),
         }
     }

@@ -43,8 +43,9 @@ pub mod workload;
 
 pub use database::{CollectionId, CompactReport, ObjectRef, SpatialDatabase};
 pub use exec::{
-    bbox_execute, bbox_execute_opts, compile_triangular, naive_execute, naive_execute_opts,
-    triangular_execute, triangular_execute_opts, ExecError, ExecOptions, QueryOutcome, QueryResult,
+    bbox_execute, bbox_execute_compiled, bbox_execute_opts, compile_triangular, naive_execute,
+    naive_execute_opts, triangular_execute, triangular_execute_opts, ExecError, ExecOptions,
+    QueryOutcome, QueryResult,
 };
 pub use integrity::{check_integrity, is_consistent, IntegrityRule, Violation};
 pub use planner::{

@@ -6,11 +6,23 @@
 //! * *given* — the caller's order ([`crate::Query::with_order`]);
 //! * *by size* — ascending collection cardinality (the default in
 //!   [`crate::Query::retrieval_order`]);
-//! * *by selectivity* ([`order_by_selectivity`]) — probe each unknown's
-//!   compiled range query against its collection index as if it were
-//!   retrieved first, and order by ascending candidate count. This uses
-//!   only information available at compile time (the known variables'
-//!   bounding boxes) plus **at most one index probe per unknown**.
+//! * *by whole-order cost* ([`order_by_selectivity`]) — estimate each
+//!   unknown's candidates as if it were retrieved first (**one index
+//!   probe per unknown**, `e_v`), then cost every order over the static
+//!   read sets of its compiled rows and keep the cheapest.
+//!
+//! The cost is what dominates a join: how often each level re-issues
+//! its range query. The executors' sibling corner-query cache re-probes
+//! level `i` only when a box its compiled query reads has changed
+//! ([`scq_core::plan::CompiledRow::reads`]); with `d(i)` the deepest
+//! earlier unknown level in that read set, level `i` probes about
+//! `P_i = e₁·…·e_d(i)` times (`1` when it reads no unknown). The planner
+//! picks the order with the least `Σ P_i`, ties going to the
+//! lexicographically smallest sequence of estimates in retrieval order.
+//! Up to [`MAX_COSTED_UNKNOWNS`] unknowns it triangularises and compiles
+//! every order exactly once — an order led by `v` doubles as `v`'s
+//! first-position plan — and keeps the winner's compiled plan for the
+//! executor. Past that it falls back to ascending estimates.
 //!
 //! The planner is generic over [`StoreView`], so the same cost model
 //! serves the unsharded database, the sharded router, and remote
@@ -30,6 +42,10 @@ use crate::query::{IndexKind, Query};
 use crate::stats::{ExecStats, Timings};
 use crate::view::StoreView;
 
+/// Up to this many unknowns the planner costs every retrieval order
+/// (at most 4! = 24 compilations); past it, it sorts by estimate.
+pub const MAX_COSTED_UNKNOWNS: usize = 4;
+
 /// Estimated candidate counts per unknown variable, as computed by
 /// [`order_by_selectivity`].
 #[derive(Clone, Debug)]
@@ -42,16 +58,25 @@ pub struct SelectivityEstimate {
     pub candidates: usize,
 }
 
-/// The planner's full answer: the chosen order, the per-unknown
-/// estimates behind it (in [`Query::unknown_vars`] order), and what the
-/// planning itself cost.
+/// The planner's full answer: the chosen order and its compiled plan,
+/// the per-unknown estimates behind it (in [`Query::unknown_vars`]
+/// order), the cost model's reading, and what the planning itself
+/// cost. `K` defaults to 2, the dimension the servers run.
 #[derive(Clone, Debug)]
-pub struct SelectivityPlan {
-    /// Unknowns ordered by ascending estimated candidates (ties broken
-    /// by variable index, so plans are deterministic).
+pub struct SelectivityPlan<const K: usize = 2> {
+    /// The unknowns in retrieval order: the least estimated probes, or
+    /// ascending estimates past [`MAX_COSTED_UNKNOWNS`] (ties broken by
+    /// variable index, so plans are deterministic).
     pub order: Vec<Var>,
     /// The estimates the order was derived from.
     pub estimates: Vec<SelectivityEstimate>,
+    /// Estimated probes `P_i` per level of `order`.
+    pub probes: Vec<u64>,
+    /// `Σ P_i` of the ascending-estimate order, for comparison.
+    pub ascending_probes: u64,
+    /// The plan compiled for `order` (known variables first), ready for
+    /// [`crate::exec::bbox_execute_compiled`].
+    pub plan: BboxPlan<K>,
     /// The planner's own cost, in executor terms: each index probe is
     /// recorded as a `corner_cache_misses` (a probe no cache served) —
     /// at most one per unknown — with `index_candidates`, shard
@@ -59,19 +84,21 @@ pub struct SelectivityPlan {
     pub stats: ExecStats,
 }
 
-/// Orders the unknown variables by ascending first-position range-query
-/// candidate count. Returns the estimates alongside the order so callers
-/// (tests, `EXPLAIN`) can inspect the planner's reasoning.
+/// Chooses the retrieval order by whole-order cost (see the module
+/// docs) and compiles it. Returns the estimates and costs alongside the
+/// order so callers (tests, `EXPLAIN`) can inspect the planner's
+/// reasoning.
 pub fn order_by_selectivity<const K: usize, V: StoreView<K>>(
     db: &V,
     query: &Query<K>,
     kind: IndexKind,
-) -> Result<SelectivityPlan, ExecError> {
+) -> Result<SelectivityPlan<K>, ExecError> {
     query.validate().map_err(ExecError::InvalidQuery)?;
     let alg = db.algebra();
     let knowns = query.known_vars();
     let unknowns = query.unknown_vars();
-    // Shared work, hoisted out of the per-unknown loop: one
+    let n = unknowns.len();
+    // Shared work, hoisted out of the per-order loop: one
     // normalization, one known-box table, one reusable id buffer.
     let normal = query.system.normalize();
 
@@ -92,22 +119,40 @@ pub fn order_by_selectivity<const K: usize, V: StoreView<K>>(
     }
 
     let base_order: Vec<Var> = knowns.iter().map(|&(kv, _)| kv).collect();
-    let mut order_buf: Vec<Var> = Vec::with_capacity(base_order.len() + unknowns.len());
+    let compile = |perm: &[usize]| -> BboxPlan<K> {
+        let mut order = base_order.clone();
+        order.extend(perm.iter().map(|&i| unknowns[i].0));
+        BboxPlan::compile(&triangularize(&normal, &order))
+    };
+    // Every order when they are few; otherwise each unknown first with
+    // the rest in variable order. Either way the first order led by `v`
+    // is `v` then the rest ascending: `v`'s first-position plan.
+    let mut perms: Vec<Vec<usize>> = if n <= MAX_COSTED_UNKNOWNS {
+        permutations(n)
+    } else {
+        (0..n)
+            .map(|v| {
+                std::iter::once(v)
+                    .chain((0..n).filter(|&u| u != v))
+                    .collect()
+            })
+            .collect()
+    };
+    let mut plans: Vec<BboxPlan<K>> = perms.iter().map(|p| compile(p)).collect();
+
     let mut ids: Vec<u64> = Vec::new();
     let mut stats = ExecStats::default();
     let mut timings = Timings::default();
     let mut missing: Vec<usize> = Vec::new();
-    let mut estimates = Vec::with_capacity(unknowns.len());
-    for &(v, coll) in &unknowns {
-        // Hypothetical order: knowns, then v, then the rest.
-        order_buf.clear();
-        order_buf.extend_from_slice(&base_order);
-        order_buf.push(v);
-        order_buf.extend(unknowns.iter().map(|&(u, _)| u).filter(|&u| u != v));
-        let tri = triangularize(&normal, &order_buf);
-        let plan: BboxPlan<K> = BboxPlan::compile(&tri);
+    let mut estimates = Vec::with_capacity(n);
+    for (v, &(var, coll)) in unknowns.iter().enumerate() {
+        let lead = perms
+            .iter()
+            .position(|p| p[0] == v)
+            .expect("an order per leading unknown");
+        let plan = &plans[lead];
         let candidates = if plan.satisfiable {
-            let row = plan.row_for(v).expect("row per variable");
+            let row = plan.row_for(var).expect("row per variable");
             let q = row.corner_query(|i| known_boxes.get(i).copied().unwrap_or(Bbox::Empty));
             ids.clear();
             if !q.is_unsatisfiable() {
@@ -129,19 +174,87 @@ pub fn order_by_selectivity<const K: usize, V: StoreView<K>>(
             0
         };
         stats.index_candidates += candidates;
-        estimates.push(SelectivityEstimate { var: v, candidates });
+        estimates.push(SelectivityEstimate { var, candidates });
     }
 
-    // Sort an index vector, not a clone of the estimates.
-    let mut by_cost: Vec<usize> = (0..estimates.len()).collect();
-    by_cost.sort_by_key(|&i| (estimates[i].candidates, estimates[i].var));
-    let order = by_cost.into_iter().map(|i| estimates[i].var).collect();
+    let mut ascending: Vec<usize> = (0..n).collect();
+    ascending.sort_by_key(|&i| (estimates[i].candidates, estimates[i].var));
+    if n > MAX_COSTED_UNKNOWNS {
+        // Too many orders to cost: the ascending-estimate one runs.
+        plans = vec![compile(&ascending)];
+        perms = vec![ascending.clone()];
+    }
+    let e =
+        |perm: &[usize]| -> Vec<usize> { perm.iter().map(|&i| estimates[i].candidates).collect() };
+    let vars = |perm: &[usize]| -> Vec<Var> { perm.iter().map(|&i| unknowns[i].0).collect() };
+    let mut costs: Vec<Vec<u64>> = perms
+        .iter()
+        .zip(&plans)
+        .map(|(p, plan)| level_probes(plan, &vars(p), &e(p)))
+        .collect();
+    let total = |i: usize| -> u64 { costs[i].iter().fold(0, |a, &p| a.saturating_add(p)) };
+    let best = (0..perms.len())
+        .min_by_key(|&i| (total(i), e(&perms[i])))
+        .expect("at least the empty order");
+    let ascending_probes = total(
+        perms
+            .iter()
+            .position(|p| *p == ascending)
+            .expect("the ascending order is costed"),
+    );
     timings.fold_into(&mut stats);
     Ok(SelectivityPlan {
-        order,
+        order: vars(&perms[best]),
+        probes: costs.swap_remove(best),
+        ascending_probes,
+        plan: plans.swap_remove(best),
         estimates,
         stats,
     })
+}
+
+/// Every permutation of `0..n`, in lexicographic order.
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    fn extend(n: usize, prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if prefix.len() == n {
+            out.push(prefix.clone());
+            return;
+        }
+        for i in 0..n {
+            if !prefix.contains(&i) {
+                prefix.push(i);
+                extend(n, prefix, out);
+                prefix.pop();
+            }
+        }
+    }
+    let mut out = Vec::new();
+    extend(n, &mut Vec::with_capacity(n), &mut out);
+    out
+}
+
+/// Estimated probes per unknown level of `order` under `plan`, given the
+/// levels' first-position estimates `e`: level `i` is re-probed once per
+/// distinct prefix down to the deepest earlier unknown its compiled
+/// corner query reads, so `P_i = e₀·…·e_d(i)`, or 1 when it reads none.
+fn level_probes<const K: usize>(plan: &BboxPlan<K>, order: &[Var], e: &[usize]) -> Vec<u64> {
+    let mut prefix_products = Vec::with_capacity(order.len());
+    let mut product = 1u64;
+    for &c in e {
+        product = product.saturating_mul(c as u64);
+        prefix_products.push(product);
+    }
+    order
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| {
+            let reads = plan.row_for(v).map(|r| r.reads()).unwrap_or_default();
+            order[..i]
+                .iter()
+                .rposition(|u| reads.contains(&u.index()))
+                .map_or(1, |d| prefix_products[d])
+        })
+        .collect()
 }
 
 /// Applies [`order_by_selectivity`] to the query, returning a copy with
@@ -250,6 +363,48 @@ mod tests {
             );
             assert_eq!(plan.stats.corner_cache_hits, 0, "the planner has no cache");
         }
+    }
+
+    /// Past [`MAX_COSTED_UNKNOWNS`] the planner runs the
+    /// ascending-estimate order, still compiled once for the executor.
+    #[test]
+    fn many_unknowns_fall_back_to_ascending_estimates() {
+        let (db, _) = tricky_db();
+        let big = db.collection_id("big").unwrap();
+        let small = db.collection_id("small").unwrap();
+        let sys = parse_system("X & K != 0; Y & K != 0; Z <= K; U & Z != 0; V & X != 0").unwrap();
+        let q = Query::new(sys)
+            .known("K", Region::from_box(AaBox::new([0.0, 0.0], [15.0, 15.0])))
+            .from_collection("X", big)
+            .from_collection("Y", small)
+            .from_collection("Z", big)
+            .from_collection("U", small)
+            .from_collection("V", big);
+        let plan = order_by_selectivity(&db, &q, IndexKind::RTree).unwrap();
+        let mut ascending = plan.estimates.clone();
+        ascending.sort_by_key(|e| (e.candidates, e.var));
+        let ascending: Vec<Var> = ascending.iter().map(|e| e.var).collect();
+        assert_eq!(plan.order, ascending);
+        assert_eq!(plan.probes.iter().sum::<u64>(), plan.ascending_probes);
+        assert!(plan.stats.corner_cache_misses <= 5);
+        assert_eq!(&plan.plan.order[1..], &plan.order[..]);
+        let mut planned = q.clone();
+        planned.order = Some(plan.order.clone());
+        let run = crate::exec::bbox_execute_compiled(
+            &db,
+            &planned,
+            &plan.plan,
+            IndexKind::RTree,
+            crate::exec::ExecOptions::all(),
+        )
+        .unwrap();
+        assert_eq!(
+            run.stats.solutions,
+            bbox_execute(&db, &q, IndexKind::RTree)
+                .unwrap()
+                .stats
+                .solutions
+        );
     }
 
     #[test]

@@ -61,8 +61,11 @@ pub struct ExecStats {
     pub row_rejections: usize,
     /// Full constraint-system evaluations (naive executor only).
     pub full_system_checks: usize,
-    /// Candidates rejected by the cheap bbox-vs-corner-query prefilter
-    /// before any region algebra ran.
+    /// Candidates rejected before any region algebra ran by the
+    /// exact-bound box prefilter: the candidate's box must contain the
+    /// box of the level's bound lower bound `s` and lie within that of
+    /// its upper bound `t` (met with the corner query when a scan, not
+    /// an index, produced the candidates).
     pub bbox_prefilter_rejections: usize,
     /// Candidate regions read by reference into the search: by every
     /// exact row check (the region stays bound if the row admits it) and

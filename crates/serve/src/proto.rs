@@ -28,8 +28,9 @@ use scq_bbox::{Bbox, CornerQuery};
 use scq_core::{parse_system, BboxPlan};
 use scq_engine::workload::{map_workload, MapParams};
 use scq_engine::{
-    bbox_execute_opts, compile_triangular, order_by_selectivity, CollectionId, ExecOptions,
-    IndexKind, ObjectRef, ProbeReport, Query, QueryOutcome, SpatialDatabase, VarBinding,
+    bbox_execute_compiled, bbox_execute_opts, compile_triangular, order_by_selectivity,
+    CollectionId, ExecOptions, IndexKind, ObjectRef, ProbeReport, Query, QueryOutcome,
+    SelectivityPlan, SpatialDatabase, VarBinding,
 };
 use scq_region::{AaBox, Region};
 use scq_shard::{ShardBackend, ShardedDatabase};
@@ -137,14 +138,15 @@ impl ServeMetrics {
 /// How the serve tier orders `SOLVE` retrieval levels.
 ///
 /// * `Selectivity` — probe each unknown's first-position corner query
-///   once ([`order_by_selectivity`]) and retrieve the most selective
-///   level first. Computed orders are cached per command text and
-///   invalidated by the bound collections' mutation epochs.
+///   once and run the order with the fewest estimated probes
+///   ([`order_by_selectivity`]). Chosen orders are cached with their
+///   compiled plans per command text and invalidated by the bound
+///   collections' mutation epochs.
 /// * `Size` — the executor default: unknowns ascend by live collection
 ///   size, no planning probes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanMode {
-    /// Probe-based selectivity ordering with the epoch-keyed plan cache.
+    /// Whole-order cost planning with the epoch-keyed plan cache.
     Selectivity,
     /// Ascending live collection size (the executor default).
     Size,
@@ -183,10 +185,16 @@ const PLAN_CACHE_CAP: usize = 256;
 /// epoch, so stale entries simply stop being addressable.
 type CandidateKey = (usize, u8, u8, [u64; 4], u64);
 
-/// Key of one cached `SOLVE` retrieval order: index kind, the
-/// command's binding and system text verbatim, and the mutation epoch
-/// of every bound collection in binding order.
+/// Key of one cached `SOLVE` plan: index kind, the command's binding
+/// and system text verbatim, and the mutation epoch of every bound
+/// collection in binding order.
 type PlanKey = (u8, String, String, Vec<u64>);
+
+/// A cached `SOLVE` plan: the planner's order with the plan compiled
+/// for it. Parsing the same system text interns the same variables in
+/// the same order, and that text is part of the key, so the plan's
+/// variables stay valid for every command that hits.
+type CachedPlan = Arc<SelectivityPlan>;
 
 /// The serve tier's epoch-invalidated caches above the executors.
 #[derive(Default)]
@@ -194,9 +202,8 @@ struct QueryCaches {
     /// Complete, primary-fresh `QUERY` answers: sorted ids plus the
     /// router's prune count for that probe.
     candidates: Mutex<HashMap<CandidateKey, (Vec<u64>, usize)>>,
-    /// Planned retrieval orders, stored by variable *name* so a hit
-    /// re-resolves against the freshly parsed system.
-    plans: Mutex<HashMap<PlanKey, Vec<String>>>,
+    /// Planned retrieval orders with their compiled plans.
+    plans: Mutex<HashMap<PlanKey, CachedPlan>>,
 }
 
 /// Per-server observability state shared by every worker: the metrics
@@ -746,11 +753,14 @@ fn solve<B: ShardBackend>(
     let d = db.read().map_err(lock_poisoned)?;
     let mut query = Query::new(sys);
     let colls = bind_query(&d, &mut query, bindings_src)?;
-    if ctx.plan == PlanMode::Selectivity {
-        apply_selectivity_plan(&d, ctx, &mut query, kind, bindings_src, &system_src, &colls)?;
+    let result = if ctx.plan == PlanMode::Selectivity {
+        let planned = selectivity_plan(&d, ctx, &query, kind, bindings_src, &system_src, &colls)?;
+        query.order = Some(planned.order.clone());
+        contain_backend_panic(|| bbox_execute_compiled(&*d, &query, &planned.plan, kind, options))?
+    } else {
+        contain_backend_panic(|| bbox_execute_opts(&*d, &query, kind, options))?
     }
-    let result = contain_backend_panic(|| bbox_execute_opts(&*d, &query, kind, options))?
-        .map_err(|e| e.to_string())?;
+    .map_err(|e| e.to_string())?;
     ctx.metrics.note(
         result.stats.retries,
         result.stats.shards_unavailable,
@@ -829,20 +839,20 @@ fn bind_query<B: ShardBackend>(
     Ok(colls)
 }
 
-/// Installs the selectivity order on `query`, consulting the plan
-/// cache first. The key carries the bound collections' mutation
-/// epochs: equal epochs guarantee identical contents, so a cached
-/// order is exactly what a fresh probe round would pick — and any
-/// effective write silently retires it.
-fn apply_selectivity_plan<B: ShardBackend>(
+/// The planner's order and compiled plan for `query`, from the plan
+/// cache when it holds them. The key carries the bound collections'
+/// mutation epochs: equal epochs guarantee identical contents, so a
+/// cached plan is exactly what a fresh planning round would build —
+/// and any effective write silently retires it.
+fn selectivity_plan<B: ShardBackend>(
     d: &ShardedDatabase<B>,
     ctx: &ServeContext,
-    query: &mut Query<2>,
+    query: &Query<2>,
     kind: IndexKind,
     bindings_src: &str,
     system_src: &str,
     colls: &[CollectionId],
-) -> Result<(), String> {
+) -> Result<CachedPlan, String> {
     let epochs: Vec<u64> = colls.iter().map(|&c| d.epoch(c)).collect();
     let key: PlanKey = (
         kind_tag(kind),
@@ -850,48 +860,34 @@ fn apply_selectivity_plan<B: ShardBackend>(
         system_src.to_string(),
         epochs,
     );
-    if let Some(names) = ctx
+    if let Some(hit) = ctx
         .caches
         .plans
         .lock()
         .ok()
         .and_then(|p| p.get(&key).cloned())
     {
-        // Names re-resolve against the freshly parsed system; the
-        // command text is part of the key, so they always exist.
-        let order: Vec<_> = names
-            .iter()
-            .filter_map(|n| query.system.table.get(n))
-            .collect();
-        if order.len() == names.len() {
-            query.order = Some(order);
-            ctx.metrics.plan_cache_hits.inc();
-            return Ok(());
-        }
+        ctx.metrics.plan_cache_hits.inc();
+        return Ok(hit);
     }
     ctx.metrics.plan_cache_misses.inc();
     let plan = contain_backend_panic(|| order_by_selectivity(d, query, kind))?
         .map_err(|e| e.to_string())?;
-    let names: Vec<String> = plan
-        .order
-        .iter()
-        .map(|&v| query.system.table.display(v))
-        .collect();
-    query.order = Some(plan.order);
+    let planned = Arc::new(plan);
     if let Ok(mut p) = ctx.caches.plans.lock() {
         if p.len() >= PLAN_CACHE_CAP {
             p.clear();
         }
-        p.insert(key, names);
+        p.insert(key, planned.clone());
     }
-    Ok(())
+    Ok(planned)
 }
 
-/// `EXPLAIN <kind> <bindings> <system…>`: report the selectivity
-/// planner's per-unknown estimates, the retrieval order the server's
-/// plan mode would actually execute, and the compiled per-level range
-/// query plan — without running the query. The body is framed behind
-/// `OK lines=<n>` like `METRICS`.
+/// `EXPLAIN <kind> <bindings> <system…>`: report the planner's
+/// per-unknown estimates and its estimated probes per level, the
+/// retrieval order the server's plan mode would actually execute, and
+/// the compiled per-level range query plan — without running the query.
+/// The body is framed behind `OK lines=<n>` like `METRICS`.
 fn explain<B: ShardBackend>(
     db: &Arc<RwLock<ShardedDatabase<B>>>,
     ctx: &ServeContext,
@@ -921,9 +917,27 @@ fn explain<B: ShardBackend>(
             est.candidates
         ));
     }
-    if ctx.plan == PlanMode::Selectivity {
+    let levels: Vec<String> = plan
+        .order
+        .iter()
+        .zip(&plan.probes)
+        .map(|(&v, p)| format!("{}={p}", query.system.table.display(v)))
+        .collect();
+    body.push_str(&format!(
+        "\ncost: probes {} total={} ascending_total={}",
+        levels.join(" "),
+        plan.probes.iter().sum::<u64>(),
+        plan.ascending_probes
+    ));
+    // The compiled range-query plan (Algorithm 2's triangular rows) for
+    // the order that would actually execute: the planner's, or the
+    // size order compiled here.
+    let compiled = if ctx.plan == PlanMode::Selectivity {
         query.order = Some(plan.order);
-    }
+        plan.plan
+    } else {
+        BboxPlan::compile(&compile_triangular(&*d, &query).map_err(|e| e.to_string())?)
+    };
     let order = query.retrieval_order(&*d);
     body.push_str(&format!(
         "\norder: {}",
@@ -955,12 +969,8 @@ fn explain<B: ShardBackend>(
             }
         }
     }
-    // The compiled range-query plan (Algorithm 2's triangular rows)
-    // for the order that would actually execute.
-    let tri = compile_triangular(&*d, &query).map_err(|e| e.to_string())?;
-    let bbox_plan: BboxPlan<2> = BboxPlan::compile(&tri);
     body.push('\n');
-    body.push_str(bbox_plan.explain(&query.system.table).trim_end());
+    body.push_str(compiled.explain(&query.system.table).trim_end());
     Ok(multiline(&body))
 }
 
@@ -1229,6 +1239,47 @@ mod tests {
         let snap = ctx.metrics.snapshot();
         assert_eq!(snap.counter("serve.plan_cache_misses"), Some(1));
         assert_eq!(snap.counter("serve.plan_cache_hits"), Some(1));
+    }
+
+    /// `EXPLAIN` of the smuggler join on a loaded map shows the
+    /// whole-order cost model's pick: `R` first, because `T`'s corner
+    /// query reads `R` but not `B`, so the sibling cache serves `T`
+    /// across every `B` of an `R`. The ascending-estimate order
+    /// (`B -> R -> T`) is costed on the same line.
+    #[test]
+    fn explain_pins_the_smuggler_order_and_its_cost() {
+        let universe = AaBox::new([0.0, 0.0], [1000.0, 1000.0]);
+        let db = Arc::new(RwLock::new(ShardedDatabase::<scq_shard::LocalShard>::new(
+            universe, 4,
+        )));
+        let ctx = ServeContext::new(None).with_plan(PlanMode::Selectivity);
+        let run = |line: &str| handle_command(&db, &ctx, line).0;
+        assert!(run("LOAD map 1 1000").starts_with("OK"));
+        // The map's destination area, as `LOAD map 1 1000` placed it.
+        let w = map_workload(
+            &mut SpatialDatabase::new(universe),
+            1,
+            &MapParams {
+                n_states: 8,
+                n_towns: 250,
+                n_roads: 1000,
+                useful_road_fraction: 0.08,
+            },
+        );
+        let Bbox::Box { lo, hi } = w.area.bbox() else {
+            panic!("the area is not empty")
+        };
+        let explain = run(&format!(
+            "EXPLAIN rtree C=box:100:100:900:900,A=box:{}:{}:{}:{},T=coll:towns,R=coll:roads,\
+             B=coll:states A <= C; B <= C; R <= A | B | T; R & A != 0; R & T != 0; T < C",
+            lo[0], lo[1], hi[0], hi[1]
+        ));
+        let lines: Vec<&str> = explain.lines().collect();
+        assert!(
+            lines.contains(&"cost: probes R=1 B=1 T=98 total=100 ascending_total=793"),
+            "{explain}"
+        );
+        assert!(lines.contains(&"order: A -> C -> R -> B -> T"), "{explain}");
     }
 
     /// `SOLVE <kind> 0 …` asks for no solutions and gets none — also

@@ -185,6 +185,26 @@ fn build_query(colls: &[CollectionId; 2]) -> Query<2> {
     q
 }
 
+/// A three-unknown star: `X` inside a known window, `Y` and `Z` (both
+/// over the second collection) overlapping `X`. `Y`'s and `Z`'s corner
+/// queries read `X` alone, so the whole-order cost puts `X` first even
+/// when the second collection's estimates are the smaller ones and the
+/// ascending-estimate order would retrieve `Y` and `Z` first.
+fn build_star_query(colls: &[CollectionId; 2]) -> Query<2> {
+    let sys = scq_core::parse_system("X <= W; Y & X != 0; Z & X != 0").expect("system parses");
+    let mut q = Query::new(sys);
+    for (name, coll) in [("X", colls[0]), ("Y", colls[1]), ("Z", colls[1])] {
+        let v = q.system.table.get(name).unwrap();
+        q.bindings.insert(v, VarBinding::Collection(coll));
+    }
+    let w = q.system.table.get("W").unwrap();
+    q.bindings.insert(
+        w,
+        VarBinding::Known(Region::from_box(AaBox::new([5.0, 5.0], [90.0, 90.0]))),
+    );
+    q
+}
+
 /// Normalizes a result to an order-independent form: sorted tuples of
 /// `var=collection:slot` plus the outcome.
 fn normalize(query: &Query<2>, result: &QueryResult) -> (Vec<String>, bool) {
@@ -212,17 +232,57 @@ fn normalize(query: &Query<2>, result: &QueryResult) -> (Vec<String>, bool) {
 /// The oracle: for every index kind, planned execution answers exactly
 /// like the default order on the same store.
 fn assert_planned_matches_default<V: StoreView<2>>(db: &V, colls: &[CollectionId; 2]) {
-    let query = build_query(colls);
-    for kind in [IndexKind::RTree, IndexKind::GridFile, IndexKind::Scan] {
-        let base = bbox_execute(db, &query, kind).expect("default order executes");
-        let planned_query = with_selectivity_order(db, &query, kind).expect("planner runs");
-        let planned = bbox_execute(db, &planned_query, kind).expect("planned order executes");
-        assert_eq!(
-            normalize(&query, &base),
-            normalize(&planned_query, &planned),
-            "selectivity order changed the answer for {kind:?}"
-        );
+    for query in [build_query(colls), build_star_query(colls)] {
+        for kind in [IndexKind::RTree, IndexKind::GridFile, IndexKind::Scan] {
+            let base = bbox_execute(db, &query, kind).expect("default order executes");
+            let planned_query = with_selectivity_order(db, &query, kind).expect("planner runs");
+            let planned = bbox_execute(db, &planned_query, kind).expect("planned order executes");
+            assert_eq!(
+                normalize(&query, &base),
+                normalize(&planned_query, &planned),
+                "selectivity order changed the answer for {kind:?}"
+            );
+        }
     }
+}
+
+/// The star on a store where the ascending-estimate order is `Y Z X`
+/// (six objects in the second collection, twelve inside the window in
+/// the first): that order re-probes `X` for each of the 6 × 6 `(Y, Z)`
+/// pairs, while `X Y Z` probes `Y` and `Z` once per `X`. The cost
+/// model reorders to `X Y Z`, and the answer is the default order's.
+#[test]
+fn star_query_is_reordered_by_cost_and_answers_alike() {
+    let ops: Vec<Op> = (0..12)
+        .map(|i| Op::Insert {
+            coll: 0,
+            x: 10.0 + 6.0 * i as f64,
+            y: 10.0 + 5.0 * i as f64,
+            w: 8.0,
+            h: 8.0,
+        })
+        .chain((0..6).map(|i| Op::Insert {
+            coll: 1,
+            x: 15.0 * i as f64,
+            y: 0.0,
+            w: 10.0,
+            h: 95.0,
+        }))
+        .collect();
+    let (db, colls) = churn_sharded(&ops);
+    let query = build_star_query(&colls);
+    let plan = scq_engine::order_by_selectivity(&db, &query, IndexKind::RTree).unwrap();
+    let name = |v| query.system.table.name(v);
+    let mut ascending = plan.estimates.clone();
+    ascending.sort_by_key(|e| (e.candidates, e.var));
+    let ascending: Vec<&str> = ascending.iter().map(|e| name(e.var)).collect();
+    assert_eq!(ascending, ["Y", "Z", "X"]);
+    let chosen: Vec<&str> = plan.order.iter().map(|&v| name(v)).collect();
+    assert_eq!(chosen, ["X", "Y", "Z"]);
+    assert!(plan.probes.iter().sum::<u64>() < plan.ascending_probes);
+    assert_planned_matches_default(&db, &colls);
+    let (db, colls) = churn_unsharded(&ops);
+    assert_planned_matches_default(&db, &colls);
 }
 
 proptest! {

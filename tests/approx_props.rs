@@ -139,3 +139,76 @@ proptest! {
         }
     }
 }
+
+/// A constraint of any of the parser's seven shapes.
+fn constraint_strategy(nvars: u32) -> BoxedStrategy<Constraint> {
+    let pair = || (formula_strategy(nvars), formula_strategy(nvars));
+    prop_oneof![
+        pair().prop_map(|(f, g)| Constraint::Subset(f, g)),
+        pair().prop_map(|(f, g)| Constraint::NotSubset(f, g)),
+        pair().prop_map(|(f, g)| Constraint::Eq(f, g)),
+        pair().prop_map(|(f, g)| Constraint::Neq(f, g)),
+        pair().prop_map(|(f, g)| Constraint::ProperSubset(f, g)),
+        pair().prop_map(|(f, g)| Constraint::Disjoint(f, g)),
+        pair().prop_map(|(f, g)| Constraint::Overlaps(f, g)),
+    ]
+    .boxed()
+}
+
+/// The `rank`-th of the `n!` orders of `Var(0)..Var(n)` (Lehmer code).
+fn nth_order(n: u32, mut rank: usize) -> Vec<Var> {
+    let mut pool: Vec<Var> = (0..n).map(Var).collect();
+    let mut order = Vec::with_capacity(pool.len());
+    while !pool.is_empty() {
+        let radix = (1..pool.len()).product::<usize>();
+        order.push(pool.remove(rank / radix));
+        rank %= radix;
+    }
+    order
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The executors' exact-bound box prefilter is sound, the paper's
+    /// theorem one level deeper: with the prefix bound to concrete
+    /// regions, the boxes of the row's bound `s` and `t` never reject a
+    /// nonempty candidate the exact row admits — neither alone (the
+    /// index path) nor met with the compiled corner query (the scan
+    /// path). Candidates are drawn both freely and squeezed between
+    /// `s` and `t`, so admitted ones are common.
+    #[test]
+    fn exact_bound_prefilter_is_sound(
+        cs in prop::collection::vec(constraint_strategy(4), 1..4),
+        rank in 0..24usize,
+        level in 0..4usize,
+        prefix in regions_strategy(4),
+        free in regions_strategy(1),
+    ) {
+        let alg = RegionAlgebra::new(AaBox::new([0.0, 0.0], [100.0, 100.0]));
+        let order = nth_order(4, rank);
+        let tri = triangularize(&scq_core::constraint::normalize(&cs), &order);
+        let plan: BboxPlan<2> = BboxPlan::compile(&tri);
+        let row = &plan.rows[level];
+        let mut assign = Assignment::new();
+        let mut boxes = [Bbox::Empty; 4];
+        for &v in &order[..level] {
+            let r = alg.clamp(&prefix[v.index()]);
+            boxes[v.index()] = r.bbox();
+            assign.bind(v, r);
+        }
+        let bounds = row.exact.bind_prefix(&alg, &assign).unwrap();
+        let s = eval_formula(&alg, &row.exact.lower, &assign).unwrap();
+        let t = eval_formula(&alg, &row.exact.upper, &assign).unwrap();
+        let free = alg.clamp(&free[0]);
+        let squeezed = alg.join(&s, &alg.meet(&free, &t));
+        let alone = bounds.box_query(CornerQuery::unconstrained(), Region::bbox);
+        let met = bounds.box_query(row.corner_query(|i| boxes[i]), Region::bbox);
+        for x in [free, squeezed] {
+            if !x.is_empty() && bounds.admits(&alg, &x) {
+                prop_assert!(alone.matches(&x.bbox()), "exact bounds rejected an admitted {:?}", x.bbox());
+                prop_assert!(met.matches(&x.bbox()), "met query rejected an admitted {:?}", x.bbox());
+            }
+        }
+    }
+}
