@@ -61,7 +61,8 @@ impl<E: Clone> Assignment<E> {
     }
 
     /// Removes a binding.
-    pub fn unbind(&mut self, v: Var) -> Option<E> {
+    #[cfg(test)]
+    fn unbind(&mut self, v: Var) -> Option<E> {
         self.map.remove(&v)
     }
 
@@ -76,23 +77,21 @@ impl<E: Clone> Assignment<E> {
     }
 
     /// The bound variables in order.
-    pub fn vars(&self) -> impl Iterator<Item = Var> + '_ {
+    #[cfg(test)]
+    fn vars(&self) -> impl Iterator<Item = Var> + '_ {
         self.map.keys().copied()
     }
 
     /// Iterates over bindings.
-    pub fn iter(&self) -> impl Iterator<Item = (Var, &E)> + '_ {
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = (Var, &E)> + '_ {
         self.map.iter().map(|(&v, e)| (v, e))
     }
 
     /// Number of bindings.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// Whether there are no bindings.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -148,22 +147,25 @@ impl<'e, E> FlatAssignment<'e, E> {
     }
 
     /// The element bound to `v`.
-    pub fn get(&self, v: Var) -> Option<&'e E> {
+    fn get(&self, v: Var) -> Option<&'e E> {
         self.slots.get(v.index()).copied().flatten()
     }
 
     /// Whether `v` is bound.
-    pub fn is_bound(&self, v: Var) -> bool {
+    #[cfg(test)]
+    fn is_bound(&self, v: Var) -> bool {
         self.get(v).is_some()
     }
 
     /// Number of bindings.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.bound
     }
 
     /// Whether there are no bindings.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.bound == 0
     }
 }

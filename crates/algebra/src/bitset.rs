@@ -24,11 +24,6 @@ impl BitsetAlgebra {
         BitsetAlgebra { width }
     }
 
-    /// Number of ground elements.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
     fn mask(&self) -> u64 {
         if self.width == 64 {
             u64::MAX
@@ -55,7 +50,8 @@ impl BitsetAlgebra {
     }
 
     /// The atoms (singletons) of the algebra.
-    pub fn atoms(&self) -> impl Iterator<Item = u64> + '_ {
+    #[cfg(test)]
+    fn atoms(&self) -> impl Iterator<Item = u64> + '_ {
         (0..self.width).map(|i| 1u64 << i)
     }
 }

@@ -9,7 +9,7 @@ use crate::traits::BooleanAlgebra;
 /// that down. `Bool2` is atomic (its single nonzero element `1` is an
 /// atom), so it is *not* [`crate::Atomless`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Bool2;
+pub(crate) struct Bool2;
 
 impl BooleanAlgebra for Bool2 {
     type Elem = bool;

@@ -32,7 +32,7 @@ impl<E> AsRef<E> for Val<'_, E> {
 
 impl<E> Val<'_, E> {
     /// The owned value, cloning only in the borrowed case.
-    pub fn into_owned(self) -> E
+    fn into_owned(self) -> E
     where
         E: Clone,
     {

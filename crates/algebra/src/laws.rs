@@ -27,7 +27,7 @@ pub fn check_all<A: BooleanAlgebra>(alg: &A, elems: &[A::Elem]) {
 }
 
 /// `0 ≠ 1` sanity and constant behaviour.
-pub fn check_constants<A: BooleanAlgebra>(alg: &A) {
+fn check_constants<A: BooleanAlgebra>(alg: &A) {
     assert!(alg.is_zero(&alg.zero()), "0 must be zero");
     assert!(
         !alg.is_zero(&alg.one()),
@@ -45,7 +45,7 @@ pub fn check_constants<A: BooleanAlgebra>(alg: &A) {
 }
 
 /// Laws in one element.
-pub fn check_unary<A: BooleanAlgebra>(alg: &A, a: &A::Elem) {
+fn check_unary<A: BooleanAlgebra>(alg: &A, a: &A::Elem) {
     let not_a = alg.complement(a);
     assert!(alg.is_zero(&alg.meet(a, &not_a)), "a & ~a = 0");
     assert!(alg.is_one(&alg.join(a, &not_a)), "a | ~a = 1");
@@ -62,7 +62,7 @@ pub fn check_unary<A: BooleanAlgebra>(alg: &A, a: &A::Elem) {
 }
 
 /// Laws in two elements.
-pub fn check_binary<A: BooleanAlgebra>(alg: &A, a: &A::Elem, b: &A::Elem) {
+fn check_binary<A: BooleanAlgebra>(alg: &A, a: &A::Elem, b: &A::Elem) {
     assert!(
         alg.eq_elem(&alg.meet(a, b), &alg.meet(b, a)),
         "meet commutes"
@@ -110,7 +110,7 @@ pub fn check_binary<A: BooleanAlgebra>(alg: &A, a: &A::Elem, b: &A::Elem) {
 }
 
 /// Laws in three elements.
-pub fn check_ternary<A: BooleanAlgebra>(alg: &A, a: &A::Elem, b: &A::Elem, c: &A::Elem) {
+fn check_ternary<A: BooleanAlgebra>(alg: &A, a: &A::Elem, b: &A::Elem, c: &A::Elem) {
     assert!(
         alg.eq_elem(&alg.meet(a, &alg.meet(b, c)), &alg.meet(&alg.meet(a, b), c)),
         "meet associates"

@@ -12,8 +12,8 @@
 //!   with the derived order `≤`, difference and symmetric difference;
 //! * [`Atomless`] — the property the paper's Theorems 6–8 rely on: every
 //!   nonzero element strictly contains a nonzero element;
-//! * [`Bool2`] — the two-element algebra (where negative constraints add
-//!   no expressive power, as the paper remarks);
+//! * `Bool2` (test-only) — the two-element algebra (where negative
+//!   constraints add no expressive power, as the paper remarks);
 //! * [`BitsetAlgebra`] — the finite powerset algebra `2^n` (atomic!), used
 //!   to exhibit the paper's non-closure example `|y| ≥ 2`;
 //! * [`eval_formula`] / [`Assignment`] — algebra-generic evaluation;
@@ -23,13 +23,13 @@
 
 pub mod assignment;
 pub mod bitset;
-pub mod bool2;
+#[cfg(test)]
+mod bool2;
 pub mod eval;
 pub mod laws;
 pub mod traits;
 
 pub use assignment::{Assignment, FlatAssignment, VarLookup};
 pub use bitset::BitsetAlgebra;
-pub use bool2::Bool2;
 pub use eval::{eval_formula, eval_formula_in, Val};
 pub use traits::{Atomless, BooleanAlgebra};

@@ -16,7 +16,7 @@
 use crate::lattice::Bbox;
 
 /// A corner point: the `(lo, hi)` pair representing a box in `X²ᵏ`.
-pub type CornerPoint<const K: usize> = ([f64; K], [f64; K]);
+type CornerPoint<const K: usize> = ([f64; K], [f64; K]);
 
 /// The corner transform: a nonempty box becomes the pair of its corners,
 /// i.e. a point in `X²ᵏ` split as `(lo, hi)`. `None` for the empty box,

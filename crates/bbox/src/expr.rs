@@ -41,7 +41,8 @@ impl<const K: usize> BboxExpr<K> {
     }
 
     /// A constant.
-    pub fn constant(b: Bbox<K>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn constant(b: Bbox<K>) -> Self {
         BboxExpr::Const(b)
     }
 
@@ -119,7 +120,8 @@ impl<const K: usize> BboxExpr<K> {
     }
 
     /// Number of AST nodes.
-    pub fn size(&self) -> usize {
+    #[cfg(test)]
+    fn size(&self) -> usize {
         match self {
             BboxExpr::Var(_) | BboxExpr::Const(_) => 1,
             BboxExpr::Meet(a, b) | BboxExpr::Join(a, b) => 1 + a.size() + b.size(),

@@ -26,11 +26,6 @@ pub enum Bbox<const K: usize> {
 }
 
 impl<const K: usize> Bbox<K> {
-    /// The empty box.
-    pub const fn empty() -> Self {
-        Bbox::Empty
-    }
-
     /// A box from corners. Returns [`Bbox::Empty`] when `lo[d] > hi[d]`
     /// in some dimension.
     pub fn new(lo: [f64; K], hi: [f64; K]) -> Self {
@@ -126,7 +121,8 @@ impl<const K: usize> Bbox<K> {
     }
 
     /// Whether the point lies inside (closed) bounds.
-    pub fn contains_point(&self, p: &[f64; K]) -> bool {
+    #[cfg(test)]
+    fn contains_point(&self, p: &[f64; K]) -> bool {
         match self {
             Bbox::Empty => false,
             Bbox::Box { lo, hi } => (0..K).all(|i| lo[i] <= p[i] && p[i] <= hi[i]),
@@ -143,7 +139,8 @@ impl<const K: usize> Bbox<K> {
     }
 
     /// Sum of side lengths — the "margin", used by R-tree heuristics.
-    pub fn margin(&self) -> f64 {
+    #[cfg(test)]
+    fn margin(&self) -> f64 {
         match self {
             Bbox::Empty => 0.0,
             Bbox::Box { lo, hi } => (0..K).map(|i| hi[i] - lo[i]).sum(),

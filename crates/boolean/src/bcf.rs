@@ -14,7 +14,7 @@
 //!
 //! Blake's theorem (Theorem 19 in the paper) reduces the *semantic* test
 //! `g ≤ f` to the *syntactic* syllogistic test `g ≼ BCF(f)`; see
-//! [`syllogistic_le`] and [`implies`].
+//! `syllogistic_le` and [`implies`].
 
 use crate::cube::{Cube, Sop};
 use crate::dnf::formula_to_sop;
@@ -30,7 +30,7 @@ pub fn blake_canonical_form(f: &Formula) -> Sop {
 }
 
 /// Iterated consensus + absorption on an SOP until fixpoint.
-pub fn bcf_of_sop(start: Sop) -> Sop {
+pub(crate) fn bcf_of_sop(start: Sop) -> Sop {
     if start.is_one() {
         return Sop::one();
     }
@@ -62,7 +62,7 @@ pub fn bcf_of_sop(start: Sop) -> Sop {
 /// Syllogistic order on SOP formulas (paper, before Theorem 19):
 /// `g ≼ f` iff every term of `g` has a *subterm* in `f` — i.e. for each
 /// cube of `g` some cube of `f` subsumes it.
-pub fn syllogistic_le(g: &Sop, f: &Sop) -> bool {
+fn syllogistic_le(g: &Sop, f: &Sop) -> bool {
     g.cubes()
         .iter()
         .all(|gc| f.cubes().iter().any(|fc| fc.subsumes(gc)))

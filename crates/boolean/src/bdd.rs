@@ -20,9 +20,9 @@ use crate::var::Var;
 pub struct NodeId(u32);
 
 /// The terminal `0`.
-pub const ZERO: NodeId = NodeId(0);
+const ZERO: NodeId = NodeId(0);
 /// The terminal `1`.
-pub const ONE: NodeId = NodeId(1);
+const ONE: NodeId = NodeId(1);
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 struct Node {
@@ -36,6 +36,7 @@ struct Node {
 enum Op {
     And,
     Or,
+    #[cfg(test)]
     Xor,
 }
 
@@ -84,7 +85,8 @@ impl Bdd {
     }
 
     /// Number of live nodes (including terminals).
-    pub fn node_count(&self) -> usize {
+    #[cfg(test)]
+    fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
@@ -112,27 +114,28 @@ impl Bdd {
     }
 
     /// The BDD of a single variable.
-    pub fn var(&mut self, v: Var) -> NodeId {
+    pub(crate) fn var(&mut self, v: Var) -> NodeId {
         self.mk(v.0, ZERO, ONE)
     }
 
     /// Conjunction.
-    pub fn and(&mut self, a: NodeId, b: NodeId) -> NodeId {
+    pub(crate) fn and(&mut self, a: NodeId, b: NodeId) -> NodeId {
         self.apply(Op::And, a, b)
     }
 
     /// Disjunction.
-    pub fn or(&mut self, a: NodeId, b: NodeId) -> NodeId {
+    pub(crate) fn or(&mut self, a: NodeId, b: NodeId) -> NodeId {
         self.apply(Op::Or, a, b)
     }
 
     /// Exclusive or.
-    pub fn xor(&mut self, a: NodeId, b: NodeId) -> NodeId {
+    #[cfg(test)]
+    pub(crate) fn xor(&mut self, a: NodeId, b: NodeId) -> NodeId {
         self.apply(Op::Xor, a, b)
     }
 
     /// Complement.
-    pub fn not(&mut self, a: NodeId) -> NodeId {
+    pub(crate) fn not(&mut self, a: NodeId) -> NodeId {
         if a == ZERO {
             return ONE;
         }
@@ -179,6 +182,7 @@ impl Bdd {
                     None
                 }
             }
+            #[cfg(test)]
             Op::Xor => {
                 if a == b {
                     Some(ZERO)
@@ -245,18 +249,21 @@ impl Bdd {
     }
 
     /// Existential quantification `∃v. n`.
-    pub fn exists(&mut self, n: NodeId, v: Var) -> NodeId {
+    #[cfg(test)]
+    fn exists(&mut self, n: NodeId, v: Var) -> NodeId {
         let (lo, hi) = self.cofactors(n, v);
         self.or(lo, hi)
     }
 
     /// Both cofactors of `n` by `v`.
-    pub fn cofactors(&mut self, n: NodeId, v: Var) -> (NodeId, NodeId) {
+    #[cfg(test)]
+    pub(crate) fn cofactors(&mut self, n: NodeId, v: Var) -> (NodeId, NodeId) {
         (self.restrict(n, v, false), self.restrict(n, v, true))
     }
 
     /// Restriction `n[v ← value]`.
-    pub fn restrict(&mut self, n: NodeId, v: Var, value: bool) -> NodeId {
+    #[cfg(test)]
+    fn restrict(&mut self, n: NodeId, v: Var, value: bool) -> NodeId {
         if n == ZERO || n == ONE {
             return n;
         }

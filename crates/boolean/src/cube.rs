@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::formula::Formula;
-use crate::var::{Var, VarTable};
+use crate::var::Var;
 
 /// A literal: a variable or its complement.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -20,7 +20,8 @@ pub struct Literal {
 
 impl Literal {
     /// Positive literal of `var`.
-    pub fn pos(var: Var) -> Self {
+    #[cfg(test)]
+    pub(crate) fn pos(var: Var) -> Self {
         Literal {
             var,
             positive: true,
@@ -28,23 +29,16 @@ impl Literal {
     }
 
     /// Negative literal of `var`.
-    pub fn neg(var: Var) -> Self {
+    #[cfg(test)]
+    fn neg(var: Var) -> Self {
         Literal {
             var,
             positive: false,
         }
     }
 
-    /// The literal with opposite polarity.
-    pub fn complement(self) -> Self {
-        Literal {
-            var: self.var,
-            positive: !self.positive,
-        }
-    }
-
     /// Converts to a formula.
-    pub fn to_formula(self) -> Formula {
+    pub(crate) fn to_formula(self) -> Formula {
         if self.positive {
             Formula::var(self.var)
         } else {
@@ -75,19 +69,20 @@ pub struct Cube {
 
 impl Cube {
     /// The empty cube — the constant `1`.
-    pub fn one() -> Self {
+    pub(crate) fn one() -> Self {
         Cube::default()
     }
 
     /// A single-literal cube.
-    pub fn literal(l: Literal) -> Self {
+    pub(crate) fn literal(l: Literal) -> Self {
         let mut lits = BTreeMap::new();
         lits.insert(l.var, l.positive);
         Cube { lits }
     }
 
     /// Builds a cube from literals; `None` if two literals clash.
-    pub fn from_literals<I: IntoIterator<Item = Literal>>(it: I) -> Option<Self> {
+    #[cfg(test)]
+    pub(crate) fn from_literals<I: IntoIterator<Item = Literal>>(it: I) -> Option<Self> {
         let mut c = Cube::one();
         for l in it {
             c = c.and_literal(l)?;
@@ -96,7 +91,7 @@ impl Cube {
     }
 
     /// Conjunction with one more literal; `None` on contradiction.
-    pub fn and_literal(&self, l: Literal) -> Option<Self> {
+    fn and_literal(&self, l: Literal) -> Option<Self> {
         match self.lits.get(&l.var) {
             Some(&p) if p != l.positive => None,
             Some(_) => Some(self.clone()),
@@ -109,7 +104,7 @@ impl Cube {
     }
 
     /// Conjunction of two cubes; `None` on contradiction.
-    pub fn and(&self, other: &Cube) -> Option<Self> {
+    pub(crate) fn and(&self, other: &Cube) -> Option<Self> {
         let (small, big) = if self.lits.len() <= other.lits.len() {
             (self, other)
         } else {
@@ -153,7 +148,7 @@ impl Cube {
     ///
     /// Absorption rewrites `p ∨ p·q → p`; this predicate is the `p ⊇ p·q`
     /// test.
-    pub fn subsumes(&self, other: &Cube) -> bool {
+    pub(crate) fn subsumes(&self, other: &Cube) -> bool {
         if self.lits.len() > other.lits.len() {
             return false;
         }
@@ -166,7 +161,7 @@ impl Cube {
     /// cubes, the consensus is their conjunction with that variable
     /// removed: `x·p ∨ ~x·q  ⟹  x·p ∨ ~x·q ∨ p·q`. Returns `None` when
     /// the cubes clash in zero or in more than one variable.
-    pub fn consensus(&self, other: &Cube) -> Option<Cube> {
+    pub(crate) fn consensus(&self, other: &Cube) -> Option<Cube> {
         let mut clash: Option<Var> = None;
         for (&v, &p) in &self.lits {
             if let Some(&q) = other.lits.get(&v) {
@@ -189,12 +184,12 @@ impl Cube {
     }
 
     /// Two-valued evaluation.
-    pub fn eval2<F: Fn(Var) -> bool>(&self, assign: F) -> bool {
+    pub(crate) fn eval2<F: Fn(Var) -> bool>(&self, assign: F) -> bool {
         self.lits.iter().all(|(&v, &p)| assign(v) == p)
     }
 
     /// Converts to a [`Formula`] (meet of the literals).
-    pub fn to_formula(&self) -> Formula {
+    pub(crate) fn to_formula(&self) -> Formula {
         Formula::and_all(self.literals().map(Literal::to_formula))
     }
 
@@ -217,7 +212,8 @@ impl Cube {
     ///
     /// Returns `Some(reduced)` when the cube does not become `0`, i.e.
     /// when `v` is absent or matches `value`; `None` otherwise.
-    pub fn cofactor(&self, v: Var, value: bool) -> Option<Cube> {
+    #[cfg(test)]
+    pub(crate) fn cofactor(&self, v: Var, value: bool) -> Option<Cube> {
         match self.lits.get(&v) {
             None => Some(self.clone()),
             Some(&p) if p == value => {
@@ -227,11 +223,6 @@ impl Cube {
             }
             Some(_) => None,
         }
-    }
-
-    /// Pretty-prints with names from `table`.
-    pub fn display<'a>(&'a self, table: &'a VarTable) -> CubeDisplay<'a> {
-        CubeDisplay { cube: self, table }
     }
 }
 
@@ -252,36 +243,10 @@ impl fmt::Display for Cube {
     }
 }
 
-/// Pretty-printer for cubes with a name table.
-pub struct CubeDisplay<'a> {
-    cube: &'a Cube,
-    table: &'a VarTable,
-}
-
-impl fmt::Display for CubeDisplay<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.cube.is_one() {
-            return write!(f, "1");
-        }
-        let mut first = true;
-        for l in self.cube.literals() {
-            if !first {
-                write!(f, " & ")?;
-            }
-            if !l.positive {
-                write!(f, "~")?;
-            }
-            write!(f, "{}", self.table.display(l.var))?;
-            first = false;
-        }
-        Ok(())
-    }
-}
-
 /// A sum of products: a disjunction of [`Cube`]s.
 ///
 /// The empty SOP is the constant `0`. SOPs are kept *absorbed* (no cube
-/// subsumes another) by [`Sop::push`].
+/// subsumes another) by `Sop::push`.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Sop {
     cubes: Vec<Cube>,
@@ -289,19 +254,19 @@ pub struct Sop {
 
 impl Sop {
     /// The constant `0` (empty disjunction).
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Sop::default()
     }
 
     /// The constant `1` (the single empty cube).
-    pub fn one() -> Self {
+    pub(crate) fn one() -> Self {
         Sop {
             cubes: vec![Cube::one()],
         }
     }
 
     /// Builds from cubes, applying absorption.
-    pub fn from_cubes<I: IntoIterator<Item = Cube>>(it: I) -> Self {
+    pub(crate) fn from_cubes<I: IntoIterator<Item = Cube>>(it: I) -> Self {
         let mut s = Sop::zero();
         for c in it {
             s.push(c);
@@ -312,7 +277,7 @@ impl Sop {
     /// Adds a cube unless it is absorbed; drops newly-absorbed cubes.
     ///
     /// Returns `true` if the cube was inserted.
-    pub fn push(&mut self, c: Cube) -> bool {
+    pub(crate) fn push(&mut self, c: Cube) -> bool {
         if self.cubes.iter().any(|existing| existing.subsumes(&c)) {
             return false;
         }
@@ -332,7 +297,7 @@ impl Sop {
     }
 
     /// Whether this SOP contains the empty cube (and hence is `1`).
-    pub fn is_one(&self) -> bool {
+    pub(crate) fn is_one(&self) -> bool {
         self.cubes.iter().any(Cube::is_one)
     }
 
@@ -347,7 +312,7 @@ impl Sop {
     }
 
     /// Disjunction of two SOPs (with absorption).
-    pub fn or(&self, other: &Sop) -> Sop {
+    pub(crate) fn or(&self, other: &Sop) -> Sop {
         let mut out = self.clone();
         for c in &other.cubes {
             out.push(c.clone());
@@ -356,7 +321,7 @@ impl Sop {
     }
 
     /// Conjunction of two SOPs by distribution (with absorption).
-    pub fn and(&self, other: &Sop) -> Sop {
+    pub(crate) fn and(&self, other: &Sop) -> Sop {
         let mut out = Sop::zero();
         for a in &self.cubes {
             for b in &other.cubes {
@@ -383,17 +348,6 @@ impl Sop {
     /// Converts to a [`Formula`].
     pub fn to_formula(&self) -> Formula {
         Formula::or_all(self.cubes.iter().map(Cube::to_formula))
-    }
-
-    /// The set of variables mentioned.
-    pub fn vars(&self) -> std::collections::BTreeSet<Var> {
-        let mut out = std::collections::BTreeSet::new();
-        for c in &self.cubes {
-            for l in c.literals() {
-                out.insert(l.var);
-            }
-        }
-        out
     }
 }
 

@@ -37,16 +37,6 @@ pub enum Formula {
 }
 
 impl Formula {
-    /// The constant `0`.
-    pub fn zero() -> Self {
-        Formula::Zero
-    }
-
-    /// The constant `1`.
-    pub fn one() -> Self {
-        Formula::One
-    }
-
     /// A variable atom.
     pub fn var(v: Var) -> Self {
         Formula::Var(v)
@@ -153,7 +143,7 @@ impl Formula {
 
     /// Substitutes `replacement` for every occurrence of `v`, re-running
     /// the simplifying constructors bottom-up.
-    pub fn subst(&self, v: Var, replacement: &Formula) -> Formula {
+    fn subst(&self, v: Var, replacement: &Formula) -> Formula {
         match self {
             Formula::Zero | Formula::One => self.clone(),
             Formula::Var(w) => {
@@ -194,7 +184,8 @@ impl Formula {
     }
 
     /// Number of AST nodes — a crude size metric.
-    pub fn size(&self) -> usize {
+    #[cfg(test)]
+    fn size(&self) -> usize {
         match self {
             Formula::Zero | Formula::One | Formula::Var(_) => 1,
             Formula::Not(f) => 1 + f.size(),

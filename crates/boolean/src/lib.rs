@@ -9,7 +9,7 @@
 //!
 //! * [`Formula`] — a shared-subterm Boolean formula AST with smart
 //!   constructors, substitution and cofactors,
-//! * [`Cube`] / [`Sop`] — terms (conjunctions of literals) and
+//! * [`cube::Cube`] / [`cube::Sop`] — terms (conjunctions of literals) and
 //!   sum-of-products forms, with consensus and absorption,
 //! * [`bcf`] — the Blake canonical form (the sum of all prime implicants),
 //!   computed by iterated consensus, together with the syllogistic order
@@ -38,11 +38,9 @@ pub mod quant;
 pub mod random;
 pub mod var;
 
-pub use bcf::{blake_canonical_form, syllogistic_le};
+pub use bcf::blake_canonical_form;
 pub use bdd::Bdd;
-pub use cube::{Cube, Literal, Sop};
 pub use dnf::formula_to_sop;
 pub use formula::Formula;
-pub use minimize::{irredundant_sop, minimize};
 pub use parse::{parse_formula, ParseError};
 pub use var::{Var, VarTable};

@@ -27,13 +27,13 @@ use crate::formula::Formula;
 /// Greedy, so not guaranteed *minimum*, but always irredundant and
 /// equivalent; essential primes (the only prime covering some minterm)
 /// are always retained.
-pub fn irredundant_sop(f: &Formula) -> Sop {
+fn irredundant_sop(f: &Formula) -> Sop {
     let bcf = bcf_of_sop(formula_to_sop(f));
     irredundant_cover(&bcf)
 }
 
 /// Irredundant cover of an SOP already consisting of prime implicants.
-pub fn irredundant_cover(primes: &Sop) -> Sop {
+fn irredundant_cover(primes: &Sop) -> Sop {
     if primes.is_zero() || primes.is_one() {
         return primes.clone();
     }

@@ -78,17 +78,14 @@ impl VarTable {
     }
 
     /// Number of interned variables.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.names.len()
     }
 
-    /// Whether no variable has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
     /// Iterates over all interned variables in index order.
-    pub fn iter(&self) -> impl Iterator<Item = Var> + '_ {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Var> + '_ {
         (0..self.names.len() as u32).map(Var)
     }
 }

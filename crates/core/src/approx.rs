@@ -53,7 +53,8 @@ impl<const K: usize> UpperBound<K> {
     }
 
     /// Whether this is the constant `∅` bound (matches only nothing).
-    pub fn is_const_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_const_empty(&self) -> bool {
         matches!(self, UpperBound::Expr(e) if e.is_const_empty())
     }
 }

@@ -11,7 +11,7 @@ use scq_algebra::{eval_formula_in, Assignment, BooleanAlgebra, VarLookup};
 use crate::constraint::{Constraint, NormalSystem};
 
 /// Whether a single surface constraint holds under `assign`.
-pub fn check_constraint_in<A: BooleanAlgebra, L: VarLookup<A::Elem>>(
+fn check_constraint_in<A: BooleanAlgebra, L: VarLookup<A::Elem>>(
     alg: &A,
     c: &Constraint,
     assign: &L,
@@ -64,7 +64,7 @@ pub fn check_normal<A: BooleanAlgebra>(
 }
 
 /// [`check_normal`] over any assignment storage.
-pub fn check_normal_in<A: BooleanAlgebra, L: VarLookup<A::Elem>>(
+fn check_normal_in<A: BooleanAlgebra, L: VarLookup<A::Elem>>(
     alg: &A,
     s: &NormalSystem,
     assign: &L,

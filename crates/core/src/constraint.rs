@@ -45,7 +45,7 @@ pub enum Constraint {
 
 impl Constraint {
     /// The variables mentioned by the constraint.
-    pub fn vars(&self) -> std::collections::BTreeSet<Var> {
+    pub(crate) fn vars(&self) -> std::collections::BTreeSet<Var> {
         let (a, b) = self.operands();
         let mut v = a.vars();
         if let Some(b) = b {
@@ -67,13 +67,13 @@ impl Constraint {
     }
 
     /// Pretty-prints with variable names.
-    pub fn display<'a>(&'a self, table: &'a VarTable) -> ConstraintDisplay<'a> {
+    pub(crate) fn display<'a>(&'a self, table: &'a VarTable) -> ConstraintDisplay<'a> {
         ConstraintDisplay { c: self, table }
     }
 }
 
 /// Pretty-printer for constraints.
-pub struct ConstraintDisplay<'a> {
+pub(crate) struct ConstraintDisplay<'a> {
     c: &'a Constraint,
     table: &'a VarTable,
 }
@@ -109,12 +109,12 @@ pub struct ConstraintSystem {
 
 impl ConstraintSystem {
     /// An empty system (trivially true).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds a constraint.
-    pub fn push(&mut self, c: Constraint) {
+    pub(crate) fn push(&mut self, c: Constraint) {
         self.constraints.push(c);
     }
 
@@ -156,7 +156,7 @@ pub struct NormalSystem {
 
 /// Compile-time verdict about a ground (variable-free) normal system.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum GroundStatus {
+pub(crate) enum GroundStatus {
     /// Holds in every nondegenerate Boolean algebra.
     Valid,
     /// Fails in every Boolean algebra.
@@ -165,7 +165,8 @@ pub enum GroundStatus {
 
 impl NormalSystem {
     /// The trivially true system (`0 = 0`).
-    pub fn trivial() -> Self {
+    #[cfg(test)]
+    pub(crate) fn trivial() -> Self {
         NormalSystem {
             eq: Formula::Zero,
             neqs: Vec::new(),
@@ -173,7 +174,7 @@ impl NormalSystem {
     }
 
     /// All variables mentioned.
-    pub fn vars(&self) -> Vec<Var> {
+    pub(crate) fn vars(&self) -> Vec<Var> {
         let mut set = self.eq.vars();
         for g in &self.neqs {
             set.extend(g.vars());
@@ -192,7 +193,7 @@ impl NormalSystem {
     ///
     /// # Panics
     /// If the system still has variables.
-    pub fn ground_status(&self) -> GroundStatus {
+    pub(crate) fn ground_status(&self) -> GroundStatus {
         assert!(self.is_ground(), "ground_status on a non-ground system");
         let mut bdd = Bdd::new();
         if !bdd.is_zero_formula(&self.eq) {
@@ -210,7 +211,7 @@ impl NormalSystem {
     /// * disequations `g ≡ 1` are dropped (always true in nondegenerate
     ///   algebras);
     /// * duplicate disequations (propositional equivalence) are merged;
-    /// * the equation and disequations are [`simplify`]-normalized.
+    /// * the equation and disequations are `simplify`-normalized.
     ///
     /// A disequation `g ≡ 0` is kept (it marks the system unsatisfiable
     /// and is reported by [`NormalSystem::obviously_unsat`]).

@@ -31,18 +31,15 @@ pub mod constraint;
 pub mod parser;
 pub mod plan;
 pub mod proj;
-pub mod simplify;
+mod simplify;
 pub mod solve;
 pub mod triangular;
 
 pub use approx::{lower_bbox_fn, upper_bbox_fn, UpperBound};
-pub use check::{
-    check_constraint_in, check_normal, check_normal_in, check_system, check_system_in,
-};
+pub use check::{check_normal, check_system, check_system_in};
 pub use constraint::{Constraint, ConstraintSystem, NormalSystem};
 pub use parser::parse_system;
-pub use plan::{BboxPlan, CompiledRow};
+pub use plan::BboxPlan;
 pub use proj::{proj, witness};
-pub use simplify::simplify;
-pub use solve::{solve, solve_system};
-pub use triangular::{triangularize, DiseqRow, RowBounds, SolvedRow, TriangularSystem};
+pub use solve::solve_system;
+pub use triangular::{triangularize, RowBounds, SolvedRow, TriangularSystem};

@@ -12,7 +12,7 @@ use scq_boolean::{blake_canonical_form, Bdd, Formula};
 /// Exponential in the worst case, which the paper accepts for query
 /// *compilation* ("the number of variables in a constraint system can be
 /// expected to be reasonably small").
-pub fn simplify(f: &Formula) -> Formula {
+pub(crate) fn simplify(f: &Formula) -> Formula {
     let mut bdd = Bdd::new();
     let n = bdd.from_formula(f);
     if bdd.is_zero(n) {

@@ -3,7 +3,7 @@
 //! The paper's Theorem 7 says projection is *exact* quantifier
 //! elimination on atomless algebras: whenever the triangular system's
 //! prefix constraints hold, a continuation exists. This module makes
-//! that constructive — [`solve`] synthesizes an actual element for every
+//! that constructive — `solve` synthesizes an actual element for every
 //! variable, row by row, using the witness construction of Lemma 3 /
 //! Theorem 6 (implemented in [`crate::proj::witness`], refined here with
 //! reservation of `¬x`-side regions).
@@ -33,7 +33,7 @@ use crate::triangular::TriangularSystem;
 /// rows); the returned assignment extends it with constructed elements
 /// for the rest, or `None` when the system (with those knowns) is
 /// unsatisfiable.
-pub fn solve<A: Atomless>(
+pub(crate) fn solve<A: Atomless>(
     tri: &TriangularSystem,
     alg: &A,
     assign: &Assignment<A::Elem>,

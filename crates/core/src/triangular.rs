@@ -47,15 +47,7 @@ pub struct DiseqRow {
     pub q: Formula,
 }
 
-impl DiseqRow {
-    /// The disequation as a formula `x·p ∨ ¬x·q` (to be compared with 0).
-    pub fn to_formula(&self, x: Var) -> Formula {
-        Formula::or(
-            Formula::and(Formula::var(x), self.p.clone()),
-            Formula::and(Formula::not(Formula::var(x)), self.q.clone()),
-        )
-    }
-}
+impl DiseqRow {}
 
 /// The solved-form constraint `Cᵢ` for one retrieval step.
 #[derive(Clone, PartialEq, Debug)]
@@ -134,7 +126,7 @@ impl SolvedRow {
     }
 
     /// Pretty-prints with variable names.
-    pub fn display<'a>(&'a self, table: &'a VarTable) -> RowDisplay<'a> {
+    pub(crate) fn display<'a>(&'a self, table: &'a VarTable) -> RowDisplay<'a> {
         RowDisplay { row: self, table }
     }
 }
@@ -179,7 +171,7 @@ impl<E> RowBounds<'_, E> {
 }
 
 /// Pretty-printer for solved rows.
-pub struct RowDisplay<'a> {
+pub(crate) struct RowDisplay<'a> {
     row: &'a SolvedRow,
     table: &'a VarTable,
 }
@@ -224,7 +216,7 @@ pub struct TriangularSystem {
     /// `rows[i]` constrains `order[i]` in terms of `order[..i]`.
     pub rows: Vec<SolvedRow>,
     /// `S₀`: the ground residue after eliminating every variable. Its
-    /// [`NormalSystem::ground_status`] decides global satisfiability
+    /// `NormalSystem::ground_status` decides global satisfiability
     /// (exactly, over atomless algebras).
     pub ground: NormalSystem,
 }

@@ -284,7 +284,7 @@ impl<const K: usize> SpatialDatabase<K> {
     }
 
     /// *Live* object indices in a collection whose regions are empty.
-    pub fn empty_objects(&self, coll: CollectionId) -> &[usize] {
+    pub(crate) fn empty_objects(&self, coll: CollectionId) -> &[usize] {
         &self.collections[coll.0].empty_objects
     }
 

@@ -25,7 +25,7 @@
 //! and each candidate is tested against the bound row with
 //! allocation-free subset and overlap predicates
 //! ([`scq_core::RowBounds::admits`]). Candidate vectors are reused
-//! across the whole search via a per-level buffer pool ([`LevelBuf`]),
+//! across the whole search via a per-level buffer pool (`LevelBuf`),
 //! so a steady-state query performs no allocations per candidate.
 //! Before each exact row check, a cheap
 //! **exact-bound box prefilter** tests the candidate's precomputed
@@ -61,7 +61,7 @@ use crate::stats::{ExecStats, Timings};
 use crate::view::StoreView;
 
 /// One solution: an object per unknown variable.
-pub type Solution = BTreeMap<Var, ObjectRef>;
+pub(crate) type Solution = BTreeMap<Var, ObjectRef>;
 
 /// Whether a query's answer set is known to be complete.
 ///
@@ -89,7 +89,7 @@ pub enum QueryOutcome {
 impl QueryOutcome {
     /// Builds an outcome from the union of missing shards seen during
     /// an execution (sorted and deduplicated here).
-    pub fn from_missing(mut missing: Vec<usize>) -> QueryOutcome {
+    fn from_missing(mut missing: Vec<usize>) -> QueryOutcome {
         if missing.is_empty() {
             return QueryOutcome::Complete;
         }
@@ -489,7 +489,7 @@ pub fn naive_execute<const K: usize, V: StoreView<K>>(
 }
 
 /// [`naive_execute`] with tuning options.
-pub fn naive_execute_opts<const K: usize, V: StoreView<K>>(
+fn naive_execute_opts<const K: usize, V: StoreView<K>>(
     db: &V,
     query: &Query<K>,
     options: ExecOptions,
@@ -584,15 +584,6 @@ pub fn triangular_execute<const K: usize, V: StoreView<K>>(
     query: &Query<K>,
 ) -> Result<QueryResult, ExecError> {
     run_optimized(db, query, None, ExecOptions::all())
-}
-
-/// [`triangular_execute`] with tuning options.
-pub fn triangular_execute_opts<const K: usize, V: StoreView<K>>(
-    db: &V,
-    query: &Query<K>,
-    options: ExecOptions,
-) -> Result<QueryResult, ExecError> {
-    run_optimized(db, query, None, options)
 }
 
 /// The paper's full pipeline: per-level corner-transform range query
@@ -1002,7 +993,7 @@ mod tests {
         // naive and triangular variants honour the limit too
         let n1 = naive_execute_opts(&db, &q, ExecOptions::first()).unwrap();
         assert_eq!(n1.solutions.len(), 1);
-        let t1 = triangular_execute_opts(&db, &q, ExecOptions::first()).unwrap();
+        let t1 = run_optimized(&db, &q, None, ExecOptions::first()).unwrap();
         assert_eq!(t1.solutions.len(), 1);
     }
 
@@ -1043,7 +1034,7 @@ mod tests {
         for q in [&closed, &join] {
             for r in [
                 naive_execute_opts(&db, q, zero).unwrap(),
-                triangular_execute_opts(&db, q, zero).unwrap(),
+                run_optimized(&db, q, None, zero).unwrap(),
                 bbox_execute_opts(&db, q, IndexKind::RTree, zero).unwrap(),
             ] {
                 assert!(r.solutions.is_empty());

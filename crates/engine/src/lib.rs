@@ -44,13 +44,9 @@ pub mod workload;
 pub use database::{CollectionId, CompactReport, ObjectRef, SpatialDatabase};
 pub use exec::{
     bbox_execute, bbox_execute_compiled, bbox_execute_opts, compile_triangular, naive_execute,
-    naive_execute_opts, triangular_execute, triangular_execute_opts, ExecError, ExecOptions,
-    QueryOutcome, QueryResult,
+    triangular_execute, ExecOptions, QueryOutcome, QueryResult,
 };
-pub use integrity::{check_integrity, is_consistent, IntegrityRule, Violation};
-pub use planner::{
-    order_by_selectivity, with_selectivity_order, SelectivityEstimate, SelectivityPlan,
-};
+pub use planner::{order_by_selectivity, with_selectivity_order, SelectivityPlan};
 pub use query::{IndexKind, Query, VarBinding};
 pub use stats::ExecStats;
 pub use view::{ProbeReport, StoreView};

@@ -19,7 +19,7 @@
 //! `P_i = e₁·…·e_d(i)` times (`1` when it reads no unknown). The planner
 //! picks the order with the least `Σ P_i`, ties going to the
 //! lexicographically smallest sequence of estimates in retrieval order.
-//! Up to [`MAX_COSTED_UNKNOWNS`] unknowns it triangularises and compiles
+//! Up to `MAX_COSTED_UNKNOWNS` unknowns it triangularises and compiles
 //! every order exactly once — an order led by `v` doubles as `v`'s
 //! first-position plan — and keeps the winner's compiled plan for the
 //! executor. Past that it falls back to ascending estimates.
@@ -44,7 +44,7 @@ use crate::view::StoreView;
 
 /// Up to this many unknowns the planner costs every retrieval order
 /// (at most 4! = 24 compilations); past it, it sorts by estimate.
-pub const MAX_COSTED_UNKNOWNS: usize = 4;
+const MAX_COSTED_UNKNOWNS: usize = 4;
 
 /// Estimated candidate counts per unknown variable, as computed by
 /// [`order_by_selectivity`].
@@ -65,7 +65,7 @@ pub struct SelectivityEstimate {
 #[derive(Clone, Debug)]
 pub struct SelectivityPlan<const K: usize = 2> {
     /// The unknowns in retrieval order: the least estimated probes, or
-    /// ascending estimates past [`MAX_COSTED_UNKNOWNS`] (ties broken by
+    /// ascending estimates past `MAX_COSTED_UNKNOWNS` (ties broken by
     /// variable index, so plans are deterministic).
     pub order: Vec<Var>,
     /// The estimates the order was derived from.

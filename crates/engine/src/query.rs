@@ -31,7 +31,7 @@ pub enum VarBinding<const K: usize> {
     Collection(CollectionId),
 }
 
-/// A constraint query against a [`SpatialDatabase`].
+/// A constraint query against a [`crate::SpatialDatabase`].
 #[derive(Clone, Debug)]
 pub struct Query<const K: usize> {
     /// The constraints.
@@ -122,7 +122,7 @@ impl<const K: usize> Query<K> {
     /// Checks that every system variable is bound and every ordered
     /// variable is an unknown of the system; returns a description of
     /// the first problem.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for v in self.system.vars() {
             if !self.bindings.contains_key(&v) {
                 return Err(format!(

@@ -61,32 +61,15 @@ pub struct ProbeReport {
     pub stale_shards: Vec<usize>,
     /// Wall-clock microseconds the router spent deciding which shards
     /// to probe (interval-vs-shard-extent pruning). Always 0 for
-    /// single-store implementations, and excluded from the report's
-    /// `Eq` semantics — see [`ProbeReport::without_timings`].
+    /// single-store implementations. A timing, not a count: two runs
+    /// that did equal work still differ here.
     pub route_us: u64,
 }
 
 impl ProbeReport {
-    /// A report with `n` pruned shards and nothing else to tell — the
-    /// common single-store / fully-answered case.
-    pub fn pruned(n: usize) -> ProbeReport {
-        ProbeReport {
-            shards_pruned: n,
-            ..ProbeReport::default()
-        }
-    }
-
     /// Whether every probed shard answered.
     pub fn is_complete(&self) -> bool {
         self.missing_shards.is_empty()
-    }
-
-    /// This report with the wall-clock timing zeroed, for equality
-    /// comparisons between runs (timings are measurements, not
-    /// counts).
-    pub fn without_timings(mut self) -> ProbeReport {
-        self.route_us = 0;
-        self
     }
 }
 

@@ -269,7 +269,8 @@ pub fn vlsi_workload(
 
 /// Outcome counts of a [`churn`] run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChurnStats {
+#[cfg(test)]
+struct ChurnStats {
     /// Objects inserted.
     pub inserted: usize,
     /// Objects tombstoned.
@@ -284,12 +285,8 @@ pub struct ChurnStats {
 /// smoke. Removes and updates target random slots, so some hit
 /// tombstones and count as no-ops; roughly one insert in twelve is an
 /// empty region to keep the empty-object path exercised.
-pub fn churn(
-    db: &mut SpatialDatabase<2>,
-    seed: u64,
-    colls: &[CollectionId],
-    ops: usize,
-) -> ChurnStats {
+#[cfg(test)]
+fn churn(db: &mut SpatialDatabase<2>, seed: u64, colls: &[CollectionId], ops: usize) -> ChurnStats {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stats = ChurnStats::default();
     let universe = *db.universe();

@@ -102,14 +102,16 @@ impl<const K: usize> GridFile<K> {
     }
 
     /// Number of directory cells currently materialized.
-    pub fn cell_count(&self) -> usize {
+    #[cfg(test)]
+    fn cell_count(&self) -> usize {
         self.buckets.len()
     }
 
     /// Total number of scale split points across all corner dimensions
     /// (directory resolution; grows under refinement, shrinks under
     /// coarsening).
-    pub fn scale_points(&self) -> usize {
+    #[cfg(test)]
+    fn scale_points(&self) -> usize {
         self.scales.iter().map(Vec::len).sum()
     }
 

@@ -63,7 +63,7 @@ impl<const K: usize> RTree<K> {
     ///
     /// # Panics
     /// If `max_entries < 4`.
-    pub fn with_capacity(strategy: SplitStrategy, max_entries: usize) -> Self {
+    fn with_capacity(strategy: SplitStrategy, max_entries: usize) -> Self {
         assert!(max_entries >= 4, "R-tree fan-out must be at least 4");
         RTree {
             root: Node::Leaf(Vec::new()),
@@ -88,7 +88,8 @@ impl<const K: usize> RTree<K> {
     }
 
     /// Height of the tree (1 for a single leaf).
-    pub fn height(&self) -> usize {
+    #[cfg(test)]
+    fn height(&self) -> usize {
         fn depth<const K: usize>(n: &Node<K>) -> usize {
             match n {
                 Node::Leaf(_) => 1,
@@ -153,8 +154,8 @@ impl<const K: usize> RTree<K> {
     /// Like [`RTree::check_invariants`] but without the minimum-fill
     /// requirement: STR bulk loading legitimately leaves one underfull
     /// group per level.
-    #[doc(hidden)]
-    pub fn check_invariants_packed(&self) {
+    #[cfg(test)]
+    fn check_invariants_packed(&self) {
         fn go<const K: usize>(
             n: &Node<K>,
             max: usize,
@@ -565,7 +566,8 @@ impl<const K: usize> RTree<K> {
     /// Bulk-loads with Sort-Tile-Recursive packing (Leutenegger et al.),
     /// producing a tree with near-full nodes — better query performance
     /// than repeated insertion for static data.
-    pub fn bulk_load(
+    #[cfg(test)]
+    pub(crate) fn bulk_load(
         strategy: SplitStrategy,
         max_entries: usize,
         items: Vec<(u64, Bbox<K>)>,
@@ -611,6 +613,7 @@ impl<const K: usize> RTree<K> {
 
 /// Recursively tiles entries into groups of at most `cap`, cycling
 /// through the dimensions.
+#[cfg(test)]
 fn str_pack<const K: usize, T>(
     mut entries: Vec<(Bbox<K>, T)>,
     cap: usize,

@@ -28,11 +28,6 @@ impl<const K: usize> ScanIndex<K> {
         }
         s
     }
-
-    /// Direct access to the stored entries.
-    pub fn entries(&self) -> &[(Bbox<K>, u64)] {
-        &self.entries
-    }
 }
 
 impl<const K: usize> SpatialIndex<K> for ScanIndex<K> {

@@ -29,9 +29,7 @@ pub use metrics::{
     parse_exposition, Counter, Histogram, HistogramSnapshot, Registry, Sample, Snapshot, Value,
     N_BUCKETS,
 };
-pub use trace::{
-    current, current_id, event, span, InstallGuard, SpanGuard, SpanRec, TraceRing, TraceState,
-};
+pub use trace::{current_id, event, span, TraceRing, TraceState};
 
 #[cfg(test)]
 mod proptests {

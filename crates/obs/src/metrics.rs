@@ -45,7 +45,7 @@ pub struct Counter {
 
 impl Counter {
     /// A fresh standalone counter (not attached to any registry).
-    pub fn new() -> Counter {
+    pub(crate) fn new() -> Counter {
         Counter::default()
     }
 
@@ -60,7 +60,7 @@ impl Counter {
     }
 
     /// Current value.
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.v.load(Ordering::Relaxed)
     }
 }
@@ -126,7 +126,7 @@ impl Histogram {
     }
 
     /// A point-in-time copy of the cells.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: std::array::from_fn(|i| self.cells.buckets[i].load(Ordering::Relaxed)),
             sum_us: self.cells.sum_us.load(Ordering::Relaxed),
@@ -152,7 +152,7 @@ impl HistogramSnapshot {
     }
 
     /// Adds another snapshot's cells into this one (saturating).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
+    pub(crate) fn merge(&mut self, other: &HistogramSnapshot) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a = a.saturating_add(*b);
         }

@@ -66,7 +66,7 @@ impl TraceState {
     }
 
     /// The trace's ID.
-    pub fn id(&self) -> u64 {
+    fn id(&self) -> u64 {
         self.id
     }
 
@@ -125,7 +125,7 @@ impl Drop for InstallGuard {
 
 /// The current thread's installed trace, if any — a site handing work
 /// to another thread captures this first.
-pub fn current() -> Option<Arc<TraceState>> {
+pub(crate) fn current() -> Option<Arc<TraceState>> {
     CURRENT.with(|c| c.borrow().clone())
 }
 
@@ -255,12 +255,14 @@ impl TraceRing {
     }
 
     /// Number of retained traces.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.ring.lock().expect("ring lock").len()
     }
 
     /// Whether the ring holds no traces.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

@@ -29,7 +29,8 @@ impl<const K: usize> AaBox<K> {
     }
 
     /// A canonical empty box.
-    pub fn empty() -> Self {
+    #[cfg(test)]
+    pub(crate) fn empty() -> Self {
         AaBox {
             lo: [0.0; K],
             hi: [0.0; K],
@@ -52,12 +53,13 @@ impl<const K: usize> AaBox<K> {
     }
 
     /// Whether `p` lies inside (half-open bounds).
-    pub fn contains_point(&self, p: &[f64; K]) -> bool {
+    pub(crate) fn contains_point(&self, p: &[f64; K]) -> bool {
         (0..K).all(|d| self.lo[d] <= p[d] && p[d] < self.hi[d])
     }
 
     /// Whether `other ⊆ self`. The empty box is contained in everything.
-    pub fn contains_box(&self, other: &AaBox<K>) -> bool {
+    #[cfg(test)]
+    fn contains_box(&self, other: &AaBox<K>) -> bool {
         if other.is_empty() {
             return true;
         }
@@ -68,7 +70,7 @@ impl<const K: usize> AaBox<K> {
     }
 
     /// Geometric intersection; `None` when empty.
-    pub fn intersection(&self, other: &AaBox<K>) -> Option<AaBox<K>> {
+    pub(crate) fn intersection(&self, other: &AaBox<K>) -> Option<AaBox<K>> {
         let mut lo = [0.0; K];
         let mut hi = [0.0; K];
         for d in 0..K {
@@ -89,7 +91,7 @@ impl<const K: usize> AaBox<K> {
     }
 
     /// Lebesgue measure: the product of side lengths (0 when empty).
-    pub fn volume(&self) -> f64 {
+    pub(crate) fn volume(&self) -> f64 {
         if self.is_empty() {
             0.0
         } else {
@@ -103,7 +105,7 @@ impl<const K: usize> AaBox<K> {
     /// Standard axis sweep: for each dimension the parts of `self`
     /// strictly below/above `cut` are split off whole, and the remaining
     /// core is narrowed to `cut`'s extent in that dimension.
-    pub fn subtract_each(&self, cut: &AaBox<K>, mut emit: impl FnMut(AaBox<K>)) {
+    pub(crate) fn subtract_each(&self, cut: &AaBox<K>, mut emit: impl FnMut(AaBox<K>)) {
         if self.is_empty() {
             return;
         }
@@ -151,7 +153,7 @@ impl<const K: usize> AaBox<K> {
     /// nonempty boxes with finite coordinates because `lo < hi` implies
     /// `lo < midpoint < hi` in IEEE-754 arithmetic whenever
     /// `midpoint = lo/2 + hi/2` — we assert it anyway.
-    pub fn halve(&self) -> Option<(AaBox<K>, AaBox<K>)> {
+    pub(crate) fn halve(&self) -> Option<(AaBox<K>, AaBox<K>)> {
         if self.is_empty() {
             return None;
         }

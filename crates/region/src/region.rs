@@ -176,7 +176,7 @@ impl<const K: usize> Region<K> {
     }
 
     /// Complement relative to `universe`.
-    pub fn complement_in(&self, universe: &AaBox<K>) -> Region<K> {
+    pub(crate) fn complement_in(&self, universe: &AaBox<K>) -> Region<K> {
         Region::from_box(*universe).difference(self)
     }
 

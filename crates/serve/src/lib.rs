@@ -32,9 +32,9 @@
 //! SOLVE <index> <max> <bindings> <system>      → OK n=<n> pruned=<p> tuples=<…>
 //!                                              | PARTIAL missing=<s,…> n=<n> pruned=<p> tuples=<…>
 //! EXPLAIN <index> <bindings> <system>          → OK lines=<n> + the planner's per-unknown
-//!                                                   selectivity estimates, the retrieval order the
-//!                                                   server's --plan mode would execute, and the
-//!                                                   compiled per-level range-query plan
+//!                                                   selectivity estimates, the retrieval order
+//!                                                   SOLVE would execute, and the compiled
+//!                                                   per-level range-query plan
 //! STAT                                         → OK shards=<s> collections=<c> live=<n> backend=<b>
 //!                                                   retries=<r> shards_unavailable=<u> partial_answers=<q>
 //!                                                   failovers=<f> stale_answers=<a> health=<per-shard…>
@@ -88,11 +88,12 @@
 //!   labelled by shard index). `--slow-ms <t>` adds a slow-query log:
 //!   queries at or above the threshold bump `serve.slow_queries` and
 //!   keep their traces.
-//! * `--plan selectivity|size` picks how `SOLVE` orders its
-//!   retrieval levels ([`PlanMode`]); `EXPLAIN` shows the decision
-//!   without executing. In `selectivity` mode the computed orders are
-//!   cached and invalidated by the bound collections' mutation epochs
-//!   (`plan_cache_hits`/`plan_cache_misses` in `STAT`).
+//! * there is one planner: every `SOLVE` runs the order with the
+//!   fewest estimated probes ([`scq_engine::order_by_selectivity`]);
+//!   `EXPLAIN` shows that decision without executing. Planned orders
+//!   are cached with their compiled plans and invalidated by the bound
+//!   collections' mutation epochs (`plan_cache_hits`/`plan_cache_misses`
+//!   in `STAT`). `--plan` accepts only `selectivity` ([`PlanMode`]).
 //! * repeated `QUERY`s are answered from a cross-query **candidate
 //!   cache** keyed by `(collection, index, mode, box, epoch)`; any
 //!   effective write to the collection bumps its epoch and retires the
@@ -128,7 +129,8 @@ mod proto;
 
 pub use proto::{handle_command, PlanMode, ServeContext, ServeMetrics};
 
-/// Server configuration.
+/// Server configuration. There is no plan setting: every `SOLVE` runs
+/// the whole-order cost planner through the plan cache.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:7878` (`:0` for an ephemeral
@@ -146,10 +148,6 @@ pub struct ServerConfig {
     /// and keeps its trace replayable via `TRACE <id>`. `None` (the
     /// default) disables the log.
     pub slow_ms: Option<u64>,
-    /// How `SOLVE` orders its retrieval levels (`--plan`). The default
-    /// is [`PlanMode::Size`] — the executor's classic
-    /// smallest-collection-first order, no planning probes.
-    pub plan: PlanMode,
 }
 
 impl Default for ServerConfig {
@@ -160,7 +158,6 @@ impl Default for ServerConfig {
             threads: 4,
             universe_size: 1000.0,
             slow_ms: None,
-            plan: PlanMode::Size,
         }
     }
 }
@@ -177,7 +174,8 @@ impl ServerHandle {
     }
 
     /// Event-loop wakeups so far ([`ReactorHandle::loop_wakeups`]).
-    pub fn loop_wakeups(&self) -> u64 {
+    #[cfg(test)]
+    fn loop_wakeups(&self) -> u64 {
         self.reactor.loop_wakeups()
     }
 
@@ -209,7 +207,7 @@ pub fn serve_db<B: ShardBackend + 'static>(
     let listener = TcpListener::bind(&config.addr)?;
     let protocol = LineProtocol {
         db: Arc::new(RwLock::new(db)),
-        ctx: ServeContext::new(config.slow_ms).with_plan(config.plan),
+        ctx: ServeContext::new(config.slow_ms),
     };
     let reactor = reactor::start(listener, protocol, config.threads, usize::MAX)?;
     Ok(ServerHandle { reactor })
@@ -311,7 +309,7 @@ impl<B: ShardBackend + 'static> Protocol for LineProtocol<B> {
 
 /// One scripted exchange: a command and the prefix its response must
 /// carry.
-pub type ScriptStep<'a> = (&'a str, &'a str);
+type ScriptStep<'a> = (&'a str, &'a str);
 
 /// Owned script steps from literals.
 fn own(steps: Vec<ScriptStep<'_>>) -> Vec<(String, String)> {
@@ -324,7 +322,7 @@ fn own(steps: Vec<ScriptStep<'_>>) -> Vec<(String, String)> {
 /// The scripted session the CI smoke test runs: exercises create /
 /// insert / remove / update / query / solve / stat / compact /
 /// snapshot round-trip end to end against a live server.
-pub fn smoke_script(snapshot_dir: &str) -> Vec<(String, String)> {
+fn smoke_script(snapshot_dir: &str) -> Vec<(String, String)> {
     let mut steps = own(vec![
         ("PING", "OK pong"),
         ("CREATE towns", "OK coll=0"),
@@ -349,8 +347,8 @@ pub fn smoke_script(snapshot_dir: &str) -> Vec<(String, String)> {
             "SOLVE rtree all T=coll:towns,R=coll:roads,C=box:0:0:100:100 T <= C; R & T != 0",
             "OK n=3",
         ),
-        // Verbatim repeat at the same epochs: in selectivity mode the
-        // planned order comes from the plan cache, no fresh probes.
+        // Verbatim repeat at the same epochs: the planned order comes
+        // from the plan cache, no fresh probes.
         (
             "SOLVE rtree all T=coll:towns,R=coll:roads,C=box:0:0:100:100 T <= C; R & T != 0",
             "OK n=3",
@@ -401,9 +399,9 @@ pub fn smoke_script(snapshot_dir: &str) -> Vec<(String, String)> {
 /// real work during the session: the scripts repeat a `QUERY` verbatim
 /// (must hit), issue fresh probes (must miss), and mutate between
 /// repeats (the post-mutation repeat must miss again — epoch
-/// invalidation). With `want_plan_hit`, a verbatim `SOLVE` repeat in
-/// selectivity mode must have reused its cached retrieval order.
-pub fn verify_cache_counters(transcript: &[String], want_plan_hit: bool) -> Result<(), String> {
+/// invalidation); a verbatim `SOLVE` repeat must have reused its cached
+/// plan.
+fn verify_cache_counters(transcript: &[String]) -> Result<(), String> {
     let stat = transcript
         .iter()
         .rev()
@@ -428,10 +426,9 @@ pub fn verify_cache_counters(transcript: &[String], want_plan_hit: bool) -> Resu
              post-mutation epoch invalidation), got {misses}: {stat:?}"
         ));
     }
-    if want_plan_hit && field("plan_cache_hits=")? == 0 {
+    if field("plan_cache_hits=")? == 0 {
         return Err(format!(
-            "plan cache never hit despite a repeated SOLVE in \
-             selectivity mode: {stat:?}"
+            "plan cache never hit despite a repeated SOLVE: {stat:?}"
         ));
     }
     Ok(())
@@ -498,7 +495,7 @@ pub fn run_script(addr: SocketAddr, script: &[(String, String)]) -> Result<Vec<S
 /// round trip through the remote backends. Prefixes assert the
 /// interesting invariants: `SHARDS` live counts prove objects actually
 /// move between processes.
-pub fn cluster_script(snapshot_dir: &str) -> Vec<(String, String)> {
+fn cluster_script(snapshot_dir: &str) -> Vec<(String, String)> {
     let mut steps = own(vec![
         ("PING", "OK pong"),
         ("SHARDS", "OK n=2 live=0,0 backend=remote:"),
@@ -547,8 +544,7 @@ pub fn cluster_script(snapshot_dir: &str) -> Vec<(String, String)> {
         ("QUERY objs rtree within 0 0 200 200", "OK n=2 pruned=1"),
         ("INSERT objs 70 70 80 80", "OK ref="),
         ("QUERY objs rtree within 0 0 200 200", "OK n=3 pruned=1"),
-        // Verbatim SOLVE repeat: selectivity mode reuses the cached
-        // retrieval order.
+        // Verbatim SOLVE repeat: reuses the cached plan.
         (
             "SOLVE rtree all A=coll:objs,C=box:0:0:200:200 A <= C",
             "OK n=3",
@@ -568,7 +564,7 @@ pub fn cluster_script(snapshot_dir: &str) -> Vec<(String, String)> {
 
 /// Boots a complete in-process cluster — two shard servers speaking
 /// the wire protocol plus a router tier connected over real sockets —
-/// and drives [`cluster_script`] through the line protocol. This is
+/// and drives `cluster_script` through the line protocol. This is
 /// the same topology `scripts/cluster_smoke.sh` builds out of OS
 /// processes; `scq-serve --cluster-self-test` runs this variant.
 pub fn cluster_self_test() -> Result<Vec<String>, String> {
@@ -594,9 +590,6 @@ pub fn cluster_self_test() -> Result<Vec<String>, String> {
             &ServerConfig {
                 addr: "127.0.0.1:0".into(),
                 threads: 2,
-                // The cluster smoke proves cost-based planning works
-                // against live shard processes end to end.
-                plan: PlanMode::Selectivity,
                 ..ServerConfig::default()
             },
             db,
@@ -604,8 +597,8 @@ pub fn cluster_self_test() -> Result<Vec<String>, String> {
         .map_err(|e| format!("router bind: {e}"))?;
         let dir = std::env::temp_dir().join(format!("scq_cluster_selftest_{}", std::process::id()));
         let script = cluster_script(&dir.display().to_string());
-        let result = run_script(handle.addr(), &script)
-            .and_then(|t| verify_cache_counters(&t, true).map(|()| t));
+        let result =
+            run_script(handle.addr(), &script).and_then(|t| verify_cache_counters(&t).map(|()| t));
         handle.shutdown();
         std::fs::remove_dir_all(&dir).ok();
         result
@@ -624,16 +617,13 @@ pub fn self_test() -> Result<Vec<String>, String> {
         shards: 4,
         threads: 2,
         universe_size: 1000.0,
-        // Selectivity mode so the smoke exercises the planner and the
-        // plan cache alongside the candidate cache.
-        plan: PlanMode::Selectivity,
         ..ServerConfig::default()
     })
     .map_err(|e| format!("bind: {e}"))?;
     let dir = std::env::temp_dir().join(format!("scq_serve_selftest_{}", std::process::id()));
     let script = smoke_script(&dir.display().to_string());
-    let result = run_script(handle.addr(), &script)
-        .and_then(|t| verify_cache_counters(&t, true).map(|()| t));
+    let result =
+        run_script(handle.addr(), &script).and_then(|t| verify_cache_counters(&t).map(|()| t));
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
     result
@@ -812,10 +802,11 @@ mod tests {
         .unwrap();
         run_script(
             handle.addr(),
-            &own(vec![("LOAD map 7 400", "OK towns="), ("QUIT", "OK bye")]),
+            &own(vec![("LOAD map 7 1000", "OK towns="), ("QUIT", "OK bye")]),
         )
         .unwrap();
-        // The smuggler join: long enough that it is still running when
+        // The smuggler join on a 1 000-road map: tens of milliseconds
+        // in a debug build, long enough that it is still running when
         // the FIN behind it has been read.
         let solve = "SOLVE rtree all C=box:0:0:1000:1000,A=box:0:0:120:1000,\
                      T=coll:towns,R=coll:roads,B=coll:states \

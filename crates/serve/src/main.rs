@@ -136,13 +136,15 @@ fn main() {
             }
         }
     }
+    // `--plan` stays only because the benchmark
+    // (`benchmark/src/procs.rs`) passes `--plan selectivity`: there is
+    // one planner, so the flag selects nothing and any other value is
+    // refused. The next change to the benchmark deletes it (ROADMAP
+    // item 1).
     if let Some(p) = flag("--plan") {
-        match PlanMode::parse(&p) {
-            Ok(p) => config.plan = p,
-            Err(e) => {
-                eprintln!("bad --plan: {e}");
-                std::process::exit(2);
-            }
+        if let Err(e) = PlanMode::parse(&p) {
+            eprintln!("bad --plan: {e}");
+            std::process::exit(2);
         }
     }
 
@@ -225,14 +227,17 @@ fn usage() -> &'static str {
      \n\
      usage:\n\
      \x20 scq-serve [--addr A] [--shards N] [--threads T] [--universe S] [--slow-ms W]\n\
-     \x20           [--plan selectivity|size]\n\
+     \x20           [--plan selectivity]\n\
      \x20 scq-serve --shard [--addr A] [--threads T] [--universe S] [--max-conns N]\n\
      \x20           [--wal <dir>] [--wal-group-commit-ms W]\n\
      \x20 scq-serve --cluster <spec-file> [--addr A] [--threads T]\n\
-     \x20           [--plan selectivity|size]\n\
+     \x20           [--plan selectivity]\n\
      \x20 scq-serve --self-test\n\
      \x20 scq-serve --cluster-self-test\n\
      \x20 scq-serve --client <addr>\n\
+     \n\
+     --plan accepts only `selectivity`, the one planner; it stays for the\n\
+     repo benchmark.\n\
      \n\
      protocol: one command per line; see the scq-serve crate docs or the\n\
      repository README for the command reference and the cluster spec\n\

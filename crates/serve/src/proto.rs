@@ -25,12 +25,11 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use scq_bbox::{Bbox, CornerQuery};
-use scq_core::{parse_system, BboxPlan};
+use scq_core::parse_system;
 use scq_engine::workload::{map_workload, MapParams};
 use scq_engine::{
-    bbox_execute_compiled, bbox_execute_opts, compile_triangular, order_by_selectivity,
-    CollectionId, ExecOptions, IndexKind, ObjectRef, ProbeReport, Query, QueryOutcome,
-    SelectivityPlan, SpatialDatabase, VarBinding,
+    bbox_execute_compiled, order_by_selectivity, CollectionId, ExecOptions, IndexKind, ObjectRef,
+    ProbeReport, Query, QueryOutcome, SelectivityPlan, SpatialDatabase, VarBinding,
 };
 use scq_region::{AaBox, Region};
 use scq_shard::{ShardBackend, ShardedDatabase};
@@ -100,7 +99,7 @@ impl Default for ServeMetrics {
 
 impl ServeMetrics {
     /// A coherent snapshot of every serve-tier instrument: in-flight
-    /// [`Self::note`] batches are excluded wholesale, so derived
+    /// `Self::note` batches are excluded wholesale, so derived
     /// invariants (`partial_answers <= queries`) hold in every scrape.
     pub fn snapshot(&self) -> scq_obs::Snapshot {
         self.registry.snapshot()
@@ -135,38 +134,32 @@ impl ServeMetrics {
     }
 }
 
-/// How the serve tier orders `SOLVE` retrieval levels.
+/// The serve tier's one planner, as the `--plan` flag names it.
 ///
-/// * `Selectivity` — probe each unknown's first-position corner query
-///   once and run the order with the fewest estimated probes
-///   ([`order_by_selectivity`]). Chosen orders are cached with their
-///   compiled plans per command text and invalidated by the bound
-///   collections' mutation epochs.
-/// * `Size` — the executor default: unknowns ascend by live collection
-///   size, no planning probes.
+/// Every `SOLVE` probes each unknown's first-position corner query once
+/// and runs the order with the fewest estimated probes
+/// ([`order_by_selectivity`]); chosen orders are cached with their
+/// compiled plans per command text and invalidated by the bound
+/// collections' mutation epochs. The type stays only because the
+/// benchmark (`benchmark/src/layers.rs`) names `PlanMode::Selectivity`;
+/// the next change to the benchmark deletes it (ROADMAP item 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlanMode {
     /// Whole-order cost planning with the epoch-keyed plan cache.
     Selectivity,
-    /// Ascending live collection size (the executor default).
-    Size,
 }
 
 impl PlanMode {
-    /// Parses a `--plan` flag value.
+    /// Parses a `--plan` flag value: only `selectivity` is accepted.
+    /// The flag stays only because the benchmark
+    /// (`benchmark/src/procs.rs`) passes `--plan selectivity`; the next
+    /// change to the benchmark deletes it (ROADMAP item 1).
     pub fn parse(s: &str) -> Result<PlanMode, String> {
         match s {
             "selectivity" => Ok(PlanMode::Selectivity),
-            "size" => Ok(PlanMode::Size),
-            other => Err(format!("unknown plan mode {other:?} (selectivity|size)")),
-        }
-    }
-
-    /// The flag spelling, as echoed by `EXPLAIN`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PlanMode::Selectivity => "selectivity",
-            PlanMode::Size => "size",
+            other => Err(format!(
+                "unknown plan mode {other:?} (the one planner is `selectivity`)"
+            )),
         }
     }
 }
@@ -208,15 +201,14 @@ struct QueryCaches {
 
 /// Per-server observability state shared by every worker: the metrics
 /// registry, the ring of recent command traces replayed by `TRACE`,
-/// the trace-id allocator, the slow-query threshold, the plan mode and
-/// the epoch-invalidated query caches.
+/// the trace-id allocator, the slow-query threshold and the
+/// epoch-invalidated query caches.
 pub struct ServeContext {
     /// The serve tier's instruments.
     pub metrics: ServeMetrics,
     traces: scq_obs::TraceRing,
     next_trace_id: AtomicU64,
     slow_ms: Option<u64>,
-    plan: PlanMode,
     caches: QueryCaches,
 }
 
@@ -236,19 +228,20 @@ impl ServeContext {
             traces: scq_obs::TraceRing::new(256),
             next_trace_id: AtomicU64::new(1),
             slow_ms,
-            plan: PlanMode::Size,
             caches: QueryCaches::default(),
         }
     }
 
-    /// Replaces the plan mode (builder-style, used at server start).
-    pub fn with_plan(mut self, plan: PlanMode) -> ServeContext {
-        self.plan = plan;
+    /// Returns the context unchanged: there is one planner. It stays
+    /// only because the benchmark (`benchmark/src/layers.rs`) calls
+    /// `with_plan(PlanMode::Selectivity)`; the next change to the
+    /// benchmark deletes it (ROADMAP item 1).
+    pub fn with_plan(self, _plan: PlanMode) -> ServeContext {
         self
     }
 
     /// The recorded trace with id `id`, if it is still in the ring.
-    pub fn trace(&self, id: u64) -> Option<Arc<scq_obs::TraceState>> {
+    pub(crate) fn trace(&self, id: u64) -> Option<Arc<scq_obs::TraceState>> {
         self.traces.get(id)
     }
 }
@@ -561,7 +554,7 @@ fn dispatch<B: ShardBackend>(
             })
         }
         "SOLVE" => solve(db, ctx, &rest),
-        "EXPLAIN" => explain(db, ctx, &rest),
+        "EXPLAIN" => explain(db, &rest),
         "SHARDS" => {
             let d = db.read().map_err(lock_poisoned)?;
             let live: Vec<String> = (0..d.n_shards())
@@ -753,14 +746,11 @@ fn solve<B: ShardBackend>(
     let d = db.read().map_err(lock_poisoned)?;
     let mut query = Query::new(sys);
     let colls = bind_query(&d, &mut query, bindings_src)?;
-    let result = if ctx.plan == PlanMode::Selectivity {
-        let planned = selectivity_plan(&d, ctx, &query, kind, bindings_src, &system_src, &colls)?;
-        query.order = Some(planned.order.clone());
+    let planned = selectivity_plan(&d, ctx, &query, kind, bindings_src, &system_src, &colls)?;
+    query.order = Some(planned.order.clone());
+    let result =
         contain_backend_panic(|| bbox_execute_compiled(&*d, &query, &planned.plan, kind, options))?
-    } else {
-        contain_backend_panic(|| bbox_execute_opts(&*d, &query, kind, options))?
-    }
-    .map_err(|e| e.to_string())?;
+            .map_err(|e| e.to_string())?;
     ctx.metrics.note(
         result.stats.retries,
         result.stats.shards_unavailable,
@@ -885,12 +875,11 @@ fn selectivity_plan<B: ShardBackend>(
 
 /// `EXPLAIN <kind> <bindings> <system…>`: report the planner's
 /// per-unknown estimates and its estimated probes per level, the
-/// retrieval order the server's plan mode would actually execute, and
-/// the compiled per-level range query plan — without running the query.
+/// retrieval order `SOLVE` would execute, and the compiled per-level
+/// range query plan — without running the query.
 /// The body is framed behind `OK lines=<n>` like `METRICS`.
 fn explain<B: ShardBackend>(
     db: &Arc<RwLock<ShardedDatabase<B>>>,
-    ctx: &ServeContext,
     rest: &[&str],
 ) -> Result<String, String> {
     let usage = "usage: EXPLAIN <rtree|grid|scan> \
@@ -905,11 +894,9 @@ fn explain<B: ShardBackend>(
     let d = db.read().map_err(lock_poisoned)?;
     let mut query = Query::new(sys);
     bind_query(&d, &mut query, bindings_src)?;
-    // The planner always runs (EXPLAIN exists to show its reasoning),
-    // but the executed order below honors the server's plan mode.
     let plan = contain_backend_panic(|| order_by_selectivity(&*d, &query, kind))?
         .map_err(|e| e.to_string())?;
-    let mut body = format!("plan={} index={}", ctx.plan.as_str(), rest[0]);
+    let mut body = format!("plan=selectivity index={}", rest[0]);
     for est in &plan.estimates {
         body.push_str(&format!(
             "\nestimate {}: candidates={}",
@@ -929,15 +916,7 @@ fn explain<B: ShardBackend>(
         plan.probes.iter().sum::<u64>(),
         plan.ascending_probes
     ));
-    // The compiled range-query plan (Algorithm 2's triangular rows) for
-    // the order that would actually execute: the planner's, or the
-    // size order compiled here.
-    let compiled = if ctx.plan == PlanMode::Selectivity {
-        query.order = Some(plan.order);
-        plan.plan
-    } else {
-        BboxPlan::compile(&compile_triangular(&*d, &query).map_err(|e| e.to_string())?)
-    };
+    query.order = Some(plan.order);
     let order = query.retrieval_order(&*d);
     body.push_str(&format!(
         "\norder: {}",
@@ -970,7 +949,9 @@ fn explain<B: ShardBackend>(
         }
     }
     body.push('\n');
-    body.push_str(compiled.explain(&query.system.table).trim_end());
+    // The compiled range-query plan (Algorithm 2's triangular rows) the
+    // planner built for that order.
+    body.push_str(plan.plan.explain(&query.system.table).trim_end());
     Ok(multiline(&body))
 }
 
@@ -1172,10 +1153,11 @@ mod tests {
     #[test]
     fn plan_mode_parses_exactly_the_flag_values() {
         assert_eq!(PlanMode::parse("selectivity"), Ok(PlanMode::Selectivity));
-        assert_eq!(PlanMode::parse("size"), Ok(PlanMode::Size));
+        // There is no size planner: `--plan size` is refused by name.
+        let err = PlanMode::parse("size").unwrap_err();
+        assert!(err.contains("\"size\""), "{err}");
         assert!(PlanMode::parse("given").is_err());
         assert!(PlanMode::parse("cost").is_err());
-        assert_eq!(PlanMode::Selectivity.as_str(), "selectivity");
     }
 
     /// `EXPLAIN` surfaces the planner's reasoning (estimates, chosen
@@ -1188,7 +1170,7 @@ mod tests {
         let db = Arc::new(RwLock::new(ShardedDatabase::<scq_shard::LocalShard>::new(
             universe, 2,
         )));
-        let ctx = ServeContext::new(None).with_plan(PlanMode::Selectivity);
+        let ctx = ServeContext::new(None);
         let run = |line: &str| handle_command(&db, &ctx, line).0;
         assert!(run("CREATE towns").starts_with("OK"));
         assert!(run("CREATE roads").starts_with("OK"));
@@ -1229,8 +1211,7 @@ mod tests {
         assert_eq!(snap.counter("serve.candidate_cache_hits"), Some(1));
         assert_eq!(snap.counter("serve.candidate_cache_misses"), Some(2));
 
-        // SOLVE in selectivity mode: a verbatim repeat reuses the
-        // cached plan; the write above already retired nothing (first
+        // SOLVE: a verbatim repeat reuses the cached plan; the write above already retired nothing (first
         // SOLVE plans fresh), so hits lag misses by exactly one.
         let s = "SOLVE rtree all T=coll:towns,R=coll:roads,C=box:0:0:40:40 T <= C; R & T != 0";
         let a = strip_trace(run(s));
@@ -1252,7 +1233,7 @@ mod tests {
         let db = Arc::new(RwLock::new(ShardedDatabase::<scq_shard::LocalShard>::new(
             universe, 4,
         )));
-        let ctx = ServeContext::new(None).with_plan(PlanMode::Selectivity);
+        let ctx = ServeContext::new(None);
         let run = |line: &str| handle_command(&db, &ctx, line).0;
         assert!(run("LOAD map 1 1000").starts_with("OK"));
         // The map's destination area, as `LOAD map 1 1000` placed it.

@@ -232,17 +232,17 @@ pub struct LocalShard(SpatialDatabase<2>);
 
 impl LocalShard {
     /// An empty local shard over `universe`.
-    pub fn new(universe: AaBox<2>) -> Self {
+    pub(crate) fn new(universe: AaBox<2>) -> Self {
         LocalShard(SpatialDatabase::new(universe))
     }
 
     /// Wraps an existing database (snapshot assembly).
-    pub fn from_database(db: SpatialDatabase<2>) -> Self {
+    pub(crate) fn from_database(db: SpatialDatabase<2>) -> Self {
         LocalShard(db)
     }
 
     /// Read access to the underlying database.
-    pub fn database(&self) -> &SpatialDatabase<2> {
+    pub(crate) fn database(&self) -> &SpatialDatabase<2> {
         &self.0
     }
 }

@@ -65,7 +65,8 @@ pub struct ShardSpec {
 
 impl ShardSpec {
     /// The write primary's address (the first replica).
-    pub fn primary(&self) -> &str {
+    #[cfg(test)]
+    pub(crate) fn primary(&self) -> &str {
         &self.addrs[0]
     }
 }
@@ -81,13 +82,13 @@ pub struct ClusterSpec {
     /// Per-address circuit breaker tuning (trip threshold + cooldown).
     pub breaker: BreakerConfig,
     /// Root directory for per-shard write-ahead logs, when the
-    /// deployment is durable: each shard **process** logs under its
-    /// own subdirectory ([`ClusterSpec::wal_dir_for`]), so two
-    /// replicas never share a log. `None` = in-memory shards.
+    /// deployment is durable: each shard **process** is started with
+    /// its own `--wal` subdirectory of it, so two replicas never share
+    /// a log. `None` = in-memory shards.
     pub wal_dir: Option<String>,
     /// Group-commit window in milliseconds for WAL-enabled shard
     /// processes (`None` = the server default,
-    /// [`crate::wal::DEFAULT_GROUP_COMMIT_MS`]).
+    /// `crate::wal::DEFAULT_GROUP_COMMIT_MS`).
     pub wal_group_commit_ms: Option<u64>,
     /// The shard replica sets, in shard-id order.
     pub shards: Vec<ShardSpec>,
@@ -450,33 +451,6 @@ impl ClusterSpec {
         out
     }
 
-    /// Maps a shard-process address to its private WAL subdirectory
-    /// under the spec's `wal` directory (`None` when the spec is not
-    /// durable). Addresses are sanitized for the filesystem (`:` and
-    /// `/` become `_`), so `127.0.0.1:9101` logs under
-    /// `<dir>/127.0.0.1_9101/` — two replicas of the same shard get
-    /// disjoint logs, which is what makes per-replica crash recovery
-    /// sound.
-    pub fn wal_dir_for(&self, addr: &str) -> Option<std::path::PathBuf> {
-        let dir = self.wal_dir.as_ref()?;
-        let safe: String = addr
-            .chars()
-            .map(|c| if c == ':' || c == '/' { '_' } else { c })
-            .collect();
-        Some(Path::new(dir).join(safe))
-    }
-
-    /// The full [`crate::wal::WalConfig`] for one shard-process
-    /// address: [`ClusterSpec::wal_dir_for`] plus the spec's
-    /// group-commit window (falling back to the library default).
-    pub fn wal_config_for(&self, addr: &str) -> Option<crate::wal::WalConfig> {
-        let mut cfg = crate::wal::WalConfig::new(self.wal_dir_for(addr)?);
-        if let Some(ms) = self.wal_group_commit_ms {
-            cfg.group_commit = Duration::from_millis(ms);
-        }
-        Some(cfg)
-    }
-
     /// Brings the cluster up: connects to every shard process (polling
     /// each address for up to `wait` — shard processes may still be
     /// booting), validates universes and wire versions, and requires
@@ -602,7 +576,7 @@ mod tests {
     }
 
     #[test]
-    fn wal_directive_round_trips_and_maps_addresses() {
+    fn wal_directive_round_trips() {
         let text = "universe 0 0 100 100\nbits 6\nwal /tmp/scq-wal 12\n\
                     shard low a:1,a:2 0 2048\nshard high b:1 2048 4096\n";
         let spec = ClusterSpec::parse(text).unwrap();
@@ -611,27 +585,11 @@ mod tests {
         let reparsed = ClusterSpec::parse(&spec.to_text()).unwrap();
         assert_eq!(reparsed, spec, "wal directive survives the round trip");
 
-        // per-address subdirectories, filesystem-safe
-        assert_eq!(
-            spec.wal_dir_for("127.0.0.1:9101").unwrap(),
-            Path::new("/tmp/scq-wal").join("127.0.0.1_9101")
-        );
-        assert_ne!(
-            spec.wal_dir_for("a:1"),
-            spec.wal_dir_for("a:2"),
-            "replicas of one shard must not share a log"
-        );
-        let cfg = spec.wal_config_for("a:1").unwrap();
-        assert_eq!(cfg.group_commit, Duration::from_millis(12));
-
-        // window defaults when omitted; zero / junk windows are loud
+        // the window is optional; zero / junk windows are loud
         let bare = "universe 0 0 100 100\nbits 6\nwal logs\nshard a:1 0 4096\n";
         let spec = ClusterSpec::parse(bare).unwrap();
+        assert_eq!(spec.wal_dir.as_deref(), Some("logs"));
         assert_eq!(spec.wal_group_commit_ms, None);
-        assert_eq!(
-            spec.wal_config_for("a:1").unwrap().group_commit,
-            Duration::from_millis(crate::wal::DEFAULT_GROUP_COMMIT_MS)
-        );
         assert_eq!(
             ClusterSpec::parse(&spec.to_text()).unwrap(),
             spec,
@@ -650,8 +608,8 @@ mod tests {
         // a spec without the directive is simply not durable
         let plain = "universe 0 0 100 100\nbits 6\nshard a:1 0 4096\n";
         let spec = ClusterSpec::parse(plain).unwrap();
-        assert_eq!(spec.wal_dir_for("a:1"), None);
-        assert_eq!(spec.wal_config_for("a:1"), None);
+        assert_eq!(spec.wal_dir, None);
+        assert_eq!(spec.wal_group_commit_ms, None);
     }
 
     #[test]

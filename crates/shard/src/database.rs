@@ -3,7 +3,7 @@
 //!
 //! Each logical collection is partitioned across every shard by the
 //! z-order routing key of the object's bounding-box center
-//! ([`crate::ShardRouter`]). Objects are addressed by **global**
+//! ([`crate::router::ShardRouter`]). Objects are addressed by **global**
 //! [`ObjectRef`]s — `(logical collection, global slot)` — and a mapping
 //! table translates between the global slot space and `(shard, local
 //! slot)` pairs, so the executors (which run unchanged over the
@@ -148,7 +148,7 @@ impl ShardedDatabase<LocalShard> {
 
     /// [`ShardedDatabase::new`] with an explicit routing grid
     /// resolution (`bits` per dimension, in `1..=16`).
-    pub fn with_router_bits(universe: AaBox<2>, n_shards: usize, bits: u32) -> Self {
+    fn with_router_bits(universe: AaBox<2>, n_shards: usize, bits: u32) -> Self {
         assert!(!universe.is_empty(), "universe must be nonempty");
         let router = ShardRouter::new(&universe, bits, n_shards);
         ShardedDatabase::from_parts(
@@ -174,7 +174,7 @@ impl<B: ShardBackend> ShardedDatabase<B> {
     /// # Panics
     /// If `shards` is empty, the router's shard count disagrees, or a
     /// backend spans a different universe.
-    pub fn from_backends(universe: AaBox<2>, router: ShardRouter, shards: Vec<B>) -> Self {
+    pub(crate) fn from_backends(universe: AaBox<2>, router: ShardRouter, shards: Vec<B>) -> Self {
         assert!(!shards.is_empty(), "a cluster needs at least one shard");
         assert_eq!(
             router.n_shards(),
@@ -349,7 +349,7 @@ impl<B: ShardBackend> ShardedDatabase<B> {
     }
 
     /// The collection's name.
-    pub fn collection_name(&self, id: CollectionId) -> &str {
+    pub(crate) fn collection_name(&self, id: CollectionId) -> &str {
         &self.collections[id.0].name
     }
 
@@ -529,7 +529,7 @@ impl<B: ShardBackend> ShardedDatabase<B> {
     }
 
     /// The materialized bounding box of an object.
-    pub fn bbox(&self, obj: ObjectRef) -> Bbox<2> {
+    pub(crate) fn bbox(&self, obj: ObjectRef) -> Bbox<2> {
         let addr = self.collections[obj.collection.0].slots[obj.index];
         self.shards[addr.shard as usize].bbox(obj.collection, addr.local as usize)
     }
@@ -644,7 +644,7 @@ impl<B: ShardBackend> ShardedDatabase<B> {
     }
 
     /// *Live* global indices of objects with empty regions.
-    pub fn empty_objects(&self, coll: CollectionId) -> &[usize] {
+    pub(crate) fn empty_objects(&self, coll: CollectionId) -> &[usize] {
         &self.collections[coll.0].empty_objects
     }
 

@@ -34,7 +34,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::wire::{frame, FrameReader};
 
@@ -151,26 +151,30 @@ pub struct FaultGate(Arc<GateInner>);
 
 impl FaultGate {
     /// A closed gate.
-    pub fn new() -> FaultGate {
+    #[cfg(test)]
+    pub(crate) fn new() -> FaultGate {
         FaultGate::default()
     }
 
     /// Opens the gate: held frames are forwarded, future holds pass
     /// straight through.
-    pub fn open(&self) {
+    #[cfg(test)]
+    pub(crate) fn open(&self) {
         let mut st = self.0.state.lock().expect("gate lock poisoned");
         st.open = true;
         self.0.cv.notify_all();
     }
 
     /// Number of frames currently parked at the gate.
-    pub fn holding(&self) -> usize {
+    #[cfg(test)]
+    fn holding(&self) -> usize {
         self.0.state.lock().expect("gate lock poisoned").holding
     }
 
     /// Blocks until a frame is parked at the gate (or `timeout` runs
     /// out). Returns whether a frame is held.
-    pub fn wait_for_hold(&self, timeout: Duration) -> bool {
+    #[cfg(test)]
+    fn wait_for_hold(&self, timeout: Duration) -> bool {
         self.wait_for_holding(1, timeout)
     }
 
@@ -178,11 +182,12 @@ impl FaultGate {
     /// `timeout` runs out). Returns whether `n` frames are held. This
     /// is the deterministic in-flight-depth probe: park `n` requests,
     /// prove the connection carried all of them concurrently, open.
-    pub fn wait_for_holding(&self, n: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+    #[cfg(test)]
+    fn wait_for_holding(&self, n: usize, timeout: Duration) -> bool {
+        let deadline = std::time::Instant::now() + timeout;
         let mut st = self.0.state.lock().expect("gate lock poisoned");
         while st.holding < n && !st.open {
-            let now = Instant::now();
+            let now = std::time::Instant::now();
             if now >= deadline {
                 return false;
             }
@@ -324,7 +329,7 @@ impl FaultProxy {
 
     /// Makes the proxy drop fresh connections immediately after accept
     /// (`true`) or forward them again (`false`).
-    pub fn refuse_new(&self, refuse: bool) {
+    fn refuse_new(&self, refuse: bool) {
         self.shared.refuse_new.store(refuse, Ordering::SeqCst);
     }
 
@@ -361,7 +366,8 @@ impl FaultProxy {
     }
 
     /// Connections the proxy severed through a rule or a partition.
-    pub fn severed(&self) -> usize {
+    #[cfg(test)]
+    fn severed(&self) -> usize {
         self.shared.severed.load(Ordering::SeqCst)
     }
 

@@ -5,7 +5,7 @@
 //!
 //! A [`ShardedDatabase`] partitions every collection across `N` shards
 //! by **z-order range**: each object routes to the shard owning the
-//! Morton code of its bounding-box center ([`ShardRouter`],
+//! Morton code of its bounding-box center ([`router::ShardRouter`],
 //! [`scq_zorder::shard_ranges`]). Each shard is a complete
 //! [`scq_engine::SpatialDatabase`] — its own R-tree, grid file and scan
 //! index, its own snapshot stream, its own integrity check — and the
@@ -76,16 +76,11 @@ pub mod wal;
 pub mod wire;
 
 pub use backend::{LocalShard, ProbeTrace, ShardBackend, ShardError};
-pub use cluster::{ClusterError, ClusterSpec, ClusterSpecError, ShardSpec};
+pub use cluster::{ClusterSpec, ShardSpec};
 pub use database::{ShardedDatabase, DEFAULT_ROUTER_BITS};
-pub use fault::{Direction, FaultAction, FaultGate, FaultProxy, FaultRule, FrameMatch};
-pub use link::{
-    BreakerClock, BreakerConfig, BreakerState, LinkStats, DEFAULT_BREAKER_COOLDOWN_MS,
-    DEFAULT_BREAKER_THRESHOLD,
-};
-pub use remote::{RemoteShard, ReplicaHealth};
-pub use router::ShardRouter;
+pub use fault::{Direction, FaultAction, FaultProxy, FaultRule, FrameMatch};
+pub use link::{BreakerConfig, BreakerState, LinkStats};
+pub use remote::RemoteShard;
 pub use server::{serve_shard, ShardServerConfig, ShardServerHandle};
 pub use snapshot::{load_from_dir, reload_from_dir, save_to_dir, ShardSnapshotError};
-pub use wal::{Wal, WalConfig, WalError, WalStats};
-pub use wire::WireError;
+pub use wal::{Wal, WalConfig};

@@ -281,16 +281,16 @@ impl MuxConn {
 /// Consecutive transport failures that trip an address's circuit
 /// breaker when no explicit threshold is configured (the `breaker`
 /// directive of a [`crate::ClusterSpec`]).
-pub const DEFAULT_BREAKER_THRESHOLD: usize = 3;
+const DEFAULT_BREAKER_THRESHOLD: usize = 3;
 
 /// Default breaker cooldown in milliseconds: how long a tripped
 /// address is skipped before a half-open probe re-admits it.
-pub const DEFAULT_BREAKER_COOLDOWN_MS: u64 = 1000;
+const DEFAULT_BREAKER_COOLDOWN_MS: u64 = 1000;
 
 /// The breaker's time source. Injectable so fault-injection tests
 /// advance "time" by swapping the closure's answer instead of
 /// sleeping through real cooldowns.
-pub type BreakerClock = Arc<dyn Fn() -> Instant + Send + Sync>;
+pub(crate) type BreakerClock = Arc<dyn Fn() -> Instant + Send + Sync>;
 
 /// Per-address circuit-breaker tuning: `threshold` consecutive
 /// transport failures trip the address into a `cooldown`-long open

@@ -13,7 +13,7 @@
 //! corner queries, compaction, snapshot streaming and integrity checks
 //! run there.
 //!
-//! * **Connect.** [`RemoteShard::connect_replicated`] polls until each
+//! * **Connect.** `RemoteShard::connect_replicated` polls until each
 //!   process is reachable, validates the wire version, and seeds the
 //!   mirror from the primary's snapshot, rejecting a shard whose
 //!   universe disagrees with the cluster's and a secondary whose census
@@ -89,7 +89,12 @@ pub struct RemoteShard {
 impl RemoteShard {
     /// [`RemoteShard::connect_replicated`] over a single address with
     /// the default breaker tuning.
-    pub fn connect(addr: &str, universe: AaBox<2>, wait: Duration) -> Result<Self, ShardError> {
+    #[cfg(test)]
+    pub(crate) fn connect(
+        addr: &str,
+        universe: AaBox<2>,
+        wait: Duration,
+    ) -> Result<Self, ShardError> {
         Self::connect_replicated(
             std::slice::from_ref(&addr.to_owned()),
             universe,
@@ -108,7 +113,7 @@ impl RemoteShard {
     /// census to agree with the primary's: a replica restarted behind
     /// an old address (split-brain) is rejected here, loudly, instead
     /// of silently serving stale answers.
-    pub fn connect_replicated(
+    pub(crate) fn connect_replicated(
         addrs: &[String],
         universe: AaBox<2>,
         wait: Duration,
@@ -164,14 +169,15 @@ impl RemoteShard {
     }
 
     /// The write primary's address.
-    pub fn addr(&self) -> &str {
+    pub(crate) fn addr(&self) -> &str {
         &self.replicas[0].link.addr
     }
 
     /// The **primary's** connection counters (dials, discards, peak
     /// concurrency, breaker). Per-replica counters come from
     /// [`ShardBackend::health`].
-    pub fn link_stats(&self) -> LinkStats {
+    #[cfg(test)]
+    pub(crate) fn link_stats(&self) -> LinkStats {
         self.replicas[0].link.stats()
     }
 
@@ -187,7 +193,7 @@ impl RemoteShard {
     /// Whether the shard holds no collections at all (a fresh process;
     /// the only state a cluster may be assembled over without a
     /// manifest).
-    pub fn is_pristine(&self) -> bool {
+    pub(crate) fn is_pristine(&self) -> bool {
         self.mirror.is_empty()
     }
 

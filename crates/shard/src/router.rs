@@ -21,7 +21,7 @@ use scq_zorder::{center_key, decompose_cells, shard_ranges, ZCurve};
 /// grid: nonempty, each range nonempty half-open `[lo, hi)`, ascending
 /// and contiguous, together tiling exactly `[0, key_space(bits))`.
 /// Returns a human-readable reason on failure.
-pub fn validate_ranges(bits: u32, ranges: &[(u64, u64)]) -> Result<(), String> {
+pub(crate) fn validate_ranges(bits: u32, ranges: &[(u64, u64)]) -> Result<(), String> {
     if !(1..=16).contains(&bits) {
         return Err(format!("router bits {bits} outside 1..=16"));
     }
@@ -64,7 +64,7 @@ impl ShardRouter {
     /// # Panics
     /// If the universe is empty, `bits` is outside `1..=16`, `n_shards`
     /// is 0, or `n_shards` exceeds the number of grid cells.
-    pub fn new(universe: &AaBox<2>, bits: u32, n_shards: usize) -> Self {
+    pub(crate) fn new(universe: &AaBox<2>, bits: u32, n_shards: usize) -> Self {
         Self::from_ranges(universe, bits, shard_ranges(bits, n_shards))
     }
 
@@ -75,7 +75,7 @@ impl ShardRouter {
     /// # Panics
     /// If the universe is empty or the ranges do not tile the key
     /// space (see [`validate_ranges`]).
-    pub fn from_ranges(universe: &AaBox<2>, bits: u32, ranges: Vec<(u64, u64)>) -> Self {
+    pub(crate) fn from_ranges(universe: &AaBox<2>, bits: u32, ranges: Vec<(u64, u64)>) -> Self {
         if let Err(m) = validate_ranges(bits, &ranges) {
             panic!("invalid shard ranges: {m}");
         }
@@ -87,12 +87,12 @@ impl ShardRouter {
     }
 
     /// Number of shards.
-    pub fn n_shards(&self) -> usize {
+    pub(crate) fn n_shards(&self) -> usize {
         self.ranges.len()
     }
 
     /// Bits per dimension of the routing grid.
-    pub fn bits(&self) -> u32 {
+    pub(crate) fn bits(&self) -> u32 {
         self.curve.bits()
     }
 
@@ -102,7 +102,7 @@ impl ShardRouter {
     }
 
     /// The shard owning a z-code.
-    pub fn route_key(&self, z: u64) -> usize {
+    fn route_key(&self, z: u64) -> usize {
         // ranges are contiguous ascending; find the one containing z
         match self.ranges.binary_search_by(|&(lo, _)| lo.cmp(&z)) {
             Ok(i) => i,
@@ -113,7 +113,7 @@ impl ShardRouter {
     /// The shard owning an object with the given bounding box. Empty
     /// boxes have no center and all land on shard 0 (corner queries can
     /// never return them, so their placement is immaterial to pruning).
-    pub fn route_bbox(&self, b: &Bbox<2>) -> usize {
+    pub(crate) fn route_bbox(&self, b: &Bbox<2>) -> usize {
         match center_key(&self.curve, b) {
             None => 0,
             Some(z) => self.route_key(z),

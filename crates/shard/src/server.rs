@@ -17,7 +17,7 @@
 //! frame is parsed. From then on every frame carries a request id
 //! ([`crate::wire::MUX_REQ`] and friends): any number of requests run
 //! concurrently across the worker pool, responses complete out of
-//! order, and a response bigger than [`STREAM_CHUNK`] streams back as
+//! order, and a response bigger than `STREAM_CHUNK` streams back as
 //! `MUX_CHUNK…MUX_END` — the 64 MiB frame cap is not a cap on answers.
 //! `MUX_CANCEL` drops a pending answer before it is written.
 //!
@@ -132,7 +132,8 @@ impl ShardServerHandle {
     }
 
     /// Event-loop wakeups so far ([`ReactorHandle::loop_wakeups`]).
-    pub fn loop_wakeups(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn loop_wakeups(&self) -> u64 {
         self.reactor.loop_wakeups()
     }
 

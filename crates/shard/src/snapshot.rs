@@ -234,13 +234,8 @@ pub struct Manifest {
 
 impl Manifest {
     /// Number of shard streams this manifest expects.
-    pub fn n_shards(&self) -> usize {
+    pub(crate) fn n_shards(&self) -> usize {
         self.n_shards
-    }
-
-    /// The z-range assignment recorded for the shards.
-    pub fn ranges(&self) -> &[(u64, u64)] {
-        &self.ranges
     }
 
     /// Per shard, the replica addresses recorded at snapshot time
@@ -469,7 +464,7 @@ fn build_collections<B: ShardBackend>(
 /// manifest, cross-validating the mapping against each backend's
 /// contents. The backends must already hold their shard data (decoded
 /// streams for local shards; loaded processes for remote ones).
-pub fn assemble_backends<B: ShardBackend>(
+fn assemble_backends<B: ShardBackend>(
     manifest: Manifest,
     shards: Vec<B>,
 ) -> Result<ShardedDatabase<B>, ShardSnapshotError> {
@@ -500,7 +495,7 @@ pub fn assemble_backends<B: ShardBackend>(
 
 /// Assembles a local database from a decoded manifest and one decoded
 /// [`SpatialDatabase`] per shard, cross-validating the mapping.
-pub fn assemble(
+pub(crate) fn assemble(
     manifest: Manifest,
     shards: Vec<SpatialDatabase<2>>,
 ) -> Result<ShardedDatabase, ShardSnapshotError> {
@@ -530,7 +525,7 @@ pub fn load(
 pub const MANIFEST_FILE: &str = "manifest.scqm";
 
 /// File name of one shard's stream inside a snapshot directory.
-pub fn shard_file(s: usize) -> String {
+fn shard_file(s: usize) -> String {
     format!("shard-{s:04}.scqs")
 }
 

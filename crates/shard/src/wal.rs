@@ -35,7 +35,7 @@
 //! copied in from a *different* shard's WAL fails validation instead of
 //! replaying someone else's history.
 //!
-//! [`Wal::truncate`] is the log-truncation point behind `SNAPSHOT
+//! `Wal::truncate` is the log-truncation point behind `SNAPSHOT
 //! SAVE`/`SNAPSHOT LOAD`: it snapshots the current state next to the
 //! log (tmp file + atomic rename), seals the current segment, opens the
 //! next one, and deletes everything the snapshot makes redundant. A
@@ -58,14 +58,14 @@ use scq_region::AaBox;
 use crate::wire::{decode_request, encode_request, Request, MAX_FRAME};
 
 /// Magic prefix of every segment file.
-pub const SEGMENT_MAGIC: &[u8; 4] = b"SCQL";
+const SEGMENT_MAGIC: &[u8; 4] = b"SCQL";
 /// The segment format version, written and the only one read. Bump
 /// on any layout change; other versions are refused by name.
-pub const SEGMENT_VERSION: u16 = 1;
+const SEGMENT_VERSION: u16 = 1;
 /// Byte length of the segment header: magic + version + salt + seq.
-pub const SEGMENT_HEADER_LEN: usize = 4 + 2 + 8 + 8;
+const SEGMENT_HEADER_LEN: usize = 4 + 2 + 8 + 8;
 /// Fixed per-record overhead: `u32` payload length + `u32` checksum.
-pub const RECORD_HEADER_LEN: usize = 8;
+const RECORD_HEADER_LEN: usize = 8;
 
 // ── errors ──────────────────────────────────────────────────────────────
 
@@ -207,9 +207,9 @@ pub struct WalConfig {
 }
 
 /// Default group-commit window (5 ms).
-pub const DEFAULT_GROUP_COMMIT_MS: u64 = 5;
+pub(crate) const DEFAULT_GROUP_COMMIT_MS: u64 = 5;
 /// Default segment rotation threshold (1 MiB).
-pub const DEFAULT_SEGMENT_CAP: u64 = 1 << 20;
+pub(crate) const DEFAULT_SEGMENT_CAP: u64 = 1 << 20;
 
 impl WalConfig {
     /// A config with the default group-commit window and segment cap.
@@ -244,7 +244,7 @@ pub struct WalStats {
 
 impl WalStats {
     /// Field-wise sum, for aggregating across shards.
-    pub fn merge(&self, other: &WalStats) -> WalStats {
+    pub(crate) fn merge(&self, other: &WalStats) -> WalStats {
         WalStats {
             appended: self.appended + other.appended,
             replayed: self.replayed + other.replayed,
@@ -265,7 +265,7 @@ pub struct Ticket(u64);
 
 /// CRC-32 (IEEE) over the log salt followed by the payload, so the
 /// same bytes under a different salt never validate.
-pub fn record_crc(salt: u64, payload: &[u8]) -> u32 {
+fn record_crc(salt: u64, payload: &[u8]) -> u32 {
     static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
     let table = TABLE.get_or_init(|| {
         let mut t = [0u32; 256];
@@ -291,7 +291,7 @@ pub fn record_crc(salt: u64, payload: &[u8]) -> u32 {
 
 /// A parsed segment header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SegmentHeader {
+struct SegmentHeader {
     /// The log's salt.
     pub salt: u64,
     /// This segment's sequence number.
@@ -301,7 +301,7 @@ pub struct SegmentHeader {
 /// Serializes the segment header. The layout is frozen: magic at 0,
 /// version at 4, salt at 6, seq at 14 — any change must bump
 /// [`SEGMENT_VERSION`].
-pub fn segment_header(salt: u64, seq: u64) -> [u8; SEGMENT_HEADER_LEN] {
+fn segment_header(salt: u64, seq: u64) -> [u8; SEGMENT_HEADER_LEN] {
     let mut h = [0u8; SEGMENT_HEADER_LEN];
     h[0..4].copy_from_slice(SEGMENT_MAGIC);
     h[4..6].copy_from_slice(&SEGMENT_VERSION.to_le_bytes());
@@ -312,7 +312,7 @@ pub fn segment_header(salt: u64, seq: u64) -> [u8; SEGMENT_HEADER_LEN] {
 
 /// Parses a segment header, rejecting bad magic and unknown versions
 /// with named errors.
-pub fn parse_segment_header(bytes: &[u8]) -> Result<SegmentHeader, WalError> {
+fn parse_segment_header(bytes: &[u8]) -> Result<SegmentHeader, WalError> {
     if bytes.len() < SEGMENT_HEADER_LEN {
         return Err(WalError::BadHeader {
             reason: format!(
@@ -361,7 +361,7 @@ fn parse_name(name: &str) -> Option<(bool, u64)> {
 /// Which requests belong in the log: exactly the mutations (compaction
 /// included — its remap is deterministic given the state it runs on,
 /// so replay reproduces the same slot layout).
-pub fn loggable(req: &Request) -> bool {
+fn loggable(req: &Request) -> bool {
     matches!(
         req,
         Request::Create { .. }
@@ -730,7 +730,6 @@ struct Shared {
 /// log.
 pub struct Wal {
     shared: Arc<Shared>,
-    group_commit: Duration,
     replayed: u64,
     torn_tails: u64,
     flusher: Option<JoinHandle<()>>,
@@ -816,16 +815,14 @@ impl Wal {
             cv: Condvar::new(),
             fsync_latency: Histogram::new(),
         });
-        let group_commit = config.group_commit.max(Duration::from_millis(1));
+        let window = config.group_commit.max(Duration::from_millis(1));
         let flusher = {
             let shared = Arc::clone(&shared);
-            let window = group_commit;
             std::thread::spawn(move || flusher_loop(&shared, window))
         };
         Ok((
             Wal {
                 shared,
-                group_commit,
                 replayed: r.replayed,
                 torn_tails: r.torn_tails,
                 flusher: Some(flusher),
@@ -835,13 +832,9 @@ impl Wal {
     }
 
     /// The log's salt (stamped into every segment and checksum).
-    pub fn salt(&self) -> u64 {
+    #[cfg(test)]
+    fn salt(&self) -> u64 {
         self.shared.salt
-    }
-
-    /// The configured group-commit window.
-    pub fn group_commit(&self) -> Duration {
-        self.group_commit
     }
 
     /// Appends one mutation record and returns the ticket to wait on.
@@ -942,7 +935,7 @@ impl Wal {
     /// and deletes every file the snapshot made redundant. Call with
     /// mutations excluded (the shard server holds its database lock)
     /// and `db` equal to the state the log describes.
-    pub fn truncate(&self, db: &SpatialDatabase<2>) -> Result<(), WalError> {
+    pub(crate) fn truncate(&self, db: &SpatialDatabase<2>) -> Result<(), WalError> {
         let mut st = self.shared.state.lock().expect("wal state");
         if let Some(broken) = &st.broken {
             return Err(WalError::Closed(broken.clone()));
@@ -980,7 +973,7 @@ impl Wal {
     /// the live log, so registering it once
     /// (`registry.register_histogram("wal.fsync.latency", …)`) keeps
     /// scrapes current with no polling.
-    pub fn fsync_latency(&self) -> Histogram {
+    pub(crate) fn fsync_latency(&self) -> Histogram {
         self.shared.fsync_latency.clone()
     }
 

@@ -20,7 +20,7 @@
 //! end-of-stream frame (see the *mux framing* section).
 //!
 //! Decoding is defensive in the snapshot codecs' named-error style: a
-//! frame longer than [`MAX_FRAME`] is rejected **before** any
+//! frame longer than `MAX_FRAME` is rejected **before** any
 //! allocation ([`WireError::Oversized`]), truncated bodies yield
 //! [`WireError::Truncated`], bytes left after the declared body yield
 //! [`WireError::TrailingData`], unknown opcodes and NaN coordinates are
@@ -37,7 +37,7 @@ use scq_engine::{CollectionId, CompactReport, IndexKind};
 use scq_region::{AaBox, Region};
 
 /// Handshake magic carried by [`Request::Hello`].
-pub const WIRE_MAGIC: &[u8; 4] = b"SCQW";
+const WIRE_MAGIC: &[u8; 4] = b"SCQW";
 /// The wire protocol version, and the only one this build speaks: a
 /// peer announcing anything else is refused at the handshake with a
 /// named mismatch error. Bump it on any change to the frames below.
@@ -48,11 +48,11 @@ pub const WIRE_VERSION: u16 = 4;
 /// *answer*: a response larger than one frame streams as a
 /// [`MUX_CHUNK`] sequence, each chunk individually under the cap, with
 /// no bound on the reassembled total.
-pub const MAX_FRAME: usize = 64 << 20;
+pub(crate) const MAX_FRAME: usize = 64 << 20;
 /// Chunk size the server slices oversized responses into. Deliberately
 /// far below [`MAX_FRAME`] so a streaming answer never monopolizes the
 /// connection: other responses interleave between chunks.
-pub const STREAM_CHUNK: usize = 1 << 20;
+pub(crate) const STREAM_CHUNK: usize = 1 << 20;
 
 /// Errors produced while encoding, framing or decoding wire messages.
 #[derive(Clone, Debug, PartialEq)]
@@ -68,7 +68,7 @@ pub enum WireError {
         /// Prefix bytes that did arrive (1..=3).
         got: usize,
     },
-    /// A frame declared a payload longer than [`MAX_FRAME`].
+    /// A frame declared a payload longer than `MAX_FRAME`.
     Oversized {
         /// Declared payload length.
         bytes: usize,
@@ -169,7 +169,7 @@ impl WireError {
     /// unexpected response shape, undecodable bytes — is a
     /// misconfigured or corrupt deployment that must stay loud rather
     /// than masquerade as an outage.
-    pub fn is_transport(&self) -> bool {
+    pub(crate) fn is_transport(&self) -> bool {
         matches!(
             self,
             WireError::Io(_)
@@ -325,7 +325,7 @@ pub enum Response {
 
 impl Response {
     /// Converts a [`CompactReport`] into the wire remap shape.
-    pub fn from_compact(report: &CompactReport) -> Response {
+    pub(crate) fn from_compact(report: &CompactReport) -> Response {
         Response::Remap {
             reclaimed: report.slots_reclaimed as u64,
             remap: report
@@ -340,10 +340,10 @@ impl Response {
 // ── framing ─────────────────────────────────────────────────────────────
 
 /// Wraps a payload in a length-prefixed frame. The sender enforces the
-/// same [`MAX_FRAME`] cap the receiver does: an oversized payload (a
+/// same `MAX_FRAME` cap the receiver does: an oversized payload (a
 /// giant snapshot stream) is a named error here, before any bytes hit
 /// the socket — not a poisoned connection on the other end. (Past the
-/// cap, the server streams the answer as [`MUX_CHUNK`] frames, each
+/// cap, the server streams the answer as `MUX_CHUNK` frames, each
 /// individually under the cap.)
 pub fn frame(payload: &[u8]) -> Result<Vec<u8>, WireError> {
     if payload.len() > MAX_FRAME {
@@ -362,7 +362,7 @@ pub fn frame(payload: &[u8]) -> Result<Vec<u8>, WireError> {
 /// before any byte (`Ok(None)`), a close inside the length prefix
 /// ([`WireError::TruncatedLengthPrefix`]), and a close inside the
 /// declared body ([`WireError::Truncated`]).
-pub fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Vec<u8>>, WireError> {
+pub(crate) fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Vec<u8>>, WireError> {
     let mut len = [0u8; 4];
     let mut got = 0;
     while got < 4 {
@@ -397,25 +397,25 @@ pub fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Vec<u8>>, WireErr
 /// arrive and complete frames pop out, so a slow sender's frame
 /// survives arbitrarily many read timeouts.
 #[derive(Default)]
-pub struct FrameReader {
+pub(crate) struct FrameReader {
     buf: Vec<u8>,
 }
 
 impl FrameReader {
     /// An empty reader.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FrameReader::default()
     }
 
     /// Appends freshly received bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// Pops the next complete frame, if one is buffered. An oversized
     /// length prefix errors immediately — the stream can never be
     /// resynchronized past it.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+    pub(crate) fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
         if self.buf.len() < 4 {
             return Ok(None);
         }
@@ -436,7 +436,8 @@ impl FrameReader {
 
     /// Whether a partial frame is buffered (a disconnect now would be
     /// mid-stream).
-    pub fn mid_frame(&self) -> bool {
+    #[cfg(test)]
+    fn mid_frame(&self) -> bool {
         !self.buf.is_empty()
     }
 }
@@ -490,7 +491,7 @@ fn kind_from_byte(b: u8) -> Result<IndexKind, WireError> {
 }
 
 /// Appends a region as `u32 fragment count | fragments (4 f64 LE)`.
-pub fn put_region(buf: &mut Vec<u8>, region: &Region<2>) {
+fn put_region(buf: &mut Vec<u8>, region: &Region<2>) {
     buf.put_u32_le(region.boxes().len() as u32);
     for b in region.boxes() {
         for c in b.lo().iter().chain(b.hi().iter()) {
@@ -501,7 +502,7 @@ pub fn put_region(buf: &mut Vec<u8>, region: &Region<2>) {
 
 /// Decodes a region written by [`put_region`], validating finiteness
 /// and buffer bounds before any allocation.
-pub fn get_region(buf: &mut &[u8]) -> Result<Region<2>, WireError> {
+fn get_region(buf: &mut &[u8]) -> Result<Region<2>, WireError> {
     need(buf, 4)?;
     let n = buf.get_u32_le() as usize;
     need(buf, n.saturating_mul(32))?;
@@ -565,41 +566,41 @@ fn get_query(buf: &mut &[u8]) -> Result<CornerQuery<2>, WireError> {
 // payload byte of a request frame.
 
 /// Opcode of [`Request::Hello`].
-pub const OP_HELLO: u8 = 0x01;
+pub(crate) const OP_HELLO: u8 = 0x01;
 /// Opcode of [`Request::Create`].
-pub const OP_CREATE: u8 = 0x02;
+const OP_CREATE: u8 = 0x02;
 /// Opcode of [`Request::Insert`].
-pub const OP_INSERT: u8 = 0x03;
+pub(crate) const OP_INSERT: u8 = 0x03;
 /// Opcode of [`Request::Remove`].
-pub const OP_REMOVE: u8 = 0x04;
+const OP_REMOVE: u8 = 0x04;
 /// Opcode of [`Request::Update`].
-pub const OP_UPDATE: u8 = 0x05;
+const OP_UPDATE: u8 = 0x05;
 /// Opcode of [`Request::Query`].
 pub const OP_QUERY: u8 = 0x06;
 /// Opcode of [`Request::Stat`].
-pub const OP_STAT: u8 = 0x07;
+const OP_STAT: u8 = 0x07;
 /// Opcode of [`Request::Compact`].
-pub const OP_COMPACT: u8 = 0x08;
+const OP_COMPACT: u8 = 0x08;
 /// Opcode of [`Request::SnapshotSave`].
-pub const OP_SNAP_SAVE: u8 = 0x09;
+const OP_SNAP_SAVE: u8 = 0x09;
 /// Opcode of [`Request::SnapshotLoad`].
-pub const OP_SNAP_LOAD: u8 = 0x0A;
+const OP_SNAP_LOAD: u8 = 0x0A;
 /// Opcode of [`Request::Check`].
-pub const OP_CHECK: u8 = 0x0B;
+const OP_CHECK: u8 = 0x0B;
 /// Opcode of [`Request::Bye`].
-pub const OP_BYE: u8 = 0x0C;
+const OP_BYE: u8 = 0x0C;
 /// Opcode of [`Request::WalStat`].
-pub const OP_WAL_STAT: u8 = 0x0D;
+const OP_WAL_STAT: u8 = 0x0D;
 // 0x0E and 0x0F are retired (they shipped WAL segments); a peer that
 // sends one gets `BadOpcode` like any unknown byte.
 /// Opcode of [`Request::SnapshotRead`].
-pub const OP_SNAP_READ: u8 = 0x10;
+const OP_SNAP_READ: u8 = 0x10;
 /// Opcode of [`Request::Traced`].
-pub const OP_TRACED: u8 = 0x11;
+const OP_TRACED: u8 = 0x11;
 /// Opcode of [`Request::Metrics`].
-pub const OP_METRICS: u8 = 0x12;
+const OP_METRICS: u8 = 0x12;
 /// Opcode of [`Request::Epochs`].
-pub const OP_EPOCHS: u8 = 0x13;
+const OP_EPOCHS: u8 = 0x13;
 
 /// Serializes a request into a frame payload (no length prefix).
 pub fn encode_request(req: &Request) -> Vec<u8> {
@@ -1064,23 +1065,23 @@ pub const MUX_RESP: u8 = 0xF2;
 /// Mux kind: server→client, one non-final slice of an oversized
 /// response. The reassembled concatenation of every chunk body plus the
 /// [`MUX_END`] body is the encoded [`Response`].
-pub const MUX_CHUNK: u8 = 0xF3;
+pub(crate) const MUX_CHUNK: u8 = 0xF3;
 /// Mux kind: server→client, the final slice of a chunked response —
 /// the explicit end-of-stream marker.
-pub const MUX_END: u8 = 0xF4;
+pub(crate) const MUX_END: u8 = 0xF4;
 /// Mux kind: client→server, empty body. The client no longer wants the
 /// answer for this id; the server drops any undelivered frames for it.
 /// Best-effort — a response already in flight may still arrive and is
 /// discarded client-side.
-pub const MUX_CANCEL: u8 = 0xF5;
+pub(crate) const MUX_CANCEL: u8 = 0xF5;
 
 /// Byte length of the mux header (`u8` kind + `u64` request id).
-pub const MUX_HEADER: usize = 9;
+pub(crate) const MUX_HEADER: usize = 9;
 
 /// Whether a decoded frame payload is mux-framed (first byte is a mux
 /// kind). Kind bytes are disjoint from opcodes and status bytes, so
 /// this is unambiguous on any well-formed payload.
-pub fn is_mux(payload: &[u8]) -> bool {
+pub(crate) fn is_mux(payload: &[u8]) -> bool {
     matches!(payload.first(), Some(&k) if (MUX_REQ..=MUX_CANCEL).contains(&k))
 }
 
@@ -1088,11 +1089,11 @@ pub fn is_mux(payload: &[u8]) -> bool {
 /// (an encoded request, an encoded response, or a response slice).
 #[derive(Clone, Debug, PartialEq)]
 pub struct MuxFrame {
-    /// One of [`MUX_REQ`]..=[`MUX_CANCEL`].
+    /// One of [`MUX_REQ`]..=`MUX_CANCEL`.
     pub kind: u8,
     /// The request id this frame belongs to.
     pub id: u64,
-    /// Frame body (may be empty, e.g. [`MUX_CANCEL`]).
+    /// Frame body (may be empty, e.g. `MUX_CANCEL`).
     pub body: Vec<u8>,
 }
 
@@ -1131,7 +1132,7 @@ pub fn decode_mux(payload: &[u8]) -> Result<MuxFrame, WireError> {
 /// bytes, otherwise [`MUX_CHUNK`] slices closed by a [`MUX_END`]
 /// carrying the final slice. Servers pass [`STREAM_CHUNK`]; tests pass
 /// tiny chunk sizes to exercise many-chunk streams cheaply.
-pub fn split_response(id: u64, response: &[u8], chunk: usize) -> Vec<Vec<u8>> {
+pub(crate) fn split_response(id: u64, response: &[u8], chunk: usize) -> Vec<Vec<u8>> {
     let chunk = chunk.max(1);
     if response.len() <= chunk {
         return vec![encode_mux(MUX_RESP, id, response)];
@@ -1155,13 +1156,13 @@ pub fn split_response(id: u64, response: &[u8], chunk: usize) -> Vec<Vec<u8>> {
 /// answers. Feed every inbound server frame to [`MuxReassembly::accept`];
 /// it yields `(id, response bytes)` exactly when a response completes.
 #[derive(Debug, Default)]
-pub struct MuxReassembly {
+pub(crate) struct MuxReassembly {
     partial: std::collections::HashMap<u64, Vec<u8>>,
 }
 
 impl MuxReassembly {
     /// Empty reassembler.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -1172,7 +1173,7 @@ impl MuxReassembly {
     /// [`MUX_CANCEL`]) and a [`MUX_RESP`] colliding with an open chunk
     /// stream for the same id are [`WireError::Unexpected`] — a
     /// desynchronized peer, kept loud.
-    pub fn accept(&mut self, frame: MuxFrame) -> Result<Option<(u64, Vec<u8>)>, WireError> {
+    pub(crate) fn accept(&mut self, frame: MuxFrame) -> Result<Option<(u64, Vec<u8>)>, WireError> {
         match frame.kind {
             MUX_RESP => {
                 if self.partial.contains_key(&frame.id) {
@@ -1201,14 +1202,9 @@ impl MuxReassembly {
         }
     }
 
-    /// Drops any partial stream for `id` (a cancelled or timed-out
-    /// request). Returns whether a partial stream existed.
-    pub fn abort(&mut self, id: u64) -> bool {
-        self.partial.remove(&id).is_some()
-    }
-
     /// Number of ids with a chunk stream currently open.
-    pub fn in_progress(&self) -> usize {
+    #[cfg(test)]
+    fn in_progress(&self) -> usize {
         self.partial.len()
     }
 }
@@ -1732,10 +1728,6 @@ mod tests {
             }),
             Err(WireError::Unexpected(_))
         ));
-        // Aborting a cancelled id drops its partial bytes.
-        assert!(reasm.abort(9));
-        assert!(!reasm.abort(9));
-        assert_eq!(reasm.in_progress(), 0);
     }
 
     /// The mux mirror of [`every_framing_truncation_offset_is_a_named_error`]:

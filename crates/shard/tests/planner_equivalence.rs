@@ -6,9 +6,9 @@
 //! [`with_selectivity_order`] must produce exactly the solutions and
 //! outcome of the default size-ordered execution.
 //!
-//! This is the end-to-end oracle behind the serve tier's `--plan
-//! selectivity` mode: the plan cache may swap orders freely because
-//! order is provably answer-invariant.
+//! This is the end-to-end oracle behind the serve tier's planner: the
+//! plan cache may swap orders freely because order is provably
+//! answer-invariant.
 
 use proptest::prelude::*;
 use scq_engine::{

@@ -67,7 +67,7 @@ impl ZCurve {
     }
 
     /// Grid cells per dimension.
-    pub fn cells_per_dim(&self) -> u32 {
+    fn cells_per_dim(&self) -> u32 {
         1 << self.bits
     }
 

@@ -5,11 +5,13 @@
 //! naming each probed shard with per-span durations. A [`FaultProxy`]
 //! partition in front of shard 0's primary forces one deterministic
 //! replica failover, which must surface as an event in the query's
-//! trace.
+//! trace. The same harness partitions a shard with no replica under a
+//! `SOLVE`, whose planner probes the dead shard before execution does.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use scq_region::AaBox;
 use scq_serve::{body_lines, serve_db, ServerConfig};
@@ -195,5 +197,126 @@ fn cluster_metrics_and_traces_cover_both_tiers_and_record_a_forced_failover() {
     router.shutdown();
     primary0.shutdown();
     secondary0.shutdown();
+    shard1.shutdown();
+}
+
+/// The `u64` value of `name` (e.g. `plan_cache_hits=`) in a `STAT` line.
+fn stat_field(stat: &str, name: &str) -> u64 {
+    stat.split_whitespace()
+        .find_map(|f| f.strip_prefix(name))
+        .unwrap_or_else(|| panic!("no {name} in {stat:?}"))
+        .parse()
+        .expect("numeric counter")
+}
+
+/// Every `SOLVE` asks the planner for its order first, so a degraded
+/// `SOLVE` meets the dead shard twice: in the planner's estimate probes
+/// and in execution. With shard 0 partitioned (no replica, breaker held
+/// open), a two-unknown `SOLVE` answers `PARTIAL missing=0` with the
+/// surviving shard's tuples — never `ERR`, never a hang. After the
+/// partition heals, the verbatim `SOLVE` reuses the plan made from the
+/// degraded estimates (a plan-cache hit: the epochs did not move) and
+/// answers `OK` with every tuple, because order is answer-invariant.
+#[test]
+fn a_degraded_solve_answers_partial_and_its_cached_plan_answers_in_full_after_heal() {
+    let shard0 = boot_server();
+    let shard1 = boot_server();
+    let proxy = FaultProxy::start(&shard0.addr().to_string()).expect("bind proxy");
+    let universe = AaBox::new([0.0, 0.0], [UNIVERSE_SIZE, UNIVERSE_SIZE]);
+    let mut spec = ClusterSpec::balanced(
+        universe,
+        scq_shard::DEFAULT_ROUTER_BITS,
+        &[proxy.addr().to_string(), shard1.addr().to_string()],
+    );
+    // The first failed probe trips shard 0's breaker, and the injected
+    // clock holds it open until the test advances it: every later probe
+    // of the dead shard fails fast instead of dialing.
+    spec.breaker = BreakerConfig {
+        threshold: 1,
+        cooldown: Duration::from_secs(3600),
+    };
+    let mut db = spec.connect(Duration::from_secs(10)).expect("connect");
+    let now = Arc::new(Mutex::new(Instant::now()));
+    for s in 0..2 {
+        let tick = now.clone();
+        db.backend_mut(s)
+            .set_clock(Arc::new(move || *tick.lock().unwrap()));
+    }
+    let router = serve_db(
+        &ServerConfig {
+            threads: 2,
+            universe_size: UNIVERSE_SIZE,
+            ..ServerConfig::default()
+        },
+        db,
+    )
+    .expect("bind router");
+
+    let stream = TcpStream::connect(router.addr()).expect("connect router");
+    // A hung command fails the test instead of wedging it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut run = |cmd: &str| exchange(&mut reader, &mut writer, cmd).0;
+
+    run("CREATE towns");
+    run("CREATE roads");
+    // Two towns and a road crossing both on each shard: low corner →
+    // shard 0, high corner → shard 1. Four (town, road) tuples in all.
+    for cmd in [
+        "INSERT towns 5 5 10 10",
+        "INSERT towns 20 20 25 25",
+        "INSERT roads 4 4 30 30",
+        "INSERT towns 70 70 75 75",
+        "INSERT towns 90 90 95 95",
+        "INSERT roads 68 68 96 96",
+    ] {
+        assert!(run(cmd).starts_with("OK ref="), "{cmd}");
+    }
+    assert!(run("SHARDS").starts_with("OK n=2 live=3,3"));
+    let solve = "SOLVE rtree all T=coll:towns,R=coll:roads,C=box:0:0:100:100 T <= C; R & T != 0";
+    // The same system spelt differently has a plan-cache entry of its
+    // own: the healthy answer, without planning the SOLVE under test.
+    let healthy =
+        run("SOLVE rtree all T=coll:towns,R=coll:roads,C=box:0:0:100:100 R & T != 0; T <= C");
+    assert!(healthy.starts_with("OK n=4 "), "{healthy}");
+
+    proxy.partition();
+    let misses = stat_field(&run("STAT"), "plan_cache_misses=");
+    let degraded = run(solve);
+    assert!(
+        degraded.starts_with("PARTIAL missing=0 n=2 "),
+        "shard 1's two tuples, shard 0 named missing: {degraded}"
+    );
+    let stat = run("STAT");
+    assert_eq!(
+        stat_field(&stat, "plan_cache_misses="),
+        misses + 1,
+        "planned from the degraded estimates: {stat}"
+    );
+    let hits = stat_field(&stat, "plan_cache_hits=");
+
+    // Heal, then wait out the cooldown: the next probe is the
+    // half-open re-admit.
+    proxy.heal();
+    *now.lock().unwrap() += Duration::from_secs(3601);
+    let healed = run(solve);
+    assert!(
+        healed.starts_with("OK n=4 "),
+        "full answer after heal: {healed}"
+    );
+    let stat = run("STAT");
+    assert_eq!(
+        stat_field(&stat, "plan_cache_hits="),
+        hits + 1,
+        "the verbatim SOLVE reuses the degraded plan: {stat}"
+    );
+    assert_eq!(stat_field(&stat, "plan_cache_misses="), misses + 1);
+
+    run("QUIT");
+    router.shutdown();
+    shard0.shutdown();
     shard1.shutdown();
 }
