@@ -46,7 +46,7 @@ pub use exec::{
     bbox_execute, bbox_execute_compiled, bbox_execute_opts, compile_triangular, naive_execute,
     triangular_execute, ExecOptions, QueryOutcome, QueryResult,
 };
-pub use planner::{order_by_selectivity, with_selectivity_order, SelectivityPlan};
+pub use planner::{order_by_selectivity, SelectivityPlan};
 pub use query::{IndexKind, Query, VarBinding};
 pub use stats::ExecStats;
 pub use view::{ProbeReport, StoreView};

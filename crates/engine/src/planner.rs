@@ -257,19 +257,6 @@ fn level_probes<const K: usize>(plan: &BboxPlan<K>, order: &[Var], e: &[usize]) 
         .collect()
 }
 
-/// Applies [`order_by_selectivity`] to the query, returning a copy with
-/// the computed order installed.
-pub fn with_selectivity_order<const K: usize, V: StoreView<K>>(
-    db: &V,
-    query: &Query<K>,
-    kind: IndexKind,
-) -> Result<Query<K>, ExecError> {
-    let plan = order_by_selectivity(db, query, kind)?;
-    let mut q = query.clone();
-    q.order = Some(plan.order);
-    Ok(q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,9 +321,19 @@ mod tests {
         assert!(ex < ey, "estimates: X={ex} Y={ey}");
 
         // and it actually reduces work relative to the size-based default
-        let q_sel = with_selectivity_order(&db, &q, IndexKind::RTree).unwrap();
+        // when run the way `SOLVE` runs it: the plan's order, its
+        // compiled plan
+        let mut q_sel = q.clone();
+        q_sel.order = Some(plan.order.clone());
         let default = bbox_execute(&db, &q, IndexKind::RTree).unwrap();
-        let planned = bbox_execute(&db, &q_sel, IndexKind::RTree).unwrap();
+        let planned = crate::exec::bbox_execute_compiled(
+            &db,
+            &q_sel,
+            &plan.plan,
+            IndexKind::RTree,
+            crate::exec::ExecOptions::all(),
+        )
+        .unwrap();
         assert_eq!(default.stats.solutions, planned.stats.solutions);
         assert!(
             planned.stats.exact_row_checks <= default.stats.exact_row_checks,

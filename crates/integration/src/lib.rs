@@ -27,8 +27,8 @@ pub mod prelude {
     pub use scq_index::{GridFile, RTree, ScanIndex, SpatialIndex, SplitStrategy};
     pub use scq_region::{AaBox, Region, RegionAlgebra};
     pub use scq_shard::{
-        BreakerConfig, BreakerState, ClusterSpec, Direction, FaultAction, FaultProxy, FaultRule,
-        FrameMatch, ProbeTrace, ShardBackend, ShardSpec, ShardedDatabase,
+        BreakerConfig, BreakerState, ClusterSpec, ProbeTrace, ShardBackend, ShardSpec,
+        ShardedDatabase,
     };
     pub use scq_zorder::{decompose_cells, morton_decode, morton_encode, ZCurve};
 }

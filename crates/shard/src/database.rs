@@ -1131,8 +1131,17 @@ mod tests {
             .sum();
         assert_eq!(trips, 0);
 
-        let planned = scq_engine::with_selectivity_order(&d, &q, IndexKind::RTree).unwrap();
-        let p = scq_engine::bbox_execute(&d, &planned, IndexKind::RTree).unwrap();
+        let plan = scq_engine::order_by_selectivity(&d, &q, IndexKind::RTree).unwrap();
+        let mut planned = q.clone();
+        planned.order = Some(plan.order);
+        let p = scq_engine::bbox_execute_compiled(
+            &d,
+            &planned,
+            &plan.plan,
+            IndexKind::RTree,
+            scq_engine::ExecOptions::all(),
+        )
+        .unwrap();
         assert_eq!(p.solutions.len(), r.solutions.len());
         assert_eq!(p.stats.exact_row_checks, 13, "{}", p.stats);
     }

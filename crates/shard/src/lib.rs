@@ -27,7 +27,8 @@
 //!   migrations that move an object between shards.
 //! * **Answer equivalence.** A sharded database answers every corner
 //!   query and every constraint query identically to an unsharded
-//!   database built from the same mutation sequence (property-tested in
+//!   database built from the same mutation sequence (property-tested
+//!   against one model store in `tests/differential.rs` and
 //!   `tests/shard_props.rs` at the workspace root).
 //!
 //! [`snapshot`] streams each shard independently under a
@@ -59,12 +60,12 @@
 //! shards, with `ExecStats { shards_unavailable, retries }` counting
 //! the damage. Mutations still fail loudly and are never auto-retried.
 //! Every failure path is reproducible in `cargo test` through the
-//! deterministic [`fault::FaultProxy`].
+//! deterministic fault-injection proxy of the dev-only `scq-testkit`
+//! crate (`scq_testkit::FaultProxy`); no shipped crate depends on it.
 
 pub mod backend;
 pub mod cluster;
 pub mod database;
-pub mod fault;
 mod link;
 mod mirror;
 pub mod reactor;
@@ -75,10 +76,15 @@ pub mod snapshot;
 pub mod wal;
 pub mod wire;
 
+// The test kit's fault proxy against this crate's server and client,
+// in a module named `fault` so the tests run as `fault::tests::*`.
+#[cfg(test)]
+#[path = "fault_tests.rs"]
+mod fault;
+
 pub use backend::{LocalShard, ProbeTrace, ShardBackend, ShardError};
 pub use cluster::{ClusterSpec, ShardSpec};
 pub use database::{ShardedDatabase, DEFAULT_ROUTER_BITS};
-pub use fault::{Direction, FaultAction, FaultProxy, FaultRule, FrameMatch};
 pub use link::{BreakerConfig, BreakerState, LinkStats};
 pub use remote::RemoteShard;
 pub use server::{serve_shard, ShardServerConfig, ShardServerHandle};

@@ -395,27 +395,29 @@ pub(crate) fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Vec<u8>>, 
 /// Incremental frame assembly for readers that poll with a timeout
 /// (the shard server's connection loop): bytes are pushed as they
 /// arrive and complete frames pop out, so a slow sender's frame
-/// survives arbitrarily many read timeouts.
+/// survives arbitrarily many read timeouts. Public, with [`is_mux`]
+/// and [`MUX_HEADER`], for frame-level tools outside the crate (the
+/// test kit's fault-injection proxy).
 #[derive(Default)]
-pub(crate) struct FrameReader {
+pub struct FrameReader {
     buf: Vec<u8>,
 }
 
 impl FrameReader {
     /// An empty reader.
-    pub(crate) fn new() -> Self {
+    pub fn new() -> Self {
         FrameReader::default()
     }
 
     /// Appends freshly received bytes.
-    pub(crate) fn push(&mut self, bytes: &[u8]) {
+    pub fn push(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// Pops the next complete frame, if one is buffered. An oversized
     /// length prefix errors immediately — the stream can never be
     /// resynchronized past it.
-    pub(crate) fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
         if self.buf.len() < 4 {
             return Ok(None);
         }
@@ -562,8 +564,8 @@ fn get_query(buf: &mut &[u8]) -> Result<CornerQuery<2>, WireError> {
 // ── request codec ───────────────────────────────────────────────────────
 
 // Request opcodes are public protocol surface: the fault-injection
-// proxy ([`crate::fault`]) matches scripted triggers on the first
-// payload byte of a request frame.
+// proxy (`scq_testkit::fault`) matches scripted triggers on the opcode
+// byte of a request frame.
 
 /// Opcode of [`Request::Hello`].
 pub(crate) const OP_HELLO: u8 = 0x01;
@@ -1044,12 +1046,12 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 //
 // The outer `u32 LE length | payload` framing is the same one the
 // handshake uses, so `FrameReader`, `read_frame` and every frame-level
-// tool (the fault proxy included) work on mux traffic untouched. The
-// kind bytes live in 0xF1..=0xF5 — disjoint from every request opcode
-// (0x01..=0x13) and response status byte (0x00/0x01), so a plain
-// payload can never be mistaken for a mux one (`is_mux`). Hello frames
-// and connection-level error frames (a refused handshake, framing
-// poison) belong to no request and always travel plain.
+// tool (`scq_testkit::fault`'s proxy included) work on mux traffic
+// untouched. The kind bytes live in 0xF1..=0xF5 — disjoint from every
+// request opcode (0x01..=0x13) and response status byte (0x00/0x01),
+// so a plain payload can never be mistaken for a mux one (`is_mux`).
+// Hello frames and connection-level error frames (a refused handshake,
+// framing poison) belong to no request and always travel plain.
 //
 // Responses complete in one of two shapes: a single [`MUX_RESP`] frame
 // carrying the whole encoded response, or — when the response exceeds
@@ -1076,12 +1078,12 @@ pub(crate) const MUX_END: u8 = 0xF4;
 pub(crate) const MUX_CANCEL: u8 = 0xF5;
 
 /// Byte length of the mux header (`u8` kind + `u64` request id).
-pub(crate) const MUX_HEADER: usize = 9;
+pub const MUX_HEADER: usize = 9;
 
 /// Whether a decoded frame payload is mux-framed (first byte is a mux
 /// kind). Kind bytes are disjoint from opcodes and status bytes, so
 /// this is unambiguous on any well-formed payload.
-pub(crate) fn is_mux(payload: &[u8]) -> bool {
+pub fn is_mux(payload: &[u8]) -> bool {
     matches!(payload.first(), Some(&k) if (MUX_REQ..=MUX_CANCEL).contains(&k))
 }
 

@@ -15,7 +15,8 @@ use std::time::{Duration, Instant};
 
 use scq_region::AaBox;
 use scq_serve::{body_lines, serve_db, ServerConfig};
-use scq_shard::{BreakerConfig, ClusterSpec, FaultProxy, ShardServerConfig, ShardServerHandle};
+use scq_shard::{BreakerConfig, ClusterSpec, ShardServerConfig, ShardServerHandle};
+use scq_testkit::FaultProxy;
 
 const UNIVERSE_SIZE: f64 = 100.0;
 

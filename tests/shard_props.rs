@@ -1,124 +1,17 @@
 //! Property tests for the sharded database.
 //!
 //! The central claim of `crates/shard`: a [`ShardedDatabase`] fed an
-//! **arbitrary** mutation sequence answers every corner query and every
-//! constraint query exactly like an unsharded [`SpatialDatabase`] fed
-//! the same sequence. Both stores hand out slot indices in insertion
-//! order and never reuse them, so global ids are directly comparable —
-//! no translation layer in the oracle.
+//! **arbitrary** mutation sequence (the test kit's churn, applied to
+//! both stores by `scq_testkit::apply_both`) answers every corner query
+//! and every constraint query exactly like an unsharded
+//! [`SpatialDatabase`] fed the same sequence. Both stores hand out slot
+//! indices in insertion order and never reuse them until a compaction,
+//! so global ids are directly comparable — no translation layer in the
+//! oracle. `tests/differential.rs` checks both against the kit's model.
 
 use proptest::prelude::*;
-use scq_engine::CollectionId;
 use scq_integration::prelude::*;
-
-/// One scripted mutation (slot choices reduced modulo the slot count at
-/// application time, exactly like `tests/mutation_props.rs`).
-#[derive(Clone, Debug)]
-enum Op {
-    Insert {
-        x: f64,
-        y: f64,
-        w: f64,
-        h: f64,
-    },
-    InsertEmpty,
-    Remove {
-        slot: u16,
-    },
-    Update {
-        slot: u16,
-        x: f64,
-        y: f64,
-        w: f64,
-        h: f64,
-    },
-    UpdateToEmpty {
-        slot: u16,
-    },
-}
-
-fn op_strategy() -> BoxedStrategy<Op> {
-    let coords = (0.0f64..90.0, 0.0f64..90.0, 0.0f64..9.0, 0.0f64..9.0);
-    prop_oneof![
-        4 => coords.clone().prop_map(|(x, y, w, h)| Op::Insert { x, y, w, h }),
-        1 => Just(Op::InsertEmpty),
-        3 => (0u16..u16::MAX).prop_map(|slot| Op::Remove { slot }),
-        // Updates include long moves, so cross-shard migration is hit
-        // constantly.
-        2 => (0u16..u16::MAX, coords)
-            .prop_map(|(slot, (x, y, w, h))| Op::Update { slot, x, y, w, h }),
-        1 => (0u16..u16::MAX).prop_map(|slot| Op::UpdateToEmpty { slot }),
-    ]
-    .boxed()
-}
-
-/// Applies one op to both stores; their slot spaces stay in lockstep.
-fn apply_both(
-    sharded: &mut ShardedDatabase,
-    plain: &mut SpatialDatabase<2>,
-    coll: CollectionId,
-    op: &Op,
-) {
-    let slots = plain.collection_len(coll);
-    assert_eq!(
-        slots,
-        sharded.collection_len(coll),
-        "slot spaces in lockstep"
-    );
-    let obj = |slot: u16| ObjectRef {
-        collection: coll,
-        index: slot as usize % slots,
-    };
-    match *op {
-        Op::Insert { x, y, w, h } => {
-            let r = Region::from_box(AaBox::new([x, y], [x + w, y + h]));
-            let a = sharded.insert(coll, r.clone());
-            let b = plain.insert(coll, r);
-            assert_eq!(a, b, "global refs line up");
-        }
-        Op::InsertEmpty => {
-            let a = sharded.insert(coll, Region::empty());
-            let b = plain.insert(coll, Region::empty());
-            assert_eq!(a, b);
-        }
-        Op::Remove { slot } if slots > 0 => {
-            assert_eq!(sharded.remove(obj(slot)), plain.remove(obj(slot)));
-        }
-        Op::Update { slot, x, y, w, h } if slots > 0 => {
-            let r = Region::from_box(AaBox::new([x, y], [x + w, y + h]));
-            assert_eq!(
-                sharded.update(obj(slot), r.clone()),
-                plain.update(obj(slot), r)
-            );
-        }
-        Op::UpdateToEmpty { slot } if slots > 0 => {
-            assert_eq!(
-                sharded.update(obj(slot), Region::empty()),
-                plain.update(obj(slot), Region::empty())
-            );
-        }
-        _ => {} // slot ops on an empty collection: no-op
-    }
-}
-
-fn corner_queries() -> Vec<CornerQuery<2>> {
-    let mut qs = vec![CornerQuery::unconstrained()];
-    for i in 0..6 {
-        let t = i as f64 * 13.0;
-        let probe = Bbox::new([t, t * 0.5], [t + 25.0, t * 0.5 + 30.0]);
-        let inner = Bbox::new([t + 8.0, t * 0.5 + 8.0], [t + 12.0, t * 0.5 + 12.0]);
-        qs.push(CornerQuery::unconstrained().and_overlaps(&probe));
-        qs.push(CornerQuery::unconstrained().and_contained_in(&probe));
-        qs.push(CornerQuery::unconstrained().and_contains(&inner));
-        qs.push(
-            CornerQuery::unconstrained()
-                .and_contained_in(&probe)
-                .and_contains(&inner)
-                .and_overlaps(&probe),
-        );
-    }
-    qs
-}
+use scq_testkit::{apply_both, corner_queries, normalize, op_strategy};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
@@ -128,7 +21,7 @@ proptest! {
     /// index structures, and both pass their integrity checks.
     #[test]
     fn sharded_corner_queries_match_unsharded(
-        ops in prop::collection::vec(op_strategy(), 1..100),
+        ops in prop::collection::vec(op_strategy(1), 1..100),
         n_shards in 1usize..7,
     ) {
         let universe = AaBox::new([0.0, 0.0], [100.0, 100.0]);
@@ -137,7 +30,7 @@ proptest! {
         let coll = sharded.collection("objs");
         prop_assert_eq!(plain.collection("objs"), coll);
         for op in &ops {
-            apply_both(&mut sharded, &mut plain, coll, op);
+            apply_both(&mut sharded, &mut plain, &[coll], op);
         }
         sharded.check().expect("sharded store is consistent");
         scq_engine::integrity::check(&plain).expect("plain store is consistent");
@@ -161,7 +54,7 @@ proptest! {
     /// snapshot round trip, returns the unsharded answer set.
     #[test]
     fn sharded_executors_match_unsharded(
-        ops in prop::collection::vec(op_strategy(), 1..50),
+        ops in prop::collection::vec(op_strategy(1), 1..50),
         n_shards in 2usize..6,
         seed in 0u64..500,
     ) {
@@ -182,7 +75,7 @@ proptest! {
             plain.insert(ys, ry);
         }
         for op in &ops {
-            apply_both(&mut sharded, &mut plain, xs, op);
+            apply_both(&mut sharded, &mut plain, &[xs], op);
         }
 
         let sys = parse_system("X & Y != 0; X <= W").unwrap();
@@ -191,11 +84,9 @@ proptest! {
             .from_collection("X", xs)
             .from_collection("Y", ys);
 
-        let mut oracle = naive_execute(&plain, &q).unwrap().solutions;
-        oracle.sort();
+        let oracle = normalize(&naive_execute(&plain, &q).unwrap());
         for kind in [IndexKind::RTree, IndexKind::GridFile, IndexKind::Scan] {
-            let mut got = bbox_execute(&sharded, &q, kind).unwrap().solutions;
-            got.sort();
+            let got = normalize(&bbox_execute(&sharded, &q, kind).unwrap());
             prop_assert_eq!(&got, &oracle, "sharded {:?} diverged from naive", kind);
         }
 
@@ -206,8 +97,7 @@ proptest! {
             .collect();
         let reloaded = scq_shard::snapshot::load(&manifest, &payloads).unwrap();
         reloaded.check().expect("reloaded sharded store is consistent");
-        let mut after = bbox_execute(&reloaded, &q, IndexKind::GridFile).unwrap().solutions;
-        after.sort();
+        let after = normalize(&bbox_execute(&reloaded, &q, IndexKind::GridFile).unwrap());
         prop_assert_eq!(after, oracle, "answers changed across the snapshot");
     }
 
@@ -215,7 +105,7 @@ proptest! {
     /// sharded store equal the pre-compaction answers modulo the remap.
     #[test]
     fn sharded_compaction_preserves_answers(
-        ops in prop::collection::vec(op_strategy(), 1..80),
+        ops in prop::collection::vec(op_strategy(1), 1..80),
     ) {
         let universe = AaBox::new([0.0, 0.0], [100.0, 100.0]);
         let mut sharded = ShardedDatabase::new(universe, 4);
@@ -223,7 +113,7 @@ proptest! {
         let coll = sharded.collection("objs");
         plain.collection("objs");
         for op in &ops {
-            apply_both(&mut sharded, &mut plain, coll, op);
+            apply_both(&mut sharded, &mut plain, &[coll], op);
         }
         let report = sharded.compact();
         sharded.check().expect("consistent after compaction");
@@ -256,7 +146,7 @@ proptest! {
     /// v1 writer produced) is refused by name, never half-read.
     #[test]
     fn manifest_reloads_identically_and_v1_is_refused(
-        ops in prop::collection::vec(op_strategy(), 1..80),
+        ops in prop::collection::vec(op_strategy(1), 1..80),
         n_shards in 1usize..6,
     ) {
         let universe = AaBox::new([0.0, 0.0], [100.0, 100.0]);
@@ -265,7 +155,7 @@ proptest! {
         let coll = sharded.collection("objs");
         prop_assert_eq!(plain.collection("objs"), coll);
         for op in &ops {
-            apply_both(&mut sharded, &mut plain, coll, op);
+            apply_both(&mut sharded, &mut plain, &[coll], op);
         }
         let manifest = scq_shard::snapshot::save_manifest(&sharded).to_vec();
         let payloads: Vec<_> = (0..sharded.n_shards())

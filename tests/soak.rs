@@ -13,10 +13,8 @@ use std::time::{Duration, Instant};
 
 use scq_engine::{bbox_execute, IndexKind};
 use scq_region::{AaBox, Region};
-use scq_shard::{
-    serve_shard, ClusterSpec, Direction, FaultAction, FaultProxy, FaultRule, FrameMatch,
-    ShardBackend, ShardServerConfig, Wal, WalConfig,
-};
+use scq_shard::{serve_shard, ClusterSpec, ShardBackend, ShardServerConfig, Wal, WalConfig};
+use scq_testkit::{Direction, FaultAction, FaultProxy, FaultRule, FrameMatch};
 
 /// How long the fault rounds run.
 const BUDGET: Duration = Duration::from_secs(90);
