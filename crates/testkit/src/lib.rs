@@ -14,7 +14,9 @@
 //!   one [`Op::apply`] over every store ([`Store`]), and the [`Model`]
 //!   every store is checked against;
 //! * [`corner_queries`] and [`normalize`], the probe set and the
-//!   solution normaliser the differential checks share.
+//!   solution normaliser the differential checks share;
+//! * [`oracle`], the differential matrix every store answers like the
+//!   model in ([`Stores`], [`Checks`]).
 
 use std::collections::BTreeMap;
 
@@ -24,9 +26,11 @@ use scq_engine::{ObjectRef, QueryResult};
 
 pub mod churn;
 pub mod fault;
+pub mod oracle;
 
 pub use churn::{apply_both, create_all, insert_strategy, op_strategy, Effect, Model, Op, Store};
 pub use fault::{Direction, FaultAction, FaultGate, FaultProxy, FaultRule, FrameMatch};
+pub use oracle::{Checks, Stores};
 
 /// Corner queries over the `[0, 100]²` universe the churn draws in:
 /// the unconstrained query plus, at six offsets, an overlap, a

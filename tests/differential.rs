@@ -1,292 +1,11 @@
-//! One differential oracle for the paper's exactness contract.
-//!
-//! The triangular solved form is equivalent to the original system
-//! (Algorithm 1, Theorem 4) and the bbox plan is sound (Algorithm 2),
-//! so every configuration must answer exactly like one naive
-//! reference:
-//!
-//! * stores: unsharded, and `LocalShard` × 1..=4 shards;
-//! * indexes: R-tree, grid file, scan;
-//! * executions: `triangular_execute`, `bbox_execute` in every
-//!   retrieval order (up to 3 unknowns), and the served path,
-//!   `order_by_selectivity` → `bbox_execute_compiled`;
-//! * caps: `max_solutions` of 0, 1 and none.
-//!
-//! Every store is fed the test kit's churn and must report each op's
-//! effect exactly as the kit's [`Model`] does. The reference answer is
-//! `naive_execute` over a database rebuilt from the model, so no
-//! update, compaction, plan or cache path decides it; corner queries
-//! are checked against the model's regions directly.
-
-use std::collections::BTreeMap;
+//! One differential oracle for the paper's exactness contract: after
+//! any churn, every store × index × execution × cap answers like the
+//! test kit's model (see `scq_testkit::oracle` for the matrix).
 
 use proptest::prelude::*;
-use scq_boolean::Var;
-use scq_core::parse_system;
-use scq_engine::{
-    bbox_execute_compiled, bbox_execute_opts, integrity, naive_execute, order_by_selectivity,
-    triangular_execute, CollectionId, ExecOptions, IndexKind, ObjectRef, Query, QueryResult,
-    SpatialDatabase, StoreView,
-};
-use scq_region::{AaBox, Region};
-use scq_shard::ShardedDatabase;
-use scq_testkit::{corner_queries, create_all, insert_strategy, normalize, op_strategy, Model, Op};
-
-const KINDS: [IndexKind; 3] = [IndexKind::RTree, IndexKind::GridFile, IndexKind::Scan];
-const CAPS: [Option<usize>; 3] = [Some(0), Some(1), None];
-
-/// Each system with its unknowns' collections (by position). `K` and
-/// `W` are known windows, bound whenever a system names them.
-const QUERIES: &[(&str, &[(&str, usize)])] = &[
-    ("X & Y != 0", &[("X", 0), ("Y", 1)]),
-    ("X <= K; X & Y != 0", &[("X", 0), ("Y", 1)]),
-    ("X !<= Y", &[("X", 0), ("Y", 1)]),
-    ("X & Y = 0; X & K != 0", &[("X", 0), ("Y", 1)]),
-    ("X <= K | Y", &[("X", 0), ("Y", 1)]),
-    ("Y != 0; X < K", &[("X", 0), ("Y", 1)]),
-    ("X & Y != 0; X & Y != K", &[("X", 0), ("Y", 1)]),
-    (
-        "X & Y != 0; Y & Z != 0; X & Z = 0",
-        &[("X", 0), ("Y", 1), ("Z", 2)],
-    ),
-    (
-        "X <= W; Y & X != 0; Z & X != 0",
-        &[("X", 0), ("Y", 1), ("Z", 1)],
-    ),
-    ("X <= K", &[("X", 0)]),
-    // No unknowns: the answer is the empty tuple, and a cap of 0 still
-    // answers nothing.
-    ("K & W != 0", &[]),
-];
-
-fn universe() -> AaBox<2> {
-    AaBox::new([0.0, 0.0], [100.0, 100.0])
-}
-
-fn window(lo: f64, hi: f64) -> Region<2> {
-    Region::from_box(AaBox::new([lo, lo], [hi, hi]))
-}
-
-fn query(src: &str, unknowns: &[(&str, usize)], colls: &[CollectionId]) -> Query<2> {
-    let mut q = Query::new(parse_system(src).expect("system parses"));
-    for &(name, coll) in unknowns {
-        q = q.from_collection(name, colls[coll]);
-    }
-    for (name, region) in [("K", window(25.0, 75.0)), ("W", window(5.0, 90.0))] {
-        if q.system.table.get(name).is_some() {
-            q = q.known(name, region);
-        }
-    }
-    q
-}
-
-/// Every ordering of `names`.
-fn permutations<'a>(names: &[&'a str]) -> Vec<Vec<&'a str>> {
-    if names.is_empty() {
-        return vec![Vec::new()];
-    }
-    let mut out = Vec::new();
-    for (i, &first) in names.iter().enumerate() {
-        let mut rest = names.to_vec();
-        rest.remove(i);
-        for mut tail in permutations(&rest) {
-            tail.insert(0, first);
-            out.push(tail);
-        }
-    }
-    out
-}
-
-/// The model and every store under test, fed the same churn.
-struct Stores {
-    model: Model,
-    plain: SpatialDatabase<2>,
-    sharded: Vec<ShardedDatabase>,
-    colls: Vec<CollectionId>,
-}
-
-impl Stores {
-    fn new() -> Stores {
-        let names = ["a", "b", "c"];
-        let mut model = Model::new(universe());
-        let colls = create_all(&mut model, &names);
-        let mut plain = SpatialDatabase::new(universe());
-        assert_eq!(create_all(&mut plain, &names), colls);
-        let sharded = (1..=4)
-            .map(|n| {
-                let mut db = ShardedDatabase::new(universe(), n);
-                assert_eq!(create_all(&mut db, &names), colls);
-                db
-            })
-            .collect();
-        Stores {
-            model,
-            plain,
-            sharded,
-            colls,
-        }
-    }
-
-    /// Applies `op` everywhere; every store must report the model's
-    /// effect.
-    fn apply(&mut self, op: &Op) {
-        let want = op.apply(&mut self.model, &self.colls);
-        let got = op.apply(&mut self.plain, &self.colls);
-        assert_eq!(
-            got, want,
-            "unsharded store diverged from the model on {op:?}"
-        );
-        for db in &mut self.sharded {
-            let got = op.apply(db, &self.colls);
-            assert_eq!(
-                got,
-                want,
-                "{} shards diverged from the model on {op:?}",
-                db.n_shards()
-            );
-        }
-    }
-
-    /// Integrity of every store, then the whole matrix, one store per
-    /// thread.
-    fn check(&self) {
-        integrity::check(&self.plain).expect("unsharded store is consistent");
-        for db in &self.sharded {
-            db.check().expect("sharded store is consistent");
-        }
-        let reference = self.model.rebuild();
-        let answers = &QUERIES
-            .iter()
-            .map(|&(src, unknowns)| {
-                let q = query(src, unknowns, &self.colls);
-                let naive = naive_execute(&reference, &q).expect("naive executes");
-                let order: Vec<Var> = q
-                    .retrieval_order(&reference)
-                    .into_iter()
-                    .filter(|v| q.unknown_vars().iter().any(|(u, _)| u == v))
-                    .collect();
-                assert_eq!(
-                    naive.stats.partial_tuples,
-                    naive_partial_tuples(&self.model, &q, &order),
-                    "`{src}`: the naive bound counts what naive enumerates"
-                );
-                (q, normalize(&naive))
-            })
-            .collect::<Vec<_>>();
-        let (model, colls) = (&self.model, &self.colls[..]);
-        std::thread::scope(|scope| {
-            scope.spawn(|| check_store("unsharded", &self.plain, model, colls, answers));
-            for db in &self.sharded {
-                let label = format!("{} shards", db.n_shards());
-                scope.spawn(move || check_store(&label, db, model, colls, answers));
-            }
-        });
-    }
-}
-
-/// A query and its reference answer.
-type Answer = (Query<2>, Vec<BTreeMap<Var, ObjectRef>>);
-
-/// What the naive executor enumerates in `order` without a cap: every
-/// live object at every level under every prefix.
-fn naive_partial_tuples(model: &Model, q: &Query<2>, order: &[Var]) -> usize {
-    let colls: BTreeMap<Var, CollectionId> = q.unknown_vars().into_iter().collect();
-    let mut product = 1;
-    order
-        .iter()
-        .map(|v| {
-            product *= model.live_len(colls[v]);
-            product
-        })
-        .sum()
-}
-
-/// A complete answer equal to `want`, or under a cap of `k` exactly
-/// `min(k, |want|)` of its tuples.
-fn assert_answers(
-    got: &QueryResult,
-    want: &[BTreeMap<Var, ObjectRef>],
-    cap: Option<usize>,
-    ctx: &str,
-) {
-    assert!(!got.outcome.is_partial(), "{ctx}: a local store degraded");
-    let got = normalize(got);
-    match cap {
-        None => assert_eq!(got, want, "{ctx}"),
-        Some(k) => {
-            assert_eq!(got.len(), k.min(want.len()), "{ctx}: cap {k}");
-            for tuple in &got {
-                assert!(
-                    want.binary_search(tuple).is_ok(),
-                    "{ctx}: {tuple:?} is no solution"
-                );
-            }
-        }
-    }
-}
-
-fn check_store<V: StoreView<2>>(
-    label: &str,
-    store: &V,
-    model: &Model,
-    colls: &[CollectionId],
-    answers: &[Answer],
-) {
-    for &coll in colls {
-        assert_eq!(store.live_len(coll), model.live_len(coll), "{label}");
-        for q in corner_queries() {
-            let want = model.corner_answer(coll, &q);
-            for kind in KINDS {
-                let mut got = Vec::new();
-                store.query_collection(coll, kind, &q, &mut got);
-                got.sort_unstable();
-                assert_eq!(got, want, "{label}: {kind:?} corner query {q:?}");
-            }
-        }
-    }
-    for (&(src, unknowns), (q, want)) in QUERIES.iter().zip(answers) {
-        let tri = triangular_execute(store, q).expect("triangular executes");
-        assert_answers(&tri, want, None, &format!("{label}: `{src}` triangular"));
-
-        let names: Vec<&str> = unknowns.iter().map(|&(name, _)| name).collect();
-        for order in permutations(&names) {
-            let ordered = q.clone().with_order(&order);
-            let bound = naive_partial_tuples(model, &ordered, ordered.order.as_deref().unwrap());
-            for kind in KINDS {
-                for cap in CAPS {
-                    let options = ExecOptions { max_solutions: cap };
-                    let r =
-                        bbox_execute_opts(store, &ordered, kind, options).expect("bbox executes");
-                    let ctx = format!("{label}: `{src}` {kind:?} order {order:?}");
-                    assert_answers(&r, want, cap, &ctx);
-                    if cap.is_none() {
-                        assert!(
-                            r.stats.partial_tuples <= bound,
-                            "{ctx}: pruning expanded the search ({} > {bound})",
-                            r.stats.partial_tuples
-                        );
-                    }
-                }
-            }
-        }
-
-        for kind in KINDS {
-            let epochs =
-                |store: &V| -> Vec<u64> { colls.iter().map(|&c| store.epoch(c)).collect() };
-            let before = epochs(store);
-            let plan = order_by_selectivity(store, q, kind).expect("the planner runs");
-            assert_eq!(epochs(store), before, "{label}: planning advanced an epoch");
-            let mut planned = q.clone();
-            planned.order = Some(plan.order.clone());
-            for cap in CAPS {
-                let options = ExecOptions { max_solutions: cap };
-                let r = bbox_execute_compiled(store, &planned, &plan.plan, kind, options)
-                    .expect("the compiled plan executes");
-                assert_answers(&r, want, cap, &format!("{label}: `{src}` {kind:?} served"));
-            }
-        }
-    }
-}
+use scq_engine::{order_by_selectivity, IndexKind};
+use scq_testkit::oracle::{query, QUERIES};
+use scq_testkit::{insert_strategy, op_strategy, Op, Stores};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -298,7 +17,7 @@ proptest! {
         fill in prop::collection::vec(insert_strategy(3), 16..32),
         churn in prop::collection::vec(op_strategy(3), 1..48),
     ) {
-        let mut stores = Stores::new();
+        let mut stores = Stores::all();
         for op in fill.iter().chain(&churn) {
             stores.apply(op);
         }
@@ -314,7 +33,7 @@ proptest! {
 /// model.
 #[test]
 fn star_query_is_reordered_by_cost_and_answers_alike() {
-    let mut stores = Stores::new();
+    let mut stores = Stores::all();
     let ops = (0..12)
         .map(|i| Op::Insert {
             coll: 0,
@@ -327,8 +46,7 @@ fn star_query_is_reordered_by_cost_and_answers_alike() {
     for op in ops {
         stores.apply(&op);
     }
-    let (src, unknowns) = QUERIES[8];
-    let query = query(src, unknowns, &stores.colls);
+    let query = query(QUERIES[8], &stores.colls);
     let db = &stores.sharded[2];
     let plan = order_by_selectivity(db, &query, IndexKind::RTree).unwrap();
     let name = |v| query.system.table.name(v);

@@ -1,139 +1,81 @@
-//! Cross-executor equivalence on randomized databases and queries: the
-//! naive, triangular-exact and bbox-filtered executors (on all three
-//! index structures) must enumerate identical solution sets.
+//! Cross-executor equivalence on freshly built databases: the
+//! triangular-exact and bbox-filtered executors (on all three index
+//! structures, in every retrieval order and cap) enumerate exactly the
+//! naive answer, and pruning never enumerates more than naive does.
+//! Slices of the test kit's differential oracle; `tests/differential.rs`
+//! runs the whole matrix after churn.
 
 use proptest::prelude::*;
-use scq_integration::prelude::*;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scq_engine::workload::{clustered_boxes, uniform_boxes};
-
-fn build_db(seed: u64, n_a: usize, n_b: usize) -> SpatialDatabase<2> {
-    let universe = AaBox::new([0.0, 0.0], [100.0, 100.0]);
-    let mut db = SpatialDatabase::new(universe);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let ca = db.collection("A");
-    let cb = db.collection("B");
-    for r in uniform_boxes(&mut rng, n_a, &universe, 2.0, 20.0) {
-        db.insert(ca, r);
-    }
-    for r in clustered_boxes(&mut rng, 3, n_b / 3 + 1, &universe, 15.0, 6.0) {
-        db.insert(cb, r);
-    }
-    db
-}
-
-fn sorted_solutions(r: &scq_engine::QueryResult) -> Vec<Vec<(Var, usize)>> {
-    let mut v: Vec<Vec<(Var, usize)>> = r
-        .solutions
-        .iter()
-        .map(|s| s.iter().map(|(&v, o)| (v, o.index)).collect())
-        .collect();
-    v.sort();
-    v
-}
-
-/// A pool of query shapes covering positive, negative, and mixed
-/// constraint systems over two collection variables and one known.
-fn query_pool() -> Vec<&'static str> {
-    vec![
-        "X & Y != 0",             // binary overlay (the z-order query)
-        "X <= K; X & Y != 0",     // containment + overlap
-        "X !<= Y",                // negative containment
-        "X & Y = 0; X & K != 0",  // disjointness + overlap with known
-        "X <= K | Y",             // union bound
-        "Y != 0; X < K",          // strict containment + nonempty
-        "X & Y != 0; X & Y != K", // disequality against known
-    ]
-}
+use scq_engine::workload::uniform_boxes;
+use scq_engine::{bbox_execute, naive_execute};
+use scq_testkit::oracle::{permutations, query, universe, KINDS, QUERIES};
+use scq_testkit::{insert_strategy, Checks, Op, Stores};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
+    /// On a freshly filled unsharded database every execution answers
+    /// every query shape like naive.
     #[test]
-    fn executors_agree(
-        seed in 0u64..1000,
-        qi in 0usize..7,
-        swap_order in proptest::bool::ANY,
-    ) {
-        let db = build_db(seed, 12, 9);
-        let src = query_pool()[qi];
-        let sys = parse_system(src).unwrap();
-        let known = Region::from_box(AaBox::new([25.0, 25.0], [75.0, 75.0]));
-        let mut q = Query::new(sys);
-        if q.system.table.get("K").is_some() {
-            q = q.known("K", known);
+    fn executors_agree(fill in prop::collection::vec(insert_strategy(3), 8..32)) {
+        let mut stores = Stores::only(true, &[]);
+        for op in &fill {
+            stores.apply(op);
         }
-        let ca = db.collection_id("A").unwrap();
-        let cb = db.collection_id("B").unwrap();
-        q = q.from_collection("X", ca).from_collection("Y", cb);
-        if swap_order {
-            q = q.with_order(&["Y", "X"]);
-        }
-
-        let naive = naive_execute(&db, &q).unwrap();
-        let tri = triangular_execute(&db, &q).unwrap();
-        prop_assert_eq!(sorted_solutions(&naive), sorted_solutions(&tri), "query {}", src);
-        for kind in [IndexKind::RTree, IndexKind::GridFile, IndexKind::Scan] {
-            let bbox = bbox_execute(&db, &q, kind).unwrap();
-            prop_assert_eq!(
-                sorted_solutions(&naive),
-                sorted_solutions(&bbox),
-                "query {} on {:?}", src, kind
-            );
-        }
+        stores.check_only(Checks::EXECUTORS, QUERIES);
     }
 
     /// The optimizer's pruning counters never exceed the naive search
-    /// tree (the paper's "eliminate useless partial solution tuples").
+    /// tree in the same order (the paper's "eliminate useless partial
+    /// solution tuples"), and both find the same number of solutions.
     #[test]
-    fn pruning_never_expands_search(seed in 0u64..500) {
-        let db = build_db(seed, 14, 10);
-        let sys = parse_system("X <= K; X & Y != 0").unwrap();
-        let q = Query::new(sys)
-            .known("K", Region::from_box(AaBox::new([20.0, 20.0], [80.0, 80.0])))
-            .from_collection("X", db.collection_id("A").unwrap())
-            .from_collection("Y", db.collection_id("B").unwrap());
-        let naive = naive_execute(&db, &q).unwrap();
-        let bbox = bbox_execute(&db, &q, IndexKind::RTree).unwrap();
-        prop_assert!(bbox.stats.partial_tuples <= naive.stats.partial_tuples);
-        prop_assert_eq!(naive.stats.solutions, bbox.stats.solutions);
+    fn pruning_never_expands_search(fill in prop::collection::vec(insert_strategy(3), 8..32)) {
+        let mut stores = Stores::only(true, &[]);
+        for op in &fill {
+            stores.apply(op);
+        }
+        let db = stores.plain.as_ref().unwrap();
+        let reference = stores.model.rebuild();
+        for &system in QUERIES {
+            let q = query(system, &stores.colls);
+            let names: Vec<&str> = system.1.iter().map(|&(name, _)| name).collect();
+            for order in permutations(&names) {
+                let ordered = q.clone().with_order(&order);
+                let naive = naive_execute(&reference, &ordered).unwrap();
+                for kind in KINDS {
+                    let bbox = bbox_execute(db, &ordered, kind).unwrap();
+                    prop_assert!(
+                        bbox.stats.partial_tuples <= naive.stats.partial_tuples,
+                        "`{}` {:?} order {:?}", system.0, kind, order
+                    );
+                    prop_assert_eq!(naive.stats.solutions, bbox.stats.solutions);
+                }
+            }
+        }
     }
 }
 
-/// Three-variable join with all executors (heavier, so not proptest).
+/// The three-unknown shapes on seeded uniform boxes (heavier, so not
+/// proptest), on every store, index, order and cap.
 #[test]
 fn three_way_join_equivalence() {
+    let three: Vec<_> = QUERIES.iter().copied().filter(|s| s.1.len() == 3).collect();
+    assert_eq!(three.len(), 2);
     for seed in [1, 17, 99] {
-        let universe = AaBox::new([0.0, 0.0], [100.0, 100.0]);
-        let mut db = SpatialDatabase::new(universe);
+        let mut stores = Stores::all();
         let mut rng = StdRng::seed_from_u64(seed);
-        let ca = db.collection("A");
-        let cb = db.collection("B");
-        let cc = db.collection("C");
-        for r in uniform_boxes(&mut rng, 8, &universe, 5.0, 25.0) {
-            db.insert(ca, r);
+        for coll in 0..3 {
+            for r in uniform_boxes(&mut rng, 8, &universe(), 5.0, 25.0) {
+                let b = r.bbox();
+                let (lo, hi) = (b.lo().unwrap(), b.hi().unwrap());
+                stores.apply(&Op::Insert {
+                    coll,
+                    rect: [lo[0], lo[1], hi[0] - lo[0], hi[1] - lo[1]],
+                });
+            }
         }
-        for r in uniform_boxes(&mut rng, 8, &universe, 5.0, 25.0) {
-            db.insert(cb, r);
-        }
-        for r in uniform_boxes(&mut rng, 8, &universe, 5.0, 25.0) {
-            db.insert(cc, r);
-        }
-        let sys = parse_system("X & Y != 0; Y & Z != 0; X & Z = 0").unwrap();
-        let q = Query::new(sys)
-            .from_collection("X", ca)
-            .from_collection("Y", cb)
-            .from_collection("Z", cc);
-        let naive = naive_execute(&db, &q).unwrap();
-        for kind in [IndexKind::RTree, IndexKind::GridFile, IndexKind::Scan] {
-            let opt = bbox_execute(&db, &q, kind).unwrap();
-            assert_eq!(
-                sorted_solutions(&naive),
-                sorted_solutions(&opt),
-                "seed {seed} {kind:?}"
-            );
-        }
+        stores.check_only(Checks::EXECUTORS, &three);
     }
 }

@@ -1,205 +1,49 @@
-//! Property tests for incremental index maintenance under mutations.
-//!
-//! The central claim: after an **arbitrary** sequence of inserts,
-//! removes and updates, every index structure answers corner queries
-//! exactly like an index freshly rebuilt from the surviving live
-//! objects — and the database-level invariants (`integrity::check`)
-//! hold. Updates and removes address slots by value modulo the current
-//! slot count, so the sequences freely hit tombstones, empty regions
-//! and repeated targets.
+//! Property tests for incremental maintenance under mutations: after
+//! an arbitrary churn of the test kit's ops (inserts, removes and
+//! updates that hit tombstones, empty regions, repeated targets and
+//! shard migrations, compactions and snapshot round trips), every store
+//! stays consistent, every maintained index answers corner queries like
+//! a fresh rebuild, and the executors still answer like naive. Slices
+//! of the test kit's differential oracle; `tests/differential.rs` runs
+//! the whole matrix.
 
 use proptest::prelude::*;
-use scq_engine::integrity;
-use scq_engine::snapshot::{load, save};
-use scq_engine::CollectionId;
-use scq_integration::prelude::*;
-
-/// One scripted mutation. Slot choices are reduced modulo the slot
-/// count at application time, so any u16 script is applicable to any
-/// database state.
-#[derive(Clone, Debug)]
-enum Op {
-    Insert {
-        x: f64,
-        y: f64,
-        w: f64,
-        h: f64,
-    },
-    InsertEmpty,
-    Remove {
-        slot: u16,
-    },
-    Update {
-        slot: u16,
-        x: f64,
-        y: f64,
-        w: f64,
-        h: f64,
-    },
-    UpdateToEmpty {
-        slot: u16,
-    },
-}
-
-fn op_strategy() -> BoxedStrategy<Op> {
-    let coords = (0.0f64..90.0, 0.0f64..90.0, 0.0f64..9.0, 0.0f64..9.0);
-    prop_oneof![
-        4 => coords.clone().prop_map(|(x, y, w, h)| Op::Insert { x, y, w, h }),
-        1 => Just(Op::InsertEmpty),
-        3 => (0u16..u16::MAX).prop_map(|slot| Op::Remove { slot }),
-        2 => (0u16..u16::MAX, coords)
-            .prop_map(|(slot, (x, y, w, h))| Op::Update { slot, x, y, w, h }),
-        1 => (0u16..u16::MAX).prop_map(|slot| Op::UpdateToEmpty { slot }),
-    ]
-    .boxed()
-}
-
-fn apply(db: &mut SpatialDatabase<2>, coll: CollectionId, ops: &[Op]) {
-    for op in ops {
-        let slots = db.collection_len(coll);
-        match *op {
-            Op::Insert { x, y, w, h } => {
-                db.insert(coll, Region::from_box(AaBox::new([x, y], [x + w, y + h])));
-            }
-            Op::InsertEmpty => {
-                db.insert(coll, Region::empty());
-            }
-            Op::Remove { slot } if slots > 0 => {
-                db.remove(ObjectRef {
-                    collection: coll,
-                    index: slot as usize % slots,
-                });
-            }
-            Op::Update { slot, x, y, w, h } if slots > 0 => {
-                db.update(
-                    ObjectRef {
-                        collection: coll,
-                        index: slot as usize % slots,
-                    },
-                    Region::from_box(AaBox::new([x, y], [x + w, y + h])),
-                );
-            }
-            Op::UpdateToEmpty { slot } if slots > 0 => {
-                db.update(
-                    ObjectRef {
-                        collection: coll,
-                        index: slot as usize % slots,
-                    },
-                    Region::empty(),
-                );
-            }
-            _ => {} // slot ops on an empty collection: no-op
-        }
-    }
-}
-
-fn corner_queries() -> Vec<CornerQuery<2>> {
-    let mut qs = vec![CornerQuery::unconstrained()];
-    for i in 0..6 {
-        let t = i as f64 * 13.0;
-        let probe = Bbox::new([t, t * 0.5], [t + 25.0, t * 0.5 + 30.0]);
-        let inner = Bbox::new([t + 8.0, t * 0.5 + 8.0], [t + 12.0, t * 0.5 + 12.0]);
-        qs.push(CornerQuery::unconstrained().and_overlaps(&probe));
-        qs.push(CornerQuery::unconstrained().and_contained_in(&probe));
-        qs.push(CornerQuery::unconstrained().and_contains(&inner));
-        qs.push(
-            CornerQuery::unconstrained()
-                .and_contained_in(&probe)
-                .and_contains(&inner)
-                .and_overlaps(&probe),
-        );
-    }
-    qs
-}
+use scq_testkit::oracle::QUERIES;
+use scq_testkit::{insert_strategy, op_strategy, Checks, Op, Stores};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// After any mutation sequence, each maintained index answers
-    /// exactly like one rebuilt from scratch over the live objects.
+    /// After any mutation sequence, each maintained index of every
+    /// store answers exactly like one rebuilt from scratch over the
+    /// live objects, and `integrity::check`/`check()` holds.
     #[test]
-    fn mutated_indexes_match_fresh_rebuild(ops in prop::collection::vec(op_strategy(), 1..120)) {
-        let universe = AaBox::new([0.0, 0.0], [100.0, 100.0]);
-        let mut db = SpatialDatabase::new(universe);
-        let coll = db.collection("objs");
-        apply(&mut db, coll, &ops);
-
-        integrity::check(&db).expect("mutated database is consistent");
-
-        // A fresh database containing only the survivors, rebuilt from
-        // scratch (its slot i corresponds to the i-th live slot).
-        let mut fresh = SpatialDatabase::new(universe);
-        let fcoll = fresh.collection("objs");
-        let live: Vec<usize> = db.live_indices(coll).collect();
-        for &index in &live {
-            fresh.insert(fcoll, db.region(ObjectRef { collection: coll, index }).clone());
+    fn mutated_indexes_match_fresh_rebuild(ops in prop::collection::vec(op_strategy(3), 1..120)) {
+        let mut stores = Stores::all();
+        for op in &ops {
+            stores.apply(op);
         }
-
-        for q in corner_queries() {
-            for kind in [IndexKind::RTree, IndexKind::GridFile, IndexKind::Scan] {
-                let mut got = Vec::new();
-                db.query_collection(coll, kind, &q, &mut got);
-                // map mutated-slot ids onto fresh-slot ids
-                let mut got: Vec<u64> = got
-                    .into_iter()
-                    .map(|id| {
-                        live.binary_search(&(id as usize)).expect("live id") as u64
-                    })
-                    .collect();
-                got.sort_unstable();
-                let mut expect = Vec::new();
-                fresh.query_collection(fcoll, kind, &q, &mut expect);
-                expect.sort_unstable();
-                prop_assert_eq!(got, expect, "{:?} diverged from rebuild", kind);
-            }
-        }
+        stores.check_only(Checks::CORNERS, &[]);
     }
+}
 
-    /// Engine answers survive mutations: the optimized executors agree
-    /// with the naive oracle on a mutated database, and a snapshot
-    /// round trip (tombstones included) preserves the answers.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Engine answers survive mutations: the executors agree with naive
+    /// after churn, and after a final snapshot round trip (tombstones
+    /// included) they still do.
     #[test]
     fn executors_and_snapshots_agree_after_mutations(
-        ops in prop::collection::vec(op_strategy(), 1..60),
-        seed in 0u64..1000,
+        fill in prop::collection::vec(insert_strategy(3), 8..24),
+        churn in prop::collection::vec(op_strategy(3), 1..48),
     ) {
-        let universe = AaBox::new([0.0, 0.0], [100.0, 100.0]);
-        let mut db = SpatialDatabase::new(universe);
-        let xs = db.collection("xs");
-        let ys = db.collection("ys");
-        // seed both collections, then churn xs with the scripted ops
-        for i in 0..12 {
-            let t = (i as f64 * 7.0 + seed as f64) % 80.0;
-            db.insert(xs, Region::from_box(AaBox::new([t, 0.0], [t + 12.0, 50.0])));
-            db.insert(ys, Region::from_box(AaBox::new([t + 3.0, 10.0], [t + 9.0, 40.0])));
+        let mut stores = Stores::all();
+        for op in fill.iter().chain(&churn) {
+            stores.apply(op);
         }
-        apply(&mut db, xs, &ops);
-
-        let sys = parse_system("X & Y != 0").unwrap();
-        let q = Query::new(sys)
-            .from_collection("X", xs)
-            .from_collection("Y", ys);
-        let oracle = naive_execute(&db, &q).unwrap();
-        let mut expect = oracle.solutions.clone();
-        expect.sort();
-        for kind in [IndexKind::RTree, IndexKind::GridFile, IndexKind::Scan] {
-            let mut got = bbox_execute(&db, &q, kind).unwrap().solutions;
-            got.sort();
-            prop_assert_eq!(&got, &expect, "{:?} diverged from naive", kind);
-        }
-        let tri = triangular_execute(&db, &q).unwrap();
-        let mut got = tri.solutions;
-        got.sort();
-        prop_assert_eq!(&got, &expect, "triangular diverged from naive");
-
-        // snapshot round trip preserves tombstones and answers
-        let loaded: SpatialDatabase<2> = load(&save(&db)).unwrap();
-        integrity::check(&loaded).expect("reloaded database is consistent");
-        let q2 = Query::new(parse_system("X & Y != 0").unwrap())
-            .from_collection("X", loaded.collection_id("xs").unwrap())
-            .from_collection("Y", loaded.collection_id("ys").unwrap());
-        let mut reloaded = bbox_execute(&loaded, &q2, IndexKind::RTree).unwrap().solutions;
-        reloaded.sort();
-        prop_assert_eq!(reloaded, expect, "answers changed across snapshot");
+        stores.check_only(Checks::EXECUTORS, QUERIES);
+        stores.apply(&Op::SnapshotRoundTrip);
+        stores.check_only(Checks::EXECUTORS, QUERIES);
     }
 }
