@@ -329,34 +329,26 @@ impl<const K: usize> SpatialDatabase<K> {
     /// grown past the cost of fixing up held [`ObjectRef`]s.
     ///
     /// **Every `ObjectRef` handed out before the call is invalidated.**
-    /// The returned [`CompactReport`] maps each old slot to its new
-    /// slot (or `None` for dropped tombstones) so callers can fix up
-    /// the refs they hold; after compaction `collection_len` equals
-    /// `live_len` for every collection.
+    /// The returned [`CompactReport`] (the one
+    /// [`SpatialDatabase::compaction_report`] announces) maps each old
+    /// slot to its new slot (or `None` for dropped tombstones) so
+    /// callers can fix up the refs they hold; after compaction
+    /// `collection_len` equals `live_len` for every collection.
     pub fn compact(&mut self) -> CompactReport {
-        let mut report = CompactReport {
-            remap: Vec::with_capacity(self.collections.len()),
-            slots_reclaimed: 0,
-        };
-        for c in &mut self.collections {
-            let mut remap: Vec<Option<usize>> = Vec::with_capacity(c.objects.len());
+        let report = self.compaction_report();
+        for (c, remap) in self.collections.iter_mut().zip(&report.remap) {
             let objects = std::mem::take(&mut c.objects);
             let bboxes = std::mem::take(&mut c.bboxes);
-            let live = std::mem::take(&mut c.live);
+            c.live.clear();
             c.rtree = RTree::new(SplitStrategy::Quadratic);
             c.grid = GridFile::new(32);
             c.scan = ScanIndex::new();
             c.empty_objects.clear();
             c.live_count = 0;
             c.epoch += 1;
-            for ((region, bbox), alive) in objects.into_iter().zip(bboxes).zip(live) {
-                if !alive {
-                    remap.push(None);
-                    report.slots_reclaimed += 1;
-                    continue;
-                }
-                let index = c.objects.len();
-                remap.push(Some(index));
+            for ((region, bbox), new) in objects.into_iter().zip(bboxes).zip(remap) {
+                let Some(index) = *new else { continue };
+                debug_assert_eq!(index, c.objects.len());
                 if bbox.is_empty() {
                     c.empty_objects.push(index);
                 }
@@ -368,9 +360,36 @@ impl<const K: usize> SpatialDatabase<K> {
                 c.live.push(true);
                 c.live_count += 1;
             }
-            report.remap.push(remap);
         }
         report
+    }
+
+    /// The report [`SpatialDatabase::compact`] would return now,
+    /// computed without compacting: per collection, live slots keep
+    /// their order and close up, tombstones map to `None`. This is the
+    /// one statement of the compaction rule; `compact` follows it.
+    pub fn compaction_report(&self) -> CompactReport {
+        let remap: Vec<Vec<Option<usize>>> = self
+            .collections
+            .iter()
+            .map(|c| {
+                let mut next = 0;
+                c.live
+                    .iter()
+                    .map(|&live| {
+                        live.then(|| {
+                            next += 1;
+                            next - 1
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let slots_reclaimed = remap.iter().flatten().filter(|s| s.is_none()).count();
+        CompactReport {
+            remap,
+            slots_reclaimed,
+        }
     }
 }
 
@@ -588,7 +607,13 @@ mod tests {
         for &i in &[1usize, 4, 7, 8] {
             assert!(d.remove(refs[i]));
         }
+        let announced = d.compaction_report();
+        assert_eq!(d.collection_len(c), 13, "announcing compacts nothing");
         let report = d.compact();
+        assert_eq!(
+            report.remap, announced.remap,
+            "compact follows its announced remap"
+        );
         assert_eq!(report.slots_reclaimed, 4);
         assert_eq!(d.collection_len(c), 9, "tombstones reclaimed");
         assert_eq!(d.live_len(c), 9);

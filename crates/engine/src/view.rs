@@ -104,7 +104,7 @@ pub trait StoreView<const K: usize> {
     /// serve tier's cross-query candidate cache — validate entries
     /// without re-reading the data. Partitioned stores keep one logical
     /// epoch per collection (not per shard), bumped on the routing
-    /// tier so remote mirrors stay in lockstep.
+    /// tier; no cache reads a shard's own epoch.
     fn epoch(&self, coll: CollectionId) -> u64;
 
     /// Whether the object's slot is live (not tombstoned).

@@ -560,7 +560,7 @@ fn dispatch<B: ShardBackend>(
             let live: Vec<String> = (0..d.n_shards())
                 .map(|s| {
                     d.collections()
-                        .map(|c| d.backend(s).live_len(c))
+                        .map(|c| d.shard(s).live_len(c))
                         .sum::<usize>()
                         .to_string()
                 })

@@ -4,16 +4,17 @@
 //! directly any more — it drives a [`ShardBackend`], the complete
 //! contract between the routing layer and one shard: mutation
 //! (insert / remove / update), corner-query candidate retrieval, the
-//! per-slot read surface the executors bind regions from, statistics,
-//! compaction with a remap report, integrity checking, and snapshot
-//! streaming. Two implementations exist:
+//! shard's slots as a [`SpatialDatabase`] the executors bind regions
+//! from, statistics, compaction with a remap report, integrity
+//! checking, and snapshot streaming. Two implementations exist:
 //!
 //! * [`LocalShard`] — a [`SpatialDatabase`] in this process (exactly
 //!   the pre-backend behavior, zero overhead, infallible);
 //! * [`crate::RemoteShard`] — a client speaking the length-prefixed
 //!   shard wire protocol ([`crate::wire`]) to a shard **process**
-//!   behind a socket, keeping a write-through region mirror so the
-//!   executors still bind `&Region` without a round trip.
+//!   behind a socket, keeping a write-through copy of the shard's
+//!   database so the executors still bind `&Region` without a round
+//!   trip.
 //!
 //! The routing layer is deliberately ignorant of which one it holds:
 //! all cross-shard bookkeeping (global slots, migration) lives above
@@ -25,7 +26,7 @@
 //! slot)`, with the global↔local translation owned by the caller.
 
 use bytes::Bytes;
-use scq_bbox::{Bbox, CornerQuery};
+use scq_bbox::CornerQuery;
 use scq_engine::{integrity, snapshot, CollectionId, CompactReport, IndexKind, SpatialDatabase};
 use scq_region::{AaBox, Region};
 
@@ -86,49 +87,28 @@ pub struct ProbeTrace {
 ///
 /// All slot indices are **shard-local**. Mutations are fallible because
 /// a remote backend sits behind a socket; [`LocalShard`] never returns
-/// an error. Read accessors (`region`, `bbox`, `is_live`, lengths) are
-/// infallible: every implementation keeps them answerable without I/O,
-/// which is what lets the executors run over a remote-backed store at
-/// local speed — only corner-query retrieval crosses the wire.
+/// an error. Reads go through [`ShardBackend::database`], which every
+/// implementation keeps answerable without I/O: that is what lets the
+/// executors run over a remote-backed store at local speed — only
+/// corner-query retrieval crosses the wire.
 pub trait ShardBackend: Send + Sync {
     /// Short human-readable description (`local`, `remote:<addr>`),
     /// used in stats and error messages.
     fn describe(&self) -> String;
 
-    /// The universe this shard's database spans.
-    fn universe(&self) -> &AaBox<2>;
+    /// The shard's slots — universe, collections, regions, bounding
+    /// boxes, liveness — addressed by shard-local [`ObjectRef`]s. A
+    /// remote backend answers from its write-through copy, which
+    /// [`ShardBackend::check`] compares with the shard process.
+    ///
+    /// [`ObjectRef`]: scq_engine::ObjectRef
+    fn database(&self) -> &SpatialDatabase<2>;
 
     /// Creates (or finds) a collection. Shards create collections in
     /// lockstep with the routing layer, so the returned id must equal
     /// the logical id — implementations return an error if the shard
     /// numbers it differently (a desynchronized shard process).
     fn create_collection(&mut self, name: &str) -> Result<CollectionId, ShardError>;
-
-    /// Looks up a collection by name.
-    fn collection_id(&self, name: &str) -> Option<CollectionId>;
-
-    /// Number of local slots (tombstones included).
-    fn collection_len(&self, coll: CollectionId) -> usize;
-
-    /// Number of live local objects.
-    fn live_len(&self, coll: CollectionId) -> usize;
-
-    /// The shard's per-collection **mutation epoch** (see
-    /// `scq_engine::StoreView::epoch`): bumped on every effective
-    /// mutation of this shard's slice of the collection. A remote
-    /// backend answers from its write-through mirror, which stays in
-    /// lockstep with the shard process — [`ShardBackend::check`]
-    /// verifies the two agree.
-    fn epoch(&self, coll: CollectionId) -> u64;
-
-    /// Whether a local slot is live.
-    fn is_live(&self, coll: CollectionId, local: usize) -> bool;
-
-    /// The region stored in a local slot.
-    fn region(&self, coll: CollectionId, local: usize) -> &Region<2>;
-
-    /// The materialized bounding box of a local slot.
-    fn bbox(&self, coll: CollectionId, local: usize) -> Bbox<2>;
 
     /// Inserts a region, returning the fresh local slot index.
     fn insert(&mut self, coll: CollectionId, region: Region<2>) -> Result<usize, ShardError>;
@@ -240,11 +220,6 @@ impl LocalShard {
     pub(crate) fn from_database(db: SpatialDatabase<2>) -> Self {
         LocalShard(db)
     }
-
-    /// Read access to the underlying database.
-    pub(crate) fn database(&self) -> &SpatialDatabase<2> {
-        &self.0
-    }
 }
 
 impl ShardBackend for LocalShard {
@@ -252,40 +227,12 @@ impl ShardBackend for LocalShard {
         "local".into()
     }
 
-    fn universe(&self) -> &AaBox<2> {
-        self.0.universe()
+    fn database(&self) -> &SpatialDatabase<2> {
+        &self.0
     }
 
     fn create_collection(&mut self, name: &str) -> Result<CollectionId, ShardError> {
         Ok(self.0.collection(name))
-    }
-
-    fn collection_id(&self, name: &str) -> Option<CollectionId> {
-        self.0.collection_id(name)
-    }
-
-    fn collection_len(&self, coll: CollectionId) -> usize {
-        self.0.collection_len(coll)
-    }
-
-    fn live_len(&self, coll: CollectionId) -> usize {
-        self.0.live_len(coll)
-    }
-
-    fn epoch(&self, coll: CollectionId) -> u64 {
-        self.0.epoch(coll)
-    }
-
-    fn is_live(&self, coll: CollectionId, local: usize) -> bool {
-        self.0.is_live(local_ref(coll, local))
-    }
-
-    fn region(&self, coll: CollectionId, local: usize) -> &Region<2> {
-        self.0.region(local_ref(coll, local))
-    }
-
-    fn bbox(&self, coll: CollectionId, local: usize) -> Bbox<2> {
-        self.0.bbox(local_ref(coll, local))
     }
 
     fn insert(&mut self, coll: CollectionId, region: Region<2>) -> Result<usize, ShardError> {
@@ -335,7 +282,8 @@ impl ShardBackend for LocalShard {
     }
 }
 
-fn local_ref(coll: CollectionId, local: usize) -> scq_engine::ObjectRef {
+/// The shard-local [`scq_engine::ObjectRef`] of slot `local`.
+pub(crate) fn local_ref(coll: CollectionId, local: usize) -> scq_engine::ObjectRef {
     scq_engine::ObjectRef {
         collection: coll,
         index: local,
@@ -350,12 +298,12 @@ mod tests {
     fn local_shard_round_trips_through_the_trait() {
         let mut s = LocalShard::new(AaBox::new([0.0, 0.0], [10.0, 10.0]));
         let c = s.create_collection("objs").unwrap();
-        assert_eq!(s.collection_id("objs"), Some(c));
+        assert_eq!(s.database().collection_id("objs"), Some(c));
         let r = Region::from_box(AaBox::new([1.0, 1.0], [2.0, 2.0]));
         let slot = s.insert(c, r.clone()).unwrap();
         assert_eq!(slot, 0);
-        assert!(s.is_live(c, slot));
-        assert!(s.region(c, slot).same_set(&r));
+        assert!(s.database().is_live(local_ref(c, slot)));
+        assert!(s.database().region(local_ref(c, slot)).same_set(&r));
         assert!(s
             .update(
                 c,
@@ -365,15 +313,19 @@ mod tests {
             .unwrap());
         assert!(s.remove(c, slot).unwrap());
         assert!(!s.remove(c, slot).unwrap());
-        assert_eq!(s.live_len(c), 0);
-        assert_eq!(s.collection_len(c), 1);
+        assert_eq!(s.database().live_len(c), 0);
+        assert_eq!(s.database().collection_len(c), 1);
         let report = s.compact().unwrap();
         assert_eq!(report.slots_reclaimed, 1);
         assert!(s.check().is_empty());
         let stream = s.snapshot_stream().unwrap();
         let mut other = LocalShard::new(AaBox::new([0.0, 0.0], [1.0, 1.0]));
         other.load_snapshot(&stream).unwrap();
-        assert_eq!(other.collection_id("objs"), Some(c));
-        assert_eq!(other.collection_len(c), 0, "compacted shard is empty");
+        assert_eq!(other.database().collection_id("objs"), Some(c));
+        assert_eq!(
+            other.database().collection_len(c),
+            0,
+            "compacted shard is empty"
+        );
     }
 }

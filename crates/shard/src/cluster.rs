@@ -13,7 +13,7 @@
 //! distributed stores rot.
 //!
 //! The text format is deliberately trivial (comments, five directive
-//! kinds: `universe`, `bits`, `breaker`, `wal`, `shard`), written and
+//! kinds: `universe`, `bits`, `breaker`, `shard`), written and
 //! parsed by this module so `scripts/cluster_smoke.sh` and a human
 //! operator author the same file:
 //!
@@ -81,15 +81,6 @@ pub struct ClusterSpec {
     pub bits: u32,
     /// Per-address circuit breaker tuning (trip threshold + cooldown).
     pub breaker: BreakerConfig,
-    /// Root directory for per-shard write-ahead logs, when the
-    /// deployment is durable: each shard **process** is started with
-    /// its own `--wal` subdirectory of it, so two replicas never share
-    /// a log. `None` = in-memory shards.
-    pub wal_dir: Option<String>,
-    /// Group-commit window in milliseconds for WAL-enabled shard
-    /// processes (`None` = the server default,
-    /// `crate::wal::DEFAULT_GROUP_COMMIT_MS`).
-    pub wal_group_commit_ms: Option<u64>,
     /// The shard replica sets, in shard-id order.
     pub shards: Vec<ShardSpec>,
 }
@@ -209,8 +200,6 @@ impl ClusterSpec {
             universe,
             bits,
             breaker: BreakerConfig::default(),
-            wal_dir: None,
-            wal_group_commit_ms: None,
             shards: replica_sets
                 .iter()
                 .zip(ranges)
@@ -281,8 +270,6 @@ impl ClusterSpec {
         let mut universe = None;
         let mut bits = None;
         let mut breaker = None;
-        let mut wal_dir = None;
-        let mut wal_group_commit_ms = None;
         let mut shards = Vec::new();
         for (i, raw) in text.lines().enumerate() {
             let line = i + 1;
@@ -341,22 +328,6 @@ impl ClusterSpec {
                         cooldown: Duration::from_millis(cooldown_ms),
                     });
                 }
-                "wal" => {
-                    let (dir, ms) = match rest[..] {
-                        [dir] => (dir, None),
-                        [dir, ms] => (dir, Some(ms)),
-                        _ => return Err(parse_err("usage: wal <dir> [group_commit_ms]".into())),
-                    };
-                    wal_dir = Some(dir.to_owned());
-                    wal_group_commit_ms = match ms {
-                        Some(ms) => {
-                            Some(ms.parse::<u64>().ok().filter(|&ms| ms > 0).ok_or_else(|| {
-                                parse_err(format!("bad group-commit window {ms:?}"))
-                            })?)
-                        }
-                        None => None,
-                    };
-                }
                 "shard" => {
                     // Two arities: the full form names the shard and
                     // lists its replica set, the bare three-token form
@@ -391,7 +362,7 @@ impl ClusterSpec {
                 other => {
                     return Err(parse_err(format!(
                         "unknown directive {other:?} \
-                         (universe | bits | breaker | wal | shard)"
+                         (universe | bits | breaker | shard)"
                     )))
                 }
             }
@@ -402,8 +373,6 @@ impl ClusterSpec {
             bits: bits
                 .ok_or_else(|| ClusterSpecError::BadConfig("missing bits directive".into()))?,
             breaker: breaker.unwrap_or_default(),
-            wal_dir,
-            wal_group_commit_ms,
             shards,
         };
         spec.validate()?;
@@ -433,12 +402,6 @@ impl ClusterSpec {
             self.breaker.threshold,
             self.breaker.cooldown.as_millis()
         ));
-        if let Some(dir) = &self.wal_dir {
-            match self.wal_group_commit_ms {
-                Some(ms) => out.push_str(&format!("wal {dir} {ms}\n")),
-                None => out.push_str(&format!("wal {dir}\n")),
-            }
-        }
         for s in &self.shards {
             out.push_str(&format!(
                 "shard {} {} {} {}\n",
@@ -575,41 +538,23 @@ mod tests {
         assert_eq!(reparsed, spec, "replicated spec survives the round trip");
     }
 
+    /// A shard process logs only when started with `--wal`; a spec
+    /// line cannot make it durable, so one that claims to is refused.
     #[test]
-    fn wal_directive_round_trips() {
-        let text = "universe 0 0 100 100\nbits 6\nwal /tmp/scq-wal 12\n\
-                    shard low a:1,a:2 0 2048\nshard high b:1 2048 4096\n";
-        let spec = ClusterSpec::parse(text).unwrap();
-        assert_eq!(spec.wal_dir.as_deref(), Some("/tmp/scq-wal"));
-        assert_eq!(spec.wal_group_commit_ms, Some(12));
-        let reparsed = ClusterSpec::parse(&spec.to_text()).unwrap();
-        assert_eq!(reparsed, spec, "wal directive survives the round trip");
-
-        // the window is optional; zero / junk windows are loud
-        let bare = "universe 0 0 100 100\nbits 6\nwal logs\nshard a:1 0 4096\n";
-        let spec = ClusterSpec::parse(bare).unwrap();
-        assert_eq!(spec.wal_dir.as_deref(), Some("logs"));
-        assert_eq!(spec.wal_group_commit_ms, None);
-        assert_eq!(
-            ClusterSpec::parse(&spec.to_text()).unwrap(),
-            spec,
-            "bare wal directive round-trips too"
-        );
-        let zero = "universe 0 0 100 100\nbits 6\nwal logs 0\nshard a:1 0 4096\n";
-        assert!(ClusterSpec::parse(zero).is_err());
-        let junk = "universe 0 0 100 100\nbits 6\nwal logs soon\nshard a:1 0 4096\n";
-        match ClusterSpec::parse(junk) {
-            Err(ClusterSpecError::Parse { line, message, .. }) => {
+    fn the_retired_wal_directive_is_an_unknown_directive() {
+        let text = "universe 0 0 100 100\nbits 6\nwal /tmp/scq-wal 12\nshard a:1 0 4096\n";
+        match ClusterSpec::parse(text) {
+            Err(ClusterSpecError::Parse {
+                line,
+                text,
+                message,
+            }) => {
                 assert_eq!(line, 3);
-                assert!(message.contains("group-commit"), "{message}");
+                assert_eq!(text, "wal /tmp/scq-wal 12");
+                assert!(message.contains("unknown directive \"wal\""), "{message}");
             }
             other => panic!("{other:?}"),
         }
-        // a spec without the directive is simply not durable
-        let plain = "universe 0 0 100 100\nbits 6\nshard a:1 0 4096\n";
-        let spec = ClusterSpec::parse(plain).unwrap();
-        assert_eq!(spec.wal_dir, None);
-        assert_eq!(spec.wal_group_commit_ms, None);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use scq_engine::view::{ProbeReport, StoreView};
 use scq_engine::{CollectionId, CompactReport, IndexKind, ObjectRef, SpatialDatabase};
 use scq_region::{AaBox, Region};
 
-use crate::backend::{LocalShard, ShardBackend, ShardError};
+use crate::backend::{local_ref, LocalShard, ShardBackend, ShardError};
 use crate::router::ShardRouter;
 
 thread_local! {
@@ -158,16 +158,16 @@ impl ShardedDatabase<LocalShard> {
             Vec::new(),
         )
     }
-
-    /// Read access to one local shard's [`SpatialDatabase`] (snapshot
-    /// and integrity plumbing; going through the shard directly
-    /// bypasses the global id space).
-    pub fn shard(&self, s: usize) -> &SpatialDatabase<2> {
-        self.shards[s].database()
-    }
 }
 
 impl<B: ShardBackend> ShardedDatabase<B> {
+    /// Read access to shard `s`'s [`SpatialDatabase`] (for a remote
+    /// shard, the router's write-through copy). Its slots are
+    /// shard-local: going through it bypasses the global id space.
+    pub fn shard(&self, s: usize) -> &SpatialDatabase<2> {
+        self.shards[s].database()
+    }
+
     /// Assembles a sharded database over pre-built backends with an
     /// explicit router. The backends' universes must equal `universe`.
     ///
@@ -183,7 +183,7 @@ impl<B: ShardBackend> ShardedDatabase<B> {
         );
         for (s, shard) in shards.iter().enumerate() {
             assert_eq!(
-                shard.universe(),
+                shard.database().universe(),
                 &universe,
                 "shard {s} ({}) spans a different universe",
                 shard.describe()
@@ -442,7 +442,8 @@ impl<B: ShardBackend> ShardedDatabase<B> {
         let old_shard = addr.shard as usize;
         let local = addr.local as usize;
         let was_empty = self.shards[old_shard]
-            .bbox(obj.collection, local)
+            .database()
+            .bbox(local_ref(obj.collection, local))
             .is_empty();
         let new_bbox = region.bbox();
         let new_shard = self.router.route_bbox(&new_bbox);
@@ -522,16 +523,18 @@ impl<B: ShardBackend> ShardedDatabase<B> {
     }
 
     /// The region of an object (read through its shard backend — for a
-    /// remote shard this is the client-side mirror, no round trip).
+    /// remote shard this is the router's copy, no round trip).
     pub fn region(&self, obj: ObjectRef) -> &Region<2> {
         let addr = self.collections[obj.collection.0].slots[obj.index];
-        self.shards[addr.shard as usize].region(obj.collection, addr.local as usize)
+        self.shard(addr.shard as usize)
+            .region(local_ref(obj.collection, addr.local as usize))
     }
 
     /// The materialized bounding box of an object.
     pub(crate) fn bbox(&self, obj: ObjectRef) -> Bbox<2> {
         let addr = self.collections[obj.collection.0].slots[obj.index];
-        self.shards[addr.shard as usize].bbox(obj.collection, addr.local as usize)
+        self.shard(addr.shard as usize)
+            .bbox(local_ref(obj.collection, addr.local as usize))
     }
 
     /// Probes one shard's corner query and remaps its answers to
@@ -689,7 +692,11 @@ impl<B: ShardBackend> ShardedDatabase<B> {
                     c.live_count
                 ));
             }
-            let shard_live: usize = self.shards.iter().map(|s| s.live_len(coll)).sum();
+            let shard_live: usize = self
+                .shards
+                .iter()
+                .map(|s| s.database().live_len(coll))
+                .sum();
             if shard_live != c.live_count {
                 problems.push(format!(
                     "{name}: shards hold {shard_live} live objects, mapping says {}",
@@ -698,7 +705,7 @@ impl<B: ShardBackend> ShardedDatabase<B> {
             }
             for (gi, (&addr, &live)) in c.slots.iter().zip(&c.live).enumerate() {
                 let (s, l) = (addr.shard as usize, addr.local as usize);
-                if s >= self.shards.len() || l >= self.shards[s].collection_len(coll) {
+                if s >= self.shards.len() || l >= self.shard(s).collection_len(coll) {
                     problems.push(format!("{name}[{gi}]: dangling shard address"));
                     continue;
                 }
@@ -707,13 +714,15 @@ impl<B: ShardBackend> ShardedDatabase<B> {
                         "{name}[{gi}]: reverse mapping disagrees on shard {s} slot {l}"
                     ));
                 }
-                if live != self.shards[s].is_live(coll, l) {
+                if live != self.shard(s).is_live(local_ref(coll, l)) {
                     problems.push(format!(
                         "{name}[{gi}]: global liveness {live} != shard liveness"
                     ));
                 }
                 if live {
-                    let owner = self.router.route_bbox(&self.shards[s].bbox(coll, l));
+                    let owner = self
+                        .router
+                        .route_bbox(&self.shard(s).bbox(local_ref(coll, l)));
                     if owner != s {
                         problems.push(format!(
                             "{name}[{gi}]: lives on shard {s} but routes to {owner}"
@@ -778,7 +787,7 @@ impl<B: ShardBackend> ShardedDatabase<B> {
             for (s, side) in c.per_shard.iter_mut().enumerate() {
                 side.globals.clear();
                 side.globals
-                    .resize(self.shards[s].collection_len(coll), u64::MAX);
+                    .resize(self.shards[s].database().collection_len(coll), u64::MAX);
             }
             c.empty_objects.clear();
             for (addr, live) in old_slots.into_iter().zip(old_live) {
@@ -803,7 +812,11 @@ impl<B: ShardBackend> ShardedDatabase<B> {
                 });
                 debug_assert_eq!(c.per_shard[s].globals[new_local], u64::MAX);
                 c.per_shard[s].globals[new_local] = index as u64;
-                if self.shards[s].bbox(coll, new_local).is_empty() {
+                if self.shards[s]
+                    .database()
+                    .bbox(local_ref(coll, new_local))
+                    .is_empty()
+                {
                     c.empty_objects.push(index);
                 }
             }

@@ -11,12 +11,12 @@ mod tests {
 
     use scq_testkit::{Direction, FaultAction, FaultGate, FaultProxy, FaultRule, FrameMatch};
 
-    use crate::backend::{ProbeTrace, ShardBackend, ShardError};
+    use crate::backend::{local_ref, ProbeTrace, ShardBackend, ShardError};
     use crate::remote::RemoteShard;
     use crate::server::{serve_shard, ShardServerConfig, ShardServerHandle};
     use crate::wire::{WireError, OP_INSERT, OP_QUERY};
     use scq_bbox::CornerQuery;
-    use scq_engine::IndexKind;
+    use scq_engine::{CollectionId, IndexKind};
     use scq_region::{AaBox, Region};
 
     fn universe() -> AaBox<2> {
@@ -120,9 +120,9 @@ mod tests {
         });
         let err = remote.insert(c, boxed(5.0, 5.0, 2.0, 2.0)).unwrap_err();
         assert!(matches!(err, ShardError::Wire(_)), "{err}");
-        // Mirror and shard still agree on the OLD state — the shard
+        // The mirror and shard still agree on the OLD state — the shard
         // never saw the insert, the mirror never recorded it.
-        assert_eq!(remote.collection_len(c), 1);
+        assert_eq!(remote.database().collection_len(c), 1);
         assert!(remote.check().is_empty(), "{:?}", remote.check());
         // And the connection heals for the next mutation.
         assert_eq!(remote.insert(c, boxed(5.0, 5.0, 2.0, 2.0)).unwrap(), 1);
@@ -154,6 +154,92 @@ mod tests {
             "a lost ack must be visible as mirror drift: {problems:?}"
         );
         server.shutdown();
+    }
+
+    /// The lost ack that leaves every count unchanged: the shard
+    /// applied an UPDATE and the mirror did not. `check()` compares the
+    /// primary's regions with the mirror's slot by slot and names the
+    /// slot.
+    #[test]
+    fn a_lost_update_ack_surfaces_as_region_drift() {
+        let (server, proxy, mut remote) = start();
+        let c = remote.create_collection("objs").unwrap();
+        remote.insert(c, boxed(1.0, 1.0, 2.0, 2.0)).unwrap();
+        proxy.inject(FaultRule {
+            direction: Direction::ServerToClient,
+            matches: FrameMatch::Any,
+            action: FaultAction::Sever,
+            remaining: 1,
+            skip: 0,
+        });
+        let err = remote
+            .update(c, 0, boxed(50.0, 50.0, 2.0, 2.0))
+            .unwrap_err();
+        assert!(matches!(err, ShardError::Wire(_)), "{err}");
+        assert_eq!(
+            remote.check(),
+            vec!["mirror drift on \"objs\" slot 0: the shard's region differs from the mirror's"]
+        );
+        server.shutdown();
+    }
+
+    /// A shard answer that is not the mirror's own answer to the same
+    /// write — here a slot or a remap garbled on the wire — is refused
+    /// by name, and the mirror is left exactly as it was.
+    #[test]
+    fn answers_the_mirror_would_not_give_are_refused_and_apply_nothing() {
+        type Write = fn(&mut RemoteShard, CollectionId) -> Result<(), ShardError>;
+        let cases: [(Write, &str, &str); 2] = [
+            (
+                |r, c| r.insert(c, boxed(9.0, 9.0, 1.0, 1.0)).map(drop),
+                "INSERT with Slot(6)",
+                "Slot(2)",
+            ),
+            (
+                |r, _| r.compact().map(drop),
+                "COMPACT with Remap { reclaimed: 5, remap: [[None, Some(0)]] }",
+                "Remap { reclaimed: 1, remap: [[None, Some(0)]] }",
+            ),
+        ];
+        for (write, answered, ours) in cases {
+            let (server, proxy, mut remote) = start();
+            let c = remote.create_collection("objs").unwrap();
+            remote.insert(c, boxed(1.0, 1.0, 2.0, 2.0)).unwrap();
+            remote.insert(c, boxed(5.0, 5.0, 2.0, 2.0)).unwrap();
+            assert!(remote.remove(c, 0).unwrap());
+            let slots = |r: &RemoteShard| {
+                let db = r.database();
+                let live: Vec<bool> = db
+                    .object_indices(c)
+                    .map(|index| db.is_live(local_ref(c, index)))
+                    .collect();
+                (live, db.live_len(c), db.epoch(c))
+            };
+            let before = slots(&remote);
+            // The low byte of the slot, or of the reclaimed count: the
+            // first byte after the response's status and kind bytes.
+            proxy.inject(FaultRule {
+                direction: Direction::ServerToClient,
+                matches: FrameMatch::Any,
+                action: FaultAction::Garble {
+                    offset: crate::wire::MUX_HEADER + 2,
+                    xor: 0x04,
+                },
+                remaining: 1,
+                skip: 0,
+            });
+            let err = write(&mut remote, c).expect_err("a garbled answer must be refused");
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "shard rejected: shard {} answered {answered} where the mirror answers \
+                     {ours}: shard state is out of lockstep with the router",
+                    proxy.addr()
+                )
+            );
+            assert_eq!(slots(&remote), before, "{answered} touched the mirror");
+            server.shutdown();
+        }
     }
 
     #[test]
@@ -451,7 +537,7 @@ mod tests {
             )
             .expect("the healed shard answers the same client");
         assert_eq!(out, vec![0]);
-        // Mirror and shard are still in lockstep after the outage.
+        // The mirror and shard still agree after the outage.
         assert!(remote.check().is_empty(), "{:?}", remote.check());
         server.shutdown();
     }

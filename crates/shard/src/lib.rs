@@ -18,7 +18,7 @@
 //! * **One executor code path.** [`ShardedDatabase`] implements
 //!   [`scq_engine::StoreView`], so the engine's executors run against
 //!   it unchanged — `scq-serve` answers every `SOLVE` with
-//!   [`scq_engine::bbox_execute_opts`] over it; corner queries fan out
+//!   [`scq_engine::bbox_execute_compiled`] over it; corner queries fan out
 //!   per level to only the shards the router cannot prune (counted in
 //!   [`scq_engine::ExecStats::shards_pruned`]).
 //! * **Stable global refs.** Objects are addressed by global
@@ -45,14 +45,14 @@
 //! snapshot manifest, property-tested identical to the in-process
 //! store (`tests/cluster_props.rs`).
 //!
-//! The client side of a remote shard is three modules, one authority
+//! The client side of a remote shard is two modules, one authority
 //! each: `link.rs` owns one **multiplexed connection** per shard
 //! address (so concurrent requests probe one shard in parallel),
-//! retry-once and the circuit breaker; `mirror.rs` owns the router's
-//! write-through copy of the shard's slots and epochs; and [`remote`]
-//! owns the replica-set policy — primary-only writes, read failover,
-//! and one way to repair a lagging replica: ship it the primary's
-//! snapshot.
+//! retry-once and the circuit breaker; and [`remote`] owns the
+//! replica-set policy — primary-only writes checked against the
+//! router's write-through copy of the shard (an ordinary
+//! [`scq_engine::SpatialDatabase`]), read failover, and one way to
+//! repair a lagging replica: ship it the primary's snapshot.
 //!
 //! Reads are **first-class degraded**: a shard process dying
 //! mid-query costs its candidates, not the query — the result comes
@@ -67,7 +67,6 @@ pub mod backend;
 pub mod cluster;
 pub mod database;
 mod link;
-mod mirror;
 pub mod reactor;
 pub mod remote;
 pub mod router;

@@ -4,14 +4,22 @@
 //! Authority: **the replica-set policy** — which replica a request goes
 //! to, what a replica's failure means, and when a replica may be served
 //! from again. A [`RemoteShard`] is an **ordered replica set**, the
-//! first of which is the write primary. It owns no socket and no slot:
-//! each address's connection, retry and breaker belong to its link
-//! (`link.rs`), and the router's copy of the slots belongs to the
-//! mirror (`mirror.rs`). The policy and its
-//! [`ShardBackend`] impl live together because the impl is the
-//! policy's only caller. The shard processes own the **indexes**:
-//! corner queries, compaction, snapshot streaming and integrity checks
-//! run there.
+//! first of which is the write primary. It owns no socket: each
+//! address's connection, retry and breaker belong to its link
+//! (`link.rs`). The policy and its [`ShardBackend`] impl live together
+//! because the impl is the policy's only caller. The shard processes
+//! answer corner queries, compaction, snapshot streaming and integrity
+//! checks.
+//!
+//! The router's copy of the shard — the **mirror** the executors bind
+//! regions from — is an ordinary [`SpatialDatabase`]: the one decoded
+//! from the primary's snapshot, then advanced by each write the primary
+//! acknowledged. Every write-through is first answered by the mirror
+//! itself (the slot it would hand out, whether the slot is live, the
+//! compaction remap it would report); the primary must give the same
+//! answer or the write is refused and the mirror is left untouched.
+//! The mirror's indexes are never probed: queries go to the processes,
+//! so a dead shard still degrades a read instead of answering it.
 //!
 //! * **Connect.** `RemoteShard::connect_replicated` polls until each
 //!   process is reachable, validates the wire version, and seeds the
@@ -25,6 +33,9 @@
 //!   replica whose answer disagrees with the primary's is a loud
 //!   desync, one the fan-out cannot reach is marked **desynced** and
 //!   excluded from reads until it is repaired.
+//! * **Check** compares the primary's read-only snapshot with the
+//!   mirror slot by slot (liveness, and the region as a point set), and
+//!   each secondary's census with the mirror's.
 //! * **Reads** try the primary first and **fail over** in replica order
 //!   on transport errors only (an open breaker counts); an answer
 //!   served by a non-primary is flagged stale
@@ -36,13 +47,12 @@
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use scq_bbox::{Bbox, CornerQuery};
-use scq_engine::{snapshot, CollectionId, CompactReport, IndexKind, SpatialDatabase};
+use scq_bbox::CornerQuery;
+use scq_engine::{snapshot, CollectionId, CompactReport, IndexKind, ObjectRef, SpatialDatabase};
 use scq_region::{AaBox, Region};
 
-use crate::backend::{ShardBackend, ShardError};
+use crate::backend::{local_ref, ShardBackend, ShardError};
 use crate::link::{is_transport, BreakerClock, BreakerConfig, Link, LinkStats};
-use crate::mirror::Mirror;
 use crate::wire::{Request, Response, WireError};
 
 /// One member of a [`RemoteShard`]'s replica set: the link to its
@@ -81,9 +91,9 @@ fn unexpected(verb: &str, resp: Response) -> ShardError {
 /// A shard living in other processes, reached over the wire protocol:
 /// an ordered replica set whose first address is the write primary.
 pub struct RemoteShard {
-    universe: AaBox<2>,
     replicas: Vec<Replica>,
-    mirror: Mirror,
+    /// The router's copy of the primary's slots (see the module doc).
+    mirror: SpatialDatabase<2>,
 }
 
 impl RemoteShard {
@@ -155,13 +165,11 @@ impl RemoteShard {
             });
         }
         let mut shard = RemoteShard {
-            universe,
             replicas,
-            mirror: Mirror::default(),
+            mirror: SpatialDatabase::new(universe),
         };
         let stream = shard.snapshot_read()?;
-        let decoded = shard.decode_stream(&stream)?;
-        shard.commit_mirror(&decoded);
+        shard.mirror = shard.decode_stream(&stream)?;
         for i in 1..shard.replicas.len() {
             shard.verify_census(i)?;
         }
@@ -194,11 +202,11 @@ impl RemoteShard {
     /// the only state a cluster may be assembled over without a
     /// manifest).
     pub(crate) fn is_pristine(&self) -> bool {
-        self.mirror.is_empty()
+        self.mirror.collections().next().is_none()
     }
 
-    /// A lockstep violation: the shard answered something the mirror
-    /// cannot describe.
+    /// A lockstep violation: the shard answered something other than
+    /// what the mirror answers.
     fn lockstep(&self, why: impl std::fmt::Display) -> ShardError {
         ShardError::Rejected(format!(
             "shard {} {why}: shard state is out of lockstep with the router",
@@ -222,7 +230,7 @@ impl RemoteShard {
     /// from a snapshot, never served from.
     fn verify_census(&self, i: usize) -> Result<(), ShardError> {
         let replica = &self.replicas[i];
-        let drift = self.mirror.census_drift(&Self::census(&replica.link)?);
+        let drift = census_drift(&self.mirror, &Self::census(&replica.link)?);
         if drift.is_empty() {
             return Ok(());
         }
@@ -293,26 +301,34 @@ impl RemoteShard {
 
     /// A mutation: primary only, never auto-retried (a lost ack is
     /// indistinguishable from a lost request), then fanned out
-    /// verbatim to every secondary for write-through convergence. A
-    /// secondary whose answer differs from the primary's is a loud
-    /// lockstep error; a secondary the fan-out cannot reach is marked
-    /// desynced and excluded from reads — the write itself still
-    /// succeeds. A primary rejection changed no state and is returned
-    /// without fan-out. A primary transport failure does **not**
-    /// desync the secondaries: the mirror was not advanced, so they
-    /// still agree with it — only the primary may have drifted ahead,
-    /// which [`ShardBackend::check`] reports as mirror drift.
-    fn mutate(&mut self, req: &Request) -> Result<Response, ShardError> {
-        let resp = self.replicas[0].link.request(req, false, &mut 0)?;
-        if let Response::Err(m) = resp {
-            return Err(ShardError::Rejected(m));
+    /// verbatim to every secondary for write-through convergence.
+    /// `expected` is the mirror's own answer to the same write. A
+    /// primary that answers anything else is a lockstep error and the
+    /// write goes no further, so the caller leaves the mirror as it
+    /// was; a primary rejection changed no state and is returned as
+    /// such. A secondary whose answer differs from the primary's is a
+    /// loud lockstep error; a secondary the fan-out cannot reach is
+    /// marked desynced and excluded from reads — the write itself still
+    /// succeeds. A primary transport failure does **not** desync the
+    /// secondaries: the mirror was not advanced, so they still agree
+    /// with it — only the primary may have drifted ahead, which
+    /// [`ShardBackend::check`] reports as mirror drift.
+    fn mutate(&mut self, verb: &str, req: &Request, expected: Response) -> Result<(), ShardError> {
+        match self.replicas[0].link.request(req, false, &mut 0)? {
+            resp if resp == expected => {}
+            Response::Err(m) => return Err(ShardError::Rejected(m)),
+            other => {
+                return Err(self.lockstep(format!(
+                    "answered {verb} with {other:?} where the mirror answers {expected:?}"
+                )))
+            }
         }
         for replica in self.replicas.iter_mut().skip(1) {
             if replica.desynced {
                 continue;
             }
             match replica.link.request(req, false, &mut 0) {
-                Ok(ref rr) if *rr == resp => {}
+                Ok(ref rr) if *rr == expected => {}
                 Ok(Response::Err(m)) => {
                     return Err(ShardError::Rejected(format!(
                         "replica {} rejected a mutation the primary accepted: {m}",
@@ -322,7 +338,7 @@ impl RemoteShard {
                 Ok(other) => {
                     return Err(ShardError::Rejected(format!(
                         "replica {} answered {other:?} where the primary answered \
-                         {resp:?}: replica state is out of lockstep",
+                         {expected:?}: replica state is out of lockstep",
                         replica.link.addr
                     )));
                 }
@@ -330,7 +346,7 @@ impl RemoteShard {
                 Err(e) => return Err(e),
             }
         }
-        Ok(resp)
+        Ok(())
     }
 
     /// Ships a `SNAPSHOT LOAD` to secondary `i` over the repair path
@@ -363,37 +379,21 @@ impl RemoteShard {
     fn decode_stream(&self, stream: &[u8]) -> Result<SpatialDatabase<2>, ShardError> {
         let db: SpatialDatabase<2> = snapshot::load(stream)
             .map_err(|e| ShardError::Rejected(format!("bad shard snapshot: {e}")))?;
-        if db.universe() != &self.universe {
+        if db.universe() != self.mirror.universe() {
             return Err(ShardError::Rejected(format!(
                 "shard {} universe {:?} differs from the cluster universe {:?}",
                 self.addr(),
                 db.universe(),
-                self.universe
+                self.mirror.universe()
             )));
         }
         Ok(db)
     }
 
-    /// The primary's per-collection mutation epochs, in collection-id
-    /// order.
-    fn shard_epochs(&self) -> Result<Vec<u64>, ShardError> {
-        match self.primary_request(&Request::Epochs)? {
-            Response::Ids(epochs) => Ok(epochs),
-            other => Err(unexpected("EPOCHS", other)),
-        }
-    }
-
-    /// Replaces the mirror with a decoded stream the primary now
-    /// holds, adopting the primary's epochs when it can be asked.
-    fn commit_mirror(&mut self, db: &SpatialDatabase<2>) {
-        let epochs = self.shard_epochs().ok();
-        self.mirror.commit(db, epochs.as_deref());
-    }
-
     /// Pulls the primary's snapshot **read-only**: same bytes as
     /// [`ShardBackend::snapshot_stream`], but the shard keeps its WAL
-    /// intact. Mirror bootstrap and resync use this so merely reading
-    /// a shard never seals its log.
+    /// intact. Connecting, [`ShardBackend::check`] and resync use this
+    /// so merely reading a shard never seals its log.
     fn snapshot_read(&self) -> Result<Vec<u8>, ShardError> {
         match self.primary_request(&Request::SnapshotRead)? {
             Response::Bytes(bytes) => Ok(bytes),
@@ -407,8 +407,8 @@ impl ShardBackend for RemoteShard {
         format!("remote:{}", self.addr())
     }
 
-    fn universe(&self) -> &AaBox<2> {
-        &self.universe
+    fn database(&self) -> &SpatialDatabase<2> {
+        &self.mirror
     }
 
     fn create_collection(&mut self, name: &str) -> Result<CollectionId, ShardError> {
@@ -418,42 +418,9 @@ impl ShardBackend for RemoteShard {
         let req = Request::Create {
             name: name.to_owned(),
         };
-        let id = match self.mutate(&req)? {
-            Response::Coll(id) => id,
-            other => return Err(unexpected("CREATE", other)),
-        };
-        self.mirror
-            .create(name, id)
-            .map_err(|why| self.lockstep(why))?;
-        Ok(id)
-    }
-
-    fn collection_id(&self, name: &str) -> Option<CollectionId> {
-        self.mirror.collection_id(name)
-    }
-
-    fn collection_len(&self, coll: CollectionId) -> usize {
-        self.mirror.coll(coll).regions.len()
-    }
-
-    fn live_len(&self, coll: CollectionId) -> usize {
-        self.mirror.coll(coll).live_count
-    }
-
-    fn epoch(&self, coll: CollectionId) -> u64 {
-        self.mirror.coll(coll).epoch
-    }
-
-    fn is_live(&self, coll: CollectionId, local: usize) -> bool {
-        self.mirror.coll(coll).live[local]
-    }
-
-    fn region(&self, coll: CollectionId, local: usize) -> &Region<2> {
-        &self.mirror.coll(coll).regions[local]
-    }
-
-    fn bbox(&self, coll: CollectionId, local: usize) -> Bbox<2> {
-        self.mirror.coll(coll).bboxes[local]
+        let next = CollectionId(self.mirror.collections().count());
+        self.mutate("CREATE", &req, Response::Coll(next))?;
+        Ok(self.mirror.collection(name))
     }
 
     fn insert(&mut self, coll: CollectionId, region: Region<2>) -> Result<usize, ShardError> {
@@ -461,14 +428,9 @@ impl ShardBackend for RemoteShard {
             coll,
             region: region.clone(),
         };
-        let local = match self.mutate(&req)? {
-            Response::Slot(local) => local as usize,
-            other => return Err(unexpected("INSERT", other)),
-        };
-        self.mirror
-            .insert(coll, local, region)
-            .map_err(|why| self.lockstep(why))?;
-        Ok(local)
+        let next = self.mirror.collection_len(coll) as u64;
+        self.mutate("INSERT", &req, Response::Slot(next))?;
+        Ok(self.mirror.insert(coll, region).index)
     }
 
     fn remove(&mut self, coll: CollectionId, local: usize) -> Result<bool, ShardError> {
@@ -476,14 +438,9 @@ impl ShardBackend for RemoteShard {
             coll,
             local: local as u64,
         };
-        let removed = match self.mutate(&req)? {
-            Response::Flag(removed) => removed,
-            other => return Err(unexpected("REMOVE", other)),
-        };
-        self.mirror
-            .remove(coll, local, removed)
-            .map_err(|why| self.lockstep(why))?;
-        Ok(removed)
+        let obj = local_ref(coll, local);
+        self.mutate("REMOVE", &req, Response::Flag(self.mirror.is_live(obj)))?;
+        Ok(self.mirror.remove(obj))
     }
 
     fn update(
@@ -497,14 +454,9 @@ impl ShardBackend for RemoteShard {
             local: local as u64,
             region: region.clone(),
         };
-        let updated = match self.mutate(&req)? {
-            Response::Flag(updated) => updated,
-            other => return Err(unexpected("UPDATE", other)),
-        };
-        if updated {
-            self.mirror.update(coll, local, region);
-        }
-        Ok(updated)
+        let obj = local_ref(coll, local);
+        self.mutate("UPDATE", &req, Response::Flag(self.mirror.is_live(obj)))?;
+        Ok(self.mirror.update(obj, region))
     }
 
     fn try_corner_query(
@@ -564,20 +516,9 @@ impl ShardBackend for RemoteShard {
     }
 
     fn compact(&mut self) -> Result<CompactReport, ShardError> {
-        let (reclaimed, remap) = match self.mutate(&Request::Compact)? {
-            Response::Remap { reclaimed, remap } => (reclaimed, remap),
-            other => return Err(unexpected("COMPACT", other)),
-        };
-        self.mirror
-            .remap(&remap)
-            .map_err(|why| self.lockstep(format!("answered a refused remap: {why:?}")))?;
-        Ok(CompactReport {
-            remap: remap
-                .into_iter()
-                .map(|coll| coll.into_iter().map(|s| s.map(|i| i as usize)).collect())
-                .collect(),
-            slots_reclaimed: reclaimed as usize,
-        })
+        let expected = Response::from_compact(&self.mirror.compaction_report());
+        self.mutate("COMPACT", &Request::Compact, expected)?;
+        Ok(self.mirror.compact())
     }
 
     fn check(&self) -> Vec<String> {
@@ -588,20 +529,17 @@ impl ShardBackend for RemoteShard {
             Ok(other) => problems.push(format!("remote check: {}", unexpected("CHECK", other))),
             Err(e) => problems.push(format!("remote check unreachable: {e}")),
         }
-        // …plus a mirror-vs-shard census: slot and live counts must
-        // agree per collection or the mirror has drifted…
-        match Self::census(&self.replicas[0].link) {
-            Ok(rows) => problems.extend(self.mirror.census_drift(&rows)),
-            Err(e) => problems.push(format!("remote stat: {e}")),
+        // …plus the primary's slots against the mirror's, one by one: a
+        // write the primary applied but whose ack was lost shows here,
+        // even one (an update) that leaves every count unchanged…
+        match self
+            .snapshot_read()
+            .and_then(|stream| self.decode_stream(&stream))
+        {
+            Ok(primary) => problems.extend(slot_drift(&self.mirror, &primary)),
+            Err(e) => problems.push(format!("remote snapshot: {e}")),
         }
-        // …plus epoch lockstep: the mirror's per-collection mutation
-        // epochs must equal the shard's, or epoch-keyed caches above
-        // this backend may serve stale answers…
-        match self.shard_epochs() {
-            Ok(epochs) => problems.extend(self.mirror.epoch_drift(&epochs)),
-            Err(e) => problems.push(format!("remote epochs: {e}")),
-        }
-        // …plus the same census per secondary: a replica that missed
+        // …plus the census per secondary: a replica that missed
         // writes (desynced) or answers a different census must not be
         // served from until re-seeded.
         for replica in self.replicas.iter().skip(1) {
@@ -615,8 +553,7 @@ impl ShardBackend for RemoteShard {
             }
             match Self::census(&replica.link) {
                 Ok(rows) => problems.extend(
-                    self.mirror
-                        .census_drift(&rows)
+                    census_drift(&self.mirror, &rows)
                         .into_iter()
                         .map(|p| format!("replica {}: {p}", replica.link.addr)),
                 ),
@@ -678,7 +615,7 @@ impl ShardBackend for RemoteShard {
     fn load_snapshot(&mut self, stream: &[u8]) -> Result<(), ShardError> {
         // Validate locally first (a stream the mirror cannot decode
         // must not reach any shard process at all), then ship it to
-        // the primary, and only commit the mirror once the primary
+        // the primary, and only replace the mirror once the primary
         // has accepted — a shard-side failure must leave mirror and
         // shard agreeing on the OLD data, not silently describing
         // different worlds.
@@ -693,7 +630,7 @@ impl ShardBackend for RemoteShard {
             Response::Ok => {}
             other => return Err(unexpected("SNAPSHOT LOAD", other)),
         }
-        self.commit_mirror(&decoded);
+        self.mirror = decoded;
         // Then every secondary, desynced or not: this is a repair path
         // too, so a replica that loads the stream is in sync again.
         for i in 1..self.replicas.len() {
@@ -701,6 +638,76 @@ impl ShardBackend for RemoteShard {
         }
         Ok(())
     }
+}
+
+/// One line per disagreement between a shard process's `STAT` census
+/// (per collection: name, slots, live) and the mirror's; empty when
+/// they agree.
+fn census_drift(mirror: &SpatialDatabase<2>, rows: &[(String, u64, u64)]) -> Vec<String> {
+    let held = mirror.collections().count();
+    if rows.len() != held {
+        return vec![format!(
+            "shard reports {} collections, mirror holds {held}",
+            rows.len()
+        )];
+    }
+    rows.iter()
+        .zip(mirror.collections())
+        .filter_map(|((name, slots, live), coll)| {
+            let ours = mirror.collection_name(coll);
+            let (our_slots, our_live) = (mirror.collection_len(coll), mirror.live_len(coll));
+            if name == ours && *slots as usize == our_slots && *live as usize == our_live {
+                return None;
+            }
+            Some(format!(
+                "mirror drift on {ours:?}: shard has {slots} slots / {live} live, \
+                 mirror has {our_slots} / {our_live}"
+            ))
+        })
+        .collect()
+}
+
+/// One line per disagreement between `shard` (the primary's decoded
+/// snapshot) and the mirror: first the census, then — when the census
+/// agrees — every slot's liveness and region, regions compared as
+/// point sets. Empty when they agree.
+fn slot_drift(mirror: &SpatialDatabase<2>, shard: &SpatialDatabase<2>) -> Vec<String> {
+    let census: Vec<(String, u64, u64)> = shard
+        .collections()
+        .map(|c| {
+            let name = shard.collection_name(c).to_owned();
+            (
+                name,
+                shard.collection_len(c) as u64,
+                shard.live_len(c) as u64,
+            )
+        })
+        .collect();
+    let drift = census_drift(mirror, &census);
+    if !drift.is_empty() {
+        return drift;
+    }
+    let slots = mirror.collections().flat_map(|collection| {
+        mirror
+            .object_indices(collection)
+            .map(move |index| ObjectRef { collection, index })
+    });
+    slots
+        .filter_map(|obj| {
+            let what = if mirror.is_live(obj) != shard.is_live(obj) {
+                "liveness"
+            } else if !mirror.region(obj).same_set(shard.region(obj)) {
+                "region"
+            } else {
+                return None;
+            };
+            Some(format!(
+                "mirror drift on {:?} slot {}: the shard's {what} differs from the mirror's",
+                mirror.collection_name(obj.collection),
+                obj.index
+            ))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -713,6 +720,7 @@ mod tests {
     use crate::link::BreakerState;
     use crate::server::{serve_shard, ShardServerConfig};
     use crate::wire::{encode_response, frame, read_frame};
+    use scq_bbox::Bbox;
 
     fn universe() -> AaBox<2> {
         AaBox::new([0.0, 0.0], [100.0, 100.0])
@@ -758,17 +766,14 @@ mod tests {
             remote.update(c_r, 5, boxed(1.0, 1.0, 2.0, 2.0)).unwrap(),
             local.update(c_l, 5, boxed(1.0, 1.0, 2.0, 2.0)).unwrap()
         );
-        assert_eq!(remote.collection_len(c_r), local.collection_len(c_l));
-        assert_eq!(remote.live_len(c_r), local.live_len(c_l));
-        for local_slot in 0..remote.collection_len(c_r) {
-            assert_eq!(
-                remote.is_live(c_r, local_slot),
-                local.is_live(c_l, local_slot)
-            );
-            assert!(remote
-                .region(c_r, local_slot)
-                .same_set(local.region(c_l, local_slot)));
-            assert_eq!(remote.bbox(c_r, local_slot), local.bbox(c_l, local_slot));
+        let (r, l) = (remote.database(), local.database());
+        assert_eq!(r.collection_len(c_r), l.collection_len(c_l));
+        assert_eq!(r.live_len(c_r), l.live_len(c_l));
+        for slot in 0..r.collection_len(c_r) {
+            let obj = local_ref(c_r, slot);
+            assert_eq!(r.is_live(obj), l.is_live(obj));
+            assert!(r.region(obj).same_set(l.region(obj)));
+            assert_eq!(r.bbox(obj), l.bbox(obj));
         }
         let q = CornerQuery::unconstrained().and_overlaps(&Bbox::new([0.0, 0.0], [50.0, 95.0]));
         for kind in [IndexKind::RTree, IndexKind::GridFile, IndexKind::Scan] {
@@ -793,13 +798,19 @@ mod tests {
         let lr = local.compact().unwrap();
         assert_eq!(rr.remap, lr.remap);
         assert_eq!(rr.slots_reclaimed, lr.slots_reclaimed);
-        assert_eq!(remote.collection_len(c_r), local.collection_len(c_l));
+        assert_eq!(
+            remote.database().collection_len(c_r),
+            local.database().collection_len(c_l)
+        );
         assert!(remote.check().is_empty(), "{:?}", remote.check());
         // snapshot stream round trip into a fresh local backend
         let stream = remote.snapshot_stream().unwrap();
         let mut fresh = crate::LocalShard::new(universe());
         fresh.load_snapshot(&stream).unwrap();
-        assert_eq!(fresh.collection_len(c_r), remote.collection_len(c_r));
+        assert_eq!(
+            fresh.database().collection_len(c_r),
+            remote.database().collection_len(c_r)
+        );
         server.shutdown();
     }
 

@@ -180,12 +180,6 @@ pub fn serve_shard(config: &ShardServerConfig) -> std::io::Result<ShardServerHan
     Ok(ShardServerHandle { reactor, state })
 }
 
-/// What to do with the connection after answering a request.
-enum After {
-    KeepOpen,
-    Close,
-}
-
 // ── the shard protocol ──────────────────────────────────────────────────
 
 /// Length-prefixed frames: a plain `Hello`, then mux framing with any
@@ -219,8 +213,6 @@ struct Completion {
     /// Framed bytes ready for the socket (possibly several frames: a
     /// chunked stream).
     bytes: Vec<u8>,
-    /// Close the connection once these bytes flush.
-    close: bool,
 }
 
 impl Protocol for ShardProtocol {
@@ -248,7 +240,7 @@ impl Protocol for ShardProtocol {
     /// Decodes, executes and frames one request on a worker thread.
     fn run(&self, job: Job) -> Completion {
         let state = &*self.state;
-        let (response, after) = match decode_request(&job.payload) {
+        let response = match decode_request(&job.payload) {
             Ok(req) => {
                 let op = op_name(&req);
                 let started = std::time::Instant::now();
@@ -262,12 +254,11 @@ impl Protocol for ShardProtocol {
             // The *framing* is intact — only this request's body is
             // garbage — so the error answers under its id and every
             // other in-flight request proceeds.
-            Err(e) => (Response::Err(format!("bad request: {e}")), After::KeepOpen),
+            Err(e) => Response::Err(format!("bad request: {e}")),
         };
         Completion {
             id: job.id,
             bytes: frame_mux(job.id, &response),
-            close: matches!(after, After::Close),
         }
     }
 
@@ -275,9 +266,6 @@ impl Protocol for ShardProtocol {
         conn.in_flight.remove(&done.id);
         if !conn.cancelled.remove(&done.id) {
             port.send(&done.bytes);
-        }
-        if done.close {
-            port.close();
         }
     }
 }
@@ -435,14 +423,12 @@ fn op_name(req: &Request) -> &'static str {
         Request::Check => "check",
         Request::WalStat => "wal_stat",
         Request::Metrics => "metrics",
-        Request::Epochs => "epochs",
         Request::Traced { inner, .. } => op_name(inner),
-        Request::Bye => "bye",
     }
 }
 
 /// Executes one decoded request against the shard database.
-fn handle_request(state: &ShardState, req: Request) -> (Response, After) {
+fn handle_request(state: &ShardState, req: Request) -> Response {
     // Unwrap tracing before the main dispatch so the inner request is
     // handled — and WAL-logged — as itself. The router's trace ID rides
     // the frame header; installing a shard-side trace under it means
@@ -459,7 +445,7 @@ fn handle_request(state: &ShardState, req: Request) -> (Response, After) {
         return out;
     }
     let db = &state.db;
-    let resp = match &req {
+    match &req {
         // The handshake is the connection's first, plain frame; one
         // arriving as a mux request is a confused peer.
         Request::Hello { .. } => {
@@ -518,12 +504,6 @@ fn handle_request(state: &ShardState, req: Request) -> (Response, After) {
             ),
             Err(e) => poisoned(e),
         },
-        // Epochs answer in collection-id order so the mirror can match
-        // them positionally against its own collection table.
-        Request::Epochs => match db.read() {
-            Ok(d) => Response::Ids(d.collections().map(|c| d.epoch(c)).collect()),
-            Err(e) => poisoned(e),
-        },
         // Compaction is a logged mutation: its remap is deterministic
         // in the state it runs on, so replay reproduces the exact slot
         // layout the answers after it were built on.
@@ -564,9 +544,7 @@ fn handle_request(state: &ShardState, req: Request) -> (Response, After) {
         Request::Metrics => Response::Metrics(state.registry.snapshot()),
         // Handled above, before the dispatch; decode rejects nesting.
         Request::Traced { .. } => Response::Err("nested Traced request".into()),
-        Request::Bye => return (Response::Ok, After::Close),
-    };
-    (resp, After::KeepOpen)
+    }
 }
 
 /// Seals the shard's log, if it keeps one, behind a snapshot of `d`
@@ -754,7 +732,7 @@ mod tests {
             roundtrip(&mut s, &Request::Check),
             Response::Problems(vec![])
         );
-        assert_eq!(roundtrip(&mut s, &Request::Bye), Response::Ok);
+        drop(s);
         server.shutdown();
     }
 
@@ -826,52 +804,6 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing shard.{op}.latency"));
             assert_eq!(h.count(), 1, "one {op} was served");
         }
-        server.shutdown();
-    }
-
-    #[test]
-    fn epochs_answer_in_collection_id_order_and_track_mutations() {
-        let server = start();
-        let mut s = hello(server.addr());
-        assert_eq!(roundtrip(&mut s, &Request::Epochs), Response::Ids(vec![]));
-        let towns = match roundtrip(
-            &mut s,
-            &Request::Create {
-                name: "towns".into(),
-            },
-        ) {
-            Response::Coll(id) => id,
-            other => panic!("{other:?}"),
-        };
-        match roundtrip(
-            &mut s,
-            &Request::Create {
-                name: "roads".into(),
-            },
-        ) {
-            Response::Coll(_) => {}
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(
-            roundtrip(&mut s, &Request::Epochs),
-            Response::Ids(vec![0, 0])
-        );
-        let region = Region::from_box(scq_region::AaBox::new([1.0, 1.0], [2.0, 2.0]));
-        match roundtrip(
-            &mut s,
-            &Request::Insert {
-                coll: towns,
-                region,
-            },
-        ) {
-            Response::Slot(_) => {}
-            other => panic!("{other:?}"),
-        }
-        // Only the mutated collection's epoch advanced.
-        assert_eq!(
-            roundtrip(&mut s, &Request::Epochs),
-            Response::Ids(vec![1, 0])
-        );
         server.shutdown();
     }
 
@@ -977,10 +909,9 @@ mod tests {
         // The capped connection still works…
         assert_eq!(roundtrip(&mut a, &Request::Stat), Response::Stat(vec![]));
         // …and closing it frees the slot for a newcomer.
-        assert_eq!(roundtrip(&mut a, &Request::Bye), Response::Ok);
         drop(a);
-        // The handler may take a moment to wind down after Bye; the
-        // accept-time reap then admits the new connection.
+        // The loop may take a moment to see the close; the accept-time
+        // reap then admits the new connection.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
         loop {
             let mut c = TcpStream::connect(server.addr()).unwrap();
@@ -1305,39 +1236,30 @@ mod tests {
         server.shutdown();
     }
 
+    /// An answer past `MAX_FRAME` streams as chunks and reassembles
+    /// byte for byte. What fills the snapshot does not matter to the
+    /// framing, so most of it is collection names, the cheapest bytes
+    /// a snapshot holds: filling it with regions instead costs each
+    /// one a fragment-by-fragment rebuild and three index inserts, on
+    /// both ends, and took half a minute in a debug build.
     #[test]
     fn answers_past_the_frame_cap_stream_as_chunked_frames() {
         let server = start();
-        // Populate directly — in-process, not via 1.7M wire inserts —
-        // until the snapshot stream is provably bigger than one frame.
-        // Calibrate bytes-per-object from a probe batch so the test
-        // tracks the snapshot codec instead of hard-coding its size.
         {
             let mut d = server.state.db.write().unwrap();
             let coll = d.collection("bulk");
-            // Fat regions (64 fragment boxes each) reach the byte
-            // target with ~50× fewer index inserts than singletons —
-            // the snapshot stores every fragment, the indexes only the
-            // bounding box.
-            let insert = |d: &mut SpatialDatabase<2>, i: u64| {
-                let x = (i % 80) as f64;
-                let y = ((i / 80) % 80) as f64;
-                let cells = (0..64u64).map(|j| {
-                    let fx = x + (j % 8) as f64 * 0.125;
-                    let fy = y + (j / 8) as f64 * 0.125;
-                    AaBox::new([fx, fy], [fx + 0.06, fy + 0.06])
-                });
-                d.insert(coll, Region::from_boxes(cells));
-            };
-            let probe = 256u64;
-            for i in 0..probe {
-                insert(&mut d, i);
+            for i in 0..64u64 {
+                let x = i as f64;
+                d.insert(
+                    coll,
+                    Region::from_box(AaBox::new([x, x], [x + 0.5, x + 0.5])),
+                );
             }
-            let per_object = (snapshot::save(&d).len() / probe as usize).max(1);
-            let target = MAX_FRAME + MAX_FRAME / 16; // comfortably past the cap
-            let total = (target / per_object) as u64 + probe;
-            for i in probe..total {
-                insert(&mut d, i);
+            // A snapshot stores a name in at most `u16::MAX` bytes.
+            let name_len = 60_000;
+            for i in 0..=MAX_FRAME / name_len {
+                let tag = format!("{i:06}");
+                d.collection(&tag.repeat(name_len / tag.len()));
             }
         }
         let mut s = hello(server.addr());
@@ -1362,6 +1284,12 @@ mod tests {
             loaded.collection_len(CollectionId(0)),
             d.collection_len(CollectionId(0))
         );
+        let names = |db: &SpatialDatabase<2>| -> Vec<String> {
+            db.collections()
+                .map(|c| db.collection_name(c).to_owned())
+                .collect()
+        };
+        assert!(names(&loaded) == names(&d), "every name arrives intact");
         drop(d);
         server.shutdown();
     }

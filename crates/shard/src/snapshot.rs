@@ -50,7 +50,7 @@ use scq_engine::snapshot::{self, SnapshotError};
 use scq_engine::{CollectionId, SpatialDatabase};
 use scq_region::AaBox;
 
-use crate::backend::{LocalShard, ShardBackend};
+use crate::backend::{local_ref, LocalShard, ShardBackend};
 use crate::database::{LogicalCollection, ShardSide, ShardedDatabase, SlotAddr};
 use crate::router::ShardRouter;
 
@@ -380,7 +380,7 @@ fn build_collections<B: ShardBackend>(
         // id (shards create collections in lockstep with the logical
         // table).
         for (s, shard) in shards.iter().enumerate() {
-            match shard.collection_id(name) {
+            match shard.database().collection_id(name) {
                 Some(id) if id == coll => {}
                 Some(_) => {
                     return Err(ShardSnapshotError::Inconsistent(format!(
@@ -397,7 +397,7 @@ fn build_collections<B: ShardBackend>(
         let mut per_shard: Vec<ShardSide> = shards
             .iter()
             .map(|shard| ShardSide {
-                globals: vec![u64::MAX; shard.collection_len(coll)],
+                globals: vec![u64::MAX; shard.database().collection_len(coll)],
             })
             .collect();
         let mut live_count = 0usize;
@@ -406,10 +406,11 @@ fn build_collections<B: ShardBackend>(
         let mut addrs = Vec::with_capacity(slots.len());
         for (gi, &(shard, local, is_live)) in slots.iter().enumerate() {
             let (s, l) = (shard as usize, local as usize);
-            if l >= shards[s].collection_len(coll) {
+            let db = shards[s].database();
+            if l >= db.collection_len(coll) {
                 return Err(ShardSnapshotError::Inconsistent(format!(
                     "{name:?}[{gi}] points past shard {s}'s {} slots",
-                    shards[s].collection_len(coll)
+                    db.collection_len(coll)
                 )));
             }
             if per_shard[s].globals[l] != u64::MAX {
@@ -418,14 +419,14 @@ fn build_collections<B: ShardBackend>(
                 )));
             }
             per_shard[s].globals[l] = gi as u64;
-            if shards[s].is_live(coll, l) != is_live {
+            if db.is_live(local_ref(coll, l)) != is_live {
                 return Err(ShardSnapshotError::Inconsistent(format!(
                     "{name:?}[{gi}]: manifest liveness disagrees with shard {s}"
                 )));
             }
             if is_live {
                 live_count += 1;
-                if shards[s].bbox(coll, l).is_empty() {
+                if db.bbox(local_ref(coll, l)).is_empty() {
                     empty_objects.push(gi);
                 }
             }
@@ -437,7 +438,7 @@ fn build_collections<B: ShardBackend>(
         // leaves its tombstone behind with no global counterpart).
         for (s, side) in per_shard.iter().enumerate() {
             for (l, &g) in side.globals.iter().enumerate() {
-                if g == u64::MAX && shards[s].is_live(coll, l) {
+                if g == u64::MAX && shards[s].database().is_live(local_ref(coll, l)) {
                     return Err(ShardSnapshotError::Inconsistent(format!(
                         "{name:?}: live shard {s} slot {l} is unmapped"
                     )));
@@ -476,7 +477,7 @@ fn assemble_backends<B: ShardBackend>(
         )));
     }
     for (s, shard) in shards.iter().enumerate() {
-        if shard.universe() != &manifest.universe {
+        if shard.database().universe() != &manifest.universe {
             return Err(ShardSnapshotError::Inconsistent(format!(
                 "shard {s} universe differs from the manifest's"
             )));

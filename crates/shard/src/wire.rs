@@ -249,8 +249,8 @@ pub enum Request {
     /// `SNAPSHOT SAVE` path.
     SnapshotSave,
     /// Stream the shard's full `SCQS` snapshot read-only — no WAL
-    /// truncation. Mirror bootstrap and replica resync use this so
-    /// merely *reading* a shard never seals its log.
+    /// truncation. Seeding and checking the router's mirror and replica
+    /// resync use this so merely *reading* a shard never seals its log.
     SnapshotRead,
     /// Replace the shard's contents with an `SCQS` stream.
     SnapshotLoad {
@@ -261,8 +261,6 @@ pub enum Request {
     Check,
     /// The shard's write-ahead-log counters, if it keeps one.
     WalStat,
-    /// Close the connection.
-    Bye,
     /// An envelope attributing its inner request to a client
     /// trace: the server executes `inner` with the trace installed so
     /// shard-side spans and events join the request's tree. Nesting
@@ -275,11 +273,6 @@ pub enum Request {
     },
     /// A coherent snapshot of the shard's metric instruments.
     Metrics,
-    /// Per-collection mutation epochs, in collection-id order,
-    /// answered as [`Response::Ids`]. The routing tier's
-    /// write-through mirror uses this to verify its epochs stay in
-    /// lockstep with the shard process.
-    Epochs,
 }
 
 /// One response from a shard process. `Err` is the failure envelope for
@@ -310,8 +303,7 @@ pub enum Response {
     },
     /// Raw bytes ([`Request::SnapshotSave`]).
     Bytes(Vec<u8>),
-    /// Success with nothing to report ([`Request::SnapshotLoad`],
-    /// [`Request::Bye`]).
+    /// Success with nothing to report ([`Request::SnapshotLoad`]).
     Ok,
     /// Integrity problems, empty when healthy ([`Request::Check`]).
     Problems(Vec<String>),
@@ -589,8 +581,8 @@ const OP_SNAP_SAVE: u8 = 0x09;
 const OP_SNAP_LOAD: u8 = 0x0A;
 /// Opcode of [`Request::Check`].
 const OP_CHECK: u8 = 0x0B;
-/// Opcode of [`Request::Bye`].
-const OP_BYE: u8 = 0x0C;
+// 0x0C is retired (it asked the server to close the connection; a
+// client closes by dropping its socket).
 /// Opcode of [`Request::WalStat`].
 const OP_WAL_STAT: u8 = 0x0D;
 // 0x0E and 0x0F are retired (they shipped WAL segments); a peer that
@@ -601,8 +593,8 @@ const OP_SNAP_READ: u8 = 0x10;
 const OP_TRACED: u8 = 0x11;
 /// Opcode of [`Request::Metrics`].
 const OP_METRICS: u8 = 0x12;
-/// Opcode of [`Request::Epochs`].
-const OP_EPOCHS: u8 = 0x13;
+// 0x13 is retired (it read a shard's per-collection epochs, which no
+// cache reads).
 
 /// Serializes a request into a frame payload (no length prefix).
 pub fn encode_request(req: &Request) -> Vec<u8> {
@@ -653,7 +645,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::Check => buf.put_u8(OP_CHECK),
         Request::WalStat => buf.put_u8(OP_WAL_STAT),
-        Request::Bye => buf.put_u8(OP_BYE),
         Request::Traced { trace_id, inner } => {
             buf.put_u8(OP_TRACED);
             buf.put_u64_le(*trace_id);
@@ -665,7 +656,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             buf.put_slice(&inner);
         }
         Request::Metrics => buf.put_u8(OP_METRICS),
-        Request::Epochs => buf.put_u8(OP_EPOCHS),
     }
     buf
 }
@@ -736,7 +726,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         }
         OP_CHECK => Request::Check,
         OP_WAL_STAT => Request::WalStat,
-        OP_BYE => Request::Bye,
         OP_TRACED => {
             need(&buf, 12)?;
             let trace_id = buf.get_u64_le();
@@ -754,7 +743,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
             }
         }
         OP_METRICS => Request::Metrics,
-        OP_EPOCHS => Request::Epochs,
         other => return Err(WireError::BadOpcode(other)),
     };
     if buf.has_remaining() {
@@ -1266,7 +1254,6 @@ mod tests {
             },
             Request::Check,
             Request::WalStat,
-            Request::Bye,
             Request::Traced {
                 trace_id: 0xDEAD_BEEF_CAFE,
                 inner: Box::new(Request::Query {
@@ -1281,7 +1268,6 @@ mod tests {
                 inner: Box::new(Request::Stat),
             },
             Request::Metrics,
-            Request::Epochs,
         ]
     }
 
@@ -1499,6 +1485,16 @@ mod tests {
                 Some(WireError::BadOpcode(op))
             );
         }
+    }
+
+    /// `BYE` (0x0C) and `EPOCHS` (0x13) were bodiless; at the same
+    /// wire version their bytes are refused by name.
+    #[test]
+    fn retired_close_and_epoch_opcodes_are_bad_opcodes() {
+        for op in [0x0C, 0x13] {
+            assert_eq!(decode_request(&[op]).err(), Some(WireError::BadOpcode(op)));
+        }
+        assert_eq!(WIRE_VERSION, 4, "retiring a message keeps the version");
     }
 
     #[test]

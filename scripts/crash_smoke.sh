@@ -82,15 +82,15 @@ SHARD_B="$ADDR"
 SHARD_B_PID="$SERVER_PID"
 echo "shard processes: $SHARD_A $SHARD_B (wal under $WAL_ROOT)"
 
-# The spec carries the `wal` directive so a real router parses it; the
-# short breaker cooldown means a tripped address recovers well within
-# the post-restart session even if the failure count drifts.
+# Durability is the shard processes' own `--wal` flag above; the spec
+# only names them. The short breaker cooldown means a tripped address
+# recovers well within the post-restart session even if the failure
+# count drifts.
 cat >"$WORK/cluster.spec" <<EOF
 # generated by crash_smoke.sh
 universe 0 0 1000 1000
 bits 6
 breaker 3 500
-wal $WAL_ROOT 2
 shard $SHARD_A 0 2048
 shard $SHARD_B 2048 4096
 EOF

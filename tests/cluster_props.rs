@@ -1028,7 +1028,7 @@ proptest! {
     /// The cluster spec text format is a bijection on valid specs:
     /// format → parse → format is a fixpoint, and parse recovers the
     /// exact spec — arbitrary (non-balanced) range tilings, replica
-    /// counts, breaker tunings, pool sizes and universes included.
+    /// counts, breaker tunings and universes included.
     #[test]
     fn cluster_spec_round_trips_format_parse_format(
         bits in 3u32..10,
@@ -1037,10 +1037,6 @@ proptest! {
         n_replicas in prop::collection::vec(1usize..4, 8),
         threshold in 1usize..9,
         cooldown_ms in 1u64..100_000,
-        // 0 = no wal directive, 1 = dir only, 2 = dir + window (a
-        // window without a dir is unreachable from the text format).
-        wal_shape in 0u8..3,
-        wal_ms in 1u64..60_000,
     ) {
         let space = scq_zorder::key_space(bits);
         let mut cuts: Vec<u64> = raw_cuts.iter().map(|c| 1 + c % (space - 1)).collect();
@@ -1067,8 +1063,6 @@ proptest! {
                 threshold,
                 cooldown: Duration::from_millis(cooldown_ms),
             },
-            wal_dir: (wal_shape > 0).then(|| format!("/var/scq/wal{wal_shape}")),
-            wal_group_commit_ms: (wal_shape == 2).then_some(wal_ms),
             shards,
         };
         spec.validate().expect("generated specs are valid");
