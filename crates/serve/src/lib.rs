@@ -59,27 +59,31 @@
 //!   the line in the engine's constraint syntax (`;`-separated).
 //! * `pruned` reports [`scq_engine::ExecStats::shards_pruned`] — how
 //!   many shards the z-order router proved disjoint and never probed.
-//! * a `PARTIAL` response is a **degraded read**: every id/tuple
-//!   listed is correct, but the shard processes named in `missing=`
-//!   could not answer, so their contributions are absent. `OK n=0`
-//!   means "no matches"; `PARTIAL … n=0` means "don't know yet".
+//! * reads (`QUERY`, `SOLVE`, `EXPLAIN`) never leave the router: in
+//!   cluster mode every probe is answered by the router's copy of the
+//!   shard, which advances only on writes the shard's primary
+//!   acknowledged (the read contract in [`scq_shard::RemoteShard`]).
+//!   A dead shard process therefore takes nothing away from a read;
+//!   it shows on writes (`ERR`), in `STAT`'s `health=` and in
+//!   `METRICS`. The `PARTIAL` response — a degraded read whose listed
+//!   ids/tuples are correct but whose `missing=` shards could not
+//!   answer — stays in the protocol, and no backend produces it.
 //! * `STAT`'s `retries` / `shards_unavailable` / `partial_answers` /
-//!   `failovers` / `stale_answers` are cumulative per-process failure
-//!   counters ([`ServeMetrics`]); all of them stay 0 on a healthy
-//!   cluster. `health=` lists every shard's replicas — address, role,
-//!   breaker position (`closed` / `tripped` / `half-open`), trip
-//!   count, connection counters and sync state — so a single sick
-//!   replica is visible from the front end.
-//! * a read answered by a non-primary replica (the primary was dead or
-//!   breaker-skipped) stays complete but is flagged: `QUERY` appends
-//!   `stale=<shards>`, `SOLVE` appends `stale_answers=<n>`.
+//!   `failovers` / `stale_answers` are cumulative per-process read
+//!   failure counters ([`ServeMetrics`]); since every backend answers
+//!   reads in process, all of them stay 0. `health=` lists every
+//!   shard's replicas — address, role, breaker position (`closed` /
+//!   `tripped` / `half-open`), trip count, connection counters and
+//!   sync state — so a single sick replica is visible from the front
+//!   end.
 //! * `backend` names where the shards live: `local` (in this process)
 //!   or `remote:<addr>` (a cluster of shard processes; `<addr>` is the
 //!   first range's write primary).
 //! * every command runs under a fresh **trace**; `QUERY`/`SOLVE`
 //!   responses end with ` trace=<id>`, and `TRACE <id>` replays the
-//!   span tree (route → per-shard probes → merge, with failover /
-//!   retry / breaker-skip events) while it is still in the ring.
+//!   span tree (route → per-shard probes → merge, with retry events
+//!   from any request that reached a shard process) while it is still
+//!   in the ring.
 //! * `METRICS` merges three tiers into one scrape: the serve tier's
 //!   per-command latency histograms and failure counters
 //!   (`tier="serve"`), the router's routing/probe/transport
@@ -98,7 +102,7 @@
 //!   cache** keyed by `(collection, index, mode, box, epoch)`; any
 //!   effective write to the collection bumps its epoch and retires the
 //!   entries (`candidate_cache_hits`/`candidate_cache_misses` in
-//!   `STAT`). Only complete, primary-fresh answers are ever cached.
+//!   `STAT`). Only complete answers are ever cached.
 //!
 //! Mutations (`INSERT`, `REMOVE`, `UPDATE`, `COMPACT`, snapshot loads)
 //! never degrade: a shard process that cannot acknowledge one yields a
@@ -648,6 +652,69 @@ mod tests {
             transcript.iter().any(|t| t.contains("backend=remote:")),
             "router must report remote backends"
         );
+    }
+
+    /// A district `SOLVE` over a 2-shard cluster sends no `QUERY` to
+    /// either shard process: the router answers every probe from its
+    /// mirror. The router still counts one probe per shard it routes a
+    /// level's range query to, and that count is pinned here.
+    #[test]
+    fn a_cluster_solve_probes_the_mirror_and_sends_no_shard_query() {
+        let shard_config = scq_shard::ShardServerConfig {
+            addr: "127.0.0.1:0".into(),
+            threads: 2,
+            universe_size: 1000.0,
+            ..scq_shard::ShardServerConfig::default()
+        };
+        let shards: Vec<_> = (0..2)
+            .map(|_| scq_shard::serve_shard(&shard_config).expect("bind shard"))
+            .collect();
+        let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
+        let db = ClusterSpec::balanced(
+            AaBox::new([0.0, 0.0], [1000.0, 1000.0]),
+            scq_shard::DEFAULT_ROUTER_BITS,
+            &addrs,
+        )
+        .connect(Duration::from_secs(10))
+        .expect("connect");
+        let db = std::sync::Arc::new(std::sync::RwLock::new(db));
+        let ctx = ServeContext::new(None);
+        let run = |line: &str| handle_command(&db, &ctx, line).0;
+        assert!(run("LOAD map 1120 120").starts_with("OK"));
+        // (shard-tier QUERY count, router-tier probe count) in METRICS.
+        let counts = || {
+            let scrape = run("METRICS");
+            let body: Vec<&str> = scrape.lines().skip(1).collect();
+            let samples = scq_obs::parse_exposition(&body.join("\n")).expect("scrape parses");
+            let sum = |name: &str, tier: &str| -> f64 {
+                samples
+                    .iter()
+                    .filter(|s| s.name == name && s.labels.contains(tier))
+                    .map(|s| s.value)
+                    .sum()
+            };
+            (
+                sum("shard_query_latency_us_count", "tier=\"shard\""),
+                sum("shard_probe_latency_us_count", "tier=\"router\""),
+            )
+        };
+        let (queries, probes) = counts();
+        let solve = run("SOLVE rtree all W=box:0:0:500:500,T=coll:towns,R=coll:roads T<=W; R&T!=0");
+        assert!(solve.starts_with("OK n=9 "), "{solve}");
+        let (queries_after, probes_after) = counts();
+        assert_eq!(
+            queries_after - queries,
+            0.0,
+            "no QUERY reached a shard process"
+        );
+        // One router probe per routed shard per retrieval level.
+        assert_eq!(
+            probes_after - probes,
+            38.0,
+            "router probes per district SOLVE"
+        );
+        drop(db);
+        shards.into_iter().for_each(|s| s.shutdown());
     }
 
     #[test]

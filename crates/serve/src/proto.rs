@@ -11,12 +11,13 @@
 //! table serves an in-process sharded store and a cluster of shard
 //! processes. Mutations go through the database's fallible `try_*`
 //! forms, so a lost shard process surfaces as an `ERR` line on the
-//! client's connection instead of tearing the server down. Reads
-//! **degrade**: when a shard process cannot answer, `QUERY` and
-//! `SOLVE` respond with a `PARTIAL` line — the surviving shards'
-//! (correct) answers plus the ids of the shards that are missing — so
-//! a client can tell an empty answer from a half-blind one. The
-//! cumulative failure counters surface through `STAT`.
+//! client's connection instead of tearing the server down. Reads never
+//! reach a shard process: every backend answers probes from an
+//! in-process copy of its shard, so `QUERY` and `SOLVE` answer in full
+//! while a shard process is down. The `PARTIAL` line — correct answers
+//! plus the ids of the shards that could not answer — and the
+//! cumulative read failure counters in `STAT` remain for a backend that
+//! could fail a probe; none does.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -1019,13 +1020,12 @@ fn load_map<B: ShardBackend>(
     ))
 }
 
-/// Runs a read-path closure, converting a shard-backend panic into an
-/// `ERR` line. Transport failures degrade to `PARTIAL` answers and
-/// never panic, but a shard **rejection** — a desynchronized process,
-/// e.g. one restarted pristine behind its old address — still panics
-/// by design (corruption must stay loud), and that panic must cost the
-/// client its command, not the server one of its fixed-pool worker
-/// threads.
+/// Runs a read-path closure, converting a panic in it into an `ERR`
+/// line. Reads answer from in-process copies of the shards, so no
+/// transport failure reaches them, but a broken routing invariant still
+/// panics by design (corruption must stay loud), and that panic must
+/// cost the client its command, not the server one of its fixed-pool
+/// worker threads.
 fn contain_backend_panic<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(r) => Ok(r),

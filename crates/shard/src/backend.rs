@@ -13,8 +13,8 @@
 //! * [`crate::RemoteShard`] — a client speaking the length-prefixed
 //!   shard wire protocol ([`crate::wire`]) to a shard **process**
 //!   behind a socket, keeping a write-through copy of the shard's
-//!   database so the executors still bind `&Region` without a round
-//!   trip.
+//!   database that answers every read — corner queries and the
+//!   `&Region`s the executors bind — without a round trip.
 //!
 //! The routing layer is deliberately ignorant of which one it holds:
 //! all cross-shard bookkeeping (global slots, migration) lives above
@@ -62,11 +62,12 @@ impl From<WireError> for ShardError {
     }
 }
 
-/// Accounting for one corner-query probe: how the backend obtained (or
-/// failed to obtain) the answer. Filled in by
-/// [`ShardBackend::try_corner_query`] and folded into
-/// `ProbeReport`/`ExecStats` by the routing layer. Local backends
-/// leave it untouched.
+/// Accounting for one corner-query probe, folded into
+/// `ProbeReport`/`ExecStats` by the routing layer. Both backends answer
+/// a probe from an in-process [`SpatialDatabase`], so neither fills it
+/// in and every field stays zero; it remains part of
+/// [`ShardBackend::try_corner_query`]'s signature until the failure
+/// counters it feeds are retired.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProbeTrace {
     /// Transport reconnect-and-retry attempts made while answering,
@@ -87,10 +88,11 @@ pub struct ProbeTrace {
 ///
 /// All slot indices are **shard-local**. Mutations are fallible because
 /// a remote backend sits behind a socket; [`LocalShard`] never returns
-/// an error. Reads go through [`ShardBackend::database`], which every
-/// implementation keeps answerable without I/O: that is what lets the
-/// executors run over a remote-backed store at local speed — only
-/// corner-query retrieval crosses the wire.
+/// an error. Reads — [`ShardBackend::database`] and
+/// [`ShardBackend::try_corner_query`] — are answered by an in-process
+/// [`SpatialDatabase`] in every implementation: that is what lets the
+/// executors run over a remote-backed store at local speed. No read
+/// crosses the wire.
 pub trait ShardBackend: Send + Sync {
     /// Short human-readable description (`local`, `remote:<addr>`),
     /// used in stats and error messages.
@@ -126,19 +128,15 @@ pub trait ShardBackend: Send + Sync {
         region: Region<2>,
     ) -> Result<bool, ShardError>;
 
-    /// Runs a corner query against the chosen index, appending matching
-    /// **local** slot indices to `out` (the caller remaps to global).
+    /// Runs a corner query against the chosen index of
+    /// [`ShardBackend::database`], appending matching **local** slot
+    /// indices to `out` (the caller remaps to global). Candidates and
+    /// the regions the executors then bind come from the same copy.
     ///
-    /// Probe accounting accumulates into `trace` whether the probe
-    /// ultimately succeeds or not: transport **retries** (a remote
-    /// backend reconnects and retries idempotent requests once per
-    /// replica; local backends never retry) — a probe that retried and
-    /// *then* failed still counts, so flapping and dead shards are
-    /// distinguishable from the counters — plus replica **failovers**
-    /// and whether the answer came from a non-primary (stale). `Err`
-    /// means no replica could answer even after retrying — the routing
-    /// layer treats it as an unavailable shard and degrades the read
-    /// instead of failing the query. Implementations must leave `out`
+    /// Both implementations answer in process and return `Ok`, leaving
+    /// `trace` untouched. An `Err` would mean the shard could not
+    /// answer — the routing layer treats a transport error as an
+    /// unavailable shard — and implementations must leave `out`
     /// untouched on error.
     fn try_corner_query(
         &self,
@@ -156,9 +154,9 @@ pub trait ShardBackend: Send + Sync {
     /// Transport failures surface as problems, not panics.
     fn check(&self) -> Vec<String>;
 
-    /// Per-replica connection/breaker health, one entry per replica in
-    /// failover order. Local backends have no connections and return
-    /// an empty list (the default).
+    /// Per-replica connection/breaker health, one entry per replica,
+    /// primary first. Local backends have no connections and return an
+    /// empty list (the default).
     fn health(&self) -> Vec<crate::remote::ReplicaHealth> {
         Vec::new()
     }

@@ -27,8 +27,9 @@
 //! ```
 //!
 //! Each `shard` directive names an **ordered replica set** for one
-//! z-range: the first address is the write primary, the rest are read
-//! replicas in failover order. The bare three-token form
+//! z-range: the first address is the write primary, the rest are
+//! backups every acknowledged write is fanned out to. The bare
+//! three-token form
 //! `shard <addr> <zlo> <zhi>` is a single-replica shard with a
 //! generated name. Every address is reached over one multiplexed
 //! connection, so there is no connection count to configure; `breaker`
@@ -56,8 +57,8 @@ use crate::{link::BreakerConfig, remote::RemoteShard};
 pub struct ShardSpec {
     /// Operator-facing shard name (no whitespace or commas).
     pub name: String,
-    /// The replica addresses (`host:port`), in failover order; the
-    /// first is the write primary. Never empty.
+    /// The replica addresses (`host:port`); the first is the write
+    /// primary. Never empty.
     pub addrs: Vec<String>,
     /// The half-open z-code range `[lo, hi)` this shard owns.
     pub range: (u64, u64),

@@ -54,6 +54,14 @@ pub(crate) struct SlotAddr {
     pub local: u32,
 }
 
+impl SlotAddr {
+    /// The `local` of a tombstoned global slot whose shard has already
+    /// compacted its tombstone away while another shard's compaction
+    /// failed (see [`ShardedDatabase::try_compact`]). Only dead global
+    /// slots carry it, and the next complete compaction drops them.
+    pub(crate) const RECLAIMED: u32 = u32::MAX;
+}
+
 /// Per-shard side tables of one logical collection.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ShardSide {
@@ -540,18 +548,16 @@ impl<B: ShardBackend> ShardedDatabase<B> {
     /// Probes one shard's corner query and remaps its answers to
     /// global slots, folding the outcome into `report`.
     ///
-    /// Availability policy: a **transport** failure (every replica of
-    /// the shard dead, unreachable or breaker-skipped, after the
-    /// backend's own reconnect-and-retry and replica failover —
-    /// [`crate::WireError::is_transport`])
-    /// degrades the read: the shard is recorded in
-    /// [`ProbeReport::missing_shards`], its candidates are dropped,
-    /// and the query continues over the surviving shards. Everything
-    /// else — a rejection (unknown collection, desynchronized state),
-    /// a wire version mismatch, an unexpected response shape,
-    /// undecodable bytes — still panics: that is misconfiguration or
-    /// corruption, not an outage, and must be loud rather than be
-    /// reported forever as a partial answer.
+    /// Availability policy: every backend answers from its in-process
+    /// copy of the shard (for a remote shard, the mirror — see
+    /// [`crate::RemoteShard`]'s read contract), so a probe does not
+    /// fail and a shard process's outage never reaches a read. The
+    /// arms below keep the routing layer's contract for a backend that
+    /// could fail: a **transport** error
+    /// ([`crate::WireError::is_transport`]) would record the shard in
+    /// [`ProbeReport::missing_shards`] and drop its candidates, and any
+    /// other error panics — misconfiguration or corruption must be
+    /// loud.
     fn probe_shard(
         &self,
         s: usize,
@@ -565,12 +571,8 @@ impl<B: ShardBackend> ShardedDatabase<B> {
         let started = std::time::Instant::now();
         // The span names the shard up front (so a probe that panics
         // still identifies itself) and refines its detail once the
-        // outcome is known. Failover/retry/breaker events recorded by
-        // the backend nest under it.
+        // outcome is known.
         let mut span = scq_obs::span("probe", format!("shard={s}"));
-        // Retries and failovers count whether the probe lands or not:
-        // a shard that flapped and then died looks different from one
-        // that was never reachable.
         let mut trace = crate::backend::ProbeTrace::default();
         let result = self.shards[s].try_corner_query(coll, kind, q, out, &mut trace);
         report.retries += trace.retries;
@@ -612,9 +614,10 @@ impl<B: ShardBackend> ShardedDatabase<B> {
 
     /// Runs a corner query against the chosen index of every shard the
     /// router cannot prune, appending matching **global** object
-    /// indices. Returns a [`ProbeReport`]: shards pruned, transport
-    /// retries, and shards that were probed but unavailable (their
-    /// candidates are missing — the read is degraded, not failed).
+    /// indices. Returns a [`ProbeReport`]: shards pruned, and the
+    /// failure accounting of `probe_shard`'s
+    /// availability policy (always empty: every backend answers in
+    /// process).
     ///
     /// Allocation-free in steady state: each shard's ids land directly
     /// in `out` and are remapped to global slots in place, and the
@@ -703,12 +706,21 @@ impl<B: ShardBackend> ShardedDatabase<B> {
                     c.live_count
                 ));
             }
+            // Global slots whose address names a real shard slot; only
+            // those are compared with their shard.
+            let mut addressed = vec![false; c.slots.len()];
             for (gi, (&addr, &live)) in c.slots.iter().zip(&c.live).enumerate() {
                 let (s, l) = (addr.shard as usize, addr.local as usize);
-                if s >= self.shards.len() || l >= self.shard(s).collection_len(coll) {
-                    problems.push(format!("{name}[{gi}]: dangling shard address"));
+                if !live && addr.local == SlotAddr::RECLAIMED {
                     continue;
                 }
+                if s >= self.shards.len() || l >= self.shard(s).collection_len(coll) {
+                    problems.push(format!(
+                        "{name}[{gi}]: dangling shard address (shard {s} slot {l})"
+                    ));
+                    continue;
+                }
+                addressed[gi] = true;
                 if c.per_shard[s].globals.get(l).copied() != Some(gi as u64) {
                     problems.push(format!(
                         "{name}[{gi}]: reverse mapping disagrees on shard {s} slot {l}"
@@ -737,14 +749,15 @@ impl<B: ShardBackend> ShardedDatabase<B> {
                 .iter()
                 .enumerate()
                 .filter(|&(gi, &l)| {
-                    l && StoreView::bbox(
-                        self,
-                        ObjectRef {
-                            collection: coll,
-                            index: gi,
-                        },
-                    )
-                    .is_empty()
+                    l && addressed[gi]
+                        && StoreView::bbox(
+                            self,
+                            ObjectRef {
+                                collection: coll,
+                                index: gi,
+                            },
+                        )
+                        .is_empty()
                 })
                 .map(|(gi, _)| gi)
                 .collect();
@@ -766,12 +779,19 @@ impl<B: ShardBackend> ShardedDatabase<B> {
     /// the shard remap tables fix up the mapping layer — the same remap
     /// contract callers use, applied to the sharded database's own held
     /// refs. Returns the global remap.
+    ///
+    /// The shards compact one at a time, and each one's local
+    /// renumbering is folded into the router's addresses as soon as it
+    /// succeeds, so every address always names the slot its shard holds
+    /// now. The global slots are renumbered only once every shard has
+    /// compacted: when one fails, its error comes back with no global
+    /// remap, every client-held ref stays valid, and a retried compaction
+    /// finishes the job.
     pub fn try_compact(&mut self) -> Result<CompactReport, ShardError> {
-        let shard_reports: Vec<CompactReport> = self
-            .shards
-            .iter_mut()
-            .map(|s| s.compact())
-            .collect::<Result<_, _>>()?;
+        for s in 0..self.shards.len() {
+            let local = self.shards[s].compact()?;
+            self.fold_shard_compaction(s, &local);
+        }
         let mut report = CompactReport {
             remap: Vec::with_capacity(self.collections.len()),
             slots_reclaimed: 0,
@@ -781,14 +801,6 @@ impl<B: ShardBackend> ShardedDatabase<B> {
             let mut remap: Vec<Option<usize>> = Vec::with_capacity(c.slots.len());
             let old_slots = std::mem::take(&mut c.slots);
             let old_live = std::mem::take(&mut c.live);
-            // Shard-local slot order is not global order (migrated
-            // objects got late local slots under early global ids), so
-            // the reverse tables are assigned by index, not pushed.
-            for (s, side) in c.per_shard.iter_mut().enumerate() {
-                side.globals.clear();
-                side.globals
-                    .resize(self.shards[s].database().collection_len(coll), u64::MAX);
-            }
             c.empty_objects.clear();
             for (addr, live) in old_slots.into_iter().zip(old_live) {
                 if !live {
@@ -796,40 +808,57 @@ impl<B: ShardBackend> ShardedDatabase<B> {
                     report.slots_reclaimed += 1;
                     continue;
                 }
-                let s = addr.shard as usize;
-                let new_local = shard_reports[s]
-                    .fix_up(ObjectRef {
-                        collection: coll,
-                        index: addr.local as usize,
-                    })
-                    .expect("live global slot maps to live shard slot")
-                    .index;
+                let (s, local) = (addr.shard as usize, addr.local as usize);
                 let index = c.slots.len();
                 remap.push(Some(index));
-                c.slots.push(SlotAddr {
-                    shard: addr.shard,
-                    local: new_local as u32,
-                });
-                debug_assert_eq!(c.per_shard[s].globals[new_local], u64::MAX);
-                c.per_shard[s].globals[new_local] = index as u64;
+                c.slots.push(addr);
+                c.per_shard[s].globals[local] = index as u64;
                 if self.shards[s]
                     .database()
-                    .bbox(local_ref(coll, new_local))
+                    .bbox(local_ref(coll, local))
                     .is_empty()
                 {
                     c.empty_objects.push(index);
                 }
             }
-            debug_assert!(c
-                .per_shard
-                .iter()
-                .all(|side| side.globals.iter().all(|&g| g != u64::MAX)));
             c.live = vec![true; c.slots.len()];
             c.live_count = c.slots.len();
             c.epoch += 1;
             report.remap.push(remap);
         }
         Ok(report)
+    }
+
+    /// Folds shard `s`'s own compaction into the mapping layer: its
+    /// reverse tables shrink to the shard's new slots, and every global
+    /// slot it owns moves to its new local slot. Global ids do not
+    /// change. A tombstoned global slot whose shard slot was reclaimed
+    /// is marked [`SlotAddr::RECLAIMED`] until the global renumbering
+    /// drops it.
+    fn fold_shard_compaction(&mut self, s: usize, local: &CompactReport) {
+        for (ci, c) in self.collections.iter_mut().enumerate() {
+            let coll = CollectionId(ci);
+            let side = &mut c.per_shard[s];
+            let mut globals = vec![u64::MAX; self.shards[s].database().collection_len(coll)];
+            for (old, &g) in side.globals.iter().enumerate() {
+                if let Some(new) = local.fix_up(local_ref(coll, old)) {
+                    globals[new.index] = g;
+                }
+            }
+            side.globals = globals;
+            for (addr, &live) in c.slots.iter_mut().zip(&c.live) {
+                if addr.shard as usize != s || addr.local == SlotAddr::RECLAIMED {
+                    continue;
+                }
+                addr.local = match local.fix_up(local_ref(coll, addr.local as usize)) {
+                    Some(new) => new.index as u32,
+                    None => {
+                        debug_assert!(!live, "a live global slot maps to a live shard slot");
+                        SlotAddr::RECLAIMED
+                    }
+                };
+            }
+        }
     }
 
     /// [`ShardedDatabase::try_compact`], panicking on a backend

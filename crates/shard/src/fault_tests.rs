@@ -1,10 +1,11 @@
 //! The fault-injection proxy (`scq_testkit::fault`) driven against a
 //! real shard server and a `RemoteShard`: reconnect-once on
-//! idempotent reads, mutations never auto-retried, named truncation and
-//! decode errors, multiplexed in-flight depth, mid-stream severs and
-//! partition/heal. They live here, not in the kit, because they reach
-//! the shard crate's own internals (`link_stats`, the opcodes,
-//! `STREAM_CHUNK`).
+//! idempotent requests, mutations never auto-retried, named truncation
+//! and decode errors, multiplexed in-flight depth, mid-stream severs,
+//! partition/heal, and a router that stays consistent across a lost
+//! ack or a compaction one shard fails. They live here, not in the kit,
+//! because they reach the shard crate's own internals (`link_stats`,
+//! the opcodes, `STREAM_CHUNK`).
 
 mod tests {
     use std::time::Duration;
@@ -14,9 +15,10 @@ mod tests {
     use crate::backend::{local_ref, ProbeTrace, ShardBackend, ShardError};
     use crate::remote::RemoteShard;
     use crate::server::{serve_shard, ShardServerConfig, ShardServerHandle};
-    use crate::wire::{WireError, OP_INSERT, OP_QUERY};
-    use scq_bbox::CornerQuery;
-    use scq_engine::{CollectionId, IndexKind};
+    use crate::wire::{WireError, OP_COMPACT, OP_INSERT, OP_METRICS};
+    use crate::{ClusterSpec, ShardedDatabase, DEFAULT_ROUTER_BITS};
+    use scq_bbox::{Bbox, CornerQuery};
+    use scq_engine::{CollectionId, IndexKind, ObjectRef};
     use scq_region::{AaBox, Region};
 
     fn universe() -> AaBox<2> {
@@ -27,16 +29,20 @@ mod tests {
         Region::from_box(AaBox::new([x, y], [x + w, y + h]))
     }
 
-    /// A shard server, a proxy in front of it, and a RemoteShard that
-    /// only knows the proxy's address.
-    fn start() -> (ShardServerHandle, FaultProxy, RemoteShard) {
-        let server = serve_shard(&ShardServerConfig {
+    fn start_server() -> ShardServerHandle {
+        serve_shard(&ShardServerConfig {
             addr: "127.0.0.1:0".into(),
             threads: 2,
             universe_size: 100.0,
             ..ShardServerConfig::default()
         })
-        .expect("bind shard server");
+        .expect("bind shard server")
+    }
+
+    /// A shard server, a proxy in front of it, and a RemoteShard that
+    /// only knows the proxy's address.
+    fn start() -> (ShardServerHandle, FaultProxy, RemoteShard) {
+        let server = start_server();
         let proxy = FaultProxy::start(&server.addr().to_string()).expect("bind proxy");
         let remote = RemoteShard::connect(
             &proxy.addr().to_string(),
@@ -71,6 +77,8 @@ mod tests {
         server.shutdown();
     }
 
+    /// Reads never reach the shard process, so the idempotent request
+    /// that carries the fault here is `METRICS`.
     #[test]
     fn severed_query_reconnects_and_retries_exactly_once() {
         let (server, proxy, mut remote) = start();
@@ -78,30 +86,42 @@ mod tests {
         remote.insert(c, boxed(10.0, 10.0, 5.0, 5.0)).unwrap();
         proxy.inject(FaultRule {
             direction: Direction::ClientToServer,
-            matches: FrameMatch::Opcode(OP_QUERY),
+            matches: FrameMatch::Opcode(OP_METRICS),
             action: FaultAction::Sever,
             remaining: 1,
             skip: 0,
         });
+        assert!(
+            remote.metrics().is_some(),
+            "the retry lands on a fresh connection"
+        );
+        let stats = remote.link_stats();
+        // Exactly one reconnect: the first connection and its one
+        // successor. The broken connection was replaced, a healthy one
+        // stands ready, and nothing broken lingers.
+        assert_eq!(stats.created, 2, "{stats:?}");
+        assert_eq!(stats.discarded, 1, "{stats:?}");
+        assert_eq!(stats.idle, 1, "{stats:?}");
+        assert_eq!(proxy.severed(), 1);
+        assert_eq!(query(&remote, c), vec![0], "reads never saw the fault");
+        server.shutdown();
+    }
+
+    /// Every live local slot of `c`, as the mirror answers an
+    /// unconstrained probe.
+    fn query(remote: &RemoteShard, c: CollectionId) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut trace = ProbeTrace::default();
         remote
             .try_corner_query(
                 c,
                 IndexKind::RTree,
                 &CornerQuery::unconstrained(),
                 &mut out,
-                &mut trace,
+                &mut ProbeTrace::default(),
             )
-            .expect("the retry lands on a fresh connection");
-        assert_eq!(trace.retries, 1, "exactly one reconnect-and-retry");
-        assert_eq!(out, vec![0], "the retried answer is correct");
-        let stats = remote.link_stats();
-        // The broken connection was replaced: a healthy one stands
-        // ready, and nothing broken lingers.
-        assert_eq!(stats.idle, 1, "{stats:?}");
-        assert_eq!(proxy.severed(), 1);
-        server.shutdown();
+            .expect("a mirror read cannot fail");
+        out.sort_unstable();
+        out
     }
 
     #[test]
@@ -291,7 +311,8 @@ mod tests {
         // first body byte AFTER the 9-byte mux header (corrupting the
         // header itself would orphan the response instead). The decode
         // fails loudly, that one request errors, and the idempotent
-        // query transparently retries.
+        // METRICS transparently retries on the same connection: a
+        // decode error is one answer gone bad, not a dead transport.
         proxy.inject(FaultRule {
             direction: Direction::ServerToClient,
             matches: FrameMatch::Any,
@@ -302,89 +323,79 @@ mod tests {
             remaining: 1,
             skip: 0,
         });
-        let mut out = Vec::new();
-        let mut trace = ProbeTrace::default();
-        remote
-            .try_corner_query(
-                c,
-                IndexKind::Scan,
-                &CornerQuery::unconstrained(),
-                &mut out,
-                &mut trace,
-            )
-            .unwrap();
-        assert_eq!(trace.retries, 1, "the garbled exchange is retried once");
-        assert_eq!(out, vec![0]);
+        let t = scq_obs::TraceState::new(5);
+        let guard = t.install();
+        assert!(remote.metrics().is_some(), "the retried exchange answers");
+        drop(guard);
+        let retries = t.spans().iter().filter(|s| s.name == "retry").count();
+        assert_eq!(retries, 1, "the garbled exchange is retried once");
+        let stats = remote.link_stats();
+        assert_eq!((stats.created, stats.discarded), (1, 0), "{stats:?}");
+        // A mutation has no retry to hide behind: its garbled answer
+        // is the named decode error itself.
+        proxy.inject(FaultRule {
+            direction: Direction::ServerToClient,
+            matches: FrameMatch::Any,
+            action: FaultAction::Garble {
+                offset: crate::wire::MUX_HEADER,
+                xor: 0x77,
+            },
+            remaining: 1,
+            skip: 0,
+        });
+        let err = remote.insert(c, boxed(1.0, 1.0, 1.0, 1.0)).unwrap_err();
+        assert!(
+            matches!(err, ShardError::Wire(ref e) if !e.is_transport()),
+            "a garbled answer is a decode error, not an outage: {err:?}"
+        );
+        assert_eq!(query(&remote, c), vec![0]);
         server.shutdown();
     }
 
-    /// The tentpole concurrency proof: two corner queries on ONE
-    /// `RemoteShard` are in flight at the same time over ONE
-    /// multiplexed connection. The first query's request frame is
-    /// parked at a gate; while it is provably held, the second query
-    /// runs to completion over the same socket (its frames flow past
-    /// the parked one); then the gate opens and the first completes
-    /// too. No sleeps, no racing clocks.
+    /// Two requests on ONE `RemoteShard` are in flight at the same time
+    /// over ONE multiplexed connection. The first `METRICS` request
+    /// frame is parked at a gate; while it is provably held, a second
+    /// one runs to completion over the same socket (its frames flow
+    /// past the parked one); then the gate opens and the first
+    /// completes too. No sleeps, no racing clocks.
     #[test]
     fn concurrent_queries_overlap_on_one_multiplexed_connection() {
         let (server, proxy, mut remote) = start();
         let c = remote.create_collection("objs").unwrap();
         remote.insert(c, boxed(10.0, 10.0, 5.0, 5.0)).unwrap();
-        remote.insert(c, boxed(60.0, 60.0, 5.0, 5.0)).unwrap();
         let gate = FaultGate::new();
         proxy.inject(FaultRule {
             direction: Direction::ClientToServer,
-            matches: FrameMatch::Opcode(OP_QUERY),
+            matches: FrameMatch::Opcode(OP_METRICS),
             action: FaultAction::Hold(gate.clone()),
             remaining: 1,
             skip: 0,
         });
         let remote = &remote;
         std::thread::scope(|scope| {
-            let held = scope.spawn(move || {
-                let mut out = Vec::new();
-                remote
-                    .try_corner_query(
-                        c,
-                        IndexKind::RTree,
-                        &CornerQuery::unconstrained(),
-                        &mut out,
-                        &mut ProbeTrace::default(),
-                    )
-                    .expect("held query completes after the gate opens");
-                out.sort_unstable();
-                out
-            });
+            let held = scope.spawn(move || remote.metrics().is_some());
             assert!(
                 gate.wait_for_hold(Duration::from_secs(10)),
-                "the first query must reach the gate"
+                "the first request must reach the gate"
             );
-            // First query provably in flight. A second on the SAME
+            // First request provably in flight. A second on the SAME
             // RemoteShard completes over the same socket — impossible
             // on a serialized request/response protocol.
-            let mut out = Vec::new();
-            remote
-                .try_corner_query(
-                    c,
-                    IndexKind::RTree,
-                    &CornerQuery::unconstrained(),
-                    &mut out,
-                    &mut ProbeTrace::default(),
-                )
-                .expect("the overlapping query completes while the first is held");
-            out.sort_unstable();
-            assert_eq!(out, vec![0, 1]);
+            assert!(
+                remote.metrics().is_some(),
+                "the overlapping request completes while the first is held"
+            );
             assert!(
                 gate.holding() > 0,
-                "the first query is still parked at the gate"
+                "the first request is still parked at the gate"
             );
             gate.open();
-            assert_eq!(held.join().expect("no panic"), vec![0, 1]);
+            assert!(held.join().expect("no panic"), "the held request answers");
         });
         let stats = remote.link_stats();
         assert!(
             stats.peak_in_flight >= 2,
-            "both queries must have been in flight at once: {stats:?}"
+            "both requests must have been in flight at once: {stats:?}"
         );
         assert_eq!(
             stats.created, 1,
@@ -404,7 +415,7 @@ mod tests {
         let gate = FaultGate::new();
         proxy.inject(FaultRule {
             direction: Direction::ClientToServer,
-            matches: FrameMatch::Opcode(OP_QUERY),
+            matches: FrameMatch::Opcode(OP_METRICS),
             action: FaultAction::Hold(gate.clone()),
             remaining: 8,
             skip: 0,
@@ -412,25 +423,11 @@ mod tests {
         let remote = &remote;
         std::thread::scope(|scope| {
             let waiters: Vec<_> = (0..8)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        remote
-                            .try_corner_query(
-                                c,
-                                IndexKind::RTree,
-                                &CornerQuery::unconstrained(),
-                                &mut out,
-                                &mut ProbeTrace::default(),
-                            )
-                            .expect("held query completes after the gate opens");
-                        out
-                    })
-                })
+                .map(|_| scope.spawn(move || remote.metrics().is_some()))
                 .collect();
             assert!(
                 gate.wait_for_holding(8, Duration::from_secs(10)),
-                "all 8 queries must be parked at the gate simultaneously \
+                "all 8 requests must be parked at the gate simultaneously \
                  (holding = {})",
                 gate.holding()
             );
@@ -439,7 +436,7 @@ mod tests {
             assert!(stats.peak_in_flight >= 8, "{stats:?}");
             gate.open();
             for waiter in waiters {
-                assert_eq!(waiter.join().expect("no panic"), vec![0]);
+                assert!(waiter.join().expect("no panic"));
             }
         });
         server.shutdown();
@@ -500,45 +497,252 @@ mod tests {
         server.shutdown();
     }
 
+    /// A partition shows on writes and on the shard-tier diagnostics,
+    /// never on reads; after the heal the same client writes again and
+    /// the mirror and shard agree.
     #[test]
     fn partition_and_heal_round_trips_without_a_new_client() {
         let (server, proxy, mut remote) = start();
         let c = remote.create_collection("objs").unwrap();
         remote.insert(c, boxed(10.0, 10.0, 5.0, 5.0)).unwrap();
         proxy.partition();
-        let mut out = Vec::new();
-        let mut trace = ProbeTrace::default();
+        let err = remote.insert(c, boxed(30.0, 30.0, 5.0, 5.0)).unwrap_err();
         assert!(
-            remote
-                .try_corner_query(
-                    c,
-                    IndexKind::RTree,
-                    &CornerQuery::unconstrained(),
-                    &mut out,
-                    &mut trace,
-                )
-                .is_err(),
-            "a partitioned shard cannot answer"
+            matches!(err, ShardError::Wire(ref e) if e.is_transport()),
+            "a partitioned shard cannot take a write: {err:?}"
         );
-        assert!(out.is_empty());
-        assert_eq!(
-            trace.retries, 1,
-            "the failed probe still accounts for its retry attempt"
-        );
+        assert!(remote.metrics().is_none(), "nor answer METRICS");
+        assert_eq!(query(&remote, c), vec![0], "reads answer through it");
         proxy.heal();
-        let mut out = Vec::new();
-        remote
-            .try_corner_query(
-                c,
-                IndexKind::RTree,
-                &CornerQuery::unconstrained(),
-                &mut out,
-                &mut ProbeTrace::default(),
-            )
-            .expect("the healed shard answers the same client");
-        assert_eq!(out, vec![0]);
+        assert_eq!(
+            remote.insert(c, boxed(30.0, 30.0, 5.0, 5.0)).unwrap(),
+            1,
+            "the healed shard takes writes from the same client"
+        );
+        assert_eq!(query(&remote, c), vec![0, 1]);
         // The mirror and shard still agree after the outage.
         assert!(remote.check().is_empty(), "{:?}", remote.check());
         server.shutdown();
+    }
+
+    /// Every live local slot of `coll` whose box meets `b`, as global
+    /// ids.
+    fn probe(db: &ShardedDatabase<crate::RemoteShard>, coll: CollectionId, b: Bbox<2>) -> Vec<u64> {
+        let mut out = Vec::new();
+        let report = db.query_collection(
+            coll,
+            IndexKind::RTree,
+            &CornerQuery::unconstrained().and_overlaps(&b),
+            &mut out,
+        );
+        assert!(report.is_complete(), "{report:?}");
+        out.sort_unstable();
+        out
+    }
+
+    fn everywhere() -> Bbox<2> {
+        Bbox::new([0.0, 0.0], [100.0, 100.0])
+    }
+
+    /// A one-shard cluster behind a proxy.
+    fn proxied_cluster() -> (
+        ShardServerHandle,
+        FaultProxy,
+        ShardedDatabase<crate::RemoteShard>,
+    ) {
+        let server = start_server();
+        let proxy = FaultProxy::start(&server.addr().to_string()).expect("bind proxy");
+        let db =
+            ClusterSpec::balanced(universe(), DEFAULT_ROUTER_BITS, &[proxy.addr().to_string()])
+                .connect(Duration::from_secs(5))
+                .expect("connect through the proxy");
+        (server, proxy, db)
+    }
+
+    fn sever_next_ack(proxy: &FaultProxy) {
+        proxy.inject(FaultRule {
+            direction: Direction::ServerToClient,
+            matches: FrameMatch::Any,
+            action: FaultAction::Sever,
+            remaining: 1,
+            skip: 0,
+        });
+    }
+
+    /// A lost `INSERT` ack: the shard process holds a slot the router
+    /// never mapped. A read answers from the mirror, so it lists only
+    /// the acknowledged objects instead of remapping a slot past the
+    /// router's table, and `check()` names the drift.
+    #[test]
+    fn a_lost_insert_ack_never_reaches_a_read() {
+        let (server, proxy, mut db) = proxied_cluster();
+        let coll = db.try_collection("objs").unwrap();
+        db.try_insert(coll, boxed(10.0, 10.0, 5.0, 5.0)).unwrap();
+        sever_next_ack(&proxy);
+        let err = db
+            .try_insert(coll, boxed(20.0, 20.0, 5.0, 5.0))
+            .unwrap_err();
+        assert!(matches!(err, ShardError::Wire(_)), "{err}");
+        assert_eq!(probe(&db, coll, everywhere()), vec![0]);
+        let problems = db.check().expect_err("the lost ack is drift");
+        assert!(
+            problems.iter().any(|p| p.contains("mirror drift")),
+            "{problems:?}"
+        );
+        server.shutdown();
+    }
+
+    /// A lost `UPDATE` ack: the shard process moved the object, the
+    /// router did not. A read probes and binds the acknowledged (old)
+    /// region: found where the router says it is, absent where only
+    /// the shard process put it.
+    #[test]
+    fn a_lost_update_ack_reads_the_acknowledged_region() {
+        let (server, proxy, mut db) = proxied_cluster();
+        let coll = db.try_collection("objs").unwrap();
+        let old = boxed(10.0, 10.0, 5.0, 5.0);
+        let obj = db.try_insert(coll, old.clone()).unwrap();
+        sever_next_ack(&proxy);
+        let err = db.try_update(obj, boxed(70.0, 70.0, 5.0, 5.0)).unwrap_err();
+        assert!(matches!(err, ShardError::Wire(_)), "{err}");
+        assert_eq!(
+            probe(&db, coll, Bbox::new([9.0, 9.0], [16.0, 16.0])),
+            vec![0]
+        );
+        assert!(probe(&db, coll, Bbox::new([69.0, 69.0], [76.0, 76.0])).is_empty());
+        assert!(db.region(obj).same_set(&old));
+        let problems = db.check().expect_err("the lost ack is drift");
+        assert!(
+            problems.iter().any(|p| p.contains("region differs")),
+            "{problems:?}"
+        );
+        server.shutdown();
+    }
+
+    /// Severs the `COMPACT` request to each shard of a 2- and a 3-shard
+    /// cluster in turn. The shards before the victim have compacted;
+    /// the router must still read every live object's own region,
+    /// `check()` must stay clean (and never panic), and a retried
+    /// compaction must converge.
+    #[test]
+    fn a_compaction_one_shard_fails_leaves_the_router_consistent() {
+        for n in [2usize, 3] {
+            for victim in 0..n {
+                let servers: Vec<ShardServerHandle> = (0..n).map(|_| start_server()).collect();
+                let proxies: Vec<FaultProxy> = servers
+                    .iter()
+                    .map(|s| FaultProxy::start(&s.addr().to_string()).expect("bind proxy"))
+                    .collect();
+                let addrs: Vec<String> = proxies.iter().map(|p| p.addr().to_string()).collect();
+                let mut db = ClusterSpec::balanced(universe(), DEFAULT_ROUTER_BITS, &addrs)
+                    .connect(Duration::from_secs(5))
+                    .expect("connect");
+                let coll = db.try_collection("objs").unwrap();
+                // A 6 × 6 grid so every shard owns objects; every other
+                // one removed so every shard has tombstones to reclaim,
+                // and one object migrated across the universe.
+                let mut live: Vec<(ObjectRef, Region<2>)> = Vec::new();
+                for i in 0..36 {
+                    let (x, y) = ((i % 6) as f64 * 16.0 + 2.0, (i / 6) as f64 * 16.0 + 2.0);
+                    let r = boxed(x, y, 5.0, 5.0);
+                    let obj = db.try_insert(coll, r.clone()).unwrap();
+                    if i % 2 == 0 {
+                        assert!(db.try_remove(obj).unwrap());
+                    } else {
+                        live.push((obj, r));
+                    }
+                }
+                let moved = boxed(90.0, 90.0, 4.0, 4.0);
+                assert!(db.try_update(live[0].0, moved.clone()).unwrap());
+                live[0].1 = moved;
+                let owners: std::collections::BTreeSet<usize> =
+                    live.iter().map(|(obj, _)| db.shard_of(*obj)).collect();
+                assert_eq!(owners.len(), n, "every shard owns objects");
+
+                proxies[victim].inject(FaultRule {
+                    direction: Direction::ClientToServer,
+                    matches: FrameMatch::Opcode(OP_COMPACT),
+                    action: FaultAction::Sever,
+                    remaining: 1,
+                    skip: 0,
+                });
+                let err = db.try_compact().expect_err("the severed shard fails");
+                assert!(matches!(err, ShardError::Wire(_)), "{n}/{victim}: {err}");
+                let reads_own_regions =
+                    |db: &ShardedDatabase<crate::RemoteShard>, live: &[(ObjectRef, Region<2>)]| {
+                        for (obj, r) in live {
+                            assert!(db.is_live(*obj), "{n}/{victim}: {obj:?}");
+                            assert!(db.region(*obj).same_set(r), "{n}/{victim}: {obj:?}");
+                            let b = r.bbox();
+                            assert!(
+                                probe(db, coll, b).contains(&(obj.index as u64)),
+                                "{n}/{victim}: {obj:?} not found at its own box"
+                            );
+                        }
+                        assert_eq!(
+                            probe(db, coll, everywhere()).len(),
+                            live.len(),
+                            "{n}/{victim}"
+                        );
+                    };
+                reads_own_regions(&db, &live);
+                db.check().unwrap_or_else(|p| panic!("{n}/{victim}: {p:?}"));
+
+                let report = db.try_compact().expect("the retried compaction lands");
+                db.check()
+                    .unwrap_or_else(|p| panic!("{n}/{victim} after retry: {p:?}"));
+                assert_eq!(db.collection_len(coll), live.len());
+                let live: Vec<(ObjectRef, Region<2>)> = live
+                    .into_iter()
+                    .map(|(obj, r)| (report.fix_up(obj).expect("live objects survive"), r))
+                    .collect();
+                reads_own_regions(&db, &live);
+                drop(db);
+                proxies.into_iter().for_each(drop);
+                servers.into_iter().for_each(|s| s.shutdown());
+            }
+        }
+    }
+
+    /// A partial compaction's tombstones survive a snapshot round trip
+    /// of the manifest: the reclaimed slots load as tombstones.
+    #[test]
+    fn a_partial_compaction_round_trips_through_a_snapshot() {
+        let servers: Vec<ShardServerHandle> = (0..2).map(|_| start_server()).collect();
+        let proxies: Vec<FaultProxy> = servers
+            .iter()
+            .map(|s| FaultProxy::start(&s.addr().to_string()).expect("bind proxy"))
+            .collect();
+        let addrs: Vec<String> = proxies.iter().map(|p| p.addr().to_string()).collect();
+        let mut db = ClusterSpec::balanced(universe(), DEFAULT_ROUTER_BITS, &addrs)
+            .connect(Duration::from_secs(5))
+            .expect("connect");
+        let coll = db.try_collection("objs").unwrap();
+        let low = db.try_insert(coll, boxed(2.0, 2.0, 4.0, 4.0)).unwrap();
+        let high = db.try_insert(coll, boxed(90.0, 90.0, 4.0, 4.0)).unwrap();
+        let gone = db.try_insert(coll, boxed(5.0, 5.0, 4.0, 4.0)).unwrap();
+        assert_eq!(
+            (db.shard_of(low), db.shard_of(high), db.shard_of(gone)),
+            (0, 1, 0)
+        );
+        assert!(db.try_remove(gone).unwrap());
+        proxies[1].inject(FaultRule {
+            direction: Direction::ClientToServer,
+            matches: FrameMatch::Opcode(OP_COMPACT),
+            action: FaultAction::Sever,
+            remaining: 1,
+            skip: 0,
+        });
+        db.try_compact().expect_err("shard 1 fails");
+        let dir = std::env::temp_dir().join(format!("scq_partial_compact_{}", std::process::id()));
+        crate::save_to_dir(&db, &dir).expect("save");
+        let local = crate::load_from_dir(&dir).expect("a partial compaction's manifest loads");
+        std::fs::remove_dir_all(&dir).ok();
+        local.check().expect("consistent");
+        assert!(!local.is_live(gone) && local.is_live(low) && local.is_live(high));
+        assert!(local.region(high).same_set(&boxed(90.0, 90.0, 4.0, 4.0)));
+        drop(db);
+        proxies.into_iter().for_each(drop);
+        servers.into_iter().for_each(|s| s.shutdown());
     }
 }

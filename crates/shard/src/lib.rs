@@ -47,18 +47,17 @@
 //!
 //! The client side of a remote shard is two modules, one authority
 //! each: `link.rs` owns one **multiplexed connection** per shard
-//! address (so concurrent requests probe one shard in parallel),
+//! address (so concurrent requests reach one shard in parallel),
 //! retry-once and the circuit breaker; and [`remote`] owns the
 //! replica-set policy — primary-only writes checked against the
 //! router's write-through copy of the shard (an ordinary
-//! [`scq_engine::SpatialDatabase`]), read failover, and one way to
-//! repair a lagging replica: ship it the primary's snapshot.
+//! [`scq_engine::SpatialDatabase`], the mirror), and one way to repair
+//! a lagging replica: ship it the primary's snapshot.
 //!
-//! Reads are **first-class degraded**: a shard process dying
-//! mid-query costs its candidates, not the query — the result comes
-//! back [`scq_engine::QueryOutcome::Partial`] naming the missing
-//! shards, with `ExecStats { shards_unavailable, retries }` counting
-//! the damage. Mutations still fail loudly and are never auto-retried.
+//! Reads **never leave the router**: the mirror answers every corner
+//! query and binds every region, so a shard process dying costs a read
+//! nothing (the read contract is in [`remote`]). Mutations fail loudly
+//! and are never auto-retried.
 //! Every failure path is reproducible in `cargo test` through the
 //! deterministic fault-injection proxy of the dev-only `scq-testkit`
 //! crate (`scq_testkit::FaultProxy`); no shipped crate depends on it.

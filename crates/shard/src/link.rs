@@ -10,10 +10,10 @@
 //! Every concurrent request rides the one socket under its own request
 //! id; responses come back in whatever order the shard finishes them
 //! (large ones as chunked streams) and a reader thread matches each to
-//! its waiter, so concurrent requests probe one shard **in parallel**
-//! without a socket per request. Idempotent reads transparently
-//! reconnect and retry **once** after a connection failure, and every
-//! retry is counted into the caller's `retries`; mutations never
+//! its waiter, so concurrent requests reach one shard **in parallel**
+//! without a socket per request. Idempotent requests (diagnostics,
+//! snapshot pulls) transparently reconnect and retry **once** after a
+//! connection failure, leaving a `retry` trace event; mutations never
 //! auto-retry — a lost ack is indistinguishable from a lost request,
 //! and replaying an insert would double it.
 //!
@@ -129,7 +129,11 @@ impl MuxConn {
                 Ok(None) => break self.death(),
                 // Mid-frame truncation, garbled length prefix, socket
                 // error — keep the *named* transport error so every
-                // stranded waiter learns what actually happened.
+                // stranded waiter learns what actually happened, and
+                // where.
+                Err(WireError::Io(m)) => {
+                    break WireError::Io(format!("connection to {} failed: {m}", self.addr))
+                }
                 Err(e) => break e,
             };
             // After the handshake the server only sends mux frames; a
@@ -208,7 +212,7 @@ impl MuxConn {
         drop(writer);
         if let Err(e) = sent {
             self.die_with(self.death());
-            return Err(WireError::from(e));
+            return Err(WireError::Io(format!("write to {}: {e}", self.addr)));
         }
         Ok(())
     }
@@ -356,7 +360,7 @@ pub struct LinkStats {
     /// Dead connections discarded (their successors re-dial).
     pub discarded: usize,
     /// Most requests in flight on the connection at the same time —
-    /// proof of concurrent probes on one shard.
+    /// proof of concurrent requests on one shard.
     pub peak_in_flight: usize,
     /// 1 while a live connection stands ready for another request,
     /// 0 otherwise.
@@ -386,9 +390,9 @@ struct LinkState {
     trips: usize,
 }
 
-/// Whether an error is a transport failure (the kind reads may fail
-/// over on and the breaker counts); everything else is a loud answer
-/// from a reachable server.
+/// Whether an error is a transport failure (the kind the breaker
+/// counts and a replica fan-out marks desynced on); everything else is
+/// a loud answer from a reachable server.
 pub(crate) fn is_transport(e: &ShardError) -> bool {
     matches!(e, ShardError::Wire(w) if w.is_transport())
 }
@@ -499,23 +503,18 @@ impl Link {
         }
     }
 
-    /// One request/response exchange behind the breaker: an open
-    /// breaker fast-fails with [`WireError::BreakerOpen`] without
+    /// One mutation exchange behind the breaker, never retried: an
+    /// open breaker fast-fails with [`WireError::BreakerOpen`] without
     /// dialing, and the exchange's outcome feeds the breaker (only
     /// transport failures count — a server that *answers*, even with
     /// an error, is reachable).
-    pub(crate) fn request(
-        &self,
-        req: &Request,
-        idempotent: bool,
-        retries: &mut usize,
-    ) -> Result<Response, ShardError> {
+    pub(crate) fn request(&self, req: &Request) -> Result<Response, ShardError> {
         if !self.admits() {
             return Err(ShardError::Wire(WireError::BreakerOpen {
                 addr: self.addr.clone(),
             }));
         }
-        self.request_unguarded(req, idempotent, retries)
+        self.request_unguarded(req, false)
     }
 
     /// [`Link::request`] without the breaker gate: used by diagnostics
@@ -526,14 +525,13 @@ impl Link {
     /// `idempotent` requests are retried once, on a freshly dialed
     /// connection, after a failure on a connection that had been
     /// established (a first-ever dial that fails does not retry).
-    /// Every retry attempted is counted into `retries` **before** its
-    /// outcome is known, so a probe that retried and still failed is
+    /// Every retry attempted leaves a `retry` trace event **before** its
+    /// outcome is known, so a request that retried and still failed is
     /// distinguishable from one that never got a second chance.
     pub(crate) fn request_unguarded(
         &self,
         req: &Request,
         idempotent: bool,
-        retries: &mut usize,
     ) -> Result<Response, ShardError> {
         let had_conn = self
             .state
@@ -542,10 +540,10 @@ impl Link {
             .unwrap_or(false);
         let result = match self.connection() {
             Ok(conn) => match self.exchange(&conn, req) {
-                Err(_) if idempotent => self.retry(req, retries),
+                Err(_) if idempotent => self.retry(req),
                 other => other.map_err(ShardError::from),
             },
-            Err(e) if idempotent && had_conn && is_transport(&e) => self.retry(req, retries),
+            Err(e) if idempotent && had_conn && is_transport(&e) => self.retry(req),
             Err(e) => Err(e),
         };
         match &result {
@@ -557,8 +555,7 @@ impl Link {
 
     /// The one second attempt an idempotent request gets, on a fresh
     /// connection (`connection` discards the dead one and re-dials).
-    fn retry(&self, req: &Request, retries: &mut usize) -> Result<Response, ShardError> {
-        *retries += 1;
+    fn retry(&self, req: &Request) -> Result<Response, ShardError> {
         scq_obs::event("retry", format!("addr={}", self.addr));
         let fresh = self.connection()?;
         self.exchange(&fresh, req).map_err(ShardError::from)
@@ -596,7 +593,13 @@ impl Link {
             if self.state.lock().map_err(lock_err)?.conn.is_some() {
                 continue;
             }
-            let stream = dial(&self.addr).map_err(ShardError::from)?;
+            // A transport failure names the address it could not
+            // reach; the handshake's own verdicts keep their names.
+            let stream = dial(&self.addr).map_err(|e| match e {
+                WireError::Io(m) => WireError::Io(format!("dial {}: {m}", self.addr)),
+                e if e.is_transport() => WireError::Io(format!("dial {}: {e}", self.addr)),
+                e => e,
+            })?;
             let conn = MuxConn::spawn(stream, self.addr.clone()).map_err(ShardError::from)?;
             let mut st = self.state.lock().map_err(lock_err)?;
             st.created += 1;

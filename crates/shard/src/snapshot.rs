@@ -406,6 +406,13 @@ fn build_collections<B: ShardBackend>(
         let mut addrs = Vec::with_capacity(slots.len());
         for (gi, &(shard, local, is_live)) in slots.iter().enumerate() {
             let (s, l) = (shard as usize, local as usize);
+            // A tombstone whose shard slot a partial compaction already
+            // reclaimed has no shard slot to check.
+            if !is_live && local == SlotAddr::RECLAIMED {
+                live.push(false);
+                addrs.push(SlotAddr { shard, local });
+                continue;
+            }
             let db = shards[s].database();
             if l >= db.collection_len(coll) {
                 return Err(ShardSnapshotError::Inconsistent(format!(

@@ -163,9 +163,10 @@ impl WireError {
     /// connection closed mid-exchange) as opposed to the two ends
     /// disagreeing about the protocol or its contents.
     ///
-    /// The distinction drives the degraded-read policy: transport
-    /// deaths are expected at scale and degrade a read to a partial
-    /// answer, while protocol-level trouble — a version mismatch, an
+    /// The distinction drives the failure policy: transport deaths are
+    /// expected at scale — they count toward an address's circuit
+    /// breaker and mark a replica the write fan-out cannot reach as
+    /// desynced — while protocol-level trouble — a version mismatch, an
     /// unexpected response shape, undecodable bytes — is a
     /// misconfigured or corrupt deployment that must stay loud rather
     /// than masquerade as an outage.
@@ -574,7 +575,7 @@ pub const OP_QUERY: u8 = 0x06;
 /// Opcode of [`Request::Stat`].
 const OP_STAT: u8 = 0x07;
 /// Opcode of [`Request::Compact`].
-const OP_COMPACT: u8 = 0x08;
+pub(crate) const OP_COMPACT: u8 = 0x08;
 /// Opcode of [`Request::SnapshotSave`].
 const OP_SNAP_SAVE: u8 = 0x09;
 /// Opcode of [`Request::SnapshotLoad`].
@@ -592,7 +593,7 @@ const OP_SNAP_READ: u8 = 0x10;
 /// Opcode of [`Request::Traced`].
 const OP_TRACED: u8 = 0x11;
 /// Opcode of [`Request::Metrics`].
-const OP_METRICS: u8 = 0x12;
+pub(crate) const OP_METRICS: u8 = 0x12;
 // 0x13 is retired (it read a shard's per-collection epochs, which no
 // cache reads).
 

@@ -19,15 +19,14 @@
 //!
 //! Beyond per-frame rules, [`FaultProxy::partition`] severs every live
 //! connection **and** refuses new ones (a network partition / dead
-//! process), and [`FaultProxy::heal`] lifts it — so a test can kill a
-//! shard mid-query, assert the degraded answer, then bring the shard
-//! back and assert it rejoins without restarting the router.
+//! process), and [`FaultProxy::heal`] lifts it — so a test can cut a
+//! shard off, assert what fails and what does not, then bring the
+//! shard back and assert it rejoins without restarting the router.
 //!
 //! Every failure path the CI smoke scripts provoke with real processes
 //! — reconnect-once on idempotent ops, mutations never auto-retried,
-//! eviction of broken connections, partial-answer merges, mirror/shard
-//! lockstep after reconnect — is reproducible in `cargo test` through
-//! this module.
+//! eviction of broken connections, mirror/shard lockstep after
+//! reconnect — is reproducible in `cargo test` through this module.
 //!
 //! The proxy's API names no `scq_shard` type, only std ones. That keeps
 //! the dev-dependency cycle harmless: `scq-shard`'s own unit tests

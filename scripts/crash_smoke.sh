@@ -145,11 +145,10 @@ echo "=== SIGKILL shard B mid-churn ==="
 kill -9 "$SHARD_B_PID"
 wait "$SHARD_B_PID" 2>/dev/null || true
 # The interrupted churn fails loudly at the dead shard (never silently
-# dropped) and reads degrade to PARTIAL — the cluster stays live. The
-# query uses a fresh box (999: still covers every object, max coord is
-# 940): repeating the churn phase's exact box at the unchanged epoch
-# would be answered from the serve tier's candidate cache without
-# probing the dead shard.
+# dropped) and reads answer in full from the router's mirror — the
+# cluster stays live. The query uses a fresh box (999: still covers
+# every object, max coord is 940), so the serve tier's candidate cache
+# cannot answer it.
 timeout 60 "$BIN" --client "$ROUTER" >"$WORK/degraded.txt" <<EOF
 INSERT objs 880 880 890 890
 QUERY objs rtree within 0 0 999 999
@@ -160,10 +159,13 @@ grep -qF 'ERR ' "$WORK/degraded.txt" || {
     echo "mutation at the dead shard did not fail loudly" >&2
     exit 1
 }
-grep -qF 'PARTIAL missing=1' "$WORK/degraded.txt" || {
-    echo "read over the dead shard did not degrade to PARTIAL" >&2
+DEAD_READ="$(grep -F 'ids=' "$WORK/degraded.txt" | head -n 1 | sed 's/ trace=[0-9]*$//')"
+if [ "$DEAD_READ" != "$ORACLE" ]; then
+    echo "the read over the dead shard is not the pre-kill answer" >&2
+    echo "  oracle: $ORACLE" >&2
+    echo "  got:    $DEAD_READ" >&2
     exit 1
-}
+fi
 
 echo "=== restart shard B behind the same address, same WAL dir ==="
 # The kernel may hold the port briefly after kill -9 (lingering
@@ -197,9 +199,11 @@ grep -F 'scq-shard wal: replayed' "$WORK/shard_b_revived.log" || {
 }
 
 echo "=== recovery assertions: oracle-equal answers + wal_replayed>0 ==="
-# Another fresh box (998, same answer as the oracle's 1000 box) so the
-# answer provably comes from the revived shard's replayed state, not
-# the router's candidate cache.
+# Another fresh box (998, same answer as the oracle's 1000 box). Reads
+# answer from the router's mirror, so this shows the router kept every
+# acknowledged write across the crash; the revived shard's own replayed
+# state shows in wal_replayed below and in the resumed writes, which
+# the shard must answer with the mirror's own slots or be refused.
 timeout 60 "$BIN" --client "$ROUTER" >"$WORK/recovered.txt" <<EOF
 QUERY objs rtree within 0 0 998 998
 QUERY objs rtree within 800 800 1000 1000
@@ -215,7 +219,7 @@ if [ "$ANSWER" != "$ORACLE" ]; then
     echo "  got:    $ANSWER" >&2
     exit 1
 fi
-# the revived shard's half answers completely on its own
+# the revived shard's range answers completely
 grep -qF 'OK n=3 pruned=1' "$WORK/recovered.txt" || {
     echo "revived shard's range did not answer completely" >&2
     exit 1
@@ -232,7 +236,7 @@ case "$REPLAYED" in
 esac
 echo "recovered with $REPLAYED"
 
-echo "=== the revived shard accepts new durable writes ==="
+echo "=== the revived shard accepts new durable writes in lockstep ==="
 timeout 60 "$BIN" --client "$ROUTER" >"$WORK/resumed.txt" <<EOF
 INSERT objs 860 820 880 840
 INSERT objs 60 20 70 30

@@ -139,9 +139,6 @@ struct ProxiedCluster {
     servers: Vec<ShardServerHandle>,
     proxies: Vec<FaultProxy>,
     db: Option<ShardedDatabase<RemoteShard>>,
-    /// The injected breaker clock shared by every backend; tests
-    /// advance it by hand instead of sleeping through cooldowns.
-    now: std::sync::Arc<std::sync::Mutex<std::time::Instant>>,
 }
 
 impl ProxiedCluster {
@@ -154,31 +151,18 @@ impl ProxiedCluster {
         let universe = AaBox::new([0.0, 0.0], [UNIVERSE_SIZE, UNIVERSE_SIZE]);
         let addrs: Vec<String> = proxies.iter().map(|p| p.addr().to_string()).collect();
         let spec = ClusterSpec::balanced(universe, scq_shard::DEFAULT_ROUTER_BITS, &addrs);
-        let mut db = spec
+        let db = spec
             .connect(Duration::from_secs(10))
             .expect("connect cluster through the proxies");
-        let now = std::sync::Arc::new(std::sync::Mutex::new(std::time::Instant::now()));
-        for s in 0..n_shards {
-            let tick = now.clone();
-            db.backend_mut(s)
-                .set_clock(std::sync::Arc::new(move || *tick.lock().unwrap()));
-        }
         ProxiedCluster {
             servers,
             proxies,
             db: Some(db),
-            now,
         }
     }
 
     fn db(&mut self) -> &mut ShardedDatabase<RemoteShard> {
         self.db.as_mut().expect("cluster is up")
-    }
-
-    /// Advances the injected breaker clock — the deterministic stand-in
-    /// for waiting out a cooldown.
-    fn advance(&self, d: Duration) {
-        *self.now.lock().expect("clock lock poisoned") += d;
     }
 }
 
@@ -192,16 +176,17 @@ impl Drop for ProxiedCluster {
     }
 }
 
-/// The kill-a-shard scenario of the acceptance criteria: with one of 4
-/// shards severed **mid-query** (its QUERY frames are cut on the wire,
-/// every reconnect's retry included), the executor's per-level fan-out
-/// neither panics nor hangs — it returns `Partial` naming exactly the
-/// missing shard, and the surviving shards' solutions equal the oracle
-/// restricted to objects they own (their z-ranges). After the partition
+/// The kill-a-shard scenario: reads answer from the router's mirror,
+/// so a shard that cannot be reached takes nothing away from them.
+/// First every `QUERY` frame to shard 2 is cut on the wire, then the
+/// shard is partitioned outright; through both, the executor's
+/// per-level fan-out answers `Complete` and oracle-equal on all three
+/// index kinds. The outage shows on writes: a mutation routed to the
+/// partitioned shard fails with a transport error. After the partition
 /// heals, the shard rejoins the SAME router — no reconnect ceremony, no
-/// restart — and answers go back to `Complete` and exact.
+/// restart — takes writes again and passes the integrity check.
 #[test]
-fn severed_shard_mid_query_degrades_fanout_to_partial_then_rejoins() {
+fn severed_shard_mid_query_keeps_reads_complete_then_rejoins() {
     let mut cluster = ProxiedCluster::boot(4);
     let universe = AaBox::new([0.0, 0.0], [UNIVERSE_SIZE, UNIVERSE_SIZE]);
     let mut plain = SpatialDatabase::new(universe);
@@ -214,16 +199,18 @@ fn severed_shard_mid_query_degrades_fanout_to_partial_then_rejoins() {
 
     let q = everything_in(coll);
     let oracle = normalize(&naive_execute(&plain, &q).unwrap());
+    let reads_complete = |db: &mut ShardedDatabase<RemoteShard>, when: &str| {
+        for kind in [IndexKind::RTree, IndexKind::GridFile, IndexKind::Scan] {
+            let result = bbox_execute(db, &q, kind).unwrap();
+            assert_eq!(result.outcome, QueryOutcome::Complete, "{when} {kind:?}");
+            assert_eq!(result.stats.shards_unavailable, 0, "{when} {kind:?}");
+            assert_eq!(normalize(&result), oracle, "{when} {kind:?}");
+        }
+    };
+    reads_complete(cluster.db(), "healthy");
 
-    // Healthy cluster first: the read is Complete and exact.
-    let healthy = bbox_execute(cluster.db(), &q, IndexKind::RTree).unwrap();
-    assert_eq!(healthy.outcome, QueryOutcome::Complete);
-    let healthy_solutions = normalize(&healthy);
-    assert_eq!(healthy_solutions, oracle);
-
-    // Sever shard 2 mid-query: every QUERY frame it is sent — the
-    // retry after the transparent reconnect included — is cut on the
-    // wire. The shard process itself stays alive.
+    // Sever shard 2 mid-query: every QUERY frame it is sent is cut on
+    // the wire. No read sends one.
     let victim = 2usize;
     cluster.proxies[victim].inject(FaultRule {
         direction: Direction::ClientToServer,
@@ -232,44 +219,13 @@ fn severed_shard_mid_query_degrades_fanout_to_partial_then_rejoins() {
         remaining: usize::MAX,
         skip: 0,
     });
-    let degraded = bbox_execute(cluster.db(), &q, IndexKind::RTree)
-        .expect("a dead shard degrades the read, it does not fail the query");
-    assert_eq!(
-        degraded.outcome,
-        QueryOutcome::Partial {
-            missing_shards: vec![victim]
-        },
-        "the partial result names exactly the severed shard"
-    );
-    assert!(degraded.stats.shards_unavailable > 0);
-    // Survivors answer exactly the oracle restricted to their shards.
-    let mut expected: Vec<_> = oracle
-        .iter()
-        .filter(|s| {
-            s.values()
-                .all(|&obj| cluster.db.as_ref().unwrap().shard_of(obj) != victim)
-        })
-        .cloned()
-        .collect();
-    expected.sort();
-    let got = normalize(&degraded);
-    assert_eq!(
-        got, expected,
-        "surviving shards answer their z-ranges exactly"
-    );
-    assert!(
-        got.len() < oracle.len(),
-        "the victim owned solutions, so the partial answer is a strict subset"
-    );
+    reads_complete(cluster.db(), "QUERY severed");
 
-    // Every index kind degrades identically.
-    let grid = bbox_execute(cluster.db(), &q, IndexKind::GridFile).unwrap();
-    assert!(grid.outcome.is_partial());
-    assert_eq!(grid.outcome.missing_shards(), &[victim]);
-
-    // Mutations routed to the severed shard fail with a transport
+    // Partition it: the shard process is unreachable, reads are not
+    // touched, and a mutation routed to it fails with a transport
     // error — never silently dropped, never retried.
     cluster.proxies[victim].partition();
+    reads_complete(cluster.db(), "partitioned");
     let on_victim = refs
         .iter()
         .find(|&&r| cluster.db.as_ref().unwrap().shard_of(r) == victim)
@@ -277,23 +233,29 @@ fn severed_shard_mid_query_degrades_fanout_to_partial_then_rejoins() {
         .unwrap();
     let err = cluster.db().try_remove(on_victim).unwrap_err();
     assert!(matches!(err, scq_shard::ShardError::Wire(_)), "{err}");
+    assert!(
+        cluster.db().is_live(on_victim),
+        "the failed remove changed nothing"
+    );
 
     // Heal the partition: the shard rejoins the same router with no
-    // restart on either side, and reads are Complete and exact again.
-    // The outage tripped the address's circuit breaker, so rejoining
-    // also means waiting out the cooldown — advance the injected clock
-    // instead of sleeping; the next probe is the half-open re-admit.
+    // restart on either side. Mirror and shards are still in lockstep
+    // after the outage, and the write goes through.
     cluster.proxies[victim].heal();
-    cluster.advance(Duration::from_secs(3600));
+    cluster.db().check().expect("cluster consistent after heal");
+    assert!(cluster
+        .db()
+        .try_remove(on_victim)
+        .expect("the healed shard takes writes"));
+    plain.remove(on_victim);
+    let oracle = normalize(&naive_execute(&plain, &q).unwrap());
     let recovered = bbox_execute(cluster.db(), &q, IndexKind::RTree).unwrap();
     assert_eq!(recovered.outcome, QueryOutcome::Complete);
-    let recovered_solutions = normalize(&recovered);
-    assert_eq!(
-        recovered_solutions, oracle,
-        "the rejoined shard answers again"
-    );
-    // Mirror and shards are still in lockstep after the outage.
-    cluster.db().check().expect("cluster consistent after heal");
+    assert_eq!(normalize(&recovered), oracle);
+    cluster
+        .db()
+        .check()
+        .expect("cluster consistent after the write");
 }
 
 /// A migration whose target shard process is dead must fail WITHOUT
@@ -410,12 +372,11 @@ impl Drop for ReplicatedCluster {
     }
 }
 
-/// The tentpole acceptance scenario: on a 2-replica spec, one replica
-/// of EVERY range dies mid-churn — the secondary of range 1 first
-/// (writes keep flowing and desync it quietly), then, churn done, the
-/// primary of range 0 (reads must fail over to its converged
-/// secondary) — and the executor still answers `Complete` and
-/// oracle-equal, with the failovers and stale answers counted. Writes
+/// On a 2-replica spec, one replica of EVERY range dies mid-churn — the
+/// secondary of range 1 first (writes keep flowing and desync it
+/// quietly), then, churn done, the primary of range 0 — and the
+/// executor still answers `Complete` and oracle-equal, with no failover
+/// and no stale answer: reads answer from the router's mirror. Writes
 /// routed to the dead primary fail with a named transport error and
 /// are never silently retried against the secondary.
 #[test]
@@ -449,12 +410,12 @@ fn one_dead_replica_per_range_keeps_fanout_complete_and_oracle_equal() {
     assert_eq!(
         result.outcome,
         QueryOutcome::Complete,
-        "failover turns what would be Partial back into Complete"
+        "dead replicas take nothing away from a read"
     );
     let got = normalize(&result);
-    assert_eq!(got, oracle, "failover answers equal the unsharded oracle");
-    assert!(result.stats.failovers >= 1, "{:?}", result.stats);
-    assert!(result.stats.stale_answers >= 1, "{:?}", result.stats);
+    assert_eq!(got, oracle, "answers equal the unsharded oracle");
+    assert_eq!(result.stats.failovers, 0, "{:?}", result.stats);
+    assert_eq!(result.stats.stale_answers, 0, "{:?}", result.stats);
 
     let h0 = cluster.db.as_ref().unwrap().backend(0).health();
     let h1 = cluster.db.as_ref().unwrap().backend(1).health();
@@ -488,13 +449,14 @@ fn one_dead_replica_per_range_keeps_fanout_complete_and_oracle_equal() {
     assert_eq!(again_solutions, oracle, "the failed write changed nothing");
 }
 
-/// The flapping-breaker script, with zero sleeps: K consecutive
-/// transport failures trip the primary address's breaker (at exactly
-/// K, not before), a tripped address is skipped WITHOUT dialing (the
-/// proxy forwards no frames even after the partition heals), and
-/// advancing the injected clock past the cooldown re-admits the
-/// address through a half-open probe that closes the breaker on
-/// success.
+/// The flapping-breaker script, with zero sleeps, driven by writes (no
+/// read reaches a shard process): K consecutive transport failures trip
+/// the primary address's breaker (at exactly K, not before), a write
+/// to a tripped address fails fast WITHOUT dialing (the proxy forwards
+/// no frames even after the partition heals), and advancing the
+/// injected clock past the cooldown re-admits the address through a
+/// half-open write that closes the breaker on success. Reads answer in
+/// full throughout, with no failover.
 #[test]
 fn breaker_trips_at_exactly_k_skips_without_dialing_and_readmits_after_cooldown() {
     let primary = boot_server(2);
@@ -526,7 +488,7 @@ fn breaker_trips_at_exactly_k_skips_without_dialing_and_readmits_after_cooldown(
         )
         .expect("insert");
     }
-    let read = |db: &ShardedDatabase<RemoteShard>| -> ProbeTrace {
+    let read = |db: &ShardedDatabase<RemoteShard>, expect: Vec<u64>| {
         let mut out = Vec::new();
         let mut trace = ProbeTrace::default();
         db.backend(0)
@@ -537,20 +499,26 @@ fn breaker_trips_at_exactly_k_skips_without_dialing_and_readmits_after_cooldown(
                 &mut out,
                 &mut trace,
             )
-            .expect("replicated reads never fail while one replica lives");
+            .expect("reads never fail");
         out.sort_unstable();
-        assert_eq!(out, vec![0, 1, 2, 3]);
-        trace
+        assert_eq!(out, expect);
+        assert_eq!((trace.failovers, trace.stale), (0, false), "{trace:?}");
     };
-    let trace = read(&db);
-    assert_eq!((trace.failovers, trace.stale), (0, false), "{trace:?}");
+    let write = |db: &mut ShardedDatabase<RemoteShard>| {
+        db.try_insert(
+            coll,
+            Region::from_box(AaBox::new([50.0, 50.0], [55.0, 55.0])),
+        )
+    };
+    read(&db, vec![0, 1, 2, 3]);
 
-    // Partition the primary: each read fails over and costs its
-    // address one consecutive failure. Closed through K-1 failures...
+    // Partition the primary: each write fails and costs its address
+    // one consecutive failure. Closed through K-1 failures...
     proxy.partition();
     for i in 1..=2usize {
-        let trace = read(&db);
-        assert_eq!((trace.failovers, trace.stale), (1, true), "{trace:?}");
+        let err = write(&mut db).expect_err("a partitioned primary fails writes");
+        assert!(matches!(err, scq_shard::ShardError::Wire(_)), "{err}");
+        read(&db, vec![0, 1, 2, 3]);
         let h = db.backend(0).health();
         assert_eq!(
             h[0].stats.breaker,
@@ -561,50 +529,54 @@ fn breaker_trips_at_exactly_k_skips_without_dialing_and_readmits_after_cooldown(
         assert_eq!(h[0].stats.breaker_trips, 0, "{h:?}");
     }
     // ...tripped at exactly K.
-    let trace = read(&db);
-    assert_eq!((trace.failovers, trace.stale), (1, true), "{trace:?}");
+    write(&mut db).expect_err("still partitioned");
     let h = db.backend(0).health();
     assert_eq!(h[0].stats.breaker, BreakerState::Open, "{h:?}");
     assert_eq!(h[0].stats.breaker_trips, 1, "{h:?}");
 
-    // Heal the network. The breaker is still open, so the next read
-    // skips the primary without dialing: the healed proxy forwards
-    // nothing.
+    // Heal the network. The breaker is still open, so the next write
+    // fails fast without dialing: the healed proxy forwards nothing.
     proxy.heal();
     let frames = proxy.frames_forwarded(Direction::ClientToServer);
-    let trace = read(&db);
-    assert_eq!((trace.failovers, trace.stale), (1, true), "{trace:?}");
-    assert_eq!(trace.retries, 0, "an open breaker never dials: {trace:?}");
+    let err = write(&mut db).expect_err("an open breaker refuses the write");
+    assert!(err.to_string().contains("circuit breaker open"), "{err}");
     assert_eq!(
         proxy.frames_forwarded(Direction::ClientToServer),
         frames,
         "a tripped address receives no traffic"
     );
+    assert_eq!(db.backend(0).health()[0].stats.consecutive_failures, 3);
+    read(&db, vec![0, 1, 2, 3]);
 
-    // Advance the clock past the cooldown: the half-open probe dials
-    // the healed primary, succeeds, and the breaker closes — reads are
-    // primary-served and fresh again.
+    // Advance the clock past the cooldown: the half-open write dials
+    // the healed primary, succeeds, and the breaker closes.
     *now.lock().unwrap() += Duration::from_secs(3601);
-    let trace = read(&db);
-    assert_eq!((trace.failovers, trace.stale), (0, false), "{trace:?}");
+    let obj = write(&mut db).expect("the half-open write lands");
+    assert_eq!(obj.index, 4);
     let h = db.backend(0).health();
     assert_eq!(h[0].stats.breaker, BreakerState::Closed, "{h:?}");
     assert_eq!(
         h[0].stats.breaker_trips, 1,
         "exactly one trip across the whole flap: {h:?}"
     );
+    assert!(
+        !h[1].desynced,
+        "the failed writes reached no replica: {h:?}"
+    );
     assert!(proxy.frames_forwarded(Direction::ClientToServer) > frames);
+    read(&db, vec![0, 1, 2, 3, 4]);
+    db.check().expect("no failed write reached any copy");
 
     primary.shutdown();
     secondary.shutdown();
 }
 
 /// The split-brain script: a PRISTINE process restarted behind a dead
-/// secondary's address must never be silently re-adopted. Reads stay
-/// on the healthy primary, the integrity check names the impostor, a
-/// replicated write fails loudly instead of diverging, and the
-/// documented recovery path — restore every replica from one snapshot
-/// — actually heals the cluster.
+/// secondary's address must never be silently re-adopted. Reads never
+/// consult it, the integrity check names the impostor, a replicated
+/// write fails loudly instead of diverging, and the documented recovery
+/// path — restore every replica from one snapshot — actually heals the
+/// cluster.
 #[test]
 fn pristine_restart_behind_a_replica_address_stays_a_loud_desync_until_restored() {
     let primary = boot_server(2);
@@ -690,8 +662,12 @@ fn pristine_restart_behind_a_replica_address_stays_a_loud_desync_until_restored(
         Region::from_box(AaBox::new([80.0, 80.0], [85.0, 85.0])),
     )
     .expect("writes replicate again");
-    // …and the restored replica really can serve: kill the primary and
-    // read through the failover path.
+    // …and the restored replica really is a backup: with the primary
+    // alive, the check compares its census with the mirror.
+    db.check()
+        .expect("the restored replica agrees with the mirror");
+    // A dead primary takes nothing away from a read, and fails the
+    // next write loudly.
     primary.shutdown();
     let mut out = Vec::new();
     let mut trace = ProbeTrace::default();
@@ -703,9 +679,16 @@ fn pristine_restart_behind_a_replica_address_stays_a_loud_desync_until_restored(
             &mut out,
             &mut trace,
         )
-        .expect("failover to the restored replica");
+        .expect("reads answer from the mirror");
     assert_eq!(out.len(), 6, "snapshot contents plus the new insert");
-    assert_eq!((trace.failovers, trace.stale), (1, true), "{trace:?}");
+    assert_eq!((trace.failovers, trace.stale), (0, false), "{trace:?}");
+    let err = db
+        .try_insert(
+            coll,
+            Region::from_box(AaBox::new([60.0, 60.0], [65.0, 65.0])),
+        )
+        .expect_err("a dead primary fails writes");
+    assert!(matches!(err, scq_shard::ShardError::Wire(_)), "{err}");
     impostor.shutdown();
 }
 
@@ -854,8 +837,13 @@ fn desynced_replica_resyncs_before_and_after_log_truncation() {
         db.check().expect("resynced cluster is consistent");
     }
 
-    // The twice-resynced replica really serves: kill the primary and
-    // read the full census through failover.
+    // The twice-resynced replica really is a backup: with the primary
+    // alive, the check compares its census with the mirror.
+    assert!(!db.backend(0).health()[1].desynced);
+    db.check()
+        .expect("the resynced replica agrees with the mirror");
+    // A dead primary takes nothing away from a read, and fails the
+    // next write loudly.
     primary.shutdown();
     let mut out = Vec::new();
     let mut trace = ProbeTrace::default();
@@ -867,9 +855,16 @@ fn desynced_replica_resyncs_before_and_after_log_truncation() {
             &mut out,
             &mut trace,
         )
-        .expect("failover to the resynced replica");
+        .expect("reads answer from the mirror");
     assert_eq!(out.len(), 8, "6 seed inserts + 2 desync-window inserts");
-    assert_eq!((trace.failovers, trace.stale), (1, true), "{trace:?}");
+    assert_eq!((trace.failovers, trace.stale), (0, false), "{trace:?}");
+    let err = db
+        .try_insert(
+            coll,
+            Region::from_box(AaBox::new([60.0, 60.0], [65.0, 65.0])),
+        )
+        .expect_err("a dead primary fails writes");
+    assert!(matches!(err, scq_shard::ShardError::Wire(_)), "{err}");
     replica.shutdown();
     std::fs::remove_dir_all(&root).ok();
 }

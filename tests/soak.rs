@@ -1,5 +1,8 @@
-//! The soak: 90 seconds of 64 concurrent query clients against a
-//! 2-shard WAL-backed cluster behind fault-injecting proxies.
+//! The soak: 90 seconds of 64 concurrent clients against a 2-shard
+//! WAL-backed cluster behind fault-injecting proxies. Each client reads
+//! (answered by the router's mirror, so it must never degrade) and asks
+//! a shard process for its `METRICS` (an idempotent request over the
+//! multiplexed wire, the part the faults hit).
 //!
 //! Ignored by default (it runs for a fixed 90 s budget); CI runs it on
 //! its own:
@@ -41,12 +44,12 @@ fn count_threads() -> usize {
 }
 
 /// Boots a 2-shard WAL-backed cluster behind FaultProxies, runs 64
-/// concurrent query clients over multiplexed connections while the
-/// proxies truncate and sever streamed response frames, and then proves
-/// the damage stayed contained: healed answers equal the pre-fault
-/// oracle, every shard's integrity check is clean, at least one
-/// connection carried ≥8 requests in flight, no file descriptors or
-/// threads leaked, and both WALs reopen with zero torn tails.
+/// concurrent clients while the proxies truncate and sever streamed
+/// response frames, and then proves the damage stayed contained: every
+/// read, mid-fault included, equals the pre-fault oracle, every shard's
+/// integrity check is clean, at least one multiplexed connection
+/// carried ≥8 requests in flight, no file descriptors or threads
+/// leaked, and both WALs reopen with zero torn tails.
 #[test]
 #[ignore = "runs for 90 s; CI runs it in its own job"]
 fn soak() {
@@ -78,9 +81,10 @@ fn soak() {
         .expect("connect soak cluster");
 
     // Clean mutation phase: a deterministic fixture, no faults. The
-    // fault phase below is read-only — reads retry transparently,
-    // mutations never do, so corrupting a mutation's reply would turn
-    // a transport fault into a (correct but noisy) client error.
+    // fault phase below sends only idempotent requests over the wire —
+    // they retry transparently, mutations never do, so corrupting a
+    // mutation's reply would turn a transport fault into a (correct but
+    // noisy) client error.
     let towns = db.collection("towns");
     let roads = db.collection("roads");
     for i in 0..400u64 {
@@ -136,7 +140,7 @@ fn soak() {
         for p in &proxies {
             // Transport faults only: a mid-frame close (Truncate) and
             // outright severs. Both surface as transport errors, which
-            // the degraded-read path retries or reports as Partial.
+            // an idempotent request retries once or reports.
             // Garble is deliberately absent here — a corrupted-but-
             // complete frame is a *protocol* error, which the router
             // treats as a bug (panic), not as weather; it has its own
@@ -162,11 +166,15 @@ fn soak() {
                 let queries_done = &queries_done;
                 let run = &run;
                 scope.spawn(move || {
-                    for _ in 0..4 {
-                        // Degraded (partial or failed) reads are
-                        // expected mid-fault; what matters is the
-                        // post-heal convergence check below.
-                        let _ = run(db);
+                    for i in 0..4 {
+                        // Reads answer from the mirror: the faults
+                        // never reach them.
+                        let r = run(db).expect("a mid-fault read");
+                        assert!(!r.outcome.is_partial(), "a read degraded mid-fault");
+                        assert_eq!(r.solutions.len(), oracle_solutions);
+                        // A failed METRICS is expected mid-fault; what
+                        // matters is the post-heal checks below.
+                        let _ = db.backend(i % db.n_shards()).metrics();
                         queries_done.fetch_add(1, Ordering::Relaxed);
                     }
                 });
