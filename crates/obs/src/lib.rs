@@ -17,7 +17,7 @@
 //! The serve tier owns a [`Registry`] and a [`TraceRing`]; the shard
 //! tier owns its own registry and ships [`Snapshot`]s over the wire
 //! for the router to [`Snapshot::merge`]. A long-lived component that
-//! predates a registry (the WAL's flusher) owns a bare [`Histogram`]
+//! predates a registry (the WAL's fsync latency) owns a bare [`Histogram`]
 //! handle and is attached by name at serve time with
 //! [`Registry::register_histogram`] — shared cells, so the scrape is
 //! always live.

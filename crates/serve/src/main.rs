@@ -31,6 +31,10 @@ use scq_shard::{serve_shard, ClusterSpec, ShardServerConfig, WalConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = check_args(&args) {
+        eprintln!("{e}\n{}", usage());
+        std::process::exit(2);
+    }
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{}", usage());
         return;
@@ -43,24 +47,19 @@ fn main() {
         run_self_test(cluster_self_test());
         return;
     }
-    if let Some(i) = args.iter().position(|a| a == "--client") {
-        let Some(addr) = args.get(i + 1) else {
-            eprintln!("--client needs an address\n{}", usage());
-            std::process::exit(2);
-        };
-        // Pretty-printing is for humans; piped output (CI transcripts,
-        // smoke-test greps) keeps the server's raw line shape unless
-        // --pretty asks for it.
-        let pretty = args.iter().any(|a| a == "--pretty")
-            || std::io::IsTerminal::is_terminal(&std::io::stdout());
-        std::process::exit(client(addr, pretty));
-    }
-
     let flag = |name: &str| {
         args.iter()
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1).cloned())
     };
+    if let Some(addr) = flag("--client") {
+        // Pretty-printing is for humans; piped output (CI transcripts,
+        // smoke-test greps) keeps the server's raw line shape unless
+        // --pretty asks for it.
+        let pretty = args.iter().any(|a| a == "--pretty")
+            || std::io::IsTerminal::is_terminal(&std::io::stdout());
+        std::process::exit(client(&addr, pretty));
+    }
 
     if args.iter().any(|a| a == "--shard") {
         // Shard-process mode: this process is ONE shard of a cluster.
@@ -78,17 +77,7 @@ fn main() {
             config.max_connections = m;
         }
         if let Some(dir) = flag("--wal") {
-            let mut wal = WalConfig::new(dir);
-            if let Some(ms) = flag("--wal-group-commit-ms") {
-                match ms.parse::<u64>() {
-                    Ok(ms) if ms > 0 => wal.group_commit = Duration::from_millis(ms),
-                    _ => {
-                        eprintln!("bad --wal-group-commit-ms {ms:?} (want a positive integer)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            config.wal = Some(wal);
+            config.wal = Some(WalConfig::new(dir));
         }
         match serve_shard(&config) {
             Ok(handle) => {
@@ -200,6 +189,47 @@ fn main() {
     }
 }
 
+/// Flags that take a value.
+const VALUE_FLAGS: &[&str] = &[
+    "--addr",
+    "--client",
+    "--cluster",
+    "--max-conns",
+    "--plan",
+    "--shards",
+    "--slow-ms",
+    "--threads",
+    "--universe",
+    "--wal",
+];
+
+/// Flags that stand alone.
+const SWITCHES: &[&str] = &[
+    "--cluster-self-test",
+    "--help",
+    "-h",
+    "--pretty",
+    "--self-test",
+    "--shard",
+];
+
+/// Refuses any argument that is not a known flag (or a value flag's
+/// value), naming it: a misspelt `--wal` must not start a shard that
+/// quietly keeps no log.
+fn check_args(args: &[String]) -> Result<(), String> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            if args.next().is_none() {
+                return Err(format!("{arg} needs a value"));
+            }
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            return Err(format!("unknown argument {arg:?}"));
+        }
+    }
+    Ok(())
+}
+
 /// Serve until killed.
 fn park_forever() -> ! {
     loop {
@@ -229,7 +259,7 @@ fn usage() -> &'static str {
      \x20 scq-serve [--addr A] [--shards N] [--threads T] [--universe S] [--slow-ms W]\n\
      \x20           [--plan selectivity]\n\
      \x20 scq-serve --shard [--addr A] [--threads T] [--universe S] [--max-conns N]\n\
-     \x20           [--wal <dir>] [--wal-group-commit-ms W]\n\
+     \x20           [--wal <dir>]\n\
      \x20 scq-serve --cluster <spec-file> [--addr A] [--threads T]\n\
      \x20           [--plan selectivity]\n\
      \x20 scq-serve --self-test\n\
@@ -237,7 +267,9 @@ fn usage() -> &'static str {
      \x20 scq-serve --client <addr>\n\
      \n\
      --plan accepts only `selectivity`, the one planner; it stays for the\n\
-     repo benchmark.\n\
+     repo benchmark. A shard started with --wal acknowledges a write only\n\
+     once it is fsynced; writes that arrive during one fsync share the\n\
+     next. Any other argument is refused.\n\
      \n\
      protocol: one command per line; see the scq-serve crate docs or the\n\
      repository README for the command reference and the cluster spec\n\
@@ -332,6 +364,56 @@ fn print_response(cmd: &str, head: &str, body: &[String], pretty: bool) {
             for l in body {
                 println!("{l}");
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::check_args;
+
+    fn check(line: &str) -> Result<(), String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        check_args(&args)
+    }
+
+    /// Every command line the repo benchmark and the smoke scripts
+    /// start a server with is accepted.
+    #[test]
+    fn the_benchmark_and_script_command_lines_are_accepted() {
+        for line in [
+            "--addr 127.0.0.1:0 --shards 4 --threads 2 --plan selectivity",
+            "--addr 127.0.0.1:0 --cluster out/cluster.spec --threads 2 --plan selectivity",
+            "--addr 127.0.0.1:0 --shard --threads 1 --wal out/wal-0",
+            "--shard --addr 127.0.0.1:0 --threads 2 --universe 1000 --wal w/shard_a",
+            "--cluster w/cluster.spec --addr 127.0.0.1:0 --threads 2",
+            "--shard --max-conns 8 --slow-ms 5",
+            "--client 127.0.0.1:7878 --pretty",
+            "--self-test",
+            "--cluster-self-test",
+            "--help",
+            "-h",
+            "",
+        ] {
+            assert_eq!(check(line), Ok(()), "{line}");
+        }
+    }
+
+    /// Anything else is refused by name, including the retired
+    /// group-commit window and a value flag missing its value.
+    #[test]
+    fn unknown_flags_are_refused_by_name() {
+        for (line, named) in [
+            ("--shard --wall w/a", "\"--wall\""),
+            (
+                "--shard --wal w/a --wal-group-commit-ms 2",
+                "\"--wal-group-commit-ms\"",
+            ),
+            ("--threads 2 stray", "\"stray\""),
+            ("--shard --wal", "--wal needs a value"),
+        ] {
+            let err = check(line).expect_err(line);
+            assert!(err.contains(named), "{line}: {err}");
         }
     }
 }

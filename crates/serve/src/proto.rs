@@ -1284,6 +1284,64 @@ mod tests {
         assert!(run(&format!("SOLVE rtree 0 {open}")).starts_with("OK n=0 "));
     }
 
+    /// `SOLVE` lists the `MAX_LISTED` least tuples in string order,
+    /// then `+more` when it holds back any. Checked against a full sort
+    /// of the known answer below, at and above the cap, with ids whose
+    /// decimal lengths differ (`T=99` sorts after `T=100`).
+    #[test]
+    fn solve_lists_the_least_tuples_in_string_order() {
+        let listing = |mut tuples: Vec<String>| {
+            tuples.sort();
+            let more = if tuples.len() > MAX_LISTED {
+                "|+more"
+            } else {
+                ""
+            };
+            tuples.truncate(MAX_LISTED);
+            format!("{}{more}", tuples.join("|"))
+        };
+        for n in [5usize, MAX_LISTED, MAX_LISTED + 1, 120] {
+            let universe = AaBox::new([0.0, 0.0], [1000.0, 1000.0]);
+            let db = Arc::new(RwLock::new(ShardedDatabase::<scq_shard::LocalShard>::new(
+                universe, 2,
+            )));
+            let ctx = ServeContext::new(None);
+            let run = |line: &str| handle_command(&db, &ctx, line).0;
+            run("CREATE towns");
+            run("CREATE roads");
+            for i in 0..n {
+                let x = (i % 30) as f64 * 30.0 + 5.0;
+                let y = (i / 30) as f64 * 30.0 + 5.0;
+                run(&format!("INSERT towns {x} {y} {} {}", x + 10.0, y + 10.0));
+            }
+            // Two roads, each crossing the first row of towns.
+            run("INSERT roads 0 8 1000 9");
+            run("INSERT roads 0 10 1000 11");
+
+            let one = run("SOLVE rtree all T=coll:towns,C=box:0:0:1000:1000 T <= C");
+            let expect = listing((0..n).map(|i| format!("T={i}")).collect());
+            assert!(
+                one.starts_with(&format!("OK n={n} pruned=0 tuples={expect}")),
+                "{n}: {one}"
+            );
+            if n > 100 {
+                assert!(one.contains("|T=100|") && !one.contains("T=99"), "{one}");
+            }
+
+            let row = n.min(30);
+            let two = run("SOLVE rtree all T=coll:towns,R=coll:roads R & T != 0");
+            let expect = listing(
+                (0..row)
+                    .flat_map(|i| (0..2).map(move |r| format!("R={r},T={i}")))
+                    .collect(),
+            );
+            assert!(
+                two.starts_with(&format!("OK n={} pruned=0 tuples={expect}", 2 * row)),
+                "{n}: {two}"
+            );
+        }
+    }
+
     /// Per-command latency histograms materialize lazily under
     /// `serve.<verb>.latency` and fold into the same registry scrape.
     #[test]

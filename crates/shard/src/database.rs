@@ -69,6 +69,14 @@ pub(crate) struct ShardSide {
     pub globals: Vec<u64>,
 }
 
+impl ShardSide {
+    /// The `globals` entry of a shard slot no global slot owns: the
+    /// copy a failed migration rolled back, or — when the rollback
+    /// failed too — an **orphan**, live on its shard. `check()` names
+    /// orphans and reads skip them.
+    pub(crate) const UNOWNED: u64 = u64::MAX;
+}
+
 pub(crate) struct LogicalCollection {
     pub name: String,
     /// Global slot -> shard address (never shrinks; tombstoned slots
@@ -473,11 +481,11 @@ impl<B: ShardBackend> ShardedDatabase<B> {
                 outcome => {
                     // Roll back the copy. The reverse table still gets
                     // an entry so local slots and `globals` stay
-                    // index-aligned; the slot is dead (or, if even the
-                    // rollback fails, an orphan `check()` reports), so
-                    // the sentinel is never read on the query path.
+                    // index-aligned; the slot is dead or, if even the
+                    // rollback fails, an orphan that `check()` names
+                    // and `probe_shard` skips.
                     let _ = self.shards[new_shard].remove(obj.collection, new_local);
-                    c.per_shard[new_shard].globals.push(u64::MAX);
+                    c.per_shard[new_shard].globals.push(ShardSide::UNOWNED);
                     return match outcome {
                         Ok(false) => Err(ShardError::Rejected("shard desync".into())),
                         Err(e) => Err(e),
@@ -583,8 +591,16 @@ impl<B: ShardBackend> ShardedDatabase<B> {
                     report.stale_shards.push(s);
                 }
                 let globals = &self.collections[coll.0].per_shard[s].globals;
+                let mut orphans = false;
                 for id in &mut out[start..] {
                     *id = globals[*id as usize];
+                    orphans |= *id == ShardSide::UNOWNED;
+                }
+                if orphans {
+                    // A live shard slot no global id owns (see
+                    // `ShardSide::UNOWNED`) is not an answer.
+                    let found = out.split_off(start);
+                    out.extend(found.into_iter().filter(|&g| g != ShardSide::UNOWNED));
                 }
                 if let Some(sp) = span.as_mut() {
                     sp.set_detail(format!(
@@ -742,6 +758,19 @@ impl<B: ShardBackend> ShardedDatabase<B> {
                     }
                 }
             }
+            for (s, side) in c.per_shard.iter().enumerate() {
+                for (l, &g) in side.globals.iter().enumerate() {
+                    if g == ShardSide::UNOWNED
+                        && l < self.shard(s).collection_len(coll)
+                        && self.shard(s).is_live(local_ref(coll, l))
+                    {
+                        problems.push(format!(
+                            "{name}: orphan on shard {s} slot {l}: live, but no global slot \
+                             owns it (a migration's rollback failed)"
+                        ));
+                    }
+                }
+            }
             let mut empties: Vec<usize> = c.empty_objects.clone();
             empties.sort_unstable();
             let expect: Vec<usize> = c
@@ -839,7 +868,8 @@ impl<B: ShardBackend> ShardedDatabase<B> {
         for (ci, c) in self.collections.iter_mut().enumerate() {
             let coll = CollectionId(ci);
             let side = &mut c.per_shard[s];
-            let mut globals = vec![u64::MAX; self.shards[s].database().collection_len(coll)];
+            let mut globals =
+                vec![ShardSide::UNOWNED; self.shards[s].database().collection_len(coll)];
             for (old, &g) in side.globals.iter().enumerate() {
                 if let Some(new) = local.fix_up(local_ref(coll, old)) {
                     globals[new.index] = g;

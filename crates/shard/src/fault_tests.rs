@@ -15,7 +15,7 @@ mod tests {
     use crate::backend::{local_ref, ProbeTrace, ShardBackend, ShardError};
     use crate::remote::RemoteShard;
     use crate::server::{serve_shard, ShardServerConfig, ShardServerHandle};
-    use crate::wire::{WireError, OP_COMPACT, OP_INSERT, OP_METRICS};
+    use crate::wire::{WireError, OP_COMPACT, OP_INSERT, OP_METRICS, OP_REMOVE};
     use crate::{ClusterSpec, ShardedDatabase, DEFAULT_ROUTER_BITS};
     use scq_bbox::{Bbox, CornerQuery};
     use scq_engine::{CollectionId, IndexKind, ObjectRef};
@@ -617,6 +617,62 @@ mod tests {
             "{problems:?}"
         );
         server.shutdown();
+    }
+
+    /// A migration whose remove *and* rollback are both severed leaves
+    /// an orphan: a live slot on the target shard that no global slot
+    /// owns. The next read neither panics nor answers the sentinel id,
+    /// the object stays where the router says it is, and `check()`
+    /// names the orphan by shard and slot.
+    #[test]
+    fn a_migration_whose_rollback_fails_leaves_a_named_orphan_reads_skip() {
+        let servers: Vec<ShardServerHandle> = (0..2).map(|_| start_server()).collect();
+        let proxies: Vec<FaultProxy> = servers
+            .iter()
+            .map(|s| FaultProxy::start(&s.addr().to_string()).expect("bind proxy"))
+            .collect();
+        let addrs: Vec<String> = proxies.iter().map(|p| p.addr().to_string()).collect();
+        let mut db = ClusterSpec::balanced(universe(), DEFAULT_ROUTER_BITS, &addrs)
+            .connect(Duration::from_secs(5))
+            .expect("connect");
+        let coll = db.try_collection("objs").unwrap();
+        let low = boxed(2.0, 2.0, 4.0, 4.0);
+        let obj = db.try_insert(coll, low.clone()).unwrap();
+        assert_eq!(db.shard_of(obj), 0);
+        for proxy in &proxies {
+            proxy.inject(FaultRule {
+                direction: Direction::ClientToServer,
+                matches: FrameMatch::Opcode(OP_REMOVE),
+                action: FaultAction::Sever,
+                remaining: 1,
+                skip: 0,
+            });
+        }
+        let err = db
+            .try_update(obj, boxed(90.0, 90.0, 4.0, 4.0))
+            .expect_err("the old shard's remove is severed");
+        assert!(matches!(err, ShardError::Wire(_)), "{err}");
+
+        assert_eq!(probe(&db, coll, everywhere()), vec![0]);
+        assert!(probe(&db, coll, Bbox::new([89.0, 89.0], [95.0, 95.0])).is_empty());
+        let sys = scq_core::parse_system("T <= W").unwrap();
+        let query = scq_engine::Query::new(sys)
+            .known("W", Region::from_box(universe()))
+            .from_collection("T", coll);
+        let solved = scq_engine::bbox_execute(&db, &query, IndexKind::RTree).unwrap();
+        assert_eq!(solved.solutions.len(), 1);
+        assert!(db.is_live(obj) && db.region(obj).same_set(&low));
+
+        let problems = db.check().expect_err("the orphan is named");
+        assert!(
+            problems
+                .iter()
+                .any(|p| p.contains("orphan on shard 1 slot 0")),
+            "{problems:?}"
+        );
+        drop(db);
+        proxies.into_iter().for_each(drop);
+        servers.into_iter().for_each(|s| s.shutdown());
     }
 
     /// Severs the `COMPACT` request to each shard of a 2- and a 3-shard

@@ -164,7 +164,7 @@ pub fn serve_shard(config: &ShardServerConfig) -> std::io::Result<ShardServerHan
     let registry = scq_obs::Registry::new();
     if let Some(wal) = &wal {
         // The histogram handle shares cells with the live log: every
-        // group-commit fsync lands in scrapes with no polling.
+        // fsync lands in scrapes with no polling.
         registry.register_histogram("wal.fsync.latency", wal.fsync_latency());
     }
     let state = Arc::new(ShardState {
@@ -370,8 +370,10 @@ fn poisoned<T>(_: T) -> Response {
 /// Runs one mutation under the write lock and, when the shard keeps a
 /// WAL, acknowledges it only once its record is durable. The append
 /// happens **while still holding the lock** — log order is exactly
-/// apply order — and the fsync wait happens after releasing it, so a
-/// group-commit window never blocks readers or other writers.
+/// apply order — and the durability wait happens after releasing it:
+/// this worker either leads the next fsync or waits for one in flight
+/// (see [`Wal::wait_durable`]), and neither blocks readers or the next
+/// writer's apply and append.
 fn mutate<F>(state: &ShardState, req: &Request, op: F) -> Response
 where
     F: FnOnce(&mut SpatialDatabase<2>) -> Response,
@@ -989,11 +991,7 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             threads: 1,
             universe_size: 100.0,
-            wal: Some(WalConfig {
-                dir: dir.to_path_buf(),
-                group_commit: std::time::Duration::from_millis(1),
-                segment_cap: crate::wal::DEFAULT_SEGMENT_CAP,
-            }),
+            wal: Some(WalConfig::new(dir)),
             ..ShardServerConfig::default()
         }
     }

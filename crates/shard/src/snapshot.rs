@@ -397,7 +397,7 @@ fn build_collections<B: ShardBackend>(
         let mut per_shard: Vec<ShardSide> = shards
             .iter()
             .map(|shard| ShardSide {
-                globals: vec![u64::MAX; shard.database().collection_len(coll)],
+                globals: vec![ShardSide::UNOWNED; shard.database().collection_len(coll)],
             })
             .collect();
         let mut live_count = 0usize;
@@ -420,7 +420,7 @@ fn build_collections<B: ShardBackend>(
                     db.collection_len(coll)
                 )));
             }
-            if per_shard[s].globals[l] != u64::MAX {
+            if per_shard[s].globals[l] != ShardSide::UNOWNED {
                 return Err(ShardSnapshotError::Inconsistent(format!(
                     "{name:?}: shard {s} slot {l} mapped twice"
                 )));
@@ -445,7 +445,7 @@ fn build_collections<B: ShardBackend>(
         // leaves its tombstone behind with no global counterpart).
         for (s, side) in per_shard.iter().enumerate() {
             for (l, &g) in side.globals.iter().enumerate() {
-                if g == u64::MAX && shards[s].database().is_live(local_ref(coll, l)) {
+                if g == ShardSide::UNOWNED && shards[s].database().is_live(local_ref(coll, l)) {
                     return Err(ShardSnapshotError::Inconsistent(format!(
                         "{name:?}: live shard {s} slot {l} is unmapped"
                     )));

@@ -7,7 +7,7 @@
 //! the wire protocol uses ([`crate::wire::encode_request`]), framed as
 //! a length-prefixed, checksummed record, appended to the current
 //! **segment** file, and the client's response is held back until a
-//! **group-commit** flusher has fsynced the batch. Recovery is
+//! **group commit** has fsynced it. Recovery is
 //! *newest snapshot + replay*: startup loads the newest `snap-*.scqs`
 //! file (if any) and replays every segment past it, tolerating exactly
 //! one **torn tail** record at the physical end of the newest segment
@@ -16,6 +16,16 @@
 //! spliced in from another shard's log, a truncated *sealed* segment,
 //! a gap in the segment sequence — is a loud named [`WalError`], never
 //! a silently shorter history.
+//!
+//! Group commit has no thread and no window ([`Wal::wait_durable`]).
+//! A waiter whose record is not yet durable and that finds no sync in
+//! flight becomes the **leader**: it marks a sync in flight, takes
+//! everything appended so far as its target, and fsyncs *outside* the
+//! log lock, so appends on other connections never stall behind it.
+//! Waiters that find a sync in flight sleep until it lands; records
+//! appended meanwhile ride the next leader's sync. A lone writer pays
+//! one fsync and no timer, and a batch is as large as the number of
+//! writers that arrived during the previous fsync.
 //!
 //! On-disk layout (all integers little-endian):
 //!
@@ -48,8 +58,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::Instant;
 
 use scq_engine::{snapshot, ObjectRef, SpatialDatabase};
 use scq_obs::Histogram;
@@ -134,8 +143,9 @@ pub enum WalError {
         /// Debug rendering of the refused request.
         op: String,
     },
-    /// The log was shut down or its flusher died; no further appends
-    /// or durability waits can succeed.
+    /// An fsync failed: nothing appended since the last successful
+    /// one may be acknowledged, so no further appends or durability
+    /// waits can succeed.
     Closed(String),
 }
 
@@ -191,32 +201,27 @@ impl From<std::io::Error> for WalError {
 
 // ── configuration and observability ─────────────────────────────────────
 
-/// Where and how a shard keeps its WAL.
+/// Where a shard keeps its WAL and when it rotates segments. Group
+/// commit needs no setting: a batch is whatever was appended while the
+/// previous fsync ran (see the module doc).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalConfig {
     /// Directory holding this shard's segments and snapshots. One
     /// directory per shard **address** — two shards must never share.
     pub dir: PathBuf,
-    /// The group-commit window: how long appended records may wait for
-    /// the batching fsync. Acknowledgement latency trades directly
-    /// against fsyncs per second.
-    pub group_commit: Duration,
     /// Rotate to a fresh segment once the current one passes this many
     /// bytes. Small segments keep per-file replay granular.
     pub segment_cap: u64,
 }
 
-/// Default group-commit window (5 ms).
-pub(crate) const DEFAULT_GROUP_COMMIT_MS: u64 = 5;
 /// Default segment rotation threshold (1 MiB).
-pub(crate) const DEFAULT_SEGMENT_CAP: u64 = 1 << 20;
+const DEFAULT_SEGMENT_CAP: u64 = 1 << 20;
 
 impl WalConfig {
-    /// A config with the default group-commit window and segment cap.
+    /// A config with the default segment cap.
     pub fn new(dir: impl Into<PathBuf>) -> WalConfig {
         WalConfig {
             dir: dir.into(),
-            group_commit: Duration::from_millis(DEFAULT_GROUP_COMMIT_MS),
             segment_cap: DEFAULT_SEGMENT_CAP,
         }
     }
@@ -701,38 +706,42 @@ fn recover(dir: &Path, universe: AaBox<2>) -> Result<Recovered, WalError> {
 // ── the log itself ──────────────────────────────────────────────────────
 
 struct WalState {
-    file: File,
+    /// The open segment. Shared so a group-commit leader can fsync it
+    /// after releasing the lock, even if a rotation replaces it
+    /// meanwhile.
+    file: Arc<File>,
     seq: u64,
     file_len: u64,
     appended: u64,
     durable: u64,
+    /// A group-commit leader is fsyncing outside the lock.
+    syncing: bool,
     fsync_batches: u64,
     broken: Option<String>,
-    shutdown: bool,
+    /// Condvar waits in [`Wal::wait_durable`]: a lone writer does none.
+    #[cfg(test)]
+    cv_waits: u64,
 }
 
-struct Shared {
+/// A shard's open write-ahead log: appends, group commit and
+/// truncation. Construct with [`Wal::open`], which runs recovery first
+/// and hands back the recovered database alongside the log.
+pub struct Wal {
     dir: PathBuf,
     salt: u64,
     segment_cap: u64,
     state: Mutex<WalState>,
+    /// Signalled whenever a sync lands (or fails).
     cv: Condvar,
     /// Latency of every data fsync (group-commit batches, rotation
     /// seals and truncation flushes). Shared out via
     /// [`Wal::fsync_latency`] so the shard server can register it as
     /// `wal.fsync.latency` without a stats-plumbing detour.
     fsync_latency: Histogram,
-}
-
-/// A shard's open write-ahead log: appends, the group-commit flusher
-/// and truncation. Construct with [`Wal::open`], which runs
-/// recovery first and hands back the recovered database alongside the
-/// log.
-pub struct Wal {
-    shared: Arc<Shared>,
     replayed: u64,
     torn_tails: u64,
-    flusher: Option<JoinHandle<()>>,
+    #[cfg(test)]
+    hook: tests::SyncHook,
 }
 
 fn sync_dir(dir: &Path) -> Result<(), WalError> {
@@ -798,43 +807,36 @@ impl Wal {
                 (file, SEGMENT_HEADER_LEN as u64)
             }
         };
-        let shared = Arc::new(Shared {
+        let wal = Wal {
             dir: config.dir.clone(),
             salt,
             segment_cap: config.segment_cap.max(SEGMENT_HEADER_LEN as u64 + 1),
             state: Mutex::new(WalState {
-                file,
+                file: Arc::new(file),
                 seq: r.next_seq,
                 file_len,
                 appended: 0,
                 durable: 0,
+                syncing: false,
                 fsync_batches: 0,
                 broken: None,
-                shutdown: false,
+                #[cfg(test)]
+                cv_waits: 0,
             }),
             cv: Condvar::new(),
             fsync_latency: Histogram::new(),
-        });
-        let window = config.group_commit.max(Duration::from_millis(1));
-        let flusher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || flusher_loop(&shared, window))
+            replayed: r.replayed,
+            torn_tails: r.torn_tails,
+            #[cfg(test)]
+            hook: tests::SyncHook::default(),
         };
-        Ok((
-            Wal {
-                shared,
-                replayed: r.replayed,
-                torn_tails: r.torn_tails,
-                flusher: Some(flusher),
-            },
-            r.db,
-        ))
+        Ok((wal, r.db))
     }
 
     /// The log's salt (stamped into every segment and checksum).
     #[cfg(test)]
     fn salt(&self) -> u64 {
-        self.shared.salt
+        self.salt
     }
 
     /// Appends one mutation record and returns the ticket to wait on.
@@ -858,37 +860,48 @@ impl Wal {
         }
         let mut record = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
         record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&record_crc(self.shared.salt, &payload).to_le_bytes());
+        record.extend_from_slice(&record_crc(self.salt, &payload).to_le_bytes());
         record.extend_from_slice(&payload);
 
-        let mut st = self.shared.state.lock().expect("wal state");
+        let mut st = self.state.lock().expect("wal state");
         if let Some(broken) = &st.broken {
             return Err(WalError::Closed(broken.clone()));
         }
-        if st.shutdown {
-            return Err(WalError::Closed("log shut down".into()));
-        }
-        if st.file_len + record.len() as u64 > self.shared.segment_cap
+        if st.file_len + record.len() as u64 > self.segment_cap
             && st.file_len > SEGMENT_HEADER_LEN as u64
         {
             self.rotate(&mut st)?;
         }
-        st.file.write_all(&record)?;
+        (&*st.file).write_all(&record)?;
         st.file_len += record.len() as u64;
         st.appended += 1;
         Ok(Ticket(st.appended))
     }
 
-    /// Flushes any unacknowledged records in the open segment,
-    /// recording the fsync latency. Caller holds the state lock.
+    /// The one data-sync call: fsyncs `file`, whose first `target`
+    /// records are then durable, and records the latency.
+    #[cfg_attr(not(test), allow(unused_variables))]
+    fn sync(&self, file: &File, target: u64) -> std::io::Result<()> {
+        #[cfg(test)]
+        self.hook.before_sync();
+        let started = Instant::now();
+        file.sync_data()?;
+        self.fsync_latency.observe(started.elapsed());
+        #[cfg(test)]
+        self.hook.completed(target);
+        Ok(())
+    }
+
+    /// Flushes any unacknowledged records in the open segment while
+    /// holding the state lock (rotation and truncation). A leader
+    /// syncing outside the lock meanwhile publishes with `max`, so it
+    /// never moves `durable` back.
     fn sync_pending(&self, st: &mut WalState) -> Result<(), WalError> {
         if st.durable < st.appended {
-            let started = std::time::Instant::now();
-            st.file.sync_data()?;
-            self.shared.fsync_latency.observe(started.elapsed());
+            self.sync(&st.file, st.appended)?;
             st.durable = st.appended;
             st.fsync_batches += 1;
-            self.shared.cv.notify_all();
+            self.cv.notify_all();
         }
         Ok(())
     }
@@ -898,27 +911,51 @@ impl Wal {
     fn rotate(&self, st: &mut WalState) -> Result<(), WalError> {
         self.sync_pending(st)?;
         let next = st.seq + 1;
-        st.file = create_segment(&self.shared.dir, self.shared.salt, next)?;
+        st.file = Arc::new(create_segment(&self.dir, self.salt, next)?);
         st.seq = next;
         st.file_len = SEGMENT_HEADER_LEN as u64;
         Ok(())
     }
 
-    /// Blocks until the ticket's record is fsynced (the group-commit
-    /// flusher batches waiters into one sync). Only after this returns
-    /// may the mutation be acknowledged.
+    /// Blocks until the ticket's record is fsynced. Only after this
+    /// returns may the mutation be acknowledged.
+    ///
+    /// Group commit, leader/follower: a waiter that finds no sync in
+    /// flight leads one — it takes everything appended so far as the
+    /// target, fsyncs the open segment with the lock released, then
+    /// publishes `durable` and wakes the rest. A waiter that finds a
+    /// sync in flight waits for it; if that sync did not cover its
+    /// ticket, it (or another waiter) leads the next one.
     pub fn wait_durable(&self, ticket: Ticket) -> Result<(), WalError> {
-        let mut st = self.shared.state.lock().expect("wal state");
+        let mut st = self.state.lock().expect("wal state");
         while st.durable < ticket.0 {
             if let Some(broken) = &st.broken {
                 return Err(WalError::Closed(broken.clone()));
             }
-            if st.shutdown {
-                return Err(WalError::Closed(
-                    "log shut down before the record was durable".into(),
-                ));
+            if st.syncing {
+                #[cfg(test)]
+                {
+                    st.cv_waits += 1;
+                }
+                st = self.cv.wait(st).expect("wal state");
+                continue;
             }
-            st = self.shared.cv.wait(st).expect("wal state");
+            st.syncing = true;
+            let (target, file) = (st.appended, Arc::clone(&st.file));
+            drop(st);
+            let synced = self.sync(&file, target);
+            st = self.state.lock().expect("wal state");
+            st.syncing = false;
+            match synced {
+                Ok(()) => {
+                    st.durable = st.durable.max(target);
+                    st.fsync_batches += 1;
+                }
+                // A failed fsync poisons the log: nothing after it may
+                // be acknowledged, and waiters must fail loud.
+                Err(e) => st.broken = Some(format!("fsync failed: {e}")),
+            }
+            self.cv.notify_all();
         }
         Ok(())
     }
@@ -936,7 +973,7 @@ impl Wal {
     /// mutations excluded (the shard server holds its database lock)
     /// and `db` equal to the state the log describes.
     pub(crate) fn truncate(&self, db: &SpatialDatabase<2>) -> Result<(), WalError> {
-        let mut st = self.shared.state.lock().expect("wal state");
+        let mut st = self.state.lock().expect("wal state");
         if let Some(broken) = &st.broken {
             return Err(WalError::Closed(broken.clone()));
         }
@@ -944,28 +981,28 @@ impl Wal {
         // snapshot claims to supersede it.
         self.sync_pending(&mut st)?;
         let next = st.seq + 1;
-        let tmp = self.shared.dir.join(format!("snap-{next:08}.tmp"));
+        let tmp = self.dir.join(format!("snap-{next:08}.tmp"));
         let stream = snapshot::save(db);
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&stream)?;
             f.sync_data()?;
         }
-        fs::rename(&tmp, self.shared.dir.join(snap_name(next)))?;
-        sync_dir(&self.shared.dir)?;
+        fs::rename(&tmp, self.dir.join(snap_name(next)))?;
+        sync_dir(&self.dir)?;
         // The snapshot is durable: recovery now starts at `next`
         // whatever happens below.
-        st.file = create_segment(&self.shared.dir, self.shared.salt, next)?;
+        st.file = Arc::new(create_segment(&self.dir, self.salt, next)?);
         st.seq = next;
         st.file_len = SEGMENT_HEADER_LEN as u64;
         drop(st);
-        let (segs, snaps) = list_dir(&self.shared.dir)?;
+        let (segs, snaps) = list_dir(&self.dir)?;
         for (seq, path) in segs.iter().chain(snaps.iter()) {
             if *seq < next {
                 let _ = fs::remove_file(path);
             }
         }
-        sync_dir(&self.shared.dir)?;
+        sync_dir(&self.dir)?;
         Ok(())
     }
 
@@ -974,16 +1011,16 @@ impl Wal {
     /// (`registry.register_histogram("wal.fsync.latency", …)`) keeps
     /// scrapes current with no polling.
     pub(crate) fn fsync_latency(&self) -> Histogram {
-        self.shared.fsync_latency.clone()
+        self.fsync_latency.clone()
     }
 
     /// Live counters (see [`WalStats`]).
     pub fn stats(&self) -> WalStats {
-        let st = self.shared.state.lock().expect("wal state");
+        let st = self.state.lock().expect("wal state");
         let (appended, fsync_batches) = (st.appended, st.fsync_batches);
         drop(st);
         let (mut segments, mut bytes) = (0u64, 0u64);
-        if let Ok((segs, _)) = list_dir(&self.shared.dir) {
+        if let Ok((segs, _)) = list_dir(&self.dir) {
             for path in segs.values() {
                 segments += 1;
                 bytes += fs::metadata(path).map(|m| m.len()).unwrap_or(0);
@@ -997,46 +1034,6 @@ impl Wal {
             bytes,
             torn_tails: self.torn_tails,
         }
-    }
-}
-
-impl Drop for Wal {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("wal state");
-            st.shutdown = true;
-            self.shared.cv.notify_all();
-        }
-        if let Some(f) = self.flusher.take() {
-            let _ = f.join();
-        }
-    }
-}
-
-fn flusher_loop(shared: &Shared, window: Duration) {
-    let mut st = shared.state.lock().expect("wal state");
-    loop {
-        if st.broken.is_none() && st.appended > st.durable {
-            let started = std::time::Instant::now();
-            match st.file.sync_data() {
-                Ok(()) => {
-                    shared.fsync_latency.observe(started.elapsed());
-                    st.durable = st.appended;
-                    st.fsync_batches += 1;
-                }
-                Err(e) => {
-                    // A failed fsync poisons the log: nothing after it
-                    // may be acknowledged, and waiters must fail loud.
-                    st.broken = Some(format!("fsync failed: {e}"));
-                }
-            }
-            shared.cv.notify_all();
-        }
-        if st.shutdown {
-            return;
-        }
-        let (guard, _) = shared.cv.wait_timeout(st, window).expect("wal state");
-        st = guard;
     }
 }
 
@@ -1062,10 +1059,63 @@ mod tests {
     }
 
     fn small_config(dir: &Path) -> WalConfig {
-        WalConfig {
-            dir: dir.to_path_buf(),
-            group_commit: Duration::from_millis(1),
-            segment_cap: DEFAULT_SEGMENT_CAP,
+        WalConfig::new(dir)
+    }
+
+    /// Test-only instrumentation at [`Wal::sync`]: the target of every
+    /// completed sync, and a gate that can hold a sync before it
+    /// starts.
+    #[derive(Default)]
+    pub(super) struct SyncHook {
+        state: Mutex<HookState>,
+        cv: Condvar,
+    }
+
+    #[derive(Default)]
+    struct HookState {
+        completed: Vec<u64>,
+        hold: bool,
+        held: usize,
+    }
+
+    impl SyncHook {
+        pub(super) fn before_sync(&self) {
+            let mut h = self.state.lock().unwrap();
+            h.held += 1;
+            self.cv.notify_all();
+            while h.hold {
+                h = self.cv.wait(h).unwrap();
+            }
+            h.held -= 1;
+        }
+
+        pub(super) fn completed(&self, target: u64) {
+            self.state.lock().unwrap().completed.push(target);
+        }
+
+        /// The highest target a completed sync covered.
+        fn last_completed(&self) -> u64 {
+            let h = self.state.lock().unwrap();
+            h.completed.iter().copied().max().unwrap_or(0)
+        }
+
+        fn set_hold(&self, hold: bool) {
+            self.state.lock().unwrap().hold = hold;
+            self.cv.notify_all();
+        }
+
+        fn wait_until_held(&self, n: usize) {
+            let mut h = self.state.lock().unwrap();
+            while h.held < n {
+                h = self.cv.wait(h).unwrap();
+            }
+        }
+    }
+
+    fn insert(i: u64) -> Request {
+        Request::Insert {
+            coll: CollectionId(0),
+            region: boxed((i % 50) as f64),
         }
     }
 
@@ -1479,29 +1529,95 @@ mod tests {
     #[test]
     fn group_commit_batches_many_records_per_fsync() {
         let dir = tmpdir("batch");
-        let mut cfg = small_config(&dir);
-        // A wide window so the flusher cannot keep pace record-by-record.
-        cfg.group_commit = Duration::from_millis(40);
-        let (wal, _db) = Wal::open(&cfg, universe()).unwrap();
+        let (wal, _db) = Wal::open(&small_config(&dir), universe()).unwrap();
         let n = 200u64;
         let mut last = Ticket(0);
         for i in 0..n {
-            last = wal
-                .append(&Request::Insert {
-                    coll: CollectionId(0),
-                    region: boxed((i % 50) as f64),
-                })
-                .unwrap();
+            last = wal.append(&insert(i)).unwrap();
         }
         wal.wait_durable(last).unwrap();
         let stats = wal.stats();
         assert_eq!(stats.appended, n);
-        assert!(stats.fsync_batches >= 1);
-        assert!(
-            stats.fsync_batches < n,
+        // Nothing syncs until someone waits; the one waiter's sync
+        // covers every record appended before it.
+        assert_eq!(
+            stats.fsync_batches, 1,
             "group commit must batch: {n} records took {} fsyncs",
             stats.fsync_batches
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The durability contract at the sync call itself: no
+    /// `wait_durable` returns for a ticket a completed sync has not
+    /// covered, however the waiters interleave.
+    #[test]
+    fn no_ticket_is_acknowledged_past_the_last_completed_sync() {
+        let dir = tmpdir("acked");
+        let (wal, _db) = Wal::open(&small_config(&dir), universe()).unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..8u64 {
+                let wal = &wal;
+                scope.spawn(move || {
+                    for i in 0..100 {
+                        let ticket = wal.append(&insert(t * 7 + i)).unwrap();
+                        wal.wait_durable(ticket).unwrap();
+                        let synced = wal.hook.last_completed();
+                        assert!(
+                            ticket.0 <= synced,
+                            "ticket {} acknowledged; the last completed sync covers {synced}",
+                            ticket.0
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(wal.stats().appended, 800);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Records appended while a leader's fsync is in flight ride the
+    /// next leader's one sync: the first leader is held at the sync
+    /// call while seven more writers append and wait.
+    #[test]
+    fn writers_arriving_during_a_sync_share_the_next_one() {
+        let dir = tmpdir("leader");
+        let (wal, _db) = Wal::open(&small_config(&dir), universe()).unwrap();
+        wal.hook.set_hold(true);
+        std::thread::scope(|scope| {
+            let wal = &wal;
+            scope.spawn(move || wal.append_durable(&insert(0)).unwrap());
+            wal.hook.wait_until_held(1);
+            for i in 1..8 {
+                scope.spawn(move || wal.append_durable(&insert(i)).unwrap());
+            }
+            while wal.stats().appended < 8 {
+                std::thread::yield_now();
+            }
+            wal.hook.set_hold(false);
+        });
+        let stats = wal.stats();
+        assert_eq!(stats.appended, 8);
+        assert!(stats.fsync_batches < stats.appended, "{stats:?}");
+        assert_eq!(
+            stats.fsync_batches, 2,
+            "the held sync, then one for the seven"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A lone writer leads every sync itself: one fsync per write and
+    /// no condvar wait, so no timer stands between it and its ack.
+    #[test]
+    fn a_lone_writer_syncs_once_per_write_and_never_waits() {
+        let dir = tmpdir("lone");
+        let (wal, _db) = Wal::open(&small_config(&dir), universe()).unwrap();
+        for i in 0..20 {
+            wal.append_durable(&insert(i)).unwrap();
+        }
+        let stats = wal.stats();
+        assert_eq!((stats.appended, stats.fsync_batches), (20, 20));
+        assert_eq!(wal.state.lock().unwrap().cv_waits, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

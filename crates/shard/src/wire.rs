@@ -567,7 +567,7 @@ const OP_CREATE: u8 = 0x02;
 /// Opcode of [`Request::Insert`].
 pub(crate) const OP_INSERT: u8 = 0x03;
 /// Opcode of [`Request::Remove`].
-const OP_REMOVE: u8 = 0x04;
+pub(crate) const OP_REMOVE: u8 = 0x04;
 /// Opcode of [`Request::Update`].
 const OP_UPDATE: u8 = 0x05;
 /// Opcode of [`Request::Query`].

@@ -74,10 +74,10 @@ start_server() {
 
 echo "=== booting 2 WAL-enabled shard processes ==="
 start_server shard_a "$BIN" --shard --addr 127.0.0.1:0 --threads 2 --universe 1000 \
-    --wal "$WAL_ROOT/shard_a" --wal-group-commit-ms 2
+    --wal "$WAL_ROOT/shard_a"
 SHARD_A="$ADDR"
 start_server shard_b "$BIN" --shard --addr 127.0.0.1:0 --threads 2 --universe 1000 \
-    --wal "$WAL_ROOT/shard_b" --wal-group-commit-ms 2
+    --wal "$WAL_ROOT/shard_b"
 SHARD_B="$ADDR"
 SHARD_B_PID="$SERVER_PID"
 echo "shard processes: $SHARD_A $SHARD_B (wal under $WAL_ROOT)"
@@ -174,7 +174,7 @@ echo "=== restart shard B behind the same address, same WAL dir ==="
 RESTARTED=0
 for _ in $(seq 1 20); do
     if start_server shard_b_revived "$BIN" --shard --addr "$SHARD_B" --threads 2 --universe 1000 \
-        --wal "$WAL_ROOT/shard_b" --wal-group-commit-ms 2; then
+        --wal "$WAL_ROOT/shard_b"; then
         RESTARTED=1
         break
     fi

@@ -692,16 +692,13 @@ fn pristine_restart_behind_a_replica_address_stays_a_loud_desync_until_restored(
     impostor.shutdown();
 }
 
-/// Boots a WAL-enabled shard server logging under `<root>/<tag>` with
-/// a short group-commit window (tests trade batching for latency).
+/// Boots a WAL-enabled shard server logging under `<root>/<tag>`.
 fn boot_wal_server(root: &std::path::Path, tag: &str) -> ShardServerHandle {
-    let mut wal = WalConfig::new(root.join(tag));
-    wal.group_commit = Duration::from_millis(1);
     scq_shard::serve_shard(&ShardServerConfig {
         addr: "127.0.0.1:0".into(),
         threads: 1,
         universe_size: UNIVERSE_SIZE,
-        wal: Some(wal),
+        wal: Some(WalConfig::new(root.join(tag))),
         ..ShardServerConfig::default()
     })
     .expect("bind wal shard server")

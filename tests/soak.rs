@@ -2,7 +2,9 @@
 //! WAL-backed cluster behind fault-injecting proxies. Each client reads
 //! (answered by the router's mirror, so it must never degrade) and asks
 //! a shard process for its `METRICS` (an idempotent request over the
-//! multiplexed wire, the part the faults hit).
+//! multiplexed wire, the part the faults hit). A last phase has the 64
+//! clients write concurrently, each on its own connection to a shard
+//! process, so group commit has writers to batch.
 //!
 //! Ignored by default (it runs for a fixed 90 s budget); CI runs it on
 //! its own:
@@ -11,16 +13,74 @@
 //! cargo test --release -q --test soak -- --ignored --nocapture
 //! ```
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use scq_engine::{bbox_execute, IndexKind};
 use scq_region::{AaBox, Region};
+use scq_shard::wire::{
+    decode_mux, decode_response, encode_mux, encode_request, frame, Request, Response, MUX_REQ,
+    MUX_RESP, WIRE_VERSION,
+};
 use scq_shard::{serve_shard, ClusterSpec, ShardBackend, ShardServerConfig, Wal, WalConfig};
 use scq_testkit::{Direction, FaultAction, FaultProxy, FaultRule, FrameMatch};
 
 /// How long the fault rounds run.
 const BUDGET: Duration = Duration::from_secs(90);
+
+/// Durable inserts each client makes in the concurrent write phase.
+const WRITES_PER_CLIENT: u64 = 50;
+
+/// One raw wire connection to a shard process: the handshake, then one
+/// multiplexed request at a time. The concurrent write phase talks to
+/// the shards this way because the router serialises its writes.
+struct WireClient {
+    stream: TcpStream,
+    next_id: u64,
+}
+
+impl WireClient {
+    fn connect(addr: SocketAddr) -> WireClient {
+        let mut stream = TcpStream::connect(addr).expect("connect to a shard");
+        let hello = encode_request(&Request::Hello {
+            version: WIRE_VERSION,
+        });
+        stream.write_all(&frame(&hello).unwrap()).unwrap();
+        let answer = decode_response(&read_payload(&mut stream)).unwrap();
+        assert!(matches!(answer, Response::Hello { .. }), "{answer:?}");
+        WireClient { stream, next_id: 0 }
+    }
+
+    fn call(&mut self, req: &Request) -> Response {
+        self.next_id += 1;
+        let payload = encode_mux(MUX_REQ, self.next_id, &encode_request(req));
+        self.stream.write_all(&frame(&payload).unwrap()).unwrap();
+        let answer = decode_mux(&read_payload(&mut self.stream)).unwrap();
+        assert_eq!((answer.kind, answer.id), (MUX_RESP, self.next_id));
+        decode_response(&answer.body).unwrap()
+    }
+}
+
+/// One length-prefixed frame's payload.
+fn read_payload(stream: &mut TcpStream) -> Vec<u8> {
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).expect("frame length");
+    let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+    stream.read_exact(&mut payload).expect("frame payload");
+    payload
+}
+
+/// Records and fsyncs summed over every shard's WAL.
+fn wal_totals(servers: &[scq_shard::ShardServerHandle]) -> (u64, u64) {
+    servers
+        .iter()
+        .map(|s| s.wal_stats().expect("soak shards keep a wal"))
+        .fold((0, 0), |(appended, fsyncs), w| {
+            (appended + w.appended, fsyncs + w.fsync_batches)
+        })
+}
 
 /// Open file descriptors of this process, via `/proc` (Linux-only, the
 /// only platform CI runs on). 0 when `/proc` is unavailable, which
@@ -49,7 +109,8 @@ fn count_threads() -> usize {
 /// read, mid-fault included, equals the pre-fault oracle, every shard's
 /// integrity check is clean, at least one multiplexed connection
 /// carried ≥8 requests in flight, no file descriptors or threads
-/// leaked, and both WALs reopen with zero torn tails.
+/// leaked, 64 concurrent writers leave the whole run under one fsync
+/// per write, and both WALs reopen with zero torn tails.
 #[test]
 #[ignore = "runs for 90 s; CI runs it in its own job"]
 fn soak() {
@@ -61,13 +122,11 @@ fn soak() {
     let mut servers = Vec::new();
     let mut proxies = Vec::new();
     for i in 0..2 {
-        let mut wal = WalConfig::new(base.join(format!("wal{i}")));
-        wal.group_commit = Duration::from_millis(25);
         let server = serve_shard(&ShardServerConfig {
             addr: "127.0.0.1:0".into(),
             threads: 2,
             universe_size: 1000.0,
-            wal: Some(wal),
+            wal: Some(WalConfig::new(base.join(format!("wal{i}")))),
             ..ShardServerConfig::default()
         })
         .expect("bind soak shard");
@@ -231,6 +290,40 @@ fn soak() {
 
     drop(db);
     drop(proxies);
+
+    // Concurrent durable writes: every client inserts on its own
+    // connection to one shard process (the router's mirror is gone, so
+    // nothing has to stay in lockstep with these). Writers that arrive
+    // during one fsync share the next, so the soak as a whole must
+    // average under one fsync per write.
+    let (appended_before, fsyncs_before) = wal_totals(&servers);
+    std::thread::scope(|scope| {
+        for c in 0..64u64 {
+            let addr = servers[c as usize % servers.len()].addr();
+            scope.spawn(move || {
+                let mut client = WireClient::connect(addr);
+                for i in 0..WRITES_PER_CLIENT {
+                    let (x, y) = ((c * 15) as f64, (i * 19) as f64);
+                    let insert = Request::Insert {
+                        coll: towns,
+                        region: Region::from_box(AaBox::new([x, y], [x + 5.0, y + 5.0])),
+                    };
+                    match client.call(&insert) {
+                        Response::Slot(_) => {}
+                        other => panic!("client {c} insert {i}: {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+    let (appended, fsyncs) = wal_totals(&servers);
+    assert_eq!(appended - appended_before, 64 * WRITES_PER_CLIENT);
+    let concurrent_ratio = (fsyncs - fsyncs_before) as f64 / (64 * WRITES_PER_CLIENT) as f64;
+    assert!(
+        fsyncs < appended,
+        "group commit must batch concurrent writers: {fsyncs} fsyncs for {appended} writes \
+         ({concurrent_ratio:.2} per write in the concurrent phase)"
+    );
     for s in servers {
         s.shutdown();
     }
@@ -248,7 +341,9 @@ fn soak() {
     let _ = std::fs::remove_dir_all(&base);
     println!(
         "soak passed: {rounds} fault rounds, {} queries, peak in-flight {peak}, \
-         fds/threads back to baseline ({fd_baseline}/{thread_baseline}), zero torn tails",
-        queries_done.load(Ordering::Relaxed)
+         fds/threads back to baseline ({fd_baseline}/{thread_baseline}), zero torn tails, \
+         {:.2} fsyncs per write ({concurrent_ratio:.2} with 64 concurrent writers)",
+        queries_done.load(Ordering::Relaxed),
+        fsyncs as f64 / appended as f64
     );
 }
