@@ -63,57 +63,6 @@ use crate::view::StoreView;
 /// One solution: an object per unknown variable.
 pub(crate) type Solution = BTreeMap<Var, ObjectRef>;
 
-/// Whether a query's answer set is known to be complete.
-///
-/// A store whose shards live in other processes can lose a shard
-/// mid-query. The executors do not abort: they keep searching over the
-/// candidates that did arrive and report the degradation here, so a
-/// caller can distinguish "no matches" (`Complete`, empty solutions)
-/// from "shard 3 was down" (`Partial`). A single-store execution is
-/// always `Complete`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub enum QueryOutcome {
-    /// Every probed shard answered: the solution set is exact.
-    #[default]
-    Complete,
-    /// At least one shard was unavailable: the solutions are a correct
-    /// **subset** of the true answer (everything returned is a real
-    /// solution; solutions involving the missing shards' objects may be
-    /// absent).
-    Partial {
-        /// The shards that failed to answer, ascending, deduplicated.
-        missing_shards: Vec<usize>,
-    },
-}
-
-impl QueryOutcome {
-    /// Builds an outcome from the union of missing shards seen during
-    /// an execution (sorted and deduplicated here).
-    fn from_missing(mut missing: Vec<usize>) -> QueryOutcome {
-        if missing.is_empty() {
-            return QueryOutcome::Complete;
-        }
-        missing.sort_unstable();
-        missing.dedup();
-        QueryOutcome::Partial {
-            missing_shards: missing,
-        }
-    }
-
-    /// Whether the answer set may be missing solutions.
-    pub fn is_partial(&self) -> bool {
-        matches!(self, QueryOutcome::Partial { .. })
-    }
-
-    /// The missing shards (empty when complete).
-    pub fn missing_shards(&self) -> &[usize] {
-        match self {
-            QueryOutcome::Complete => &[],
-            QueryOutcome::Partial { missing_shards } => missing_shards,
-        }
-    }
-}
-
 /// Result of executing a query.
 #[derive(Clone, Debug)]
 pub struct QueryResult {
@@ -121,9 +70,6 @@ pub struct QueryResult {
     pub solutions: Vec<Solution>,
     /// Work counters.
     pub stats: ExecStats,
-    /// Whether the solution set is exact or degraded by unavailable
-    /// shards.
-    pub outcome: QueryOutcome,
 }
 
 /// Errors surfaced by the executors.
@@ -249,30 +195,11 @@ fn level_bufs<const K: usize>(n: usize) -> Vec<LevelBuf<K>> {
         .collect()
 }
 
-/// Folds one probe's [`ProbeReport`] into the running stats and the
-/// execution's union of missing shards. The single aggregation point
-/// for availability accounting — the executors and the planner both go
-/// through it.
-pub(crate) fn note_probe(
-    report: crate::view::ProbeReport,
-    stats: &mut ExecStats,
-    missing: &mut Vec<usize>,
-) {
+/// Folds one probe's [`ProbeReport`] into the running stats. The
+/// executors and the planner both go through it.
+pub(crate) fn note_probe(report: crate::view::ProbeReport, stats: &mut ExecStats) {
     stats.shards_pruned += report.shards_pruned;
-    stats.retries += report.retries;
-    stats.failovers += report.failovers;
-    stats.stale_answers += report.stale_shards.len();
-    stats.shards_unavailable += report.missing_shards.len();
     stats.route_us = stats.route_us.saturating_add(report.route_us);
-    // `missing` is kept sorted and deduplicated (it only ever grows
-    // through this function), so the union is a binary-search insert
-    // per element instead of a quadratic `contains` scan — wide
-    // fan-outs with many failed shards stay linear-ish.
-    for s in report.missing_shards {
-        if let Err(pos) = missing.binary_search(&s) {
-            missing.insert(pos, s);
-        }
-    }
 }
 
 /// Fills `buf.candidates` for one retrieval level and returns the
@@ -289,17 +216,11 @@ pub(crate) fn note_probe(
 /// way the buffers are recycled — no allocation once the pool has
 /// warmed up.
 ///
-/// A shard that fails to answer the probe costs its candidates, not the
-/// query: the failure is recorded (`stats.shards_unavailable`,
-/// `missing`) and the search continues over what arrived.
-///
 /// Consecutive gathers at the same level whose corner query is equal
 /// (the prefix boxes it reads were unchanged since the previous
 /// sibling) and whose collection epoch has not moved skip the range
 /// query and reuse the buffered ids — the **sibling corner-query
 /// cache** (`ExecStats::{corner_cache_hits, corner_cache_misses}`).
-/// Only *complete* probe answers are cached; a degraded probe is
-/// re-issued every time so a recovering shard is seen immediately.
 #[allow(clippy::too_many_arguments)]
 fn gather_candidates<const K: usize, V: StoreView<K>>(
     db: &V,
@@ -310,7 +231,6 @@ fn gather_candidates<const K: usize, V: StoreView<K>>(
     buf: &mut LevelBuf<K>,
     stats: &mut ExecStats,
     timings: &mut Timings,
-    missing: &mut Vec<usize>,
 ) -> CornerQuery<K> {
     let lookup = |i: usize| boxes.get(i).copied().unwrap_or(Bbox::Empty);
     let q = row.corner_query(lookup);
@@ -326,14 +246,11 @@ fn gather_candidates<const K: usize, V: StoreView<K>>(
             } else {
                 stats.corner_cache_misses += 1;
                 buf.ids.clear();
-                buf.cached = None;
                 let probe_start = std::time::Instant::now();
                 let report = db.query_collection(coll, k, &q, &mut buf.ids);
                 timings.probe(probe_start);
-                if report.is_complete() {
-                    buf.cached = Some((q, db.epoch(coll)));
-                }
-                note_probe(report, stats, missing);
+                buf.cached = Some((q, db.epoch(coll)));
+                note_probe(report, stats);
             }
             buf.candidates.extend(buf.ids.iter().map(|&id| id as usize));
             buf.candidates.extend_from_slice(db.empty_objects(coll));
@@ -467,8 +384,6 @@ struct Ctx<'e, const K: usize, V: StoreView<K>> {
     timings: Timings,
     solutions: Vec<Solution>,
     options: ExecOptions,
-    /// Union of shards that failed to answer a probe (degraded read).
-    missing: Vec<usize>,
 }
 
 impl<const K: usize, V: StoreView<K>> Ctx<'_, K, V> {
@@ -508,7 +423,6 @@ fn naive_execute_opts<const K: usize, V: StoreView<K>>(
         timings: Timings::default(),
         solutions: Vec::new(),
         options,
-        missing: Vec::new(),
     };
     let mut tuple = BTreeMap::new();
     naive_rec(&mut ctx, query, 0, &mut assign, &mut tuple)?;
@@ -516,7 +430,6 @@ fn naive_execute_opts<const K: usize, V: StoreView<K>>(
     Ok(QueryResult {
         solutions: ctx.solutions,
         stats: ctx.stats,
-        outcome: QueryOutcome::from_missing(ctx.missing),
     })
 }
 
@@ -657,7 +570,6 @@ fn run_plan<const K: usize, V: StoreView<K>>(
         QueryResult {
             solutions: Vec::new(),
             stats,
-            outcome: QueryOutcome::Complete,
         }
     };
     if !plan.satisfiable {
@@ -676,7 +588,6 @@ fn run_plan<const K: usize, V: StoreView<K>>(
         timings: Timings::default(),
         solutions: Vec::new(),
         options,
-        missing: Vec::new(),
     };
     let mut tuple = BTreeMap::new();
     let mut bufs = level_bufs(ctx.unknowns.len());
@@ -695,7 +606,6 @@ fn run_plan<const K: usize, V: StoreView<K>>(
     Ok(QueryResult {
         solutions: ctx.solutions,
         stats: ctx.stats,
-        outcome: QueryOutcome::from_missing(ctx.missing),
     })
 }
 
@@ -730,7 +640,6 @@ fn opt_rec<'e, const K: usize, V: StoreView<K>>(
         buf,
         &mut ctx.stats,
         &mut ctx.timings,
-        &mut ctx.missing,
     );
     ctx.stats.index_candidates += buf.candidates.len();
     if buf.candidates.is_empty() {
@@ -1199,39 +1108,6 @@ mod tests {
         assert_eq!(
             solution_names(&db, &q, &before),
             solution_names(&db, &q, &restored)
-        );
-    }
-
-    #[test]
-    fn note_probe_dedups_missing_shards_sorted() {
-        use crate::view::ProbeReport;
-        let mut stats = ExecStats::default();
-        let mut missing: Vec<usize> = Vec::new();
-        note_probe(
-            ProbeReport {
-                missing_shards: vec![3, 1, 3],
-                ..Default::default()
-            },
-            &mut stats,
-            &mut missing,
-        );
-        assert_eq!(missing, vec![1, 3]);
-        note_probe(
-            ProbeReport {
-                missing_shards: vec![2, 1, 7, 2],
-                ..Default::default()
-            },
-            &mut stats,
-            &mut missing,
-        );
-        assert_eq!(
-            missing,
-            vec![1, 2, 3, 7],
-            "union stays sorted and deduplicated across reports"
-        );
-        assert_eq!(
-            stats.shards_unavailable, 7,
-            "every reported failure counts, duplicates included"
         );
     }
 

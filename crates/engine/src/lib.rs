@@ -44,7 +44,7 @@ pub mod workload;
 pub use database::{CollectionId, CompactReport, ObjectRef, SpatialDatabase};
 pub use exec::{
     bbox_execute, bbox_execute_compiled, bbox_execute_opts, compile_triangular, naive_execute,
-    triangular_execute, ExecOptions, QueryOutcome, QueryResult,
+    triangular_execute, ExecOptions, QueryResult,
 };
 pub use planner::{order_by_selectivity, SelectivityPlan};
 pub use query::{IndexKind, Query, VarBinding};

@@ -143,7 +143,6 @@ pub fn order_by_selectivity<const K: usize, V: StoreView<K>>(
     let mut ids: Vec<u64> = Vec::new();
     let mut stats = ExecStats::default();
     let mut timings = Timings::default();
-    let mut missing: Vec<usize> = Vec::new();
     let mut estimates = Vec::with_capacity(n);
     for (v, &(var, coll)) in unknowns.iter().enumerate() {
         let lead = perms
@@ -160,7 +159,7 @@ pub fn order_by_selectivity<const K: usize, V: StoreView<K>>(
                 let probe_start = std::time::Instant::now();
                 let report = db.query_collection(coll, kind, &q, &mut ids);
                 timings.probe(probe_start);
-                crate::exec::note_probe(report, &mut stats, &mut missing);
+                crate::exec::note_probe(report, &mut stats);
             }
             // Empty-region objects are enumerated by the executors
             // whether or not the probe runs (no corner query can return

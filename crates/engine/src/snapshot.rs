@@ -30,7 +30,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use scq_region::{AaBox, Region};
+use scq_region::{AaBox, FragmentError, Region};
 
 use crate::database::SpatialDatabase;
 
@@ -58,6 +58,9 @@ pub enum SnapshotError {
     BadName,
     /// A coordinate was not finite.
     BadCoordinate,
+    /// A region's fragments were empty or overlapped: no region stores
+    /// that.
+    BadRegion(FragmentError),
     /// Bytes remained after the last declared collection — the payload
     /// is longer than its own header admits (corruption or a
     /// mis-framed write), so it is rejected rather than silently
@@ -79,6 +82,7 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::BadName => write!(f, "collection name is not UTF-8"),
             SnapshotError::BadCoordinate => write!(f, "non-finite coordinate"),
+            SnapshotError::BadRegion(e) => write!(f, "{e}"),
             SnapshotError::TrailingData { bytes } => {
                 write!(f, "{bytes} trailing bytes after the last collection")
             }
@@ -87,6 +91,16 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+impl From<FragmentError> for SnapshotError {
+    fn from(e: FragmentError) -> Self {
+        match e {
+            FragmentError::Truncated => SnapshotError::Truncated,
+            FragmentError::NonFinite => SnapshotError::BadCoordinate,
+            e => SnapshotError::BadRegion(e),
+        }
+    }
+}
 
 /// Serializes the database (universe, collections, regions, per-slot
 /// liveness).
@@ -182,22 +196,10 @@ pub fn load<const K: usize>(data: &[u8]) -> Result<SpatialDatabase<K>, SnapshotE
         need(&buf, 4)?;
         let n_obj = buf.get_u32_le();
         for _ in 0..n_obj {
-            need(&buf, 5)?;
+            need(&buf, 1)?;
             let live = buf.get_u8() & 1 != 0;
-            let n_frag = buf.get_u32_le();
-            // Validate the declared fragment bytes against the buffer
-            // *before* reserving: a corrupt count must yield an error,
-            // not a huge allocation.
-            need(&buf, (n_frag as usize).saturating_mul(16 * K))?;
-            let mut boxes = Vec::with_capacity(n_frag as usize);
-            for _ in 0..n_frag {
-                let (lo, hi) = get_coords::<K>(&mut buf)?;
-                boxes.push(AaBox::new(lo, hi));
-            }
-            // Fragments were stored disjoint; from_boxes re-unions them,
-            // which is a no-op for disjoint input but keeps the region
-            // invariant even for hand-crafted snapshots.
-            db.restore_slot(coll, Region::from_boxes(boxes), live);
+            let region = Region::decode_fragments(&mut buf)?;
+            db.restore_slot(coll, region, live);
         }
     }
     if buf.has_remaining() {
@@ -319,6 +321,33 @@ mod tests {
         let pos = 8; // first universe coordinate
         bad[pos..pos + 8].copy_from_slice(&f64::NAN.to_le_bytes());
         assert_eq!(load::<2>(&bad).err(), Some(SnapshotError::BadCoordinate));
+    }
+
+    #[test]
+    fn fragments_round_trip_unchanged_and_an_overlap_is_named() {
+        let mut db = SpatialDatabase::new(AaBox::new([0.0, 0.0], [10.0, 10.0]));
+        let c = db.collection("c");
+        let obj = db.insert(
+            c,
+            Region::from_boxes([
+                AaBox::new([0.0, 0.0], [2.0, 2.0]),
+                AaBox::new([5.0, 5.0], [6.0, 6.0]),
+            ]),
+        );
+        let bytes = save(&db);
+        let loaded: SpatialDatabase<2> = load(&bytes).unwrap();
+        assert_eq!(loaded.region(obj).boxes(), db.region(obj).boxes());
+        // The last fragment is the payload's last 32 bytes: move it
+        // onto the first. Loading names the overlap; it does not union.
+        let mut bad = bytes.to_vec();
+        let at = bad.len() - 32;
+        for (i, v) in [1.0f64, 1.0, 3.0, 3.0].iter().enumerate() {
+            bad[at + 8 * i..at + 8 * i + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(
+            load::<2>(&bad).err(),
+            Some(SnapshotError::BadRegion(FragmentError::Overlap))
+        );
     }
 
     #[test]

@@ -87,23 +87,6 @@ pub struct ExecStats {
     /// the level's corner query changed since the previous sibling (or
     /// there was no previous sibling), so the index was probed.
     pub corner_cache_misses: usize,
-    /// Shard probes that found the shard unavailable (process dead or
-    /// unreachable after the transport's one reconnect attempt). Each
-    /// such probe lost that shard's candidates — the query result is
-    /// partial (see `QueryOutcome`). Always 0 on a healthy cluster.
-    pub shards_unavailable: usize,
-    /// Transport-level reconnect-and-retry events the shard backends
-    /// performed while answering idempotent requests. Nonzero means
-    /// connections broke mid-query but the answers stayed complete.
-    pub retries: usize,
-    /// Replica failovers the shard backends performed: an earlier
-    /// replica (usually the primary) was unreachable or skipped by its
-    /// circuit breaker and a later replica answered instead. Always 0
-    /// on a healthy cluster and against an unsharded database.
-    pub failovers: usize,
-    /// Shard probes whose answer was served by a non-primary replica —
-    /// complete but **stale-flagged** (see `ProbeReport::stale_shards`).
-    pub stale_answers: usize,
     /// Wall-clock microseconds spent producing candidates (index range
     /// queries / shard probes / collection enumeration).
     pub probe_us: u64,
@@ -138,10 +121,6 @@ impl ExecStats {
             shards_pruned,
             corner_cache_hits,
             corner_cache_misses,
-            shards_unavailable,
-            retries,
-            failovers,
-            stale_answers,
             probe_us,
             check_us,
             route_us,
@@ -163,10 +142,6 @@ impl ExecStats {
         self.corner_cache_misses = self
             .corner_cache_misses
             .saturating_add(*corner_cache_misses);
-        self.shards_unavailable = self.shards_unavailable.saturating_add(*shards_unavailable);
-        self.retries = self.retries.saturating_add(*retries);
-        self.failovers = self.failovers.saturating_add(*failovers);
-        self.stale_answers = self.stale_answers.saturating_add(*stale_answers);
         self.probe_us = self.probe_us.saturating_add(*probe_us);
         self.check_us = self.check_us.saturating_add(*check_us);
         self.route_us = self.route_us.saturating_add(*route_us);
@@ -194,7 +169,6 @@ impl std::fmt::Display for ExecStats {
             "solutions={} partials={} candidates={} row_checks={} row_rejects={} \
              full_checks={} bbox_rejects={} bound={} tombstones={} shards_pruned={} \
              corner_cache_hits={} corner_cache_misses={} \
-             shards_unavailable={} retries={} failovers={} stale_answers={} \
              probe_us={} check_us={} route_us={} total_us={}",
             self.solutions,
             self.partial_tuples,
@@ -208,10 +182,6 @@ impl std::fmt::Display for ExecStats {
             self.shards_pruned,
             self.corner_cache_hits,
             self.corner_cache_misses,
-            self.shards_unavailable,
-            self.retries,
-            self.failovers,
-            self.stale_answers,
             self.probe_us,
             self.check_us,
             self.route_us,
@@ -264,8 +234,6 @@ mod tests {
         let t = s.to_string();
         assert!(t.contains("solutions=0"));
         assert!(t.contains("shards_pruned=0"));
-        assert!(t.contains("shards_unavailable=0"));
-        assert!(t.contains("retries=0"));
     }
 
     #[test]
@@ -285,41 +253,6 @@ mod tests {
         let t = a.to_string();
         assert!(t.contains("corner_cache_hits=5"));
         assert!(t.contains("corner_cache_misses=6"));
-    }
-
-    #[test]
-    fn availability_counters_merge() {
-        let mut a = ExecStats {
-            shards_unavailable: 1,
-            retries: 2,
-            ..Default::default()
-        };
-        a.merge(&ExecStats {
-            shards_unavailable: 3,
-            retries: 1,
-            ..Default::default()
-        });
-        assert_eq!(a.shards_unavailable, 4);
-        assert_eq!(a.retries, 3);
-    }
-
-    #[test]
-    fn failover_counters_merge_and_display() {
-        let mut a = ExecStats {
-            failovers: 1,
-            stale_answers: 2,
-            ..Default::default()
-        };
-        a.merge(&ExecStats {
-            failovers: 2,
-            stale_answers: 1,
-            ..Default::default()
-        });
-        assert_eq!(a.failovers, 3);
-        assert_eq!(a.stale_answers, 3);
-        let t = a.to_string();
-        assert!(t.contains("failovers=3"));
-        assert!(t.contains("stale_answers=3"));
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! shard-local ids back to a global slot space, so one executor code
 //! path serves both (and the two can be property-tested against each
 //! other). The shards themselves may live in **other processes**: the
-//! sharded store's backends can answer corner queries over a socket
-//! while serving `region`/`bbox`/liveness from a client-side mirror,
-//! and the executors cannot tell — which is why `region` returning a
-//! borrow is a hard requirement of this trait, not a convenience: it
-//! forces every implementation, however remote, to keep the hot read
-//! path memory-speed.
+//! sharded store then answers corner queries, `region`, `bbox` and
+//! liveness from a router-side mirror of each shard, and the executors
+//! cannot tell — which is why `region` returning a borrow is a hard
+//! requirement of this trait, not a convenience: it forces every
+//! implementation, however remote, to keep the hot read path
+//! memory-speed. No read crosses a socket, so no read can fail.
 //!
 //! The trait is deliberately read-only: executors never mutate the
 //! store, which is what lets concurrent requests share one view under a
@@ -29,48 +29,20 @@ use crate::query::IndexKind;
 /// What one corner-query probe did across a partitioned store.
 ///
 /// Single-store implementations return [`ProbeReport::default`]; a
-/// sharded store reports how many shards the router pruned, how many
-/// transport retries its backends performed, and which shards were
-/// **unavailable** — probed but unreachable, their candidates missing
-/// from `out`. An unavailable shard does not abort the query: the
-/// executors keep searching over the candidates that did arrive and
-/// surface the degradation as a partial
-/// [`QueryOutcome`](crate::QueryOutcome), so callers can distinguish
-/// "no matches" from "shard 3 was down".
+/// sharded store reports how many shards the router pruned and how
+/// long routing took. A probe always answers in full: a sharded
+/// store's reads come from its router-side mirror, so no shard can be
+/// missing from `out`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProbeReport {
     /// Shards the router proved disjoint from the query and never
     /// probed.
     pub shards_pruned: usize,
-    /// Transport-level retries the backends performed while answering
-    /// (reconnect-and-retry on idempotent requests).
-    pub retries: usize,
-    /// Replica failovers the backends performed while answering: a
-    /// shard's primary (or an earlier replica) was unreachable or
-    /// breaker-skipped and a later replica served instead.
-    pub failovers: usize,
-    /// Shards that were probed but could not answer (every replica
-    /// dead or skipped, connection refused after retry). Their
-    /// candidates are missing from the output. Empty for a fully
-    /// answered probe.
-    pub missing_shards: Vec<usize>,
-    /// Shards whose answer came from a **non-primary** replica. The
-    /// answer is complete under write-through convergence, but it was
-    /// served by a stand-in — surfaced so operators can tell "healthy"
-    /// from "healthy because the replica caught it".
-    pub stale_shards: Vec<usize>,
     /// Wall-clock microseconds the router spent deciding which shards
     /// to probe (interval-vs-shard-extent pruning). Always 0 for
     /// single-store implementations. A timing, not a count: two runs
     /// that did equal work still differ here.
     pub route_us: u64,
-}
-
-impl ProbeReport {
-    /// Whether every probed shard answered.
-    pub fn is_complete(&self) -> bool {
-        self.missing_shards.is_empty()
-    }
 }
 
 /// Read access to an object store, as consumed by the executors.
@@ -118,10 +90,8 @@ pub trait StoreView<const K: usize> {
 
     /// Runs a corner query against the chosen index of a collection,
     /// appending matching (global) object indices to `out`. Returns a
-    /// [`ProbeReport`]: shards pruned, transport retries, and any
-    /// shards that were probed but unavailable (their candidates are
-    /// missing — a **degraded** read, not an error: the executors keep
-    /// going and mark the result partial).
+    /// [`ProbeReport`]: shards pruned and routing time. The answer is
+    /// always complete.
     fn query_collection(
         &self,
         coll: CollectionId,

@@ -21,14 +21,13 @@ pub mod prelude {
         TriangularSystem, UpperBound,
     };
     pub use scq_engine::{
-        bbox_execute, naive_execute, triangular_execute, IndexKind, ObjectRef, Query, QueryOutcome,
+        bbox_execute, naive_execute, triangular_execute, IndexKind, ObjectRef, Query,
         SpatialDatabase,
     };
     pub use scq_index::{GridFile, RTree, ScanIndex, SpatialIndex, SplitStrategy};
     pub use scq_region::{AaBox, Region, RegionAlgebra};
     pub use scq_shard::{
-        BreakerConfig, BreakerState, ClusterSpec, ProbeTrace, ShardBackend, ShardSpec,
-        ShardedDatabase,
+        BreakerConfig, BreakerState, ClusterSpec, ShardBackend, ShardSpec, ShardedDatabase,
     };
     pub use scq_zorder::{decompose_cells, morton_decode, morton_encode, ZCurve};
 }

@@ -8,13 +8,6 @@
 //!   atomic operation; [`Histogram::observe_us`]
 //!   is three. No float sorting, no allocation, no mutex on the hot
 //!   path.
-//! * **Scrapes are coherent.** Counters created by one [`Registry`]
-//!   share a coherence gate: a multi-counter update wrapped in
-//!   [`Registry::batch`] takes the gate's read side, and
-//!   [`Registry::snapshot`] takes the write side — so a scrape never
-//!   observes half of a logically-atomic update (the classic
-//!   `partial_answers > queries` tear). Ungated single-counter adds
-//!   stay lock-free.
 //! * **Histogram counts are exact by construction.** A snapshot derives
 //!   the observation count as the sum of its buckets, so "bucket sums
 //!   equal the count" holds under any interleaving of writers and the
@@ -27,14 +20,11 @@
 //! samples.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
 /// Number of log2 latency buckets: bucket 0 is `0 µs`, bucket 31
 /// absorbs everything from `2^30 µs` (~18 minutes) up.
 pub const N_BUCKETS: usize = 32;
-
-/// The shared coherence gate of one registry's instruments.
-type Gate = Arc<RwLock<()>>;
 
 /// A monotonically increasing counter. Cloning shares the underlying
 /// cell — handles are cheap and thread-safe.
@@ -334,7 +324,7 @@ enum Instrument {
     Histogram(Histogram),
 }
 
-/// A named set of instruments with one coherence gate.
+/// A named set of instruments.
 ///
 /// `counter`/`histogram` get-or-create by name and hand back cheap
 /// shared handles; a pre-built histogram (a WAL's fsync histogram)
@@ -342,7 +332,6 @@ enum Instrument {
 /// scrape covers it too.
 #[derive(Default)]
 pub struct Registry {
-    gate: Gate,
     instruments: Mutex<Vec<(String, Instrument)>>,
 }
 
@@ -409,19 +398,9 @@ impl Registry {
         }
     }
 
-    /// Runs `f` as one logically-atomic multi-instrument update: a
-    /// concurrent [`Registry::snapshot`] sees either none or all of its
-    /// writes. Many batches run concurrently (read side of the gate).
-    /// Do **not** nest `snapshot` inside a batch.
-    pub fn batch<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _g = self.gate.read().expect("registry gate");
-        f()
-    }
-
-    /// A coherent snapshot of every instrument (excludes in-flight
-    /// [`Registry::batch`] updates by taking the gate's write side).
+    /// A snapshot of every instrument. Each value is read once; no
+    /// two instruments are read at one instant.
     pub fn snapshot(&self) -> Snapshot {
-        let _g = self.gate.write().expect("registry gate");
         let list = self.instruments.lock().expect("registry lock");
         let mut rows: Vec<(String, Value)> = list
             .iter()
@@ -530,36 +509,5 @@ mod tests {
         assert_eq!(m.counter("only_b"), Some(9));
         assert_eq!(m.histogram("h").unwrap().count(), 2);
         assert_eq!(m.histogram("h").unwrap().sum_us, 30);
-    }
-
-    #[test]
-    fn batched_updates_never_tear_in_a_snapshot() {
-        // The regression the serve tier fixes with this registry: two
-        // counters updated "together" must never be seen torn apart.
-        let r = std::sync::Arc::new(Registry::new());
-        let total = r.counter("total");
-        let sub = r.counter("subset");
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let writer = {
-            let r = std::sync::Arc::clone(&r);
-            let stop = std::sync::Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    r.batch(|| {
-                        // `subset` first: without the gate a snapshot
-                        // between the two adds would see subset > total.
-                        sub.inc();
-                        total.inc();
-                    });
-                }
-            })
-        };
-        for _ in 0..2000 {
-            let s = r.snapshot();
-            let (t, p) = (s.counter("total").unwrap(), s.counter("subset").unwrap());
-            assert!(p <= t, "torn snapshot: subset {p} > total {t}");
-        }
-        stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
     }
 }

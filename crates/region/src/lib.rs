@@ -22,4 +22,4 @@ pub mod region;
 
 pub use aabox::AaBox;
 pub use algebra::RegionAlgebra;
-pub use region::Region;
+pub use region::{FragmentError, Region};

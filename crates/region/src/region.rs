@@ -4,6 +4,32 @@ use scq_bbox::Bbox;
 
 use crate::aabox::AaBox;
 
+/// Why [`Region::decode_fragments`] refused a fragment list.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FragmentError {
+    /// The buffer ended before the declared fragments.
+    Truncated,
+    /// A coordinate was NaN or infinite.
+    NonFinite,
+    /// A fragment was empty or inverted on some axis.
+    EmptyFragment,
+    /// Two fragments overlap.
+    Overlap,
+}
+
+impl std::fmt::Display for FragmentError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            FragmentError::Truncated => "region fragments truncated",
+            FragmentError::NonFinite => "non-finite region coordinate",
+            FragmentError::EmptyFragment => "empty or inverted region fragment",
+            FragmentError::Overlap => "overlapping region fragments",
+        })
+    }
+}
+
+impl std::error::Error for FragmentError {}
+
 /// A region of `ℝᵏ`: a finite union of half-open boxes.
 ///
 /// Invariant: the stored boxes are nonempty and pairwise disjoint, so
@@ -78,6 +104,45 @@ impl<const K: usize> Region<K> {
             r.insert_box(&b);
         }
         r
+    }
+
+    /// Decodes a fragment list from the front of `buf`: a
+    /// little-endian `u32` count, then each fragment's `K` low and `K`
+    /// high coordinates as little-endian `f64`s — the layout the
+    /// snapshot and wire codecs write from [`Region::boxes`]. The
+    /// count is checked against the buffer before anything is
+    /// reserved. The fragments become the region as they stand, with
+    /// no re-union, so a list that no region could hold is refused by
+    /// name.
+    pub fn decode_fragments(buf: &mut &[u8]) -> Result<Self, FragmentError> {
+        fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], FragmentError> {
+            let (head, rest) = buf.split_first_chunk().ok_or(FragmentError::Truncated)?;
+            *buf = rest;
+            Ok(*head)
+        }
+        let n = u32::from_le_bytes(take(buf)?) as usize;
+        if buf.len() < n.saturating_mul(16 * K) {
+            return Err(FragmentError::Truncated);
+        }
+        let mut boxes: Vec<AaBox<K>> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut corners = [[0.0; K]; 2];
+            for c in corners.iter_mut().flatten() {
+                *c = f64::from_le_bytes(take(buf)?);
+                if !c.is_finite() {
+                    return Err(FragmentError::NonFinite);
+                }
+            }
+            let b = AaBox::new(corners[0], corners[1]);
+            if b.is_empty() {
+                return Err(FragmentError::EmptyFragment);
+            }
+            if boxes.iter().any(|o| o.intersects(&b)) {
+                return Err(FragmentError::Overlap);
+            }
+            boxes.push(b);
+        }
+        Ok(Region { boxes })
     }
 
     /// The disjoint fragments making up the region.
@@ -311,6 +376,47 @@ mod tests {
 
     fn b(lo: [f64; 2], hi: [f64; 2]) -> AaBox<2> {
         AaBox::new(lo, hi)
+    }
+
+    /// The fragment layout the snapshot and wire codecs write.
+    fn encode(count: u32, coords: &[f64]) -> Vec<u8> {
+        let mut out = count.to_le_bytes().to_vec();
+        for c in coords {
+            out.extend_from_slice(&c.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn decode_fragments_keeps_the_fragments_and_names_bad_lists() {
+        let region = r(&[b([0.0, 0.0], [4.0, 4.0]), b([2.0, 2.0], [6.0, 6.0])]);
+        let coords: Vec<f64> = region
+            .boxes()
+            .iter()
+            .flat_map(|f| f.lo().into_iter().chain(f.hi()))
+            .collect();
+        let bytes = encode(region.fragment_count() as u32, &coords);
+        let mut buf = &bytes[..];
+        let back = Region::<2>::decode_fragments(&mut buf).unwrap();
+        assert_eq!(back.boxes(), region.boxes(), "fragments as they were");
+        assert!(buf.is_empty(), "the whole list is consumed");
+
+        let decode = |bytes: Vec<u8>| Region::<2>::decode_fragments(&mut &bytes[..]);
+        let overlap = encode(2, &[0.0, 0.0, 2.0, 2.0, 1.0, 1.0, 3.0, 3.0]);
+        assert_eq!(decode(overlap).err(), Some(FragmentError::Overlap));
+        let touching = encode(2, &[0.0, 0.0, 2.0, 2.0, 2.0, 0.0, 3.0, 2.0]);
+        assert_eq!(decode(touching).unwrap().fragment_count(), 2);
+        let inverted = encode(1, &[3.0, 0.0, 1.0, 2.0]);
+        assert_eq!(decode(inverted).err(), Some(FragmentError::EmptyFragment));
+        let flat = encode(1, &[0.0, 1.0, 2.0, 1.0]);
+        assert_eq!(decode(flat).err(), Some(FragmentError::EmptyFragment));
+        let nan = encode(1, &[0.0, f64::NAN, 2.0, 1.0]);
+        assert_eq!(decode(nan).err(), Some(FragmentError::NonFinite));
+        // A claimed count past the buffer errs before reserving.
+        let huge = encode(u32::MAX, &[0.0, 0.0, 1.0, 1.0]);
+        assert_eq!(decode(huge).err(), Some(FragmentError::Truncated));
+        assert_eq!(decode(vec![1, 0]).err(), Some(FragmentError::Truncated));
+        assert!(decode(encode(0, &[])).unwrap().is_empty());
     }
 
     fn r(boxes: &[AaBox<2>]) -> Region<2> {

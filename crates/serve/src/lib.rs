@@ -28,16 +28,13 @@
 //! UPDATE <coll> <slot> <x0> <y0> <x1> <y1>     → OK updated | OK noop
 //! QUERY <coll> <index> <mode> <x0> <y0> <x1> <y1>
 //!                                              → OK n=<n> pruned=<p> ids=<a,b,…>
-//!                                              | PARTIAL missing=<s,…> n=<n> pruned=<p> ids=<…>
 //! SOLVE <index> <max> <bindings> <system>      → OK n=<n> pruned=<p> tuples=<…>
-//!                                              | PARTIAL missing=<s,…> n=<n> pruned=<p> tuples=<…>
 //! EXPLAIN <index> <bindings> <system>          → OK lines=<n> + the planner's per-unknown
 //!                                                   selectivity estimates, the retrieval order
 //!                                                   SOLVE would execute, and the compiled
 //!                                                   per-level range-query plan
 //! STAT                                         → OK shards=<s> collections=<c> live=<n> backend=<b>
-//!                                                   retries=<r> shards_unavailable=<u> partial_answers=<q>
-//!                                                   failovers=<f> stale_answers=<a> health=<per-shard…>
+//!                                                   candidate_cache_hits=<h> … health=<per-shard…>
 //! STAT <coll>                                  → OK len=<slots> live=<n>
 //! METRICS [SHARD <i>]                          → OK lines=<n> + n lines of Prometheus-style
 //!                                                   text exposition (serve, router and shard tiers)
@@ -65,17 +62,12 @@
 //!   acknowledged (the read contract in [`scq_shard::RemoteShard`]).
 //!   A dead shard process therefore takes nothing away from a read;
 //!   it shows on writes (`ERR`), in `STAT`'s `health=` and in
-//!   `METRICS`. The `PARTIAL` response — a degraded read whose listed
-//!   ids/tuples are correct but whose `missing=` shards could not
-//!   answer — stays in the protocol, and no backend produces it.
-//! * `STAT`'s `retries` / `shards_unavailable` / `partial_answers` /
-//!   `failovers` / `stale_answers` are cumulative per-process read
-//!   failure counters ([`ServeMetrics`]); since every backend answers
-//!   reads in process, all of them stay 0. `health=` lists every
-//!   shard's replicas — address, role, breaker position (`closed` /
-//!   `tripped` / `half-open`), trip count, connection counters and
-//!   sync state — so a single sick replica is visible from the front
-//!   end.
+//!   `METRICS`; every read answers in full.
+//! * `STAT`'s cache counters are cumulative per process
+//!   ([`ServeMetrics`]). `health=` lists every shard's replicas —
+//!   address, role, breaker position (`closed` / `tripped` /
+//!   `half-open`), trip count, connection counters and sync state — so
+//!   a single sick replica is visible from the front end.
 //! * `backend` names where the shards live: `local` (in this process)
 //!   or `remote:<addr>` (a cluster of shard processes; `<addr>` is the
 //!   first range's write primary).
@@ -85,7 +77,7 @@
 //!   from any request that reached a shard process) while it is still
 //!   in the ring.
 //! * `METRICS` merges three tiers into one scrape: the serve tier's
-//!   per-command latency histograms and failure counters
+//!   per-command latency histograms and counters
 //!   (`tier="serve"`), the router's routing/probe/transport
 //!   instruments (`tier="router"`), and — in cluster mode — every
 //!   shard process's registry fetched over the wire (`tier="shard"`,

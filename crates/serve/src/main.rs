@@ -24,6 +24,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
+use std::str::FromStr;
 use std::time::Duration;
 
 use scq_serve::{cluster_self_test, self_test, serve, serve_db, PlanMode, ServerConfig};
@@ -31,10 +32,13 @@ use scq_shard::{serve_shard, ClusterSpec, ShardServerConfig, WalConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = check_args(&args) {
-        eprintln!("{e}\n{}", usage());
-        std::process::exit(2);
-    }
+    let numbers = match check_args(&args) {
+        Ok(numbers) => numbers,
+        Err(e) => {
+            eprintln!("{e}\n{}", usage());
+            std::process::exit(2);
+        }
+    };
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{}", usage());
         return;
@@ -67,13 +71,13 @@ fn main() {
             addr: flag("--addr").unwrap_or_else(|| "127.0.0.1:7979".into()),
             ..ShardServerConfig::default()
         };
-        if let Some(t) = flag("--threads").and_then(|v| v.parse().ok()) {
+        if let Some(t) = numbers.threads {
             config.threads = t;
         }
-        if let Some(u) = flag("--universe").and_then(|v| v.parse().ok()) {
+        if let Some(u) = numbers.universe {
             config.universe_size = u;
         }
-        if let Some(m) = flag("--max-conns").and_then(|v| v.parse().ok()) {
+        if let Some(m) = numbers.max_conns {
             config.max_connections = m;
         }
         if let Some(dir) = flag("--wal") {
@@ -107,23 +111,17 @@ fn main() {
         addr: flag("--addr").unwrap_or_else(|| "127.0.0.1:7878".into()),
         ..ServerConfig::default()
     };
-    if let Some(s) = flag("--shards").and_then(|v| v.parse().ok()) {
+    if let Some(s) = numbers.shards {
         config.shards = s;
     }
-    if let Some(t) = flag("--threads").and_then(|v| v.parse().ok()) {
+    if let Some(t) = numbers.threads {
         config.threads = t;
     }
-    if let Some(u) = flag("--universe").and_then(|v| v.parse().ok()) {
+    if let Some(u) = numbers.universe {
         config.universe_size = u;
     }
-    if let Some(ms) = flag("--slow-ms") {
-        match ms.parse::<u64>() {
-            Ok(ms) => config.slow_ms = Some(ms),
-            Err(_) => {
-                eprintln!("bad --slow-ms {ms:?} (want a millisecond count)");
-                std::process::exit(2);
-            }
-        }
+    if let Some(ms) = numbers.slow_ms {
+        config.slow_ms = Some(ms);
     }
     // `--plan` stays only because the benchmark
     // (`benchmark/src/procs.rs`) passes `--plan selectivity`: there is
@@ -213,21 +211,49 @@ const SWITCHES: &[&str] = &[
     "--shard",
 ];
 
+/// The numeric flags' values (the first of each, as for every flag).
+#[derive(Debug, Default)]
+struct Numbers {
+    max_conns: Option<usize>,
+    shards: Option<usize>,
+    slow_ms: Option<u64>,
+    threads: Option<usize>,
+    universe: Option<f64>,
+}
+
 /// Refuses any argument that is not a known flag (or a value flag's
 /// value), naming it: a misspelt `--wal` must not start a shard that
-/// quietly keeps no log.
-fn check_args(args: &[String]) -> Result<(), String> {
+/// quietly keeps no log. A numeric flag's value must parse, or it is
+/// refused naming the flag and the value: `--threads two` must not
+/// start a server on the default.
+fn check_args(args: &[String]) -> Result<Numbers, String> {
+    fn number<T: FromStr>(slot: &mut Option<T>, flag: &str, value: &str) -> Result<(), String> {
+        let n = value
+            .parse()
+            .map_err(|_| format!("bad {flag} {value:?} (want a number)"))?;
+        slot.get_or_insert(n);
+        Ok(())
+    }
+    let mut numbers = Numbers::default();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         if VALUE_FLAGS.contains(&arg.as_str()) {
-            if args.next().is_none() {
+            let Some(value) = args.next() else {
                 return Err(format!("{arg} needs a value"));
+            };
+            match arg.as_str() {
+                "--max-conns" => number(&mut numbers.max_conns, arg, value)?,
+                "--shards" => number(&mut numbers.shards, arg, value)?,
+                "--slow-ms" => number(&mut numbers.slow_ms, arg, value)?,
+                "--threads" => number(&mut numbers.threads, arg, value)?,
+                "--universe" => number(&mut numbers.universe, arg, value)?,
+                _ => {}
             }
         } else if !SWITCHES.contains(&arg.as_str()) {
             return Err(format!("unknown argument {arg:?}"));
         }
     }
-    Ok(())
+    Ok(numbers)
 }
 
 /// Serve until killed.
@@ -374,7 +400,7 @@ mod tests {
 
     fn check(line: &str) -> Result<(), String> {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
-        check_args(&args)
+        check_args(&args).map(|_| ())
     }
 
     /// Every command line the repo benchmark and the smoke scripts
@@ -400,7 +426,8 @@ mod tests {
     }
 
     /// Anything else is refused by name, including the retired
-    /// group-commit window and a value flag missing its value.
+    /// group-commit window, a value flag missing its value and a
+    /// numeric flag whose value does not parse.
     #[test]
     fn unknown_flags_are_refused_by_name() {
         for (line, named) in [
@@ -411,6 +438,11 @@ mod tests {
             ),
             ("--threads 2 stray", "\"stray\""),
             ("--shard --wal", "--wal needs a value"),
+            ("--shard --threads two --universe big", "--threads \"two\""),
+            ("--shard --universe big", "--universe \"big\""),
+            ("--shards 4x", "--shards \"4x\""),
+            ("--shard --max-conns -1", "--max-conns \"-1\""),
+            ("--slow-ms 1.5", "--slow-ms \"1.5\""),
         ] {
             let err = check(line).expect_err(line);
             assert!(err.contains(named), "{line}: {err}");

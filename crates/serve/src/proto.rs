@@ -14,10 +14,7 @@
 //! client's connection instead of tearing the server down. Reads never
 //! reach a shard process: every backend answers probes from an
 //! in-process copy of its shard, so `QUERY` and `SOLVE` answer in full
-//! while a shard process is down. The `PARTIAL` line — correct answers
-//! plus the ids of the shards that could not answer — and the
-//! cumulative read failure counters in `STAT` remain for a backend that
-//! could fail a probe; none does.
+//! while a shard process is down.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -30,38 +27,18 @@ use scq_core::parse_system;
 use scq_engine::workload::{map_workload, MapParams};
 use scq_engine::{
     bbox_execute_compiled, order_by_selectivity, CollectionId, ExecOptions, IndexKind, ObjectRef,
-    ProbeReport, Query, QueryOutcome, SelectivityPlan, SpatialDatabase, VarBinding,
+    Query, SelectivityPlan, SpatialDatabase, VarBinding,
 };
 use scq_region::{AaBox, Region};
 use scq_shard::{ShardBackend, ShardedDatabase};
 
-/// Cumulative failure counters of one serving process, shared by every
-/// worker, reported by `STAT` and scraped through `METRICS`. The CI
-/// smoke and the tier-1 tests hold `retries`, `shards_unavailable` and
-/// `failovers` at 0 on the happy path — any drift there means
-/// connections are flapping or a replica is standing in for its
-/// primary.
-///
-/// All instruments live in one [`scq_obs::Registry`], and every
-/// multi-counter update goes through [`scq_obs::Registry::batch`], so a
-/// concurrent scrape sees either none or all of a command's bumps. The
-/// old free-running relaxed atomics could expose
-/// `partial_answers > queries` to a reader that landed between the two
-/// increments of the same command — [`Self::snapshot`] cannot.
+/// Cumulative counters of one serving process, shared by every worker,
+/// reported by `STAT` and scraped through `METRICS`. All instruments
+/// live in one [`scq_obs::Registry`].
 pub struct ServeMetrics {
     registry: scq_obs::Registry,
     /// `serve.queries`: `QUERY`/`SOLVE` commands answered.
     queries: scq_obs::Counter,
-    /// `serve.retries`: transport reconnect-and-retry events.
-    retries: scq_obs::Counter,
-    /// `serve.shards_unavailable`: probes that found a shard down.
-    shards_unavailable: scq_obs::Counter,
-    /// `serve.partial_answers`: degraded `QUERY`/`SOLVE` responses.
-    partial_answers: scq_obs::Counter,
-    /// `serve.failovers`: replica failovers while answering reads.
-    failovers: scq_obs::Counter,
-    /// `serve.stale_answers`: probes answered by a non-primary replica.
-    stale_answers: scq_obs::Counter,
     /// `serve.slow_queries`: queries at or above the slow threshold.
     slow_queries: scq_obs::Counter,
     /// `serve.candidate_cache_hits`: `QUERY` answers served from the
@@ -83,11 +60,6 @@ impl Default for ServeMetrics {
         let registry = scq_obs::Registry::new();
         ServeMetrics {
             queries: registry.counter("serve.queries"),
-            retries: registry.counter("serve.retries"),
-            shards_unavailable: registry.counter("serve.shards_unavailable"),
-            partial_answers: registry.counter("serve.partial_answers"),
-            failovers: registry.counter("serve.failovers"),
-            stale_answers: registry.counter("serve.stale_answers"),
             slow_queries: registry.counter("serve.slow_queries"),
             candidate_cache_hits: registry.counter("serve.candidate_cache_hits"),
             candidate_cache_misses: registry.counter("serve.candidate_cache_misses"),
@@ -99,9 +71,7 @@ impl Default for ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// A coherent snapshot of every serve-tier instrument: in-flight
-    /// `Self::note` batches are excluded wholesale, so derived
-    /// invariants (`partial_answers <= queries`) hold in every scrape.
+    /// A snapshot of every serve-tier instrument.
     pub fn snapshot(&self) -> scq_obs::Snapshot {
         self.registry.snapshot()
     }
@@ -110,28 +80,6 @@ impl ServeMetrics {
     fn command_latency(&self, verb: &str) -> scq_obs::Histogram {
         self.registry
             .histogram(&format!("serve.{}.latency", verb.to_ascii_lowercase()))
-    }
-
-    fn note(
-        &self,
-        retries: usize,
-        unavailable: usize,
-        partial: bool,
-        failovers: usize,
-        stale: usize,
-    ) {
-        // One batch per answered query: a scrape never sees the
-        // partial_answers bump without the matching queries bump.
-        self.registry.batch(|| {
-            self.queries.inc();
-            self.retries.add(retries as u64);
-            self.shards_unavailable.add(unavailable as u64);
-            if partial {
-                self.partial_answers.inc();
-            }
-            self.failovers.add(failovers as u64);
-            self.stale_answers.add(stale as u64);
-        });
     }
 }
 
@@ -315,21 +263,10 @@ fn multiline(body: &str) -> String {
     out
 }
 
-/// Renders the `missing=` field of a `PARTIAL` response.
-fn missing_list(missing: &[usize]) -> String {
-    missing
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
 /// Parses and runs one command line. Returns the response (no trailing
 /// newline; `METRICS` and `TRACE` responses are multi-line, with the
 /// body line count in the header's `lines=` field) and whether the
-/// connection should close. Responses start `OK`, `PARTIAL` (a
-/// degraded read — correct but possibly incomplete answers, with the
-/// missing shards named) or `ERR`.
+/// connection should close. Responses start `OK` or `ERR`.
 ///
 /// Every command runs under a fresh trace (ids from a per-server
 /// counter); `QUERY` and `SOLVE` responses carry theirs as a trailing
@@ -499,9 +436,8 @@ fn dispatch<B: ShardBackend>(
                 .and_then(|c| c.get(&key).cloned())
             {
                 // A hit is still an answered query — it just cost no
-                // shard probe. Only complete, primary-fresh answers
-                // are ever cached, so no PARTIAL/stale rendering here.
-                ctx.metrics.note(0, 0, false, 0, 0);
+                // shard probe.
+                ctx.metrics.queries.inc();
                 ctx.metrics.candidate_cache_hits.inc();
                 return Ok(format!(
                     "OK n={} pruned={pruned} ids={}",
@@ -511,48 +447,24 @@ fn dispatch<B: ShardBackend>(
             }
             ctx.metrics.candidate_cache_misses.inc();
             let mut ids = Vec::new();
-            let report: ProbeReport =
-                contain_backend_panic(|| d.query_collection(coll, kind, &q, &mut ids))?;
-            ctx.metrics.note(
-                report.retries,
-                report.missing_shards.len(),
-                !report.is_complete(),
-                report.failovers,
-                report.stale_shards.len(),
-            );
+            let pruned = contain_backend_panic(|| d.query_collection(coll, kind, &q, &mut ids))?
+                .shards_pruned;
+            ctx.metrics.queries.inc();
             ids.sort_unstable();
-            let pruned = report.shards_pruned;
-            // Only complete answers with every shard's primary heard
-            // from are cached: a degraded or stale answer must not
-            // outlive the outage that produced it.
-            if report.is_complete() && report.stale_shards.is_empty() {
-                if let Ok(mut c) = ctx.caches.candidates.lock() {
-                    if c.len() >= CANDIDATE_CACHE_CAP {
-                        c.clear();
-                    }
-                    c.insert(key, (ids.clone(), pruned));
+            if let Ok(mut c) = ctx.caches.candidates.lock() {
+                if c.len() >= CANDIDATE_CACHE_CAP {
+                    c.clear();
                 }
+                c.insert(key, (ids.clone(), pruned));
             }
             // `n=` carries the true count; the listing is capped so a
             // broad query cannot blow the response line up to megabytes
             // (same shape as SOLVE's tuple cap).
-            let id_list = list_ids(&ids);
-            // Answers that came from a non-primary replica are flagged
-            // (only when any did, so healthy-path expectations hold).
-            let stale = if report.stale_shards.is_empty() {
-                String::new()
-            } else {
-                format!(" stale={}", missing_list(&report.stale_shards))
-            };
-            Ok(if report.is_complete() {
-                format!("OK n={} pruned={pruned} ids={id_list}{stale}", ids.len())
-            } else {
-                format!(
-                    "PARTIAL missing={} n={} pruned={pruned} ids={id_list}{stale}",
-                    missing_list(&report.missing_shards),
-                    ids.len()
-                )
-            })
+            Ok(format!(
+                "OK n={} pruned={pruned} ids={}",
+                ids.len(),
+                list_ids(&ids)
+            ))
         }
         "SOLVE" => solve(db, ctx, &rest),
         "EXPLAIN" => explain(db, &rest),
@@ -578,25 +490,15 @@ fn dispatch<B: ShardBackend>(
             match rest[..] {
                 [] => {
                     let live: usize = d.collections().map(|c| d.live_len(c)).sum();
-                    // One coherent snapshot for the whole line: the
-                    // counters are mutually consistent, not five
-                    // independent racing loads.
                     let snap = ctx.metrics.snapshot();
                     let counter = |name: &str| snap.counter(name).unwrap_or(0);
                     Ok(format!(
                         "OK shards={} collections={} live={live} backend={} \
-                         retries={} shards_unavailable={} partial_answers={} \
-                         failovers={} stale_answers={} candidate_cache_hits={} \
-                         candidate_cache_misses={} plan_cache_hits={} \
-                         plan_cache_misses={}{} {}",
+                         candidate_cache_hits={} candidate_cache_misses={} \
+                         plan_cache_hits={} plan_cache_misses={}{} {}",
                         d.n_shards(),
                         d.collections().count(),
                         d.backend(0).describe(),
-                        counter("serve.retries"),
-                        counter("serve.shards_unavailable"),
-                        counter("serve.partial_answers"),
-                        counter("serve.failovers"),
-                        counter("serve.stale_answers"),
                         counter("serve.candidate_cache_hits"),
                         counter("serve.candidate_cache_misses"),
                         counter("serve.plan_cache_hits"),
@@ -752,13 +654,7 @@ fn solve<B: ShardBackend>(
     let result =
         contain_backend_panic(|| bbox_execute_compiled(&*d, &query, &planned.plan, kind, options))?
             .map_err(|e| e.to_string())?;
-    ctx.metrics.note(
-        result.stats.retries,
-        result.stats.shards_unavailable,
-        result.outcome.is_partial(),
-        result.stats.failovers,
-        result.stats.stale_answers,
-    );
+    ctx.metrics.queries.inc();
     let mut tuples: Vec<String> = result
         .solutions
         .iter()
@@ -775,26 +671,11 @@ fn solve<B: ShardBackend>(
     if tuples.len() > shown {
         listing.push_str("|+more");
     }
-    // Stale marker only when a replica stood in for its primary, so
-    // healthy-path expectations keep matching.
-    let stale = if result.stats.stale_answers == 0 {
-        String::new()
-    } else {
-        format!(" stale_answers={}", result.stats.stale_answers)
-    };
-    Ok(match &result.outcome {
-        QueryOutcome::Complete => format!(
-            "OK n={} pruned={} tuples={listing}{stale}",
-            result.solutions.len(),
-            result.stats.shards_pruned
-        ),
-        QueryOutcome::Partial { missing_shards } => format!(
-            "PARTIAL missing={} n={} pruned={} tuples={listing}{stale}",
-            missing_list(missing_shards),
-            result.solutions.len(),
-            result.stats.shards_pruned
-        ),
-    })
+    Ok(format!(
+        "OK n={} pruned={} tuples={listing}",
+        result.solutions.len(),
+        result.stats.shards_pruned
+    ))
 }
 
 /// Parses `VAR=coll:<name>,VAR=box:<x0>:<y0>:<x1>:<y1>,…` bindings
@@ -1108,47 +989,6 @@ fn exec_options(max: &str) -> Result<ExecOptions, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
-
-    /// Regression: the old `ServeMetrics` bumped free-running relaxed
-    /// atomics one at a time, so a scraper landing between a command's
-    /// `partial_answers` and `queries` increments could read
-    /// `partial_answers > queries` — an impossible state. Every
-    /// `note()` is now one registry batch, excluded wholesale from
-    /// concurrent snapshots.
-    #[test]
-    fn scrapes_never_tear_a_partial_answer_from_its_query() {
-        let m = Arc::new(ServeMetrics::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                let m = Arc::clone(&m);
-                let stop = Arc::clone(&stop);
-                scope.spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        // partial=true: bumps queries AND partial_answers.
-                        m.note(1, 1, true, 0, 0);
-                    }
-                });
-            }
-            let reader = Arc::clone(&m);
-            let done = Arc::clone(&stop);
-            scope.spawn(move || {
-                for _ in 0..2_000 {
-                    let s = reader.snapshot();
-                    let q = s.counter("serve.queries").unwrap();
-                    let p = s.counter("serve.partial_answers").unwrap();
-                    assert!(p <= q, "torn scrape: partial_answers={p} > queries={q}");
-                }
-                done.store(true, Ordering::Relaxed);
-            });
-        });
-        let s = m.snapshot();
-        assert_eq!(
-            s.counter("serve.queries"),
-            s.counter("serve.partial_answers")
-        );
-    }
 
     #[test]
     fn plan_mode_parses_exactly_the_flag_values() {

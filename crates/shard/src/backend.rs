@@ -3,10 +3,10 @@
 //! [`crate::ShardedDatabase`] never touches a [`SpatialDatabase`]
 //! directly any more — it drives a [`ShardBackend`], the complete
 //! contract between the routing layer and one shard: mutation
-//! (insert / remove / update), corner-query candidate retrieval, the
-//! shard's slots as a [`SpatialDatabase`] the executors bind regions
-//! from, statistics, compaction with a remap report, integrity
-//! checking, and snapshot streaming. Two implementations exist:
+//! (insert / remove / update), the shard's slots as a
+//! [`SpatialDatabase`] that answers every read (corner queries and the
+//! regions the executors bind), statistics, compaction with a remap
+//! report, integrity checking, and snapshot streaming. Two implementations exist:
 //!
 //! * [`LocalShard`] — a [`SpatialDatabase`] in this process (exactly
 //!   the pre-backend behavior, zero overhead, infallible);
@@ -62,37 +62,22 @@ impl From<WireError> for ShardError {
     }
 }
 
-/// Accounting for one corner-query probe, folded into
-/// `ProbeReport`/`ExecStats` by the routing layer. Both backends answer
-/// a probe from an in-process [`SpatialDatabase`], so neither fills it
-/// in and every field stays zero; it remains part of
-/// [`ShardBackend::try_corner_query`]'s signature until the failure
-/// counters it feeds are retired.
+/// The last argument of [`ShardBackend::try_corner_query`]: nothing to
+/// record, since every probe is answered in process. The benchmark
+/// (`benchmark/src/layers.rs`) is its only caller; it goes with
+/// ROADMAP item 1.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProbeTrace {
-    /// Transport reconnect-and-retry attempts made while answering,
-    /// counted whether the probe ultimately succeeded or not.
-    pub retries: usize,
-    /// Replicas that failed (or were skipped by an open breaker)
-    /// before one answered — 0 when the primary answered directly.
-    pub failovers: usize,
-    /// Whether the answer came from a non-primary replica. Such an
-    /// answer is correct against the last replicated write, but the
-    /// primary could not confirm it — callers surface it as a
-    /// staleness marker.
-    pub stale: bool,
-}
+pub struct ProbeTrace;
 
 /// One shard of a [`crate::ShardedDatabase`]: the full contract between
 /// the routing layer and wherever the shard's objects actually live.
 ///
 /// All slot indices are **shard-local**. Mutations are fallible because
 /// a remote backend sits behind a socket; [`LocalShard`] never returns
-/// an error. Reads — [`ShardBackend::database`] and
-/// [`ShardBackend::try_corner_query`] — are answered by an in-process
+/// an error. Reads go through [`ShardBackend::database`], an in-process
 /// [`SpatialDatabase`] in every implementation: that is what lets the
 /// executors run over a remote-backed store at local speed. No read
-/// crosses the wire.
+/// crosses the wire, so no read can fail.
 pub trait ShardBackend: Send + Sync {
     /// Short human-readable description (`local`, `remote:<addr>`),
     /// used in stats and error messages.
@@ -130,22 +115,20 @@ pub trait ShardBackend: Send + Sync {
 
     /// Runs a corner query against the chosen index of
     /// [`ShardBackend::database`], appending matching **local** slot
-    /// indices to `out` (the caller remaps to global). Candidates and
-    /// the regions the executors then bind come from the same copy.
-    ///
-    /// Both implementations answer in process and return `Ok`, leaving
-    /// `trace` untouched. An `Err` would mean the shard could not
-    /// answer — the routing layer treats a transport error as an
-    /// unavailable shard — and implementations must leave `out`
-    /// untouched on error.
+    /// indices to `out`; never fails. The benchmark
+    /// (`benchmark/src/layers.rs`) is its only caller; it goes with
+    /// ROADMAP item 1.
     fn try_corner_query(
         &self,
         coll: CollectionId,
         kind: IndexKind,
         q: &CornerQuery<2>,
         out: &mut Vec<u64>,
-        trace: &mut ProbeTrace,
-    ) -> Result<(), ShardError>;
+        _trace: &mut ProbeTrace,
+    ) -> Result<(), ShardError> {
+        self.database().query_collection(coll, kind, q, out);
+        Ok(())
+    }
 
     /// Compacts the shard, returning the local-slot remap report.
     fn compact(&mut self) -> Result<CompactReport, ShardError>;
@@ -248,18 +231,6 @@ impl ShardBackend for LocalShard {
         region: Region<2>,
     ) -> Result<bool, ShardError> {
         Ok(self.0.update(local_ref(coll, local), region))
-    }
-
-    fn try_corner_query(
-        &self,
-        coll: CollectionId,
-        kind: IndexKind,
-        q: &CornerQuery<2>,
-        out: &mut Vec<u64>,
-        _trace: &mut ProbeTrace,
-    ) -> Result<(), ShardError> {
-        self.0.query_collection(coll, kind, q, out);
-        Ok(())
     }
 
     fn compact(&mut self) -> Result<CompactReport, ShardError> {

@@ -105,6 +105,10 @@ pub(crate) struct LogicalCollection {
 /// triangular, bbox) runs against it unchanged;
 /// corner queries fan out only to the shards the router cannot prune
 /// (counted in [`scq_engine::ExecStats::shards_pruned`]).
+///
+/// The backend parameter stays while the benchmark
+/// (`benchmark/src/layers.rs`) names `ShardedDatabase<B>`; folding the
+/// two shard types into one goes with ROADMAP item 1.
 pub struct ShardedDatabase<B: ShardBackend = LocalShard> {
     universe: AaBox<2>,
     router: ShardRouter,
@@ -554,18 +558,10 @@ impl<B: ShardBackend> ShardedDatabase<B> {
     }
 
     /// Probes one shard's corner query and remaps its answers to
-    /// global slots, folding the outcome into `report`.
-    ///
-    /// Availability policy: every backend answers from its in-process
-    /// copy of the shard (for a remote shard, the mirror — see
-    /// [`crate::RemoteShard`]'s read contract), so a probe does not
-    /// fail and a shard process's outage never reaches a read. The
-    /// arms below keep the routing layer's contract for a backend that
-    /// could fail: a **transport** error
-    /// ([`crate::WireError::is_transport`]) would record the shard in
-    /// [`ProbeReport::missing_shards`] and drop its candidates, and any
-    /// other error panics — misconfiguration or corruption must be
-    /// loud.
+    /// global slots. Every backend answers from its in-process copy of
+    /// the shard (for a remote shard, the mirror — see
+    /// [`crate::RemoteShard`]'s read contract), so a probe cannot fail
+    /// and a shard process's outage never reaches a read.
     fn probe_shard(
         &self,
         s: usize,
@@ -573,67 +569,42 @@ impl<B: ShardBackend> ShardedDatabase<B> {
         kind: IndexKind,
         q: &CornerQuery<2>,
         out: &mut Vec<u64>,
-        report: &mut ProbeReport,
     ) {
         let start = out.len();
         let started = std::time::Instant::now();
         // The span names the shard up front (so a probe that panics
         // still identifies itself) and refines its detail once the
-        // outcome is known.
+        // candidates are in.
         let mut span = scq_obs::span("probe", format!("shard={s}"));
-        let mut trace = crate::backend::ProbeTrace::default();
-        let result = self.shards[s].try_corner_query(coll, kind, q, out, &mut trace);
-        report.retries += trace.retries;
-        report.failovers += trace.failovers;
-        match result {
-            Ok(()) => {
-                if trace.stale {
-                    report.stale_shards.push(s);
-                }
-                let globals = &self.collections[coll.0].per_shard[s].globals;
-                let mut orphans = false;
-                for id in &mut out[start..] {
-                    *id = globals[*id as usize];
-                    orphans |= *id == ShardSide::UNOWNED;
-                }
-                if orphans {
-                    // A live shard slot no global id owns (see
-                    // `ShardSide::UNOWNED`) is not an answer.
-                    let found = out.split_off(start);
-                    out.extend(found.into_iter().filter(|&g| g != ShardSide::UNOWNED));
-                }
-                if let Some(sp) = span.as_mut() {
-                    sp.set_detail(format!(
-                        "shard={s} backend={} candidates={}",
-                        self.shards[s].describe(),
-                        out.len() - start
-                    ));
-                }
-            }
-            Err(ShardError::Wire(e)) if e.is_transport() => {
-                out.truncate(start);
-                report.missing_shards.push(s);
-                if let Some(sp) = span.as_mut() {
-                    sp.set_detail(format!(
-                        "shard={s} backend={} unavailable",
-                        self.shards[s].describe()
-                    ));
-                }
-            }
-            Err(e) => panic!(
-                "shard {s} ({}) failed a corner query with a non-transport error: {e}",
-                self.shards[s].describe()
-            ),
+        self.shards[s]
+            .database()
+            .query_collection(coll, kind, q, out);
+        let globals = &self.collections[coll.0].per_shard[s].globals;
+        let mut orphans = false;
+        for id in &mut out[start..] {
+            *id = globals[*id as usize];
+            orphans |= *id == ShardSide::UNOWNED;
+        }
+        if orphans {
+            // A live shard slot no global id owns (see
+            // `ShardSide::UNOWNED`) is not an answer.
+            let found = out.split_off(start);
+            out.extend(found.into_iter().filter(|&g| g != ShardSide::UNOWNED));
+        }
+        if let Some(sp) = span.as_mut() {
+            sp.set_detail(format!(
+                "shard={s} backend={} candidates={}",
+                self.shards[s].describe(),
+                out.len() - start
+            ));
         }
         self.obs.probe_latency.observe(started.elapsed());
     }
 
     /// Runs a corner query against the chosen index of every shard the
     /// router cannot prune, appending matching **global** object
-    /// indices. Returns a [`ProbeReport`]: shards pruned, and the
-    /// failure accounting of `probe_shard`'s
-    /// availability policy (always empty: every backend answers in
-    /// process).
+    /// indices. Returns a [`ProbeReport`]: shards pruned and routing
+    /// time; the answer is always complete.
     ///
     /// Allocation-free in steady state: each shard's ids land directly
     /// in `out` and are remapped to global slots in place, and the
@@ -653,15 +624,13 @@ impl<B: ShardBackend> ShardedDatabase<B> {
             self.router.candidate_shards(q, &mut shards);
             let route_us = scq_engine::stats::elapsed_us(route_started);
             self.obs.route_latency.observe_us(route_us);
-            let mut report = ProbeReport {
-                route_us,
-                ..ProbeReport::default()
-            };
             for &s in shards.iter() {
-                self.probe_shard(s, coll, kind, q, out, &mut report);
+                self.probe_shard(s, coll, kind, q, out);
             }
-            report.shards_pruned = self.n_shards() - shards.len();
-            report
+            ProbeReport {
+                shards_pruned: self.n_shards() - shards.len(),
+                route_us,
+            }
         })
     }
 
@@ -1006,8 +975,6 @@ mod tests {
                 report.shards_pruned > 0,
                 "diagonal probe must prune ({kind:?})"
             );
-            assert!(report.is_complete(), "local shards are always available");
-            assert_eq!(report.retries, 0);
         }
     }
 
@@ -1150,8 +1117,8 @@ mod tests {
 
     /// The district query of the map workload (seed 1120, 120 roads) on
     /// 8 in-process shards, pinned exactly: the router prunes 6 shards,
-    /// the selectivity-planned order checks 13 rows, and the happy path
-    /// counts no retry, failover, unavailable shard or breaker trip.
+    /// the selectivity-planned order checks 13 rows, the answer equals
+    /// the unsharded one, and the happy path counts no breaker trip.
     #[test]
     fn district_query_pins_pruning_and_planned_row_checks() {
         use scq_engine::workload::{map_workload, MapParams};
@@ -1185,18 +1152,12 @@ mod tests {
             .from_collection("R", w.roads);
 
         let r = scq_engine::bbox_execute(&d, &q, IndexKind::RTree).unwrap();
-        assert!(!r.outcome.is_partial());
+        let mut got = r.solutions.clone();
+        let mut want = scq_engine::naive_execute(&plain, &q).unwrap().solutions;
+        got.sort();
+        want.sort();
+        assert_eq!(got, want, "the sharded answer is the unsharded one");
         assert_eq!(r.stats.shards_pruned, 6, "{}", r.stats);
-        assert_eq!(
-            (
-                r.stats.retries,
-                r.stats.failovers,
-                r.stats.shards_unavailable
-            ),
-            (0, 0, 0),
-            "{}",
-            r.stats
-        );
         let trips: usize = (0..d.n_shards())
             .flat_map(|s| d.backend(s).health())
             .map(|h| h.stats.breaker_trips)

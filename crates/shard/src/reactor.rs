@@ -376,7 +376,7 @@ fn accept_ready<P: Protocol>(
             Ok((stream, _)) => {
                 if conns.len() >= max_connections {
                     // Over the cap: close immediately. The peer sees a
-                    // transport failure and degrades or retries.
+                    // transport failure and retries or reports it.
                     drop(stream);
                     continue;
                 }

@@ -18,9 +18,8 @@
 //! would hand out, whether the slot is live, the compaction remap it
 //! would report); the primary must give the same answer or the write is
 //! refused and the mirror is left untouched. The mirror answers every
-//! read: the executors bind regions from it, and
-//! [`ShardBackend::try_corner_query`] probes its indexes. No read
-//! crosses the wire.
+//! read through [`ShardBackend::database`]: the executors bind regions
+//! from it and probe its indexes. No read crosses the wire.
 //!
 //! **The read contract.**
 //! * A cluster read sees exactly the writes the primary acknowledged.
@@ -35,8 +34,8 @@
 //!   lost may have reached the shard process, but it never reaches the
 //!   mirror, so a read can neither be handed a slot the router never
 //!   mapped nor probe one region while checking another.
-//! * A read does not fail over and does not degrade to `PARTIAL`: it
-//!   never leaves the router, so it is never stale and never partial.
+//! * A read never leaves the router, so it cannot fail, fail over or
+//!   come back short: every read answers in full.
 //! * An outage shows on **writes**, as a loud [`ShardError::Wire`], and
 //!   in [`ShardBackend::check`], `RESYNC` and the shard-tier `METRICS`,
 //!   which all ask the processes.
@@ -63,8 +62,7 @@
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use scq_bbox::CornerQuery;
-use scq_engine::{snapshot, CollectionId, CompactReport, IndexKind, ObjectRef, SpatialDatabase};
+use scq_engine::{snapshot, CollectionId, CompactReport, ObjectRef, SpatialDatabase};
 use scq_region::{AaBox, Region};
 
 use crate::backend::{local_ref, ShardBackend, ShardError};
@@ -427,19 +425,6 @@ impl ShardBackend for RemoteShard {
         Ok(self.mirror.update(obj, region))
     }
 
-    fn try_corner_query(
-        &self,
-        coll: CollectionId,
-        kind: IndexKind,
-        q: &CornerQuery<2>,
-        out: &mut Vec<u64>,
-        _trace: &mut crate::backend::ProbeTrace,
-    ) -> Result<(), ShardError> {
-        // The mirror is the read authority (see the module doc).
-        self.mirror.query_collection(coll, kind, q, out);
-        Ok(())
-    }
-
     fn health(&self) -> Vec<ReplicaHealth> {
         self.replicas
             .iter()
@@ -672,11 +657,11 @@ mod tests {
     use std::sync::{Arc, Mutex};
 
     use super::*;
-    use crate::backend::ProbeTrace;
     use crate::link::BreakerState;
     use crate::server::{serve_shard, ShardServerConfig};
     use crate::wire::{encode_response, frame, read_frame};
-    use scq_bbox::Bbox;
+    use scq_bbox::{Bbox, CornerQuery};
+    use scq_engine::IndexKind;
 
     fn universe() -> AaBox<2> {
         AaBox::new([0.0, 0.0], [100.0, 100.0])
@@ -734,16 +719,8 @@ mod tests {
         let q = CornerQuery::unconstrained().and_overlaps(&Bbox::new([0.0, 0.0], [50.0, 95.0]));
         for kind in [IndexKind::RTree, IndexKind::GridFile, IndexKind::Scan] {
             let (mut a, mut b) = (Vec::new(), Vec::new());
-            let mut trace = ProbeTrace::default();
-            remote
-                .try_corner_query(c_r, kind, &q, &mut a, &mut trace)
-                .unwrap();
-            local
-                .try_corner_query(c_l, kind, &q, &mut b, &mut trace)
-                .unwrap();
-            assert_eq!(trace.retries, 0, "healthy backends never retry");
-            assert_eq!(trace.failovers, 0, "healthy backends never fail over");
-            assert!(!trace.stale, "the primary's answers are never stale");
+            r.query_collection(c_r, kind, &q, &mut a);
+            l.query_collection(c_l, kind, &q, &mut b);
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "{kind:?}");
@@ -812,7 +789,7 @@ mod tests {
         // the connection at all.
         remote.replicas[0].link.break_idle();
         assert!(remote.metrics().is_some(), "the re-dialed shard answers");
-        assert_eq!(query_all(&remote, c, &mut ProbeTrace::default()), vec![0]);
+        assert_eq!(query_all(&remote, c), vec![0]);
         assert_eq!(remote.link_stats().created, 2, "{:?}", remote.link_stats());
         server.shutdown();
     }
@@ -825,7 +802,7 @@ mod tests {
             remote
                 .insert(c, boxed(i as f64 * 10.0, 5.0, 3.0, 3.0))
                 .unwrap();
-            let ids = query_all(&remote, c, &mut ProbeTrace::default());
+            let ids = query_all(&remote, c);
             assert_eq!(ids.len(), i + 1);
         }
         let stats = remote.link_stats();
@@ -891,17 +868,14 @@ mod tests {
         (a, b, shard)
     }
 
-    fn query_all(remote: &RemoteShard, c: CollectionId, trace: &mut ProbeTrace) -> Vec<u64> {
+    fn query_all(remote: &RemoteShard, c: CollectionId) -> Vec<u64> {
         let mut out = Vec::new();
-        remote
-            .try_corner_query(
-                c,
-                IndexKind::RTree,
-                &CornerQuery::unconstrained(),
-                &mut out,
-                trace,
-            )
-            .unwrap();
+        remote.database().query_collection(
+            c,
+            IndexKind::RTree,
+            &CornerQuery::unconstrained(),
+            &mut out,
+        );
         out.sort_unstable();
         out
     }
@@ -922,18 +896,10 @@ mod tests {
                 .insert(c, boxed(i as f64 * 10.0, 5.0, 3.0, 3.0))
                 .unwrap();
         }
-        let mut trace = ProbeTrace::default();
-        assert_eq!(query_all(&remote, c, &mut trace), vec![0, 1, 2, 3, 4]);
-        assert_eq!(
-            trace,
-            ProbeTrace::default(),
-            "a mirror read has nothing to account"
-        );
+        assert_eq!(query_all(&remote, c), vec![0, 1, 2, 3, 4]);
 
         a.shutdown();
-        let mut trace = ProbeTrace::default();
-        assert_eq!(query_all(&remote, c, &mut trace), vec![0, 1, 2, 3, 4]);
-        assert_eq!((trace.failovers, trace.stale), (0, false), "{trace:?}");
+        assert_eq!(query_all(&remote, c), vec![0, 1, 2, 3, 4]);
 
         // A dead primary fails writes loudly — never a silent redirect
         // to the secondary — and the failed write reaches no copy.
@@ -942,7 +908,7 @@ mod tests {
             assert!(matches!(err, ShardError::Wire(_)), "{err}");
         }
         assert_eq!(
-            query_all(&remote, c, &mut ProbeTrace::default()),
+            query_all(&remote, c),
             vec![0, 1, 2, 3, 4],
             "the failed writes must not have reached the mirror"
         );
@@ -963,7 +929,7 @@ mod tests {
         let err = remote.insert(c, boxed(1.0, 1.0, 1.0, 1.0)).err().unwrap();
         assert!(err.to_string().contains("circuit breaker open"), "{err}");
         assert_eq!(remote.link_stats().consecutive_failures, 3);
-        assert_eq!(query_all(&remote, c, &mut ProbeTrace::default()).len(), 5);
+        assert_eq!(query_all(&remote, c).len(), 5);
         b.shutdown();
     }
 
@@ -979,9 +945,7 @@ mod tests {
         remote.insert(c, boxed(11.0, 1.0, 2.0, 2.0)).unwrap();
         let health = remote.health();
         assert!(!health[0].desynced && health[1].desynced, "{health:?}");
-        let mut trace = ProbeTrace::default();
-        assert_eq!(query_all(&remote, c, &mut trace), vec![0, 1]);
-        assert_eq!((trace.failovers, trace.stale), (0, false), "{trace:?}");
+        assert_eq!(query_all(&remote, c), vec![0, 1]);
         let problems = remote.check();
         assert!(
             problems.iter().any(|p| p.contains("desynced")),
@@ -1021,7 +985,7 @@ mod tests {
         let (server, mut remote) = start();
         let c = remote.create_collection("objs").unwrap();
         remote.insert(c, boxed(1.0, 1.0, 2.0, 2.0)).unwrap();
-        assert_eq!(query_all(&remote, c, &mut ProbeTrace::default()), vec![0]);
+        assert_eq!(query_all(&remote, c), vec![0]);
         let snap = remote.metrics().expect("a live shard answers metrics");
         let count = |name: &str| snap.histogram(name).map_or(0, |h| h.count());
         assert!(
@@ -1065,9 +1029,7 @@ mod tests {
         a.shutdown();
         let t = scq_obs::TraceState::new(5);
         let _g = t.install();
-        let mut trace = ProbeTrace::default();
-        assert_eq!(query_all(&remote, c, &mut trace), vec![0]);
-        assert_eq!(trace.failovers, 0, "{trace:?}");
+        assert_eq!(query_all(&remote, c), vec![0]);
         assert!(
             t.spans().is_empty(),
             "a mirror read leaves no event: {:?}",

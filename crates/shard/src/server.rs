@@ -57,9 +57,10 @@ pub struct ShardServerConfig {
     pub threads: usize,
     /// Hard cap on concurrently open connections: a connection
     /// accepted while this many are live is closed immediately (its
-    /// peer sees a transport failure, which router tiers degrade or
-    /// retry). A router needs one multiplexed connection per shard, so
-    /// this bounds misbehaving peers, not legitimate concurrency.
+    /// peer sees a transport failure, which a router retries for a
+    /// diagnostic and reports for a write). A router needs one
+    /// multiplexed connection per shard, so this bounds misbehaving
+    /// peers, not legitimate concurrency.
     pub max_connections: usize,
     /// The universe square side: the shard spans `[0, size]²`. Must
     /// match the router tier's universe or the cluster handshake's
@@ -481,6 +482,8 @@ fn handle_request(state: &ShardState, req: Request) -> Response {
             Ok(obj) => Response::Flag(d.update(obj, region.clone())),
             Err(e) => e,
         }),
+        // No router sends a QUERY; the benchmark's wire rows are its only
+        // caller, and the arm goes with ROADMAP item 1.
         Request::Query { coll, kind, query } => match db.read() {
             Ok(d) => match known(&d, *coll) {
                 Ok(()) => {

@@ -34,7 +34,7 @@
 use bytes::{Buf, BufMut};
 use scq_bbox::CornerQuery;
 use scq_engine::{CollectionId, CompactReport, IndexKind};
-use scq_region::{AaBox, Region};
+use scq_region::{FragmentError, Region};
 
 /// Handshake magic carried by [`Request::Hello`].
 const WIRE_MAGIC: &[u8; 4] = b"SCQW";
@@ -94,6 +94,9 @@ pub enum WireError {
     BadMetricKind(u8),
     /// A coordinate was NaN (region fragments additionally reject ±∞).
     BadCoordinate,
+    /// A region's fragments were empty or overlapped: no region stores
+    /// that.
+    BadRegion(FragmentError),
     /// A string field was not valid UTF-8.
     BadString,
     /// Bytes remained after the declared message body.
@@ -144,6 +147,7 @@ impl std::fmt::Display for WireError {
             WireError::BadIndexKind(k) => write!(f, "unknown index kind byte {k}"),
             WireError::BadMetricKind(k) => write!(f, "unknown metric kind byte {k}"),
             WireError::BadCoordinate => write!(f, "bad coordinate in wire message"),
+            WireError::BadRegion(e) => write!(f, "{e} in wire message"),
             WireError::BadString => write!(f, "string field is not valid UTF-8"),
             WireError::TrailingData { bytes } => {
                 write!(f, "{bytes} trailing bytes after the message body")
@@ -231,7 +235,9 @@ pub enum Request {
         /// The replacement region.
         region: Region<2>,
     },
-    /// Corner query against one index; answers local slot ids.
+    /// Corner query against one index; answers local slot ids. No
+    /// router sends it: the benchmark's wire rows are its only caller,
+    /// and it goes with ROADMAP item 1.
     Query {
         /// Target collection.
         coll: CollectionId,
@@ -495,24 +501,13 @@ fn put_region(buf: &mut Vec<u8>, region: &Region<2>) {
     }
 }
 
-/// Decodes a region written by [`put_region`], validating finiteness
-/// and buffer bounds before any allocation.
+/// Decodes a region written by [`put_region`].
 fn get_region(buf: &mut &[u8]) -> Result<Region<2>, WireError> {
-    need(buf, 4)?;
-    let n = buf.get_u32_le() as usize;
-    need(buf, n.saturating_mul(32))?;
-    let mut boxes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut c = [0.0f64; 4];
-        for v in &mut c {
-            *v = buf.get_f64_le();
-            if !v.is_finite() {
-                return Err(WireError::BadCoordinate);
-            }
-        }
-        boxes.push(AaBox::new([c[0], c[1]], [c[2], c[3]]));
-    }
-    Ok(Region::from_boxes(boxes))
+    Region::decode_fragments(buf).map_err(|e| match e {
+        FragmentError::Truncated => WireError::Truncated,
+        FragmentError::NonFinite => WireError::BadCoordinate,
+        e => WireError::BadRegion(e),
+    })
 }
 
 fn put_query(buf: &mut Vec<u8>, q: &CornerQuery<2>) {
@@ -570,7 +565,8 @@ pub(crate) const OP_INSERT: u8 = 0x03;
 pub(crate) const OP_REMOVE: u8 = 0x04;
 /// Opcode of [`Request::Update`].
 const OP_UPDATE: u8 = 0x05;
-/// Opcode of [`Request::Query`].
+/// Opcode of [`Request::Query`] (kept for the benchmark's wire rows
+/// only; it goes with ROADMAP item 1).
 pub const OP_QUERY: u8 = 0x06;
 /// Opcode of [`Request::Stat`].
 const OP_STAT: u8 = 0x07;
@@ -1204,6 +1200,7 @@ impl MuxReassembly {
 mod tests {
     use super::*;
     use scq_bbox::Bbox;
+    use scq_region::AaBox;
 
     fn sample_requests() -> Vec<Request> {
         let region = Region::from_boxes([
@@ -1527,6 +1524,34 @@ mod tests {
         assert_eq!(
             decode_request(&payload).err(),
             Some(WireError::BadCoordinate)
+        );
+    }
+
+    #[test]
+    fn region_fragments_round_trip_unchanged_and_an_overlap_is_named() {
+        let region = Region::from_boxes([
+            AaBox::new([0.0, 0.0], [2.0, 2.0]),
+            AaBox::new([5.0, 5.0], [6.0, 6.0]),
+        ]);
+        let insert = |region: Region<2>| Request::Insert {
+            coll: CollectionId(0),
+            region,
+        };
+        let payload = encode_request(&insert(region.clone()));
+        let Ok(Request::Insert { region: back, .. }) = decode_request(&payload) else {
+            panic!("an insert decodes");
+        };
+        assert_eq!(back.boxes(), region.boxes());
+        // The last fragment is the payload's last 32 bytes: move it
+        // onto the first. Decoding names the overlap; it does not union.
+        let mut bad = payload.clone();
+        let at = bad.len() - 32;
+        for (i, v) in [1.0f64, 1.0, 3.0, 3.0].iter().enumerate() {
+            bad[at + 8 * i..at + 8 * i + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(
+            decode_request(&bad).err(),
+            Some(WireError::BadRegion(FragmentError::Overlap))
         );
     }
 

@@ -65,7 +65,8 @@ fn main() {
     );
 
     // ── 4. a pruned corner query ────────────────────────────────────
-    let q = CornerQuery::unconstrained().and_contained_in(&Bbox::new([0.0, 0.0], [300.0, 300.0]));
+    let corner = Bbox::new([0.0, 0.0], [300.0, 300.0]);
+    let q = CornerQuery::unconstrained().and_contained_in(&corner);
     let mut ids = Vec::new();
     let report = db.query_collection(towns, IndexKind::RTree, &q, &mut ids);
     println!(
@@ -78,7 +79,11 @@ fn main() {
         report.shards_pruned > 0,
         "the router must prune for a corner-bound query"
     );
-    assert!(report.is_complete(), "all shard processes answered");
+    let low_corner = refs
+        .iter()
+        .filter(|&&r| db.region(r).bbox().le(&corner))
+        .count();
+    assert_eq!(ids.len(), low_corner, "every town in the corner is found");
 
     // ── 5. cross-process migration ──────────────────────────────────
     // move an object from the highest-z shard into the low corner
